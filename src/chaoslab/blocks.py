@@ -496,13 +496,9 @@ def central_block_scheme(schedule: QSchedule):
         vb = blocks_b[ib]
         return np.all(va == vb, axis=1)
 
-    atom_bounds = {
-        k: schedule.n(k) * schedule.family_size(k) for k in range(1, schedule.depth + 1)
-    }
     return PartitionScheme(
         label=label,
         depth=schedule.depth,
-        atom_bounds=atom_bounds,
         same_atom_mask=same_atom_mask,
         name=f"central-block(q={','.join(map(str, schedule.q))})",
     )
@@ -541,7 +537,6 @@ def aligned_window_scheme(window_lengths: Sequence[int], name: str = "aligned-wi
     return PartitionScheme(
         label=label,
         depth=len(lengths),
-        atom_bounds=None,
         same_atom_mask=same_atom_mask,
         name=name,
     )

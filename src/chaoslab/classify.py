@@ -20,7 +20,7 @@ from .density import (
     DensityEstimate,
     IndexSet,
     PhiProfile,
-    empirical_density,
+    nested_density_estimates,
 )
 from .errors import ConsistencyError, SchemeError, ValidationError
 from .systems import OrbitPair, Trajectory
@@ -181,7 +181,6 @@ class PartitionScheme:
 
     label: Callable[[int, Trajectory, int], Hashable]
     depth: int
-    atom_bounds: Mapping[int, int] | None = None
     same_atom_mask: Callable[[OrbitPair, int], np.ndarray] | None = None
     name: str = "scheme"
 
@@ -212,22 +211,21 @@ def cylinder_scheme(max_depth: int):
     )
 
 
-def same_atom_series(pair: OrbitPair, scheme: PartitionScheme, k: int) -> IndexSet:
-    """Times n (1-based) where both trajectories carry the same k-label."""
+def _same_atom_mask(pair: OrbitPair, scheme: PartitionScheme, k: int) -> np.ndarray:
     if not 1 <= k <= scheme.depth:
         raise SchemeError(f"depth {k} outside the scheme's range 1..{scheme.depth}")
     if scheme.same_atom_mask is not None:
-        mask = scheme.same_atom_mask(pair, k)
-    else:
-        mask = np.fromiter(
-            (
-                scheme.label(k, pair.a, n) == scheme.label(k, pair.b, n)
-                for n in range(pair.horizon)
-            ),
-            dtype=bool,
-            count=pair.horizon,
-        )
-    return IndexSet.from_mask(mask)
+        return np.asarray(scheme.same_atom_mask(pair, k), dtype=bool)
+    return np.fromiter(
+        (scheme.label(k, pair.a, n) == scheme.label(k, pair.b, n) for n in range(pair.horizon)),
+        dtype=bool,
+        count=pair.horizon,
+    )
+
+
+def same_atom_series(pair: OrbitPair, scheme: PartitionScheme, k: int) -> IndexSet:
+    """Times n (1-based) where both trajectories carry the same k-label."""
+    return IndexSet.from_mask(_same_atom_mask(pair, scheme, k))
 
 
 @dataclass(frozen=True)
@@ -249,11 +247,24 @@ class PartitionVerdict:
 def _same_atom_estimates(
     pair: OrbitPair, scheme: PartitionScheme, th: Thresholds
 ) -> list[DensityEstimate]:
-    policy = th.policy()
-    return [
-        empirical_density(same_atom_series(pair, scheme, k), policy)
-        for k in range(1, scheme.depth + 1)
-    ]
+    """Same-atom density estimates for depths 1..depth, in one kernel pass.
+
+    A refining scheme nests its same-atom sets, so the code at time n is
+    depth minus the number of depths whose same-atom mask holds there, and
+    the kernel's level j is the same-atom set at depth `depth - j`.
+    """
+    codes = np.full(pair.horizon, scheme.depth, dtype=np.intp)
+    prev = None
+    for k in range(1, scheme.depth + 1):
+        mask = _same_atom_mask(pair, scheme, k)
+        if prev is not None and np.any(mask > prev):
+            raise SchemeError(
+                f"scheme {scheme.name!r} does not refine: its same-atom set at "
+                f"depth {k} is not inside the one at depth {k - 1}"
+            )
+        codes -= mask
+        prev = mask
+    return list(nested_density_estimates(codes, scheme.depth, th.policy())[::-1])
 
 
 def classify_partition_pair(

@@ -14,6 +14,7 @@ import argparse
 import difflib
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -98,10 +99,22 @@ class RunConfig:
 
 
 def atomic_write(path: str | Path, text: str) -> None:
+    """Replace `path` with `text` through a uniquely named temp file in the
+    same directory: concurrent writers never share a temp file, and a failed
+    write leaves neither a temp file nor a changed old file. The result gets
+    the mode a plain write would give (0o666 minus the umask)."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_csv(path, config: RunConfig, header: Sequence[str], rows) -> None:

@@ -1,11 +1,11 @@
 """Empirical upper/lower densities of time sets, Phi profiles and running
 ergodic averages.
 
-Counting is exact: counts and horizons stay integers, ratios are
-``fractions.Fraction`` until the reporting boundary. The limsup/liminf of
-count(S cap [1,n])/n is replaced by the max/min over a geometric checkpoint
-grid beyond a burn-in; that finite-horizon surrogate is the only
-approximation in this module.
+Counting is exact: counts and horizons stay integers, and the extremes of
+count/n are picked exactly and reported as ``fractions.Fraction``. The
+limsup/liminf of count(S cap [1,n])/n is replaced by the max/min over a
+geometric checkpoint grid beyond a burn-in; that finite-horizon surrogate is
+the only approximation in this module.
 """
 from __future__ import annotations
 
@@ -122,21 +122,97 @@ class DensityEstimate:
         return self.upper - self.lower
 
 
-def _ratios_at_checkpoints(s: IndexSet, cps: Sequence[int]) -> list[Fraction]:
-    counts = np.searchsorted(s.times, np.asarray(cps, dtype=np.int64), side="right")
-    return [Fraction(int(c), int(n)) for c, n in zip(counts, cps)]
+def _exact_extremes(
+    counts: np.ndarray, ns: Sequence[int]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Exact column-wise max and min of counts[i, j] / ns[i], as Fractions.
+
+    Floats preselect: int/int below 2**53 rounds correctly, hence
+    monotonically, so each exact extreme lies among the rows whose float
+    ratio ties the float extreme. Ties are settled by int64
+    cross-multiplication, exact while max|count| * max(n) < 2**63. Empty and
+    full columns tie at every row, so the check runs on whole arrays and a
+    Fraction is built only for each winner.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64).reshape(ns.size, -1)
+    top = int(np.abs(counts).max(initial=0))
+    nmax = int(ns.max())
+    if max(top, nmax) >= 2**53 or top * nmax >= 2**63:
+        cols = [[Fraction(int(c), int(n)) for c, n in zip(col, ns)] for col in counts.T]
+        return [max(col) for col in cols], [min(col) for col in cols]
+    ratios = counts / ns[:, None]
+    return (
+        _pick_extreme(counts, ns, ratios, np.argmax(ratios, axis=0), 1),
+        _pick_extreme(counts, ns, ratios, np.argmin(ratios, axis=0), -1),
+    )
+
+
+def _pick_extreme(counts, ns, ratios, rows, sign) -> list[Fraction]:
+    """Fractions at `rows` (one per column), after replacing any row that a
+    float-tied row beats exactly (sign=1 for max, -1 for min)."""
+    cols = np.arange(counts.shape[1])
+    tied = ratios == ratios[rows, cols]
+    # sign of counts[i, j]/ns[i] - counts[rows[j], j]/ns[rows[j]], exactly
+    cross = counts * ns[rows] - counts[rows, cols] * ns[:, None]
+    for j in np.flatnonzero(np.any(tied & (sign * cross > 0), axis=0)):
+        rows[j] = max(
+            np.flatnonzero(tied[:, j]),
+            key=lambda i: sign * Fraction(int(counts[i, j]), int(ns[i])),
+        )
+    return [Fraction(int(counts[i, j]), int(ns[i])) for j, i in enumerate(rows)]
+
+
+def nested_density_estimates(
+    codes: np.ndarray, levels: int, policy: CheckpointPolicy = CheckpointPolicy()
+) -> tuple[DensityEstimate, ...]:
+    """Densities of the nested time sets S_j = {n : codes[n-1] <= j} for
+    j = 0..levels-1, in one pass over the codes.
+
+    Codes are integers in [0, levels]; a time with code `levels` lies in no
+    set. The codes are histogrammed per checkpoint segment, two cumsums give
+    the (checkpoints x levels) matrix of count(S_j cap [1, n]), and each
+    column's extremes are picked exactly by `_exact_extremes`.
+    """
+    codes = np.asarray(codes)
+    if codes.ndim != 1 or codes.size == 0:
+        raise ValidationError("codes must be a nonempty 1-d array")
+    if levels < 1:
+        raise ValidationError("need at least one level")
+    cps = policy.checkpoints(codes.size)
+    hist = np.empty((len(cps), levels + 1), dtype=np.int64)
+    start = 0
+    for i, n in enumerate(cps):
+        row = np.bincount(codes[start:n], minlength=levels + 1)
+        if row.size > levels + 1:
+            raise ValidationError(f"codes must lie in [0, {levels}]")
+        hist[i] = row
+        start = n
+    counts = np.cumsum(np.cumsum(hist, axis=0), axis=1)[:, :levels]
+    uppers, lowers = _exact_extremes(counts, cps)
+    burn_in = policy.resolve_burn_in(codes.size)
+    cps_t = tuple(cps)
+    return tuple(
+        DensityEstimate(upper, lower, cps_t, burn_in, int(count))
+        for upper, lower, count in zip(uppers, lowers, counts[-1])
+    )
+
+
+def _counts_at(s: IndexSet, cps: Sequence[int]) -> np.ndarray:
+    return np.searchsorted(s.times, np.asarray(cps, dtype=np.int64), side="right")
 
 
 def empirical_density(s: IndexSet, policy: CheckpointPolicy = CheckpointPolicy()) -> DensityEstimate:
     """max/min of count(s cap [1,n])/n over the policy's checkpoint grid."""
     cps = policy.checkpoints(s.horizon)
-    ratios = _ratios_at_checkpoints(s, cps)
+    counts = _counts_at(s, cps)
+    (upper,), (lower,) = _exact_extremes(counts, cps)
     return DensityEstimate(
-        upper=max(ratios),
-        lower=min(ratios),
+        upper=upper,
+        lower=lower,
         checkpoints=tuple(cps),
         burn_in=policy.resolve_burn_in(s.horizon),
-        count_at_horizon=s.count_upto(s.horizon),
+        count_at_horizon=int(counts[-1]),
     )
 
 
@@ -151,12 +227,10 @@ def density_along(s: IndexSet, checkpoints: Iterable[int], which: str = "lower")
         raise PolicyError("empty checkpoint subsequence")
     if cps[0] < 1 or cps[-1] > s.horizon:
         raise PolicyError("checkpoints must lie in [1, horizon]")
-    ratios = _ratios_at_checkpoints(s, cps)
-    if which == "lower":
-        return min(ratios)
-    if which == "upper":
-        return max(ratios)
-    raise ValidationError(f"which must be lower|upper, got {which!r}")
+    if which not in ("lower", "upper"):
+        raise ValidationError(f"which must be lower|upper, got {which!r}")
+    (upper,), (lower,) = _exact_extremes(_counts_at(s, cps), cps)
+    return lower if which == "lower" else upper
 
 
 @dataclass(frozen=True)
@@ -181,10 +255,6 @@ class DistanceSeries:
     @property
     def horizon(self) -> int:
         return int(self.values.size)
-
-    def below(self, t: float) -> IndexSet:
-        """Times n with d_n < t."""
-        return IndexSet.from_mask(self.values < t)
 
 
 def default_threshold_grid(diameter: float = 1.0, points: int = 16) -> np.ndarray:
@@ -244,10 +314,11 @@ def phi_profile(
         raise PolicyError("threshold grid must start above 0")
     if np.any(np.diff(grid) <= 0):
         raise PolicyError("threshold grid must be strictly increasing")
-    estimates = tuple(empirical_density(d.below(t), policy) for t in grid)
+    # d_n < t_j exactly when fewer than j+1 grid points are <= d_n
+    codes = np.searchsorted(grid, d.values, side="right")
     return PhiProfile(
         thresholds=grid,
-        estimates=estimates,
+        estimates=nested_density_estimates(codes, grid.size, policy),
         horizon=d.horizon,
         policy_descriptor=policy.descriptor(d.horizon),
     )
@@ -272,12 +343,13 @@ def besicovitch_bounds(
     """Running-mean extrema of the distance series; exact Fractions for
     integer-valued series, floats otherwise."""
     cps = policy.checkpoints(d.horizon)
+    at = np.asarray(cps, dtype=np.int64) - 1
     v = d.values
     rounded = np.rint(v)
     if np.array_equal(v, rounded):
-        cum = np.cumsum(rounded.astype(np.int64))
-        means = [Fraction(int(cum[n - 1]), n) for n in cps]
+        sums = np.cumsum(rounded.astype(np.int64))[at]
+        (high,), (low,) = _exact_extremes(sums, cps)
     else:
-        cum = np.cumsum(v)
-        means = [float(cum[n - 1] / n) for n in cps]
-    return BesicovitchBounds(min(means), max(means), policy.descriptor(d.horizon))
+        means = np.cumsum(v)[at] / np.asarray(cps, dtype=np.float64)
+        low, high = float(means.min()), float(means.max())
+    return BesicovitchBounds(low, high, policy.descriptor(d.horizon))

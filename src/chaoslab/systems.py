@@ -355,11 +355,7 @@ def _cantor_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """d_n = 2^-j with j the length of symbol agreement starting at n,
     capped by the remaining horizon."""
     n = len(a)
-    positions = np.flatnonzero(a != b)
-    if positions.size == 0:
-        j = n - np.arange(n)
-    else:
-        idx = np.searchsorted(positions, np.arange(n))
-        nxt = np.where(idx < positions.size, positions[np.minimum(idx, positions.size - 1)], n)
-        j = nxt - np.arange(n)
-    return np.power(2.0, -j.astype(np.float64))
+    idx = np.arange(n)
+    # first disagreement at or after each time (n if none): a reverse running min
+    nxt = np.minimum.accumulate(np.where(a != b, idx, n)[::-1])[::-1]
+    return np.ldexp(1.0, -(nxt - idx))

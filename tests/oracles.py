@@ -1,12 +1,14 @@
 """Independent oracles shared by the tests.
 
 These deliberately avoid the library's estimator code paths: densities come
-from integer run-length arithmetic at run boundaries, counting comes from
-direct per-block string comparison.
+from integer run-length arithmetic at run boundaries or from one Fraction per
+checkpoint per set, counting comes from direct per-block string comparison.
 """
 from fractions import Fraction
 
 import numpy as np
+
+from chaoslab.density import DensityEstimate, IndexSet
 
 
 def boundary_ratios(runs, horizon, want_agree=True):
@@ -60,3 +62,39 @@ def plugin_entropy_direct(track, word_len, stride):
         p = cnt / total
         h -= p * np.log2(p)
     return h / word_len
+
+
+def per_set_density(s, policy):
+    """DensityEstimate of one IndexSet: a Fraction at every checkpoint, then
+    max/min."""
+    cps = policy.checkpoints(s.horizon)
+    counts = np.searchsorted(s.times, np.asarray(cps, dtype=np.int64), side="right")
+    ratios = [Fraction(int(c), int(n)) for c, n in zip(counts, cps)]
+    return DensityEstimate(
+        upper=max(ratios),
+        lower=min(ratios),
+        checkpoints=tuple(cps),
+        burn_in=policy.resolve_burn_in(s.horizon),
+        count_at_horizon=int(counts[-1]),
+    )
+
+
+def per_threshold_phi(values, grid, policy):
+    """Phi profile estimates with one O(N) pass per threshold: the set
+    {n : d_n < t} for each grid point t, through `per_set_density`."""
+    values = np.asarray(values, dtype=np.float64)
+    return tuple(per_set_density(IndexSet.from_mask(values < t), policy) for t in grid)
+
+
+def cantor_values_direct(a, b):
+    """d_n = 2^-j, j the agreement length from n (capped by the horizon),
+    by a binary search over the disagreement positions for every time."""
+    n = len(a)
+    positions = np.flatnonzero(a != b)
+    if positions.size == 0:
+        j = n - np.arange(n)
+    else:
+        idx = np.searchsorted(positions, np.arange(n))
+        nxt = np.where(idx < positions.size, positions[np.minimum(idx, positions.size - 1)], n)
+        j = nxt - np.arange(n)
+    return np.power(2.0, -j.astype(np.float64))

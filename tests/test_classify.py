@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 import chaoslab as c
 from chaoslab import blocks as bl
+from chaoslab import classify as cl
 from chaoslab.errors import ConsistencyError, SchemeError, ValidationError
+from oracles import per_set_density
 
 WITNESS_THRESHOLDS = c.Thresholds(tau_one=0.25, tau_zero=0.25)
 
@@ -194,6 +196,73 @@ class TestSameAtomSeries:
                 [scheme.label(k, pair.a, n) == scheme.label(k, pair.b, n) for n in range(150)]
             )
             assert np.array_equal(fast, slow)
+
+
+def estimate_key(e):
+    return (e.upper, e.lower, e.checkpoints, e.burn_in, e.count_at_horizon)
+
+
+def assert_partition_estimates_match(pair, scheme, th):
+    """One kernel pass over all depths against one per-set density per depth."""
+    got = cl._same_atom_estimates(pair, scheme, th)
+    policy = th.policy()
+    for k, est in enumerate(got, start=1):
+        s = c.same_atom_series(pair, scheme, k)
+        assert estimate_key(est) == estimate_key(per_set_density(s, policy))
+        assert estimate_key(est) == estimate_key(c.empirical_density(s, policy))
+    assert len(got) == scheme.depth
+
+
+@st.composite
+def close_symbol_pairs(draw, min_size=1):
+    n = draw(st.integers(min_size, 300))
+    xs = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    flips = draw(st.sets(st.integers(0, n - 1), max_size=max(1, n // 8)))
+    ys = [x ^ (i in flips) for i, x in enumerate(xs)]
+    return shift_pair(xs, ys)
+
+
+class TestPartitionKernelDifferential:
+    @given(close_symbol_pairs(), st.integers(1, 5), st.integers(1, 10))
+    @settings(max_examples=80, deadline=None)
+    def test_cylinder_scheme(self, pair, depth, burn):
+        th = c.Thresholds(burn_in=min(burn, pair.horizon))
+        assert_partition_estimates_match(pair, c.cylinder_scheme(depth), th)
+
+    @given(close_symbol_pairs(min_size=12), st.sampled_from([(1, 2, 4), (2, 6), (3, 3, 12)]))
+    @settings(max_examples=60, deadline=None)
+    def test_aligned_window_scheme(self, pair, lengths):
+        th = c.Thresholds(burn_in=1)
+        assert_partition_estimates_match(pair, bl.aligned_window_scheme(lengths), th)
+
+    @pytest.mark.parametrize("seeds,offset", [((1, 2), 0), ((3, 4), 5), ((5, 6), None)])
+    def test_central_block_scheme(self, seeds, offset):
+        q = c.QSchedule((2, 3, 2))
+        pair = bl.fiber_pair(q, seeds, offset=offset, blocks=40)
+        for burn in (1, 7, None):
+            th = c.Thresholds(burn_in=burn)
+            assert_partition_estimates_match(pair, bl.central_block_scheme(q), th)
+
+    def test_pullback_family_central_block(self):
+        q, trajectories = pulled_back_dc2_family(2)
+        pair = c.OrbitPair(trajectories[0], trajectories[1], "same-fiber")
+        assert_partition_estimates_match(pair, c.central_block_scheme(q), c.Thresholds())
+
+    def test_non_nested_scheme_rejected(self):
+        # depth 2 holds at a time where depth 1 does not: not a refinement
+        def same_atom_mask(pair, k):
+            mask = np.ones(pair.horizon, dtype=bool)
+            mask[k] = False
+            return mask
+
+        scheme = c.PartitionScheme(
+            label=lambda k, traj, n: n, depth=2, same_atom_mask=same_atom_mask, name="skew"
+        )
+        pair = shift_pair([0] * 20, [0] * 20)
+        with pytest.raises(SchemeError, match="does not refine"):
+            c.classify_partition_pair(pair, scheme, c.Thresholds(burn_in=1))
+        with pytest.raises(SchemeError):
+            c.classify_pk_minus(pair, scheme, c.Thresholds(burn_in=1))
 
 
 class TestPartitionClassification:

@@ -1,10 +1,11 @@
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chaoslab as c
-from chaoslab.cli import emit_phi_svg, load_config, run
+from chaoslab.cli import atomic_write, emit_phi_svg, load_config, run
 from chaoslab.errors import UsageError
 
 
@@ -247,3 +248,30 @@ class TestSvg:
              "--out", str(out)]
         ) == 0
         assert read(out).startswith("<?xml")
+
+
+class TestAtomicWrite:
+    def test_stray_tmp_file_left_untouched(self, tmp_path):
+        out = tmp_path / "verdict.csv"
+        stray = tmp_path / "verdict.csv.tmp"
+        stray.write_text("another writer's temp file\n")
+        atomic_write(out, "a,b\n1,2\n")
+        assert out.read_text() == "a,b\n1,2\n"
+        assert stray.read_text() == "another writer's temp file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["verdict.csv", "verdict.csv.tmp"]
+
+    def test_mode_is_that_of_a_plain_write(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            atomic_write(tmp_path / "out.csv", "x\n")
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "out.csv").stat().st_mode & 0o777 == 0o640
+
+    def test_failed_write_leaves_no_temp_and_old_file(self, tmp_path):
+        out = tmp_path / "verdict.csv"
+        out.write_text("old artifact\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write(out, "half written \ud800 text\n")  # a lone surrogate
+        assert out.read_text() == "old artifact\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["verdict.csv"]

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaoslab as c
+from chaoslab import density as de
+from chaoslab import systems as sy
 from chaoslab.errors import PolicyError, ValidationError
-from oracles import boundary_extrema
+from oracles import boundary_extrema, cantor_values_direct, per_set_density, per_threshold_phi
 
 
 def doubling_runs(horizon):
@@ -215,3 +217,201 @@ class TestInvariants:
             d, grid=np.array([0.1, 1.0, 1.5]), policy=full_policy()
         )
         assert prof.phi_star[-1] == 1.0 and prof.phi_lower[-1] == 1.0
+
+
+# --- the nested-time-set kernel against the per-set oracle -------------------
+
+
+def estimate_key(e):
+    return (e.upper, e.lower, e.checkpoints, e.burn_in, e.count_at_horizon)
+
+
+@st.composite
+def policies_for(draw, horizon):
+    """Default policy, or burn-in 1, burn-in == horizon or any burn-in, with
+    ratios from the finest (1.001) to coarse ones."""
+    if draw(st.booleans()):
+        return c.CheckpointPolicy()
+    burn = draw(st.one_of(st.just(1), st.just(horizon), st.integers(1, horizon)))
+    ratio = draw(st.sampled_from([1.001, 1.05, 1.3, 2.0]))
+    return c.CheckpointPolicy(burn_in=burn, ratio=ratio)
+
+
+@st.composite
+def coded_series(draw):
+    levels = draw(st.integers(1, 6))
+    horizon = draw(st.integers(1, 400))
+    # a narrow code range leaves low levels empty and high levels full
+    lo = draw(st.integers(0, levels))
+    hi = draw(st.integers(lo, levels))
+    codes = draw(st.lists(st.integers(lo, hi), min_size=horizon, max_size=horizon))
+    policy = draw(policies_for(horizon))
+    return np.array(codes, dtype=np.intp), levels, policy
+
+
+def nested_sets_oracle(codes, levels, policy):
+    return [
+        per_set_density(c.IndexSet.from_mask(codes <= j), policy) for j in range(levels)
+    ]
+
+
+class TestNestedDensityKernel:
+    @given(coded_series())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_set_oracle(self, case):
+        codes, levels, policy = case
+        if codes.size < policy.resolve_burn_in(codes.size):
+            with pytest.raises(PolicyError):
+                de.nested_density_estimates(codes, levels, policy)
+            return
+        got = de.nested_density_estimates(codes, levels, policy)
+        want = nested_sets_oracle(codes, levels, policy)
+        assert [estimate_key(e) for e in got] == [estimate_key(e) for e in want]
+
+    @pytest.mark.parametrize("value", [0, 2, 4])
+    @pytest.mark.parametrize("policy", [
+        c.CheckpointPolicy(burn_in=1),
+        c.CheckpointPolicy(burn_in=1, ratio=1.001),
+        c.CheckpointPolicy(burn_in=500),
+    ])
+    def test_empty_and_full_levels_tie_everywhere(self, value, policy):
+        # a constant code v leaves levels < v empty and levels >= v full:
+        # every checkpoint ties at 0 or 1
+        codes = np.full(500, value, dtype=np.intp)
+        got = de.nested_density_estimates(codes, 4, policy)
+        for j, e in enumerate(got):
+            expect = 1 if j >= value else 0
+            assert e.upper == e.lower == expect
+            assert e.count_at_horizon == 500 * expect
+        assert [estimate_key(e) for e in got] == [
+            estimate_key(e) for e in nested_sets_oracle(codes, 4, policy)
+        ]
+
+    def test_codes_out_of_range_rejected(self):
+        policy = c.CheckpointPolicy(burn_in=1)
+        with pytest.raises(ValidationError):
+            de.nested_density_estimates(np.array([0, 3, 1]), 2, policy)
+        with pytest.raises(ValueError):
+            de.nested_density_estimates(np.array([0, -1, 1]), 2, policy)
+        with pytest.raises(ValidationError):
+            de.nested_density_estimates(np.array([], dtype=np.intp), 2, policy)
+
+    @given(coded_series())
+    @settings(max_examples=60, deadline=None)
+    def test_empirical_density_and_density_along_match_oracle(self, case):
+        codes, _, policy = case
+        s = c.IndexSet.from_mask(codes == codes[0])
+        if s.horizon >= policy.resolve_burn_in(s.horizon):
+            assert estimate_key(c.empirical_density(s, policy)) == estimate_key(
+                per_set_density(s, policy)
+            )
+        cps = list(range(1, s.horizon + 1, 3))
+        ratios = [Fraction(s.count_upto(n), n) for n in cps]
+        assert c.density_along(s, cps, "upper") == max(ratios)
+        assert c.density_along(s, cps, "lower") == min(ratios)
+
+
+class TestExactExtremes:
+    def test_float_tie_settled_exactly(self):
+        # consecutive Fibonacci ratios F43/F44 > F44/F45 round to the same
+        # float, so only the integer tie-break tells them apart
+        f = [0, 1]
+        while len(f) < 46:
+            f.append(f[-1] + f[-2])
+        counts = np.array([[f[44]], [f[43]]])
+        ns = [f[45], f[44]]
+        assert f[44] / f[45] == f[43] / f[44]
+        (upper,), (lower,) = de._exact_extremes(counts, ns)
+        assert upper == Fraction(f[43], f[44])
+        assert lower == Fraction(f[44], f[45])
+
+    def test_beyond_int64_products_falls_back_to_fractions(self):
+        big = 2**60
+        counts = np.array([[big - 1], [big - 3]])
+        ns = [big, big - 2]
+        (upper,), (lower,) = de._exact_extremes(counts, ns)
+        assert upper == Fraction(big - 1, big)
+        assert lower == Fraction(big - 3, big - 2)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 2**31), st.floats(0, 1)), min_size=1, max_size=40
+        ),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_max_min(self, rows, width):
+        ns = [n for n, _ in rows]
+        counts = np.array(
+            [[int(n * frac) // (j + 1) for j in range(width)] for n, frac in rows]
+        )
+        uppers, lowers = de._exact_extremes(counts, ns)
+        for j in range(width):
+            ratios = [Fraction(int(counts[i, j]), n) for i, n in enumerate(ns)]
+            assert uppers[j] == max(ratios) and lowers[j] == min(ratios)
+
+
+DYADIC = [0.0, 2.0**-16, 2.0**-8, 0.125, 0.25, 0.5, 0.75, 1.0]
+
+
+class TestPhiKernelDifferential:
+    @given(
+        st.lists(st.sampled_from(DYADIC), min_size=1, max_size=300),
+        st.lists(st.sampled_from(DYADIC[1:] + [0.1, 0.3, 1.5]), min_size=1, max_size=8,
+                 unique=True),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_phi_profile_matches_per_threshold_oracle(self, values, grid, data):
+        # grid points drawn from the distance values themselves check the
+        # strict d_n < t at equality
+        grid = np.array(sorted(grid))
+        policy = data.draw(policies_for(len(values)))
+        d = c.DistanceSeries(np.array(values), 1.0)
+        if d.horizon < policy.resolve_burn_in(d.horizon):
+            return
+        prof = c.phi_profile(d, grid=grid, policy=policy)
+        want = per_threshold_phi(values, grid, policy)
+        assert [estimate_key(e) for e in prof.estimates] == [estimate_key(e) for e in want]
+
+    @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=100, max_size=400))
+    @settings(max_examples=60, deadline=None)
+    def test_default_grid_matches_per_threshold_oracle(self, values):
+        d = c.DistanceSeries(np.array(values), 1.0)
+        prof = c.phi_profile(d)
+        want = per_threshold_phi(values, c.default_threshold_grid(), c.CheckpointPolicy())
+        assert [estimate_key(e) for e in prof.estimates] == [estimate_key(e) for e in want]
+
+
+@st.composite
+def symbol_pairs(draw):
+    n = draw(st.integers(1, 400))
+    alphabet = draw(st.integers(2, 3))
+    a = np.array(draw(st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n)))
+    # flip only a few positions so that long agreement runs occur
+    flips = draw(st.sets(st.integers(0, n - 1), max_size=max(1, n // 20)))
+    b = a.copy()
+    for i in flips:
+        b[i] = (b[i] + 1) % alphabet
+    return a, b
+
+
+class TestCantorValues:
+    @given(symbol_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_bytes(self, pair):
+        a, b = pair
+        assert sy._cantor_values(a, b).tobytes() == cantor_values_direct(a, b).tobytes()
+
+    def test_all_agreeing_pair_underflows_like_oracle(self):
+        # agreement runs past 1074 steps go through the subnormals to 0
+        a = np.zeros(3000, dtype=np.int64)
+        got = sy._cantor_values(a, a)
+        assert got.tobytes() == cantor_values_direct(a, a).tobytes()
+        assert got[0] == 0.0 and got[-1] == 0.5
+
+    def test_sampled_tracks_match_oracle_bytes(self):
+        for spec in (c.FullShift(2, (0.5, 0.5)), c.FullShift(3, (0.6, 0.3, 0.1))):
+            pair = c.make_pair(spec, 20000, "independent", (3, 4))
+            a, b = pair.a.symbols, pair.b.symbols
+            assert sy._cantor_values(a, b).tobytes() == cantor_values_direct(a, b).tobytes()
