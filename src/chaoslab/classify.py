@@ -202,7 +202,7 @@ def cylinder_scheme(max_depth: int):
         a, b = pair.a.symbols, pair.b.symbols
         eq = a == b
         out = np.ones(pair.horizon, dtype=bool)
-        for j in range(k):
+        for j in range(min(k, pair.horizon)):  # words are truncated at the horizon
             out[: pair.horizon - j] &= eq[j:]
         return out
 

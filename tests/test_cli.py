@@ -1,12 +1,27 @@
+import hashlib
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chaoslab as c
-from chaoslab.cli import atomic_write, emit_phi_svg, load_config, run
+from chaoslab import cli
+from chaoslab.cli import (
+    RunConfig,
+    _build_pair,
+    _config_from_args,
+    _PairRows,
+    atomic_write,
+    build_parser,
+    emit_phi_svg,
+    load_config,
+    run,
+    write_csv,
+)
 from chaoslab.errors import UsageError
+from oracles import csv_text_direct, pair_dump_direct
 
 
 def read(path):
@@ -275,3 +290,116 @@ class TestAtomicWrite:
             atomic_write(out, "half written \ud800 text\n")  # a lone surrogate
         assert out.read_text() == "old artifact\n"
         assert [p.name for p in tmp_path.iterdir()] == ["verdict.csv"]
+
+    def test_failed_stream_leaves_no_temp_and_old_file(self, tmp_path):
+        out = tmp_path / "pair.csv"
+        out.write_text("old artifact\n")
+
+        def chunks():
+            yield "n,x_symbol,y_symbol\n"
+            raise RuntimeError("formatting failed mid-stream")
+
+        with pytest.raises(RuntimeError, match="mid-stream"):
+            atomic_write(out, chunks())
+        assert out.read_text() == "old artifact\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["pair.csv"]
+
+    def test_chunks_write_the_same_file_as_one_string(self, tmp_path):
+        text = "# chaoslab pair \u03c6\nn,x\n" + "".join(f"{i},{i % 3}\n" for i in range(2000))
+        atomic_write(tmp_path / "whole.csv", text)
+        atomic_write(tmp_path / "chunked.csv", (text[i : i + 37] for i in range(0, len(text), 37)))
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+PAIR_KEYS = ("system", "horizon", "seed", "seed2", "witness", "q", "base")
+PAIR_CASES = {
+    "full-shift-2": ["--horizon", "3000", "--seed", "4"],
+    "weighted-3": ["--arity", "3", "--probs", "0.5,0.3,0.2", "--horizon", "3000", "--seed", "7"],
+    "tent-reals": ["--system", "tent", "--param", "1.99", "--horizon", "3000", "--seed", "2"],
+    "witness": ["--witness", "DC2", "--horizon", "5000"],
+    "odometer": ["--system", "odometer", "--base", "2,4,12", "--horizon", "3000"],
+    "zero-entropy": ["--system", "zero-entropy", "--q", "2,2,2", "--horizon", "3000"],
+}
+
+
+def assert_pair_matches_oracle(case, out):
+    argv = ["pair", *PAIR_CASES[case], "--out", str(out)]
+    assert run(argv) == 0
+    args = build_parser().parse_args(argv)
+    expected = csv_text_direct(
+        _config_from_args(args, PAIR_KEYS), *pair_dump_direct(_build_pair(args))
+    )
+    assert out.read_bytes() == expected.encode()
+
+
+@dataclass(frozen=True)
+class SignedSymbols:
+    """A hand-made system spec without an arity, so any integer symbol goes."""
+
+
+def hand_built_pair(spec, x, y, track="symbols"):
+    a, b = (c.Trajectory(spec, len(t), None, **{track: np.asarray(t)}) for t in (x, y))
+    return c.OrbitPair(a, b, "explicit-witness")
+
+
+class TestPairDump:
+    """`pair` formats whole columns; its bytes must equal one `str` per cell
+    in a per-row loop (the oracle)."""
+
+    @pytest.mark.parametrize("case", sorted(PAIR_CASES))
+    def test_cli_matches_per_row_oracle(self, case, tmp_path):
+        assert_pair_matches_oracle(case, tmp_path / "pair.csv")
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_block_boundaries_do_not_change_bytes(self, block, tmp_path, monkeypatch):
+        # 3000 rows: a single-row block, a ragged last block, exact blocks
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        assert_pair_matches_oracle("tent-reals", tmp_path / "pair.csv")
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            # negative symbols, names looked up in a table over [min, max]
+            hand_built_pair(SignedSymbols(), [-3, 1, 0, -1, -3, 1], [0, -2, 1, 1, -1, 0]),
+            # a range far wider than the track
+            hand_built_pair(SignedSymbols(), [0, -(10**12), 10**12], [1, 1, 1]),
+            # reals without a symbol track: blank symbol cells
+            hand_built_pair(c.IntervalMap("tent", 1.5), [0.1, 1 / 3, 0.75], [2**-40, 0.5, 1.0],
+                            track="reals"),
+        ],
+        ids=["negative", "sparse", "reals-only"],
+    )
+    def test_hand_built_pairs_match_oracle(self, pair, tmp_path):
+        config = RunConfig("pair", {"horizon": pair.horizon})
+        rows = _PairRows(pair)
+        write_csv(tmp_path / "pair.csv", config, rows.header, rows)
+        expected = csv_text_direct(config, *pair_dump_direct(pair))
+        assert (tmp_path / "pair.csv").read_bytes() == expected.encode()
+
+    def test_rows_are_sized_and_reiterable(self):
+        pair = c.make_pair(c.IntervalMap("tent", 1.99), 500, "independent", (1, 2))
+        rows = _PairRows(pair)
+        assert len(rows) == pair.horizon
+        first = list(rows)
+        assert len(first) == pair.horizon
+        assert list(rows) == first
+        assert first[0][0] == "1" and len(first[0]) == 5
+
+
+class TestForgeBlocksGolden:
+    # sha256 of `forge --q 2,3,2 --dump blocks [--markers]` as written by the
+    # per-bit formatting loop the column formatting replaced
+    GOLDEN = {
+        False: "8920746a782fb3acba4d498322ac8af8da497b27280d873868c6b5766766273d",
+        True: "5afb06debe31baf261c96b7ac34828a7f22448a2026b9710a1516e7c31b0e3c8",
+    }
+
+    @pytest.mark.parametrize("markers", [False, True])
+    def test_bytes_match_golden(self, markers, tmp_path):
+        out = tmp_path / "blocks.txt"
+        argv = ["forge", "--q", "2,3,2", "--dump", "blocks", "--out", str(out)]
+        assert run(argv + (["--markers"] if markers else [])) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[markers]
+        rows = [l for l in read(out).splitlines() if not l.startswith("#")]
+        assert len(rows) == 4096
+        assert all((" " in r) == markers for r in rows)
