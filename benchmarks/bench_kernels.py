@@ -1,4 +1,5 @@
-"""Benchmark the numba kernels against the pure-numpy fallbacks.
+"""Benchmark the numba orbit kernels against the pure-Python fallbacks, and
+the exact eta-ball count.
 
 Run as a script:  python benchmarks/bench_kernels.py
 Select the package-wide backend with CHAOSLAB_BACKEND=numpy|numba|auto.
@@ -8,6 +9,7 @@ import time
 import numpy as np
 
 from chaoslab import _kernels
+from chaoslab.entropy import count_eta_ball
 
 
 def timeit(fn, *args, repeat=3):
@@ -20,19 +22,13 @@ def timeit(fn, *args, repeat=3):
 
 
 def main():
-    print(f"numba available: {_kernels.window_mismatch_counts_numba is not None}")
+    print(f"numba available: {_kernels.tent_orbit_numba is not None}")
     print(f"package backend in use: {'numba' if _kernels.USING_NUMBA else 'numpy'}")
 
-    print("\nwindow_mismatch_counts (eta-ball enumeration core)")
-    for n, m in ((16, 3), (18, 3), (20, 3)):
-        t_np, ref = timeit(_kernels.window_mismatch_counts_numpy, n, m)
-        line = f"  n={n:2d} m={m}: numpy {t_np*1e3:8.2f} ms"
-        if _kernels.window_mismatch_counts_numba is not None:
-            _kernels.window_mismatch_counts_numba(n, m)  # warm the compile cache
-            t_nb, out = timeit(_kernels.window_mismatch_counts_numba, n, m)
-            assert np.array_equal(ref, out)
-            line += f"   numba {t_nb*1e3:8.2f} ms   speedup {t_np / t_nb:5.1f}x"
-        print(line)
+    print("\ncount_eta_ball (transfer-automaton DP, exact ints)")
+    for n in (20, 200, 1024):
+        t, count = timeit(count_eta_ball, "0" * n, 5, 0.5)
+        print(f"  n={n:4d} m=5 eta=0.5: {t*1e3:8.2f} ms   count has {count.bit_length()} bits")
 
     print("\ntent_orbit (sequential map iteration)")
     for steps in (10_000, 100_000, 1_000_000):

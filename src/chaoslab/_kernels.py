@@ -1,4 +1,7 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Interval-map iteration with a numba fast path and a pure-Python fallback.
+
+numba is an optional extra (``pip install -e '.[numba]'``); without it the
+fallback runs.
 
 The backend is chosen at import time from the environment variable
 ``CHAOSLAB_BACKEND``:
@@ -33,40 +36,6 @@ else:
         _HAVE_NUMBA = False
 
 USING_NUMBA = _HAVE_NUMBA
-
-
-def window_mismatch_counts_numpy(n: int, m: int) -> np.ndarray:
-    """For every difference mask d in [0, 2^n): number of the n-m+1 length-m
-    windows of d containing a set bit. Vectorized over all masks."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    window = np.int64((1 << m) - 1)
-    counts = np.zeros(1 << n, dtype=np.int64)
-    for j in range(n - m + 1):
-        counts += ((masks >> j) & window) != 0
-    return counts
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _window_mismatch_counts_jit(n, m):  # pragma: no cover - compiled
-        total = 1 << n
-        window = (1 << m) - 1
-        nwin = n - m + 1
-        counts = np.zeros(total, dtype=np.int64)
-        for d in range(total):
-            c = 0
-            for j in range(nwin):
-                if (d >> j) & window:
-                    c += 1
-            counts[d] = c
-        return counts
-
-    def window_mismatch_counts_numba(n: int, m: int) -> np.ndarray:
-        return _window_mismatch_counts_jit(n, m)
-
-else:
-    window_mismatch_counts_numba = None
 
 
 def tent_orbit_numpy(x0: float, a: float, n: int) -> np.ndarray:
@@ -119,10 +88,8 @@ else:
 
 
 if USING_NUMBA:
-    window_mismatch_counts = window_mismatch_counts_numba
     tent_orbit = tent_orbit_numba
     logistic_orbit = logistic_orbit_numba
 else:
-    window_mismatch_counts = window_mismatch_counts_numpy
     tent_orbit = tent_orbit_numpy
     logistic_orbit = logistic_orbit_numpy

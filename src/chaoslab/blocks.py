@@ -5,11 +5,14 @@ scheme.
 Level-k blocks are built by the recursion  C_1 = {ww : w in {0,1}^{q_1}},
 B_k = (C_{k-1})^{q_k}, C_k = {BB : B in B_k};  a C_k member has length
 N_k = p_k * 2^k (p_k = q_1...q_k) and is determined by the p_k bits written
-at its free positions. All percentage claims about these blocks are exact
-rationals.
+at its free positions. Every position of a C_k member copies one free bit;
+that source index is built once per (schedule, k), and encoding, decoding,
+membership and family enumeration are gathers through it. All percentage
+claims about these blocks are exact rationals.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -100,6 +103,26 @@ def derive_params(
     ]
 
 
+@functools.lru_cache(maxsize=64)
+def _source_index(schedule: QSchedule, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, free) of level k: position j of a C_k member copies free bit
+    src[j], and free[i] is the first position copying bit i. Built by running
+    the block recursion once on the bit indices 0..p_k-1; both arrays are
+    read-only, as the cache shares them."""
+    pk = schedule.p(k)
+    rows = np.arange(pk, dtype=np.min_scalar_type(pk - 1)).reshape(-1, schedule.q[0])
+    rows = np.concatenate([rows, rows], axis=1)  # C_1 members
+    for level in range(2, k + 1):
+        qk = schedule.q[level - 1]
+        rows = rows.reshape(rows.shape[0] // qk, qk * rows.shape[1])  # B_level
+        rows = np.concatenate([rows, rows], axis=1)  # C_level
+    src = rows[0]
+    free = np.unique(src, return_index=True)[1]
+    src.flags.writeable = False
+    free.flags.writeable = False
+    return src, free
+
+
 def encode_block(schedule: QSchedule, k: int, free_bits: Sequence[int]) -> np.ndarray:
     """Write the p_k free bits through the recursion; returns the C_k member
     of length N_k."""
@@ -110,18 +133,9 @@ def encode_block(schedule: QSchedule, k: int, free_bits: Sequence[int]) -> np.nd
             f"level {k} needs exactly p_{k} = {schedule.p(k)} free bits, "
             f"got {bits.size}"
         )
-    if bits.size and not np.all((bits == 0) | (bits == 1)):
+    if not np.all((bits == 0) | (bits == 1)):
         raise ValidationError("free bits must be 0/1")
-    rows = bits.reshape(-1, schedule.q[0])
-    rows = np.concatenate([rows, rows], axis=1)  # C_1 members
-    for level in range(2, k + 1):
-        qk = schedule.q[level - 1]
-        rows = rows.reshape(rows.shape[0] // qk, qk * rows.shape[1])  # B_level
-        rows = np.concatenate([rows, rows], axis=1)  # C_level
-    out = rows[0]
-    if out.size != schedule.n(k):
-        raise ValidationError("encoded block has wrong length")  # pragma: no cover
-    return out
+    return bits[_source_index(schedule, k)[0]]
 
 
 def inverse_pi(schedule: QSchedule, k: int, word: Sequence[int]) -> np.ndarray:
@@ -144,24 +158,11 @@ class FreeLayout:
 
 def free_positions(schedule: QSchedule, k: int) -> FreeLayout:
     schedule._check_level(k)
-
-    def layout(level: int) -> list[list[int]]:
-        # class list ordered by free position; class[0] is the free position
-        if level == 1:
-            return [[f, f + schedule.q[0]] for f in range(schedule.q[0])]
-        inner = layout(level - 1)
-        n_prev = schedule.n(level - 1)
-        half = schedule.b_length(level)
-        out = []
-        for i in range(schedule.q[level - 1]):
-            for cls in inner:
-                shifted = [i * n_prev + x for x in cls]
-                out.append(shifted + [x + half for x in shifted])
-        return out
-
-    classes = layout(k)
+    src, _ = _source_index(schedule, k)
+    # each bit has 2^k copies; a stable sort lists them in position order
+    classes = np.argsort(src, kind="stable").reshape(schedule.p(k), 2**k).tolist()
     free = tuple(cls[0] for cls in classes)
-    copies = {cls[0]: tuple(sorted(cls[1:])) for cls in classes}
+    copies = {cls[0]: tuple(cls[1:]) for cls in classes}
     return FreeLayout(level=k, free=free, copies=copies)
 
 
@@ -174,8 +175,9 @@ def pi(schedule: QSchedule, k: int, block: Sequence[int]) -> np.ndarray:
         )
     if not np.all((row == 0) | (row == 1)):
         raise MembershipError("block is not a binary row")
-    word = row[list(free_positions(schedule, k).free)]
-    if not np.array_equal(encode_block(schedule, k, word), row):
+    src, free = _source_index(schedule, k)
+    word = row[free]
+    if not np.array_equal(word[src], row):
         raise MembershipError(f"block is not a member of C_{k}")
     return word
 
@@ -198,33 +200,16 @@ def enumerate_family(schedule: QSchedule, k: int) -> np.ndarray:
         )
     count = 2**pk
     words = ((np.arange(count)[:, None] >> np.arange(pk - 1, -1, -1)) & 1).astype(np.int8)
-    rows = words.reshape(count, -1, schedule.q[0])
-    rows = np.concatenate([rows, rows], axis=2)
-    for level in range(2, k + 1):
-        qk = schedule.q[level - 1]
-        c, groups, width = rows.shape
-        rows = rows.reshape(c, groups // qk, qk * width)
-        rows = np.concatenate([rows, rows], axis=2)
-    return rows.reshape(count, schedule.n(k))
+    return words[:, _source_index(schedule, k)[0]]
 
 
 def project_position(schedule: QSchedule, k: int, j: int) -> int:
-    """Coordinate descent [0, N_k) -> [0, p_k): drop the repetition-copy
-    index, keep the component index, recurse."""
+    """Coordinate descent [0, N_k) -> [0, p_k): the free bit position j
+    copies."""
     schedule._check_level(k)
     if not 0 <= j < schedule.n(k):
         raise ValidationError(f"position {j} outside [0, {schedule.n(k)})")
-
-    def descend(level: int, pos: int) -> int:
-        if level == 1:
-            return pos % schedule.q[0]
-        half = schedule.b_length(level)
-        if pos >= half:
-            pos -= half
-        i, rest = divmod(pos, schedule.n(level - 1))
-        return i * schedule.p(level - 1) + descend(level - 1, rest)
-
-    return descend(k, j)
+    return int(_source_index(schedule, k)[0][j])
 
 
 def marker_row(
@@ -325,12 +310,10 @@ def sample_point(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if offset is None:
         offset = int(rng.integers(0, top_n))
-    pk = schedule.p(schedule.depth)
-    rows = [
-        encode_block(schedule, schedule.depth, rng.integers(0, 2, pk))
-        for _ in range(blocks)
-    ]
-    return TwoRowWord(schedule, offset, np.concatenate(rows), seed=seed)
+    # one draw of shape (blocks, p_K) is the same stream as one per block
+    bits = rng.integers(0, 2, (blocks, schedule.p(schedule.depth))).astype(np.int8)
+    src, _ = _source_index(schedule, schedule.depth)
+    return TwoRowWord(schedule, offset, bits[:, src].reshape(-1), seed=seed)
 
 
 def word_from_free_words(
@@ -346,8 +329,10 @@ def word_from_free_words(
         words = words.reshape(-1, pk)
     if words.shape[1] != pk:
         raise ValidationError(f"free words must have p_K = {pk} bits")
-    rows = [encode_block(schedule, schedule.depth, w) for w in words]
-    return TwoRowWord(schedule, offset, np.concatenate(rows))
+    if not np.all((words == 0) | (words == 1)):
+        raise ValidationError("free bits must be 0/1")
+    src, _ = _source_index(schedule, schedule.depth)
+    return TwoRowWord(schedule, offset, words[:, src].reshape(-1))
 
 
 def trajectory_from_word(word: TwoRowWord, horizon: int | None = None) -> Trajectory:

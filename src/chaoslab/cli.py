@@ -6,7 +6,7 @@ verify. Every artifact embeds the resolved run configuration and seeds in a
 timestamps, so re-running a command reproduces the file byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 invariant violation detected in
-outputs, 3 guard exceeded.
+outputs, 3 window/enumeration guard exceeded.
 """
 from __future__ import annotations
 
@@ -278,7 +278,6 @@ def build_parser() -> _Parser:
     p.add_argument("--h", type=float, default=1.0)
     p.add_argument("--card", type=int, default=2)
     p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--override-guard", action="store_true")
 
     p = sub.add_parser("verify")
     _add_common(p)
@@ -582,7 +581,6 @@ def _cmd_count_ball(args) -> int:
         args.card,
         args.delta,
         a0=a0,
-        override_guard=args.override_guard,
     )
     config = _config_from_args(
         args, ("n", "m", "eta", "eps", "h", "card", "delta", "a0")

@@ -1,6 +1,6 @@
 """Entropy estimation and the combinatorial counting machinery: binary
 entropy, block-count entropy rates, plug-in cylinder-word entropy, the
-parameter-inequality solver and the exact eta-ball counting oracle with its
+parameter-inequality solver and the exact eta-ball count with its
 closed-form bound.
 
 Logarithms are base 2 throughout (bits).
@@ -15,10 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels
-from .errors import GuardExceeded, ValidationError
+from .errors import ValidationError
 
-BRUTE_FORCE_GUARD = 20  # enumerate at most 2^20 binary blocks
 DEFAULT_EPS_GRID = (0.005, 0.01, 0.02, 0.05)
 
 
@@ -163,35 +161,45 @@ def solve_pipka(
 
 
 def count_eta_ball(
-    a0: Sequence[int] | str | np.ndarray,
-    m: int,
-    eta: float | Fraction,
-    guard: int = BRUTE_FORCE_GUARD,
-    override_guard: bool = False,
+    a0: Sequence[int] | str | np.ndarray, m: int, eta: float | Fraction
 ) -> int:
     """Exact count, over all 2^n binary blocks A, of those whose fraction of
     disagreeing length-m windows against a0 (all n-m+1 start positions; a
     window disagrees if it differs anywhere) is strictly below eta.
 
-    The count is invariant under XOR with a0, so the enumeration runs over
-    difference masks; the unit tests cross-check against a direct per-block
-    comparison. The strict threshold is evaluated in exact rational
-    arithmetic (pass a Fraction for eta values floats cannot represent).
+    The count is invariant under XOR with a0, so it runs over difference
+    masks, which a transfer automaton reads left to right: its state is the
+    gap since the last set bit, capped at m, and the window ending at
+    position i >= m-1 disagrees exactly when that gap is below m. Carrying
+    one histogram of disagreeing-window counts per state, as Python ints,
+    costs O(n m (n-m+1)) additions instead of 2^n masks. The strict
+    threshold is evaluated in exact rational arithmetic (pass a Fraction
+    for eta values floats cannot represent).
     """
     a0_arr = _as_bits(a0)
     n = a0_arr.size
     if not 1 <= m <= n:
         raise ValidationError("need 1 <= m <= n")
-    if n > guard and not override_guard:
-        raise GuardExceeded(
-            f"n = {n} exceeds the brute-force guard {guard}; pass override_guard=True"
-        )
-    counts = _kernels.window_mismatch_counts(n, m)
     nwin = n - m + 1
     # c < eta*nwin  <=>  c <= ceil(eta*nwin) - 1, exactly
     threshold = Fraction(eta) * nwin
     cutoff = -((-threshold.numerator) // threshold.denominator) - 1
-    return int(np.count_nonzero(counts <= cutoff))
+    if cutoff < 0:
+        return 0
+    # rows[g, c]: masks of the prefix read so far whose last set bit lies g
+    # positions back (g = m: none of the last m), with c disagreeing windows;
+    # counts never fall, so columns beyond the cutoff are dropped
+    rows = np.zeros((m + 1, min(cutoff, nwin) + 1), dtype=object)
+    rows[m, 0] = 1
+    for i in range(n):
+        reset = rows.sum(axis=0)  # bit i set: the gap becomes 0
+        rows[m] += rows[m - 1]  # bit i clear: every gap grows, capped at m
+        rows[1:m] = rows[: m - 1]
+        rows[0] = reset
+        if i >= m - 1:  # the window ending at i disagrees iff the gap < m
+            rows[:m, 1:] = rows[:m, :-1]
+            rows[:m, 0] = 0
+    return int(rows.sum())
 
 
 def _as_bits(a0) -> np.ndarray:
@@ -219,7 +227,11 @@ class BallBound:
 
     @property
     def value(self) -> float:
-        return 2.0**self.log2_value
+        """2^log2_value, or inf once that leaves the float range."""
+        try:
+            return 2.0**self.log2_value
+        except OverflowError:
+            return math.inf
 
     @property
     def flag(self) -> bool:
@@ -259,7 +271,7 @@ class CountingExperiment:
 
     @property
     def ratio_to_total(self) -> float:
-        return self.count / 2.0**self.n
+        return self.count / (1 << self.n)  # exact int division, no overflow
 
 
 def run_counting_experiment(
@@ -271,14 +283,12 @@ def run_counting_experiment(
     card_p: int,
     delta: float,
     a0: str | None = None,
-    guard: int = BRUTE_FORCE_GUARD,
-    override_guard: bool = False,
 ) -> CountingExperiment:
     if a0 is None:
         a0 = "0" * n
     if len(a0) != n:
         raise ValidationError("a0 must have length n")
-    count = count_eta_ball(a0, m, eta, guard=guard, override_guard=override_guard)
+    count = count_eta_ball(a0, m, eta)
     bound = eta_ball_bound(n, m, eta, eps, h, card_p, delta)
     return CountingExperiment(
         n=n, m=m, eta=eta, eps=eps, delta=delta, a0=a0, count=count, bound=bound

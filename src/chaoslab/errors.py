@@ -38,7 +38,7 @@ class InsufficientHorizon(ChaoslabError, ValueError):
 
 
 class GuardExceeded(ChaoslabError, RuntimeError):
-    """A brute-force or window-budget guard was exceeded (CLI exit code 3)."""
+    """A window-budget or enumeration guard was exceeded (CLI exit code 3)."""
 
 
 class InvariantViolation(ChaoslabError, RuntimeError):

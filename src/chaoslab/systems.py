@@ -121,6 +121,8 @@ class Trajectory:
             if track is not None and len(track) != self.horizon:
                 raise ValidationError("track length must equal the horizon")
         if self.symbols is not None and hasattr(self.spec, "arity"):
+            if int(self.symbols.min(initial=0)) < 0:
+                raise ValidationError("symbols must be >= 0")
             if int(self.symbols.max(initial=0)) >= self.spec.arity:
                 raise ValidationError("symbols must be < arity")
 

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's estimator code paths: densities come
 from integer run-length arithmetic at run boundaries or from one Fraction per
-checkpoint per set, counting comes from direct per-block string comparison.
+checkpoint per set, counting comes from direct per-block string comparison
+or from enumerating all 2^n difference masks, and marker blocks come from
+running the block recursion on every row.
 """
 from fractions import Fraction
 
@@ -47,6 +49,74 @@ def count_eta_ball_direct(a0: str, m: int, eta: float) -> int:
         if disagree < eta * nwin:
             count += 1
     return count
+
+
+def window_mismatch_counts_direct(n: int, m: int) -> np.ndarray:
+    """For every difference mask d in [0, 2^n): number of the n-m+1 length-m
+    windows of d containing a set bit. Vectorized over all masks."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    window = np.int64((1 << m) - 1)
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for j in range(n - m + 1):
+        counts += ((masks >> j) & window) != 0
+    return counts
+
+
+def count_eta_ball_enumerated(n: int, m: int, eta) -> int:
+    """Eta-ball count from the histogram of all 2^n difference masks, with
+    the strict threshold c < eta*(n-m+1) in exact rationals."""
+    threshold = Fraction(eta) * (n - m + 1)
+    histogram = np.bincount(window_mismatch_counts_direct(n, m))
+    return sum(int(h) for c, h in enumerate(histogram) if c < threshold)
+
+
+def encode_block_recursive(q, k, bits):
+    """A C_k member from its p_k free bits by the block recursion: C_1 rows
+    are ww, then q_level consecutive rows make a B row, which is doubled."""
+    rows = np.asarray(bits, dtype=np.int8).reshape(-1, q[0])
+    rows = np.concatenate([rows, rows], axis=1)
+    for level in range(2, k + 1):
+        rows = rows.reshape(rows.shape[0] // q[level - 1], -1)
+        rows = np.concatenate([rows, rows], axis=1)
+    return rows[0]
+
+
+def enumerate_family_recursive(q, k):
+    """All C_k members, one recursion per pi-word in big-endian order."""
+    pk = int(np.prod(q[:k]))
+    return np.array(
+        [encode_block_recursive(q, k, [(v >> (pk - 1 - i)) & 1 for i in range(pk)])
+         for v in range(2**pk)],
+        dtype=np.int8,
+    )
+
+
+def free_classes_recursive(q, k):
+    """Per free bit, in bit order, its class of positions with the free
+    position first: level-1 class {f, f + q_1}; a level's class is an inner
+    class shifted into component i, plus its copy in the second half."""
+    if k == 1:
+        return [[f, f + q[0]] for f in range(q[0])]
+    inner = free_classes_recursive(q, k - 1)
+    n_prev = int(np.prod(q[: k - 1])) * 2 ** (k - 1)
+    half = n_prev * q[k - 1]
+    out = []
+    for i in range(q[k - 1]):
+        for cls in inner:
+            shifted = [i * n_prev + x for x in cls]
+            out.append(shifted + [x + half for x in shifted])
+    return out
+
+
+def project_position_recursive(q, k, j):
+    """Free bit copied at position j: drop the repetition-copy index, keep
+    the component index, recurse."""
+    if k == 1:
+        return j % q[0]
+    n_prev = int(np.prod(q[: k - 1])) * 2 ** (k - 1)
+    j %= n_prev * q[k - 1]
+    i, rest = divmod(j, n_prev)
+    return i * int(np.prod(q[: k - 1])) + project_position_recursive(q, k - 1, rest)
 
 
 def plugin_entropy_direct(track, word_len, stride):

@@ -8,6 +8,12 @@ from hypothesis import strategies as st
 import chaoslab as c
 from chaoslab import blocks as bl
 from chaoslab.errors import GuardExceeded, MembershipError, UsageError, ValidationError
+from oracles import (
+    encode_block_recursive,
+    enumerate_family_recursive,
+    free_classes_recursive,
+    project_position_recursive,
+)
 
 
 def encode_by_strings(q, k, bits):
@@ -236,6 +242,90 @@ class TestProjectPosition:
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
             c.project_position(c.QSchedule((2, 2)), 2, 16)
+
+
+SCHEDULES = [(2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2)]
+
+
+class TestSourceIndex:
+    """The cached source index and every gather through it, against the
+    block recursion run row by row."""
+
+    @pytest.mark.parametrize("q", SCHEDULES)
+    def test_src_is_the_recursion_on_bit_indices(self, q):
+        schedule = c.QSchedule(q)
+        for k in range(1, schedule.depth + 1):
+            src, free = bl._source_index(schedule, k)
+            assert src.tolist() == encode_block_recursive(q, k, np.arange(schedule.p(k))).tolist()
+            assert not src.flags.writeable and not free.flags.writeable
+            assert bl._source_index(schedule, k)[0] is src  # built once
+
+    @pytest.mark.parametrize("q", SCHEDULES)
+    def test_free_layout_and_projection(self, q):
+        schedule = c.QSchedule(q)
+        for k in range(1, schedule.depth + 1):
+            classes = free_classes_recursive(q, k)
+            layout = c.free_positions(schedule, k)
+            assert layout.free == tuple(cls[0] for cls in classes)
+            assert layout.copies == {cls[0]: tuple(sorted(cls[1:])) for cls in classes}
+            assert bl._source_index(schedule, k)[1].tolist() == list(layout.free)
+            projected = [c.project_position(schedule, k, j) for j in range(schedule.n(k))]
+            assert projected == [
+                project_position_recursive(q, k, j) for j in range(schedule.n(k))
+            ]
+
+    @pytest.mark.parametrize("q", SCHEDULES)
+    def test_family_encode_and_pi(self, q):
+        schedule = c.QSchedule(q)
+        rng = np.random.default_rng(11)
+        for k in range(1, schedule.depth + 1):
+            family = c.enumerate_family(schedule, k)
+            pk = schedule.p(k)
+            assert family.dtype == np.int8 and family.shape == (2**pk, schedule.n(k))
+            if pk <= 12:
+                assert np.array_equal(family, enumerate_family_recursive(q, k))
+                picks = range(2**pk)
+            else:
+                picks = rng.integers(0, 2**pk, 200)
+            for v in picks:
+                word = [(int(v) >> (pk - 1 - i)) & 1 for i in range(pk)]
+                expected = encode_block_recursive(q, k, word)
+                assert np.array_equal(family[v], expected)
+                assert np.array_equal(c.encode_block(schedule, k, word), expected)
+                assert c.pi(schedule, k, expected).tolist() == word
+
+    @pytest.mark.parametrize("q", SCHEDULES)
+    def test_pi_rejects_every_single_bit_flip(self, q):
+        schedule = c.QSchedule(q)
+        k = schedule.depth
+        row = c.encode_block(schedule, k, np.random.default_rng(5).integers(0, 2, schedule.p(k)))
+        for j in range(row.size):
+            flipped = row.copy()
+            flipped[j] ^= 1
+            assert not bl.is_member(schedule, k, flipped)
+
+    @pytest.mark.parametrize("seed", [1, 7, 12345])
+    @pytest.mark.parametrize("blocks", [1, 3, 10418])
+    def test_sample_point_draws_the_per_block_stream(self, seed, blocks):
+        schedule = c.QSchedule((2, 3, 2))
+        word = c.sample_point(schedule, seed, blocks=blocks)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        assert word.offset == int(rng.integers(0, schedule.n(3)))
+        rows = [encode_block_recursive(schedule.q, 3, rng.integers(0, 2, 12)) for _ in range(blocks)]
+        assert np.array_equal(word.binary, np.concatenate(rows))
+        assert word.binary.dtype == np.int8
+
+    def test_word_from_free_words(self):
+        q = (3, 2, 2)
+        schedule = c.QSchedule(q)
+        free = np.random.default_rng(2).integers(0, 2, (5, schedule.p(3)))
+        word = bl.word_from_free_words(schedule, free, offset=4)
+        rows = [encode_block_recursive(q, 3, w) for w in free]
+        assert np.array_equal(word.binary, np.concatenate(rows))
+        assert word.offset == 4
+        word.validate()
+        with pytest.raises(ValidationError):
+            bl.word_from_free_words(schedule, free * 2)
 
 
 class TestMarkerRow:

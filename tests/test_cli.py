@@ -40,10 +40,26 @@ class TestExitCodes:
         assert run([]) == 1
 
     def test_guard_exceeded_is_three(self, tmp_path):
+        # p_5 = 32 free bits: 2^32 blocks exceed the enumeration guard
         assert run(
-            ["count-ball", "--n", "25", "--m", "2", "--eta", "0.5",
-             "--out", str(tmp_path / "x.csv")]
+            ["forge", "--dump", "blocks", "--q", "2,2,2,2,2",
+             "--out", str(tmp_path / "x.txt")]
         ) == 3
+        assert not (tmp_path / "x.txt").exists()
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_count_ball_has_no_size_guard(self, n, tmp_path):
+        out = tmp_path / "ball.csv"
+        argv = ["count-ball", "--n", str(n), "--m", "5", "--eta", "0.5"]
+        assert run(argv + ["--out", str(out)]) == 0
+        (row,) = [l.split(",") for l in read(out).splitlines()[-1:]]
+        count = int(row[5])
+        assert count == c.count_eta_ball("0" * n, 5, 0.5)
+        assert float(row[7]) == count / (1 << n)
+        # the closed-form bound leaves the float range near n = 940
+        bound = c.eta_ball_bound(n, 5, 0.5, 0.005, 1.0, 2, 0.01)
+        assert row[6] == repr(bound.value)
+        assert (row[6] == "inf") == (n == 1024)
 
     def test_bad_parameter_is_usage(self, tmp_path):
         assert run(

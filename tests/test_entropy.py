@@ -11,8 +11,13 @@ from hypothesis import strategies as st
 import chaoslab as c
 from chaoslab import _kernels
 from chaoslab.entropy import UndersampledWarning
-from chaoslab.errors import GuardExceeded, ValidationError
-from oracles import count_eta_ball_direct, plugin_entropy_direct
+from chaoslab.errors import ValidationError
+from oracles import (
+    count_eta_ball_direct,
+    count_eta_ball_enumerated,
+    plugin_entropy_direct,
+    window_mismatch_counts_direct,
+)
 
 
 class TestBinaryEntropy:
@@ -143,8 +148,10 @@ class TestCountEtaBall:
         assert counts[-1] == 1024
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            c.count_eta_ball("0" * 21, 2, 0.5)
+        # no size guard: n = 21 is counted exactly (m = 1: the binomial
+        # tail of fewer than 10.5 differing bits, half of all 2^21 blocks)
+        assert c.count_eta_ball("0" * 21, 1, 0.5) == sum(math.comb(21, j) for j in range(11))
+        assert c.count_eta_ball("0" * 21, 1, 0.5) == 2**20
         with pytest.raises(ValidationError):
             c.count_eta_ball("0" * 8, 9, 0.5)
 
@@ -156,6 +163,46 @@ class TestCountEtaBall:
         assert c.count_eta_ball("0" * n, m, Fraction(1, w)) == 1
         direct = count_eta_ball_direct("0" * n, m, 1 / w)
         assert c.count_eta_ball("0" * n, m, 1 / w) == direct
+
+
+class TestEtaBallDP:
+    """The transfer-automaton count against enumeration of all 2^n masks,
+    and against closed forms where enumeration is out of reach."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_enumeration(self, data):
+        n = data.draw(st.integers(1, 14))
+        m = data.draw(st.integers(1, n))
+        nwin = n - m + 1
+        eta = data.draw(
+            st.one_of(
+                st.floats(-0.25, 1.5, allow_nan=False),
+                # boundary values k/nwin, where the strict threshold bites
+                st.integers(-1, nwin + 1).map(lambda k: Fraction(k, nwin)),
+                st.integers(-1, nwin + 1).map(lambda k: k / nwin),
+            )
+        )
+        a0 = data.draw(st.text("01", min_size=n, max_size=n))
+        assert c.count_eta_ball(a0, m, eta) == count_eta_ball_enumerated(n, m, eta)
+
+    @pytest.mark.parametrize("n", [21, 64, 200, 1024])
+    def test_closed_forms(self, n):
+        zeros = "0" * n
+        for eta in (Fraction(1, 4), 0.5, Fraction(2, 3)):
+            # m = 1: windows are bits, so the ball is a binomial tail
+            tail = sum(math.comb(n, j) for j in range(n + 1) if j < Fraction(eta) * n)
+            assert c.count_eta_ball(zeros, 1, eta) == tail
+        for m in (1, 3, n):
+            nwin = n - m + 1
+            assert c.count_eta_ball(zeros, m, 1.5) == 2**n
+            assert c.count_eta_ball(zeros, m, Fraction(1, nwin)) == 1
+            assert c.count_eta_ball(zeros, m, Fraction(1, 2 * nwin)) == 1
+            assert c.count_eta_ball(zeros, m, 0) == 0
+        # m = n: one window, which agrees only for the centre block itself
+        assert c.count_eta_ball(zeros, n, 0.5) == 1
+        assert c.count_eta_ball(zeros, n, Fraction(1, 1)) == 1
+        assert c.count_eta_ball(zeros, n, Fraction(n + 1, n)) == 2**n
 
 
 class TestEtaBallBound:
@@ -183,6 +230,23 @@ class TestEtaBallBound:
         ]
         assert values_m == sorted(values_m, reverse=True)
 
+    def test_value_beyond_float_range_is_inf(self):
+        bound = c.eta_ball_bound(1023, 5, 0.5, 0.005, 1.0, 2, 0.01)
+        assert bound.log2_value > 1024
+        assert bound.value == math.inf
+        assert not bound.flag  # decided in log2 space, not from the value
+        assert c.BallBound(log2_value=10.0, log2_target=0.0).value == 1024.0
+
+    def test_ratio_exact_at_any_n(self):
+        bound = c.BallBound(0.0, 0.0)
+        for n, count in ((20, 5), (53, 2**53 + 1), (1023, 3**600), (1024, 2**1023), (2000, 7)):
+            exp = c.CountingExperiment(n, 1, 0.5, 0.01, 0.01, "0" * n, count, bound)
+            assert exp.ratio_to_total == Fraction(count, 2**n).__float__()
+        # bit-identical to the float division it replaced wherever that works
+        for n, count in ((20, 31), (60, 3**37), (1000, 3**600)):
+            exp = c.CountingExperiment(n, 1, 0.5, 0.01, 0.01, "0" * n, count, bound)
+            assert exp.ratio_to_total == count / 2.0**n
+
     def test_eps_domain(self):
         with pytest.raises(ValidationError):
             c.eta_ball_bound(64, 4, 0.81, 0.2, 1.0, 2, 0.01)  # eps >= 1 - 0.9
@@ -190,12 +254,17 @@ class TestEtaBallBound:
 
 class TestKernelBackends:
     def test_window_counts_parity(self):
-        for n, m in ((8, 2), (10, 3), (12, 5)):
-            numpy_counts = _kernels.window_mismatch_counts_numpy(n, m)
-            assert int(numpy_counts[0]) == 0
-            if _kernels.window_mismatch_counts_numba is not None:
-                numba_counts = _kernels.window_mismatch_counts_numba(n, m)
-                assert np.array_equal(numpy_counts, numba_counts)
+        # the counting DP against the enumeration kernel it replaced: the
+        # cumulative histogram of disagreeing-window counts, threshold by
+        # threshold, for every (n, m) up to n = 12
+        for n in range(1, 13):
+            for m in range(1, n + 1):
+                counts = window_mismatch_counts_direct(n, m)
+                assert int(counts[0]) == 0
+                nwin = n - m + 1
+                for k in range(nwin + 2):
+                    expected = int(np.count_nonzero(counts < k))
+                    assert c.count_eta_ball("0" * n, m, Fraction(k, nwin)) == expected
 
     def test_orbit_parity(self):
         xs = _kernels.tent_orbit_numpy(0.2345, 1.97, 500)

@@ -62,6 +62,15 @@ class TestSampleOrbit:
         assert np.array_equal(a.symbols, b.symbols)
         assert not np.array_equal(a.symbols, other.symbols)
 
+    def test_symbols_outside_the_alphabet_rejected(self):
+        spec = c.FullShift(2, (0.5, 0.5))
+        with pytest.raises(ValidationError):
+            c.Trajectory(spec, 6, None, symbols=np.array([-3, 1, 0, -1, -3, 1]))
+        with pytest.raises(ValidationError):
+            c.Trajectory(spec, 3, None, symbols=np.array([0, 2, 1]))
+        ok = c.Trajectory(spec, 3, None, symbols=np.array([0, 1, 1]))
+        assert ok.symbols.tolist() == [0, 1, 1]
+
     def test_horizon_zero_rejected(self):
         with pytest.raises(UsageError):
             c.sample_orbit(c.FullShift(2, (0.5, 0.5)), 0, seed=1)
