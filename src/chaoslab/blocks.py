@@ -6,9 +6,11 @@ Level-k blocks are built by the recursion  C_1 = {ww : w in {0,1}^{q_1}},
 B_k = (C_{k-1})^{q_k}, C_k = {BB : B in B_k};  a C_k member has length
 N_k = p_k * 2^k (p_k = q_1...q_k) and is determined by the p_k bits written
 at its free positions. Every position of a C_k member copies one free bit;
-that source index is built once per (schedule, k), and encoding, decoding,
-membership and family enumeration are gathers through it. All percentage
-claims about these blocks are exact rationals.
+that source index is built once per (schedule, k). `encode_block` and `pi`
+are the only gathers through it; both act on the last axis of a stack of
+rows, so family enumeration, sampling, decoding and membership checks of
+many blocks are one call. All percentage claims about these blocks are
+exact rationals.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .systems import OrbitPair, Trajectory, ZeroEntropy
+from .systems import OrbitPair, Trajectory, ZeroEntropy, odometer_track
 
 DEFAULT_WINDOW_BUDGET = 1 << 24
 ENUMERATION_LIMIT = 16  # enumerate C_k only while p_k <= 16
@@ -123,19 +125,30 @@ def _source_index(schedule: QSchedule, k: int) -> tuple[np.ndarray, np.ndarray]:
     return src, free
 
 
+def _check_rows(ok: np.ndarray, error: type[Exception], message: str) -> None:
+    """Raise `error(message)` unless `ok` holds everywhere. For a stack of
+    rows (the last axis runs along a row) the message names the first
+    failing row, counted in C order."""
+    bad = ~np.all(ok, axis=-1)
+    if np.any(bad):
+        if bad.ndim:
+            message = f"row {np.flatnonzero(bad)[0]}: {message}"
+        raise error(message)
+
+
 def encode_block(schedule: QSchedule, k: int, free_bits: Sequence[int]) -> np.ndarray:
     """Write the p_k free bits through the recursion; returns the C_k member
-    of length N_k."""
+    of length N_k. A stack of free words (last axis p_k) encodes to the
+    stack of their members."""
     schedule._check_level(k)
-    bits = np.asarray(free_bits, dtype=np.int8)
-    if bits.ndim != 1 or bits.size != schedule.p(k):
+    bits = np.atleast_1d(np.asarray(free_bits, dtype=np.int8))
+    if bits.shape[-1] != schedule.p(k):
         raise ValidationError(
             f"level {k} needs exactly p_{k} = {schedule.p(k)} free bits, "
-            f"got {bits.size}"
+            f"got {bits.shape[-1]}"
         )
-    if not np.all((bits == 0) | (bits == 1)):
-        raise ValidationError("free bits must be 0/1")
-    return bits[_source_index(schedule, k)[0]]
+    _check_rows((bits == 0) | (bits == 1), ValidationError, "free bits must be 0/1")
+    return bits[..., _source_index(schedule, k)[0]]
 
 
 def inverse_pi(schedule: QSchedule, k: int, word: Sequence[int]) -> np.ndarray:
@@ -167,19 +180,18 @@ def free_positions(schedule: QSchedule, k: int) -> FreeLayout:
 
 
 def pi(schedule: QSchedule, k: int, block: Sequence[int]) -> np.ndarray:
-    """Read the free positions of a C_k member left to right."""
-    row = np.asarray(block, dtype=np.int8)
-    if row.size != schedule.n(k):
+    """Read the free positions of a C_k member left to right. A stack of
+    blocks (last axis N_k) decodes to the stack of their words."""
+    rows = np.atleast_1d(np.asarray(block, dtype=np.int8))
+    if rows.shape[-1] != schedule.n(k):
         raise MembershipError(
-            f"C_{k} members have length {schedule.n(k)}, got {row.size}"
+            f"C_{k} members have length {schedule.n(k)}, got {rows.shape[-1]}"
         )
-    if not np.all((row == 0) | (row == 1)):
-        raise MembershipError("block is not a binary row")
+    _check_rows((rows == 0) | (rows == 1), MembershipError, "block is not a binary row")
     src, free = _source_index(schedule, k)
-    word = row[free]
-    if not np.array_equal(word[src], row):
-        raise MembershipError(f"block is not a member of C_{k}")
-    return word
+    words = rows[..., free]
+    _check_rows(words[..., src] == rows, MembershipError, f"block is not a member of C_{k}")
+    return words
 
 
 def is_member(schedule: QSchedule, k: int, block: Sequence[int]) -> bool:
@@ -198,9 +210,8 @@ def enumerate_family(schedule: QSchedule, k: int) -> np.ndarray:
         raise GuardExceeded(
             f"enumeration of C_{k} needs 2^{pk} blocks; limit is p_k <= {ENUMERATION_LIMIT}"
         )
-    count = 2**pk
-    words = ((np.arange(count)[:, None] >> np.arange(pk - 1, -1, -1)) & 1).astype(np.int8)
-    return words[:, _source_index(schedule, k)[0]]
+    words = (np.arange(2**pk)[:, None] >> np.arange(pk - 1, -1, -1)) & 1
+    return encode_block(schedule, k, words)
 
 
 def project_position(schedule: QSchedule, k: int, j: int) -> int:
@@ -215,18 +226,14 @@ def project_position(schedule: QSchedule, k: int, j: int) -> int:
 def marker_row(
     schedule: QSchedule, offset: int = 0, length: int | None = None
 ) -> np.ndarray:
-    """Marker value at position j = max{k <= K : j = offset mod N_k}, else 0.
-    The top level is capped at K; no infinite marker is ever emitted."""
+    """Marker value at position j = max{k <= K : j = offset mod N_k}, else 0:
+    the odometer track over (N_1, ..., N_K). The top level is capped at K;
+    no infinite marker is ever emitted."""
     top = schedule.n(schedule.depth)
     if not 0 <= offset < top:
         raise ValidationError(f"offset must lie in [0, {top})")
-    if length is None:
-        length = top
-    js = np.arange(length, dtype=np.int64)
-    row = np.zeros(length, dtype=np.int64)
-    for k in range(1, schedule.depth + 1):
-        row[(js - offset) % schedule.n(k) == 0] = k
-    return row
+    levels = [schedule.n(k) for k in range(1, schedule.depth + 1)]
+    return odometer_track(levels, offset, top if length is None else length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,12 +292,10 @@ class TwoRowWord:
 
     def validate(self) -> None:
         """Check that every top-level window is a family member (membership
-        at the top level forces it at every lower level)."""
+        at the top level forces it at every lower level); the error names
+        the first window that is not."""
         top = self.schedule.n(self.schedule.depth)
-        for i in range(self.blocks):
-            window = self.binary[i * top : (i + 1) * top]
-            if not is_member(self.schedule, self.schedule.depth, window):
-                raise MembershipError(f"window {i} is not a C_{self.schedule.depth} member")
+        pi(self.schedule, self.schedule.depth, self.binary.reshape(-1, top))
 
 
 def sample_point(
@@ -311,9 +316,9 @@ def sample_point(
     if offset is None:
         offset = int(rng.integers(0, top_n))
     # one draw of shape (blocks, p_K) is the same stream as one per block
-    bits = rng.integers(0, 2, (blocks, schedule.p(schedule.depth))).astype(np.int8)
-    src, _ = _source_index(schedule, schedule.depth)
-    return TwoRowWord(schedule, offset, bits[:, src].reshape(-1), seed=seed)
+    bits = rng.integers(0, 2, (blocks, schedule.p(schedule.depth)))
+    binary = encode_block(schedule, schedule.depth, bits).reshape(-1)
+    return TwoRowWord(schedule, offset, binary, seed=seed)
 
 
 def word_from_free_words(
@@ -327,12 +332,8 @@ def word_from_free_words(
         if words.size % pk != 0:
             raise ValidationError(f"flat free-word track must be a multiple of p_K={pk}")
         words = words.reshape(-1, pk)
-    if words.shape[1] != pk:
-        raise ValidationError(f"free words must have p_K = {pk} bits")
-    if not np.all((words == 0) | (words == 1)):
-        raise ValidationError("free bits must be 0/1")
-    src, _ = _source_index(schedule, schedule.depth)
-    return TwoRowWord(schedule, offset, words[:, src].reshape(-1))
+    binary = encode_block(schedule, schedule.depth, words).reshape(-1)
+    return TwoRowWord(schedule, offset, binary)
 
 
 def trajectory_from_word(word: TwoRowWord, horizon: int | None = None) -> Trajectory:
@@ -393,7 +394,7 @@ def disagreement_fraction(
     a = np.asarray(block_a, dtype=np.int8)
     b = np.asarray(block_b, dtype=np.int8)
     outer = _infer_level(schedule, a.size)
-    if not is_member(schedule, outer, a) or not is_member(schedule, outer, b):
+    if a.size != b.size or not is_member(schedule, outer, np.stack([a, b])):
         raise MembershipError(f"both blocks must be members of C_{outer}")
     if not 1 <= component_level < outer:
         raise ValidationError("component level must satisfy k < k'")
@@ -436,53 +437,35 @@ def _infer_level(schedule: QSchedule, length: int) -> int:
 
 
 def central_block_scheme(schedule: QSchedule):
-    """Label at depth k and time n = (position of n inside its enclosing
-    k-block, content of that block). Requires trajectories carrying a
-    TwoRowWord source. Refining: the enclosing (k+1)-block determines the
-    k-block."""
+    """The depth-k atom at time n is (position of n inside its enclosing
+    k-block, content of that block). Both trajectories must carry a
+    TwoRowWord source over this schedule and stay inside its window.
+    Refining: the enclosing (k+1)-block determines the k-block."""
     from .classify import PartitionScheme
-
-    def label(k: int, traj: Trajectory, n: int):
-        word = traj.source
-        if not isinstance(word, TwoRowWord):
-            raise SchemeError("central-block scheme needs a TwoRowWord source")
-        if word.schedule != schedule:
-            raise SchemeError("trajectory was built over a different schedule")
-        nk = schedule.n(k)
-        pos = word.offset + n
-        if not 0 <= pos < word.binary.size:
-            raise SchemeError(f"time {n} outside the word's window")
-        start = pos - pos % nk
-        return (pos % nk, word.binary[start : start + nk].tobytes())
 
     def same_atom_mask(pair: OrbitPair, k: int) -> np.ndarray:
         wa, wb = pair.a.source, pair.b.source
-        if not isinstance(wa, TwoRowWord) or not isinstance(wb, TwoRowWord):
-            raise SchemeError("central-block scheme needs TwoRowWord sources")
-        horizon = pair.horizon
+        for word in (wa, wb):
+            if not isinstance(word, TwoRowWord):
+                raise SchemeError("central-block scheme needs TwoRowWord sources")
+            if word.schedule != schedule:
+                raise SchemeError("trajectory was built over a different schedule")
+            if pair.horizon > word.available_horizon:
+                raise SchemeError(f"time {word.available_horizon} outside the word's window")
         nk = schedule.n(k)
-        pos_a = wa.offset + np.arange(horizon)
-        pos_b = wb.offset + np.arange(horizon)
         if wa.offset % nk != wb.offset % nk:
-            return np.zeros(horizon, dtype=bool)  # positions never align
-        blocks_a = wa.binary[: (wa.binary.size // nk) * nk].reshape(-1, nk)
-        blocks_b = wb.binary[: (wb.binary.size // nk) * nk].reshape(-1, nk)
-        eq_rows = np.all(
-            blocks_a[: min(len(blocks_a), len(blocks_b))]
-            == blocks_b[: min(len(blocks_a), len(blocks_b))],
-            axis=1,
-        )
-        ia = pos_a // nk
-        ib = pos_b // nk
-        if wa.offset == wb.offset:
-            return eq_rows[ia]
-        # same residue mod N_k but different block indices: compare contents
-        va = blocks_a[ia]
-        vb = blocks_b[ib]
-        return np.all(va == vb, axis=1)
+            return np.zeros(pair.horizon, dtype=bool)  # positions never align
+        # time n lies in k-block (offset + n) // N_k of each word; with equal
+        # residues the two block indices differ by a constant shift
+        first = wa.offset // nk
+        last = (wa.offset + pair.horizon - 1) // nk
+        shift = wb.offset // nk - first
+        blocks_a = wa.binary.reshape(-1, nk)[first : last + 1]
+        blocks_b = wb.binary.reshape(-1, nk)[first + shift : last + 1 + shift]
+        same = np.all(blocks_a == blocks_b, axis=1)
+        return same[(wa.offset + np.arange(pair.horizon)) // nk - first]
 
     return PartitionScheme(
-        label=label,
         depth=schedule.depth,
         same_atom_mask=same_atom_mask,
         name=f"central-block(q={','.join(map(str, schedule.q))})",
@@ -490,22 +473,15 @@ def central_block_scheme(schedule: QSchedule):
 
 
 def aligned_window_scheme(window_lengths: Sequence[int], name: str = "aligned-window"):
-    """Partition by (phase, content) of the enclosing aligned window of
-    length L_k; L_k must divide L_{k+1}. Works on plain symbol tracks
-    (offset 0). This is the image-side counterpart of the central-block
-    scheme."""
+    """The depth-k atom at time n is (phase, content) of its enclosing
+    aligned window of length L_k, the trailing window cut at the horizon;
+    L_k must divide L_{k+1}. Works on plain symbol tracks (offset 0). This is
+    the image-side counterpart of the central-block scheme."""
     from .classify import PartitionScheme
 
     lengths = tuple(int(x) for x in window_lengths)
     if any(b % a != 0 for a, b in zip(lengths, lengths[1:])):
         raise ValidationError("each window length must divide the next")
-
-    def label(k: int, traj: Trajectory, n: int):
-        lk = lengths[k - 1]
-        track = traj.symbols
-        start = n - n % lk
-        # trailing window truncated at the horizon; phases keep labels distinct
-        return (n % lk, track[start : min(start + lk, traj.horizon)].tobytes())
 
     def same_atom_mask(pair: OrbitPair, k: int) -> np.ndarray:
         lk = lengths[k - 1]
@@ -519,9 +495,4 @@ def aligned_window_scheme(window_lengths: Sequence[int], name: str = "aligned-wi
         out[full:] = np.array_equal(pair.a.symbols[full:], pair.b.symbols[full:])
         return out
 
-    return PartitionScheme(
-        label=label,
-        depth=len(lengths),
-        same_atom_mask=same_atom_mask,
-        name=name,
-    )
+    return PartitionScheme(depth=len(lengths), same_atom_mask=same_atom_mask, name=name)

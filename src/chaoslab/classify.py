@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -175,13 +175,12 @@ def classify_metric_pair(
 
 @dataclass(frozen=True)
 class PartitionScheme:
-    """Refining sequence of finite partitions presented as a labelling
-    function (k, trajectory, time) -> atom id; `same_atom_mask`, when given,
-    is a vectorized equivalent used as the fast path."""
+    """Refining sequence of finite partitions, presented by its same-atom
+    mask: `same_atom_mask(pair, k)[n]` holds when both trajectories of the
+    pair lie in the same depth-k atom at time n."""
 
-    label: Callable[[int, Trajectory, int], Hashable]
     depth: int
-    same_atom_mask: Callable[[OrbitPair, int], np.ndarray] | None = None
+    same_atom_mask: Callable[[OrbitPair, int], np.ndarray]
     name: str = "scheme"
 
     def __post_init__(self):
@@ -190,41 +189,31 @@ class PartitionScheme:
 
 
 def cylinder_scheme(max_depth: int):
-    """Full-shift scheme: the k-label at time n is the symbol word at
+    """Full-shift scheme: the depth-k atom at time n is the symbol word at
     [n, n+k), truncated at the horizon."""
-
-    def label(k: int, traj: Trajectory, n: int):
-        if traj.symbols is None:
-            raise SchemeError("cylinder scheme needs a symbol track")
-        return traj.symbols[n : min(n + k, traj.horizon)].tobytes()
 
     def same_atom_mask(pair: OrbitPair, k: int) -> np.ndarray:
         a, b = pair.a.symbols, pair.b.symbols
+        if a is None or b is None:
+            raise SchemeError("cylinder scheme needs a symbol track")
         eq = a == b
         out = np.ones(pair.horizon, dtype=bool)
         for j in range(min(k, pair.horizon)):  # words are truncated at the horizon
             out[: pair.horizon - j] &= eq[j:]
         return out
 
-    return PartitionScheme(
-        label=label, depth=max_depth, same_atom_mask=same_atom_mask, name="cylinder"
-    )
+    return PartitionScheme(depth=max_depth, same_atom_mask=same_atom_mask, name="cylinder")
 
 
 def _same_atom_mask(pair: OrbitPair, scheme: PartitionScheme, k: int) -> np.ndarray:
     if not 1 <= k <= scheme.depth:
         raise SchemeError(f"depth {k} outside the scheme's range 1..{scheme.depth}")
-    if scheme.same_atom_mask is not None:
-        return np.asarray(scheme.same_atom_mask(pair, k), dtype=bool)
-    return np.fromiter(
-        (scheme.label(k, pair.a, n) == scheme.label(k, pair.b, n) for n in range(pair.horizon)),
-        dtype=bool,
-        count=pair.horizon,
-    )
+    return np.asarray(scheme.same_atom_mask(pair, k), dtype=bool)
 
 
 def same_atom_series(pair: OrbitPair, scheme: PartitionScheme, k: int) -> IndexSet:
-    """Times n (1-based) where both trajectories carry the same k-label."""
+    """Times n (1-based) where both trajectories lie in the same depth-k
+    atom."""
     return IndexSet.from_mask(_same_atom_mask(pair, scheme, k))
 
 

@@ -617,24 +617,20 @@ def _cmd_verify(args) -> int:
     if suite == "pi-bijection":
         k = schedule.depth
         family = bl.enumerate_family(schedule, k)
-        seen = set()
-        for row in family:
-            word = bl.pi(schedule, k, row)
-            seen.add(word.tobytes())
-            if not np.array_equal(bl.inverse_pi(schedule, k, word), row):
-                raise InvariantViolation("inverse_pi(pi(C)) != C")
-        if len(seen) != schedule.family_size(k):
+        words = bl.pi(schedule, k, family)
+        if not np.array_equal(bl.inverse_pi(schedule, k, words), family):
+            raise InvariantViolation("inverse_pi(pi(C)) != C")
+        if len(np.unique(words, axis=0)) != schedule.family_size(k):
             raise InvariantViolation("pi is not injective onto the word space")
         print("bijection OK")
         return 0
     if suite == "percentage":
         k = schedule.depth
         family = bl.enumerate_family(schedule, k)
-        words = np.array([bl.pi(schedule, k, row) for row in family], dtype=np.int8)
+        words = bl.pi(schedule, k, family)
         rng = np.random.default_rng(args.seed)
         count = min(len(family) ** 2, 400)
-        for _ in range(count):
-            i, j = rng.integers(0, len(family), 2)
+        for i, j in rng.integers(0, len(family), (count, 2)):
             if bl.entry_disagreement(family[i], family[j]) != bl.entry_disagreement(
                 words[i], words[j]
             ):
@@ -665,23 +661,16 @@ def _cmd_verify(args) -> int:
         pair = bl.fiber_pair(
             schedule, (args.seed + 2 * trial + 1, args.seed + 2 * trial + 2), offset=offset
         )
-        masks = [
-            np.zeros(pair.horizon, dtype=bool)
-            if k == 0
-            else scheme.same_atom_mask(pair, k)
-            for k in range(schedule.depth + 1)
-        ]
-        for k in range(1, schedule.depth):
-            if np.any(masks[k + 1] & ~masks[k]):
+        masks = [scheme.same_atom_mask(pair, k) for k in range(1, schedule.depth + 1)]
+        for coarse, fine in zip(masks, masks[1:]):
+            if np.any(fine & ~coarse):
                 raise InvariantViolation("refinement fails: same_atom(k+1) not in same_atom(k)")
-        for k in range(1, schedule.depth + 1):
-            nk = schedule.n(k)
-            pos = offset + np.arange(pair.horizon)
-            window_id = pos // nk
-            for w in np.unique(window_id):
-                window_mask = masks[k][window_id == w]
-                if window_mask.size and not (window_mask.all() or not window_mask.any()):
-                    raise InvariantViolation("shift-window property fails")
+        pos = offset + np.arange(pair.horizon)
+        for k, mask in enumerate(masks, start=1):
+            # the mask may change value only where the enclosing k-window does
+            window_id = pos // schedule.n(k)
+            if np.any((mask[1:] != mask[:-1]) & (window_id[1:] == window_id[:-1])):
+                raise InvariantViolation("shift-window property fails")
     print("scheme OK")
     return 0
 

@@ -176,6 +176,8 @@ def count_eta_ball(
     threshold is evaluated in exact rational arithmetic (pass a Fraction
     for eta values floats cannot represent).
     """
+    if not isinstance(eta, (int, Fraction)) and not math.isfinite(eta):
+        raise ValidationError(f"eta must be finite, got {eta!r}")
     a0_arr = _as_bits(a0)
     n = a0_arr.size
     if not 1 <= m <= n:

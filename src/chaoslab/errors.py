@@ -22,7 +22,7 @@ class MetricUnavailable(ChaoslabError, ValueError):
 
 
 class SchemeError(ChaoslabError, ValueError):
-    """Partition scheme cannot label the given trajectory/time."""
+    """Partition scheme cannot be applied to the given pair or depth."""
 
 
 class MembershipError(ChaoslabError, ValueError):

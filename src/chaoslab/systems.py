@@ -112,7 +112,7 @@ class Trajectory:
     seed: int | None
     symbols: np.ndarray | None = None
     reals: np.ndarray | None = None
-    source: object | None = None  # carrier object for scheme labelling
+    source: object | None = None  # carrier object a partition scheme reads
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -156,11 +156,7 @@ def _interval_tracks(spec: IntervalMap, horizon: int, x0: float) -> tuple[np.nda
         xs = _kernels.tent_orbit(float(x0), spec.parameter, n_iter)
     else:
         xs = _kernels.logistic_orbit(float(x0), spec.parameter, n_iter)
-    bits = (xs >= 0.5).astype(np.int64)
-    sym = np.zeros(horizon, dtype=np.int64)
-    for j in range(spec.coding_depth):
-        sym = sym * 2 + bits[j : j + horizon]
-    return xs[:horizon], sym
+    return xs[:horizon], coding_symbols(spec, xs)
 
 
 def coding_symbols(spec: IntervalMap, reals: np.ndarray) -> np.ndarray:

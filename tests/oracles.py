@@ -3,8 +3,9 @@
 These deliberately avoid the library's estimator code paths: densities come
 from integer run-length arithmetic at run boundaries or from one Fraction per
 checkpoint per set, counting comes from direct per-block string comparison
-or from enumerating all 2^n difference masks, and marker blocks come from
-running the block recursion on every row.
+or from enumerating all 2^n difference masks, marker blocks come from
+running the block recursion on every row, and same-atom masks come from
+comparing per-time atom labels.
 """
 from fractions import Fraction
 
@@ -197,3 +198,44 @@ def csv_text_direct(config, header, rows):
     for row in rows:
         lines.append(",".join(str(x) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def cylinder_label(k, traj, n):
+    """Depth-k cylinder atom at time n: the symbol word at [n, n+k), cut at
+    the horizon."""
+    return traj.symbols[n : min(n + k, traj.horizon)].tobytes()
+
+
+def central_block_label(schedule):
+    """Labelling (k, trajectory, n) -> (position of n inside its enclosing
+    k-block, content of that block), read off the trajectory's TwoRowWord."""
+
+    def label(k, traj, n):
+        word = traj.source
+        nk = schedule.n(k)
+        pos = word.offset + n
+        start = pos - pos % nk
+        return (pos % nk, word.binary[start : start + nk].tobytes())
+
+    return label
+
+
+def aligned_window_label(window_lengths):
+    """Labelling (k, trajectory, n) -> (phase, content) of the aligned
+    window of length L_k holding n, the trailing window cut at the
+    horizon."""
+
+    def label(k, traj, n):
+        lk = window_lengths[k - 1]
+        start = n - n % lk
+        return (n % lk, traj.symbols[start : min(start + lk, traj.horizon)].tobytes())
+
+    return label
+
+
+def same_label_mask(label, pair, k):
+    """Same-atom mask of a scheme by comparing both trajectories' labels at
+    every time."""
+    return np.array(
+        [label(k, pair.a, n) == label(k, pair.b, n) for n in range(pair.horizon)], dtype=bool
+    )

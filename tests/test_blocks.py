@@ -7,12 +7,20 @@ from hypothesis import strategies as st
 
 import chaoslab as c
 from chaoslab import blocks as bl
-from chaoslab.errors import GuardExceeded, MembershipError, UsageError, ValidationError
+from chaoslab.errors import (
+    GuardExceeded,
+    MembershipError,
+    SchemeError,
+    UsageError,
+    ValidationError,
+)
 from oracles import (
+    central_block_label,
     encode_block_recursive,
     enumerate_family_recursive,
     free_classes_recursive,
     project_position_recursive,
+    same_label_mask,
 )
 
 
@@ -304,6 +312,48 @@ class TestSourceIndex:
             flipped[j] ^= 1
             assert not bl.is_member(schedule, k, flipped)
 
+    @pytest.mark.parametrize("q", SCHEDULES)
+    def test_stacks_match_per_row_calls(self, q):
+        schedule = c.QSchedule(q)
+        rng = np.random.default_rng(3)
+        for k in range(1, schedule.depth + 1):
+            words = rng.integers(0, 2, (2, 3, schedule.p(k)))
+            blocks = c.encode_block(schedule, k, words)
+            assert blocks.shape == (2, 3, schedule.n(k)) and blocks.dtype == np.int8
+            decoded = c.pi(schedule, k, blocks)
+            for index in np.ndindex(2, 3):
+                assert np.array_equal(blocks[index], c.encode_block(schedule, k, words[index]))
+                assert np.array_equal(decoded[index], words[index])
+                assert np.array_equal(c.pi(schedule, k, blocks[index]), words[index])
+
+    @pytest.mark.parametrize("q", SCHEDULES)
+    def test_stack_errors_name_the_first_bad_row(self, q):
+        schedule = c.QSchedule(q)
+        k = schedule.depth
+        words = np.random.default_rng(4).integers(0, 2, (5, schedule.p(k)))
+        blocks = c.encode_block(schedule, k, words)
+        blocks[3, 0] ^= 1  # every bit has more than one copy: no longer a member
+        blocks[4, 0] ^= 1
+        with pytest.raises(MembershipError, match=rf"^row 3: block is not a member of C_{k}$"):
+            c.pi(schedule, k, blocks)
+        with pytest.raises(MembershipError, match=rf"^block is not a member of C_{k}$"):
+            c.pi(schedule, k, blocks[3])
+        for i in (0, 1, 2):
+            c.pi(schedule, k, blocks[i])
+        assert not bl.is_member(schedule, k, blocks)
+        blocks[1, 0] = 2
+        with pytest.raises(MembershipError, match="^row 1: block is not a binary row$"):
+            c.pi(schedule, k, blocks)
+        words[2, 1] = 2
+        with pytest.raises(ValidationError, match="^row 2: free bits must be 0/1$"):
+            c.encode_block(schedule, k, words)
+        with pytest.raises(ValidationError, match="^free bits must be 0/1$"):
+            c.encode_block(schedule, k, words[2])
+        word = bl.word_from_free_words(schedule, words[:2])
+        word.binary[schedule.n(k) + 1] ^= 1
+        with pytest.raises(MembershipError, match="^row 1: "):
+            word.validate()
+
     @pytest.mark.parametrize("seed", [1, 7, 12345])
     @pytest.mark.parametrize("blocks", [1, 3, 10418])
     def test_sample_point_draws_the_per_block_stream(self, seed, blocks):
@@ -510,13 +560,13 @@ class TestCentralScheme:
 
     def test_label_count_within_achievable_bound(self):
         q = c.QSchedule((2, 2))
-        scheme = c.central_block_scheme(q)
+        label = central_block_label(q)
         labels = set()
         for seed in range(60):
             w = c.sample_point(q, seed=seed)
             traj = bl.trajectory_from_word(w)
             for n in range(traj.horizon):
-                labels.add(scheme.label(1, traj, n))
+                labels.add(label(1, traj, n))
         assert len(labels) <= q.n(1) * q.family_size(1)
 
     def test_fast_mask_matches_label_loop(self):
@@ -526,12 +576,7 @@ class TestCentralScheme:
             pair = bl.fiber_pair(q, seeds)
             for k in (1, 2, 3):
                 fast = scheme.same_atom_mask(pair, k)
-                slow = np.array(
-                    [
-                        scheme.label(k, pair.a, n) == scheme.label(k, pair.b, n)
-                        for n in range(pair.horizon)
-                    ]
-                )
+                slow = same_label_mask(central_block_label(q), pair, k)
                 assert np.array_equal(fast, slow)
 
     def test_fast_mask_with_congruent_but_distinct_offsets(self):
@@ -550,12 +595,7 @@ class TestCentralScheme:
         scheme = c.central_block_scheme(q)
         for k in (1, 2, 3):
             fast = scheme.same_atom_mask(pair, k)
-            slow = np.array(
-                [
-                    scheme.label(k, pair.a, n) == scheme.label(k, pair.b, n)
-                    for n in range(horizon)
-                ]
-            )
+            slow = same_label_mask(central_block_label(q), pair, k)
             assert np.array_equal(fast, slow)
 
     def test_fast_mask_randomized_parity_sweep(self):
@@ -582,13 +622,22 @@ class TestCentralScheme:
                 )
                 for k in range(1, q.depth + 1):
                     fast = scheme.same_atom_mask(pair, k)
-                    slow = np.array(
-                        [
-                            scheme.label(k, pair.a, n) == scheme.label(k, pair.b, n)
-                            for n in range(horizon)
-                        ]
-                    )
+                    slow = same_label_mask(central_block_label(q), pair, k)
                     assert np.array_equal(fast, slow), (schedule_q, k, oa, ob)
+
+    def test_mask_checks_its_inputs(self):
+        q = c.QSchedule((2, 2, 2))
+        scheme = c.central_block_scheme(q)
+        word = bl.word_from_free_words(q, np.zeros((1, 8)), offset=60)
+        plain = c.Trajectory(c.ZeroEntropy(q), 4, None, symbols=np.zeros(4, dtype=np.int64))
+        traj = bl.trajectory_from_word(word)
+        with pytest.raises(SchemeError, match="TwoRowWord"):
+            scheme.same_atom_mask(c.OrbitPair(traj, plain, "explicit-witness"), 1)
+        # the word holds times 0..3; a longer trajectory runs past its window
+        long = c.Trajectory(c.ZeroEntropy(q), 5, None, symbols=np.zeros(5, dtype=np.int64),
+                            source=word)
+        with pytest.raises(SchemeError, match="time 4 outside the word's window"):
+            scheme.same_atom_mask(c.OrbitPair(long, long, "explicit-witness"), 1)
 
     def test_refinement_and_shift_window(self):
         q = c.QSchedule((2, 2, 2))

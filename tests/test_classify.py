@@ -8,7 +8,7 @@ import chaoslab as c
 from chaoslab import blocks as bl
 from chaoslab import classify as cl
 from chaoslab.errors import ConsistencyError, SchemeError, ValidationError
-from oracles import per_set_density
+from oracles import aligned_window_label, cylinder_label, per_set_density, same_label_mask
 
 WITNESS_THRESHOLDS = c.Thresholds(tau_one=0.25, tau_zero=0.25)
 
@@ -124,14 +124,13 @@ class TestMetricClassification:
             c.Thresholds(eta_grid=(0.5, 1.0))
 
     def test_scheme_mismatch_rejected(self):
-        from chaoslab import blocks as blx
-
-        q_a = c.QSchedule((2, 2))
-        q_b = c.QSchedule((2, 3))
-        word = c.sample_point(q_a, seed=0)
-        traj = blx.trajectory_from_word(word)
-        with pytest.raises(SchemeError):
-            c.central_block_scheme(q_b).label(1, traj, 0)
+        # both schedules share N_1 = 4, so only the schedule check can refuse
+        pair = bl.fiber_pair(c.QSchedule((2, 2, 2)), (1, 2), blocks=3)
+        scheme = c.central_block_scheme(c.QSchedule((2, 3, 2)))
+        with pytest.raises(SchemeError, match="different schedule"):
+            scheme.same_atom_mask(pair, 1)
+        with pytest.raises(SchemeError, match="different schedule"):
+            c.classify_partition_pair(pair, scheme)
 
     def test_verdict_chain_enforced_structurally(self):
         with pytest.raises(ValidationError):
@@ -210,10 +209,14 @@ class TestSameAtomSeries:
         scheme = c.cylinder_scheme(3)
         for k in (1, 2, 3):
             fast = scheme.same_atom_mask(pair, k)
-            slow = np.array(
-                [scheme.label(k, pair.a, n) == scheme.label(k, pair.b, n) for n in range(150)]
-            )
-            assert np.array_equal(fast, slow)
+            assert np.array_equal(fast, same_label_mask(cylinder_label, pair, k))
+
+    def test_cylinder_needs_symbols(self):
+        spec = c.IntervalMap("tent", 1.99)
+        a = c.Trajectory(spec, 3, None, reals=np.full(3, 0.25))
+        b = c.Trajectory(spec, 3, None, reals=np.full(3, 0.75))
+        with pytest.raises(SchemeError, match="symbol track"):
+            c.same_atom_series(c.OrbitPair(a, b, "explicit-witness"), c.cylinder_scheme(2), 1)
 
 
 def estimate_key(e):
@@ -252,7 +255,7 @@ class TestPartitionKernelDifferential:
         pair = shift_pair([0, 1], [0, 0])
         scheme = c.cylinder_scheme(4)
         for k in range(1, 5):
-            by_label = [scheme.label(k, pair.a, n) == scheme.label(k, pair.b, n) for n in range(2)]
+            by_label = same_label_mask(cylinder_label, pair, k)
             assert c.same_atom_series(pair, scheme, k).times.tolist() == [
                 n + 1 for n, same in enumerate(by_label) if same
             ]
@@ -262,7 +265,11 @@ class TestPartitionKernelDifferential:
     @settings(max_examples=60, deadline=None)
     def test_aligned_window_scheme(self, pair, lengths):
         th = c.Thresholds(burn_in=1)
-        assert_partition_estimates_match(pair, bl.aligned_window_scheme(lengths), th)
+        scheme = bl.aligned_window_scheme(lengths)
+        assert_partition_estimates_match(pair, scheme, th)
+        for k in range(1, scheme.depth + 1):
+            by_label = same_label_mask(aligned_window_label(lengths), pair, k)
+            assert np.array_equal(scheme.same_atom_mask(pair, k), by_label)
 
     @pytest.mark.parametrize("seeds,offset", [((1, 2), 0), ((3, 4), 5), ((5, 6), None)])
     def test_central_block_scheme(self, seeds, offset):
@@ -284,9 +291,7 @@ class TestPartitionKernelDifferential:
             mask[k] = False
             return mask
 
-        scheme = c.PartitionScheme(
-            label=lambda k, traj, n: n, depth=2, same_atom_mask=same_atom_mask, name="skew"
-        )
+        scheme = c.PartitionScheme(depth=2, same_atom_mask=same_atom_mask, name="skew")
         pair = shift_pair([0] * 20, [0] * 20)
         with pytest.raises(SchemeError, match="does not refine"):
             c.classify_partition_pair(pair, scheme, c.Thresholds(burn_in=1))

@@ -1,6 +1,7 @@
 import hashlib
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,13 @@ class TestExitCodes:
         bound = c.eta_ball_bound(n, 5, 0.5, 0.005, 1.0, 2, 0.01)
         assert row[6] == repr(bound.value)
         assert (row[6] == "inf") == (n == 1024)
+
+    @pytest.mark.parametrize("eta", ["nan", "inf", "-inf"])
+    def test_count_ball_non_finite_eta_is_usage(self, eta, tmp_path, capsys):
+        out = tmp_path / "ball.csv"
+        assert run(["count-ball", "--n", "8", "--m", "2", f"--eta={eta}", "--out", str(out)]) == 1
+        assert "eta must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_parameter_is_usage(self, tmp_path):
         assert run(
@@ -201,6 +209,55 @@ class TestVerifySuites:
     def test_suites_pass(self, suite, capsys):
         assert run(["verify", "--suite", suite, "--q", "2,2,2"]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_pi_bijection_catches_a_broken_inverse(self, monkeypatch, capsys):
+        inverse = c.blocks.inverse_pi
+
+        def broken(schedule, k, words):
+            out = inverse(schedule, k, words)
+            out[-1] = out[0]
+            return out
+
+        monkeypatch.setattr(c.blocks, "inverse_pi", broken)
+        assert run(["verify", "--suite", "pi-bijection", "--q", "2,2,2"]) == 2
+        assert "inverse_pi(pi(C)) != C" in capsys.readouterr().err
+
+    def test_pi_bijection_catches_repeated_words(self, monkeypatch, capsys):
+        decode = c.blocks.pi
+
+        def repeating(schedule, k, blocks):
+            words = decode(schedule, k, blocks)
+            words[-1] = words[0]
+            return words
+
+        # with inverse_pi reading the family back, only distinctness can fail
+        family = c.enumerate_family(c.QSchedule((2, 2, 2)), 3)
+        monkeypatch.setattr(c.blocks, "pi", repeating)
+        monkeypatch.setattr(c.blocks, "inverse_pi", lambda schedule, k, words: family)
+        assert run(["verify", "--suite", "pi-bijection", "--q", "2,2,2"]) == 2
+        assert "not injective" in capsys.readouterr().err
+
+    def test_percentage_catches_a_changed_fraction(self, monkeypatch, capsys):
+        image = c.blocks.image_component_disagreement
+        monkeypatch.setattr(
+            c.blocks,
+            "image_component_disagreement",
+            lambda *args: image(*args) + Fraction(1, 1000),
+        )
+        assert run(["verify", "--suite", "percentage", "--q", "2,2,2"]) == 2
+        assert "component percentage not preserved" in capsys.readouterr().err
+
+    def test_scheme_catches_a_mask_changing_inside_a_window(self, monkeypatch, capsys):
+        # the same mask at every depth nests, so only the window check can fail
+        def alternating(schedule):
+            def same_atom_mask(pair, k):
+                return np.arange(pair.horizon) % 2 == 0
+
+            return c.PartitionScheme(schedule.depth, same_atom_mask, "alternating")
+
+        monkeypatch.setattr(c.blocks, "central_block_scheme", alternating)
+        assert run(["verify", "--suite", "scheme", "--q", "2,2,2"]) == 2
+        assert "shift-window property fails" in capsys.readouterr().err
 
 
 class TestConfigKeys:

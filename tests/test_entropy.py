@@ -155,6 +155,11 @@ class TestCountEtaBall:
         with pytest.raises(ValidationError):
             c.count_eta_ball("0" * 8, 9, 0.5)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eta_rejected(self, eta):
+        with pytest.raises(ValidationError, match="eta must be finite"):
+            c.count_eta_ball("0" * 8, 2, eta)
+
     def test_exact_rational_threshold(self):
         # eta exactly 1/W sits on the strict boundary: only the center block
         # qualifies, whether eta arrives as a Fraction or its float image
