@@ -129,11 +129,37 @@ def _check_rows(ok: np.ndarray, error: type[Exception], message: str) -> None:
     """Raise `error(message)` unless `ok` holds everywhere. For a stack of
     rows (the last axis runs along a row) the message names the first
     failing row, counted in C order."""
+    if ok.all():
+        return
     bad = ~np.all(ok, axis=-1)
-    if np.any(bad):
-        if bad.ndim:
-            message = f"row {np.flatnonzero(bad)[0]}: {message}"
-        raise error(message)
+    if bad.ndim:
+        message = f"row {np.flatnonzero(bad)[0]}: {message}"
+    raise error(message)
+
+
+def _bits(
+    values, error: type[Exception] = ValidationError, message: str = "bits must be 0/1"
+) -> np.ndarray:
+    """`values` as an int8 array (at least 1-d) of bits, checked in the
+    input's own dtype before the cast, so that 0.9 or 256 is never truncated
+    or wrapped into a bit. A non-integer entry raises ValidationError; an
+    integer other than 0/1 raises `error(message)`, naming the first bad row
+    of a stack."""
+    raw = np.asarray(values)
+    if raw.ndim == 0:
+        raw = raw.reshape(1)
+    kind = raw.dtype.kind
+    if kind == "f":
+        _check_rows(raw == np.floor(raw), ValidationError, "bits must be integers")
+        _check_rows((raw == 0) | (raw == 1), error, message)
+    elif kind in "iu":
+        # 0 and 1 are the integers with no bit set above the lowest (a
+        # negative one has its sign bit set), so one OR-reduction tests all
+        if np.bitwise_or.reduce(raw, axis=None) >> 1:
+            _check_rows((raw == 0) | (raw == 1), error, message)
+    elif kind != "b":
+        raise ValidationError(f"bits must be integers, got dtype {raw.dtype}")
+    return raw.astype(np.int8, copy=False)
 
 
 def encode_block(schedule: QSchedule, k: int, free_bits: Sequence[int]) -> np.ndarray:
@@ -141,13 +167,12 @@ def encode_block(schedule: QSchedule, k: int, free_bits: Sequence[int]) -> np.nd
     of length N_k. A stack of free words (last axis p_k) encodes to the
     stack of their members."""
     schedule._check_level(k)
-    bits = np.atleast_1d(np.asarray(free_bits, dtype=np.int8))
+    bits = _bits(free_bits, message="free bits must be 0/1")
     if bits.shape[-1] != schedule.p(k):
         raise ValidationError(
             f"level {k} needs exactly p_{k} = {schedule.p(k)} free bits, "
             f"got {bits.shape[-1]}"
         )
-    _check_rows((bits == 0) | (bits == 1), ValidationError, "free bits must be 0/1")
     return bits[..., _source_index(schedule, k)[0]]
 
 
@@ -182,12 +207,11 @@ def free_positions(schedule: QSchedule, k: int) -> FreeLayout:
 def pi(schedule: QSchedule, k: int, block: Sequence[int]) -> np.ndarray:
     """Read the free positions of a C_k member left to right. A stack of
     blocks (last axis N_k) decodes to the stack of their words."""
-    rows = np.atleast_1d(np.asarray(block, dtype=np.int8))
+    rows = _bits(block, MembershipError, "block is not a binary row")
     if rows.shape[-1] != schedule.n(k):
         raise MembershipError(
             f"C_{k} members have length {schedule.n(k)}, got {rows.shape[-1]}"
         )
-    _check_rows((rows == 0) | (rows == 1), MembershipError, "block is not a binary row")
     src, free = _source_index(schedule, k)
     words = rows[..., free]
     _check_rows(words[..., src] == rows, MembershipError, f"block is not a member of C_{k}")
@@ -247,7 +271,7 @@ class TwoRowWord:
     seed: int | None = None
 
     def __post_init__(self):
-        row = np.asarray(self.binary, dtype=np.int8)
+        row = _bits(self.binary, message="binary row must be 0/1")
         object.__setattr__(self, "binary", row)
         top = self.schedule.n(self.schedule.depth)
         if row.size == 0 or row.size % top != 0:
@@ -326,7 +350,7 @@ def word_from_free_words(
 ) -> TwoRowWord:
     """Pull an image-side track back through the coding bijection, one
     top-level block per p_K-bit row."""
-    words = np.asarray(free_words, dtype=np.int8)
+    words = _bits(free_words, message="free bits must be 0/1")
     pk = schedule.p(schedule.depth)
     if words.ndim == 1:
         if words.size % pk != 0:
@@ -376,8 +400,8 @@ def fiber_pair(
 
 def entry_disagreement(block_a: Sequence[int], block_b: Sequence[int]) -> Fraction:
     """Exact fraction of entries where the two rows differ."""
-    a = np.asarray(block_a, dtype=np.int8)
-    b = np.asarray(block_b, dtype=np.int8)
+    a = _bits(block_a)
+    b = _bits(block_b)
     if a.size != b.size:
         raise ValidationError("blocks must have equal length")
     return Fraction(int(np.count_nonzero(a != b)), int(a.size))
@@ -391,8 +415,8 @@ def disagreement_fraction(
 ) -> Fraction:
     """Exact fraction of component level-k blocks (canonical decomposition)
     where two members of the same family differ."""
-    a = np.asarray(block_a, dtype=np.int8)
-    b = np.asarray(block_b, dtype=np.int8)
+    a = _bits(block_a, MembershipError, "block is not a binary row")
+    b = _bits(block_b, MembershipError, "block is not a binary row")
     outer = _infer_level(schedule, a.size)
     if a.size != b.size or not is_member(schedule, outer, np.stack([a, b])):
         raise MembershipError(f"both blocks must be members of C_{outer}")
@@ -413,8 +437,8 @@ def image_component_disagreement(
 ) -> Fraction:
     """Image-side analog: fraction of p_k-bit groups where two pi-words
     differ."""
-    a = np.asarray(word_a, dtype=np.int8)
-    b = np.asarray(word_b, dtype=np.int8)
+    a = _bits(word_a)
+    b = _bits(word_b)
     if a.size != b.size:
         raise ValidationError("words must have equal length")
     pk = schedule.p(component_level)

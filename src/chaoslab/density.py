@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,23 +44,27 @@ class CheckpointPolicy:
     def resolve_burn_in(self, horizon: int) -> int:
         return self.burn_in if self.burn_in is not None else default_burn_in(horizon)
 
-    def checkpoints(self, horizon: int) -> list[int]:
-        burn = self.resolve_burn_in(horizon)
-        if horizon < burn:
-            raise PolicyError(
-                f"horizon {horizon} below burn-in {burn}: no checkpoints"
-            )
-        pts = []
-        x = burn
-        while x < horizon:
-            pts.append(x)
-            x = max(int(x * self.ratio), x + 1)
-        pts.append(horizon)
-        return sorted(set(pts))
+    def checkpoints(self, horizon: int) -> tuple[int, ...]:
+        return _checkpoints(self.resolve_burn_in(horizon), self.ratio, horizon)
 
     def descriptor(self, horizon: int) -> tuple:
         """Identity token used to detect mismatched-policy comparisons."""
         return (self.resolve_burn_in(horizon), self.ratio, horizon)
+
+
+@lru_cache(maxsize=64)
+def _checkpoints(burn: int, ratio: float, horizon: int) -> tuple[int, ...]:
+    """The grid of `CheckpointPolicy.checkpoints`, built once per (burn-in,
+    ratio, horizon): a scan asks for the same grid for every pair."""
+    if horizon < burn:
+        raise PolicyError(f"horizon {horizon} below burn-in {burn}: no checkpoints")
+    pts = []
+    x = int(burn)
+    while x < horizon:
+        pts.append(x)
+        x = max(int(x * ratio), x + 1)
+    pts.append(int(horizon))
+    return tuple(sorted(set(pts)))
 
 
 @dataclass(frozen=True)
@@ -177,8 +182,14 @@ def nested_density_estimates(
     codes = np.asarray(codes)
     if codes.ndim != 1 or codes.size == 0:
         raise ValidationError("codes must be a nonempty 1-d array")
+    if codes.dtype.kind not in "biu":
+        raise ValidationError(f"codes must be integers, got dtype {codes.dtype}")
     if levels < 1:
         raise ValidationError("need at least one level")
+    # bincount rejects negative codes with a bare ValueError; unsigned codes
+    # need only the upper check below
+    if codes.dtype.kind == "i" and int(codes.min()) < 0:
+        raise ValidationError(f"codes must lie in [0, {levels}]")
     cps = policy.checkpoints(codes.size)
     hist = np.empty((len(cps), levels + 1), dtype=np.int64)
     start = 0
@@ -235,14 +246,22 @@ def density_along(s: IndexSet, checkpoints: Iterable[int], which: str = "lower")
 
 @dataclass(frozen=True)
 class DistanceSeries:
-    """Per-time separation values of an orbit pair; values in [0, diameter]."""
+    """Per-time separation values of an orbit pair, d_n = table[index[n]],
+    all in [0, diameter].
 
-    values: np.ndarray
+    Without an index the table holds one value per time. A metric with few
+    distinct values passes them as a short table plus an integer index, so
+    consumers work on the table and the N values are never materialised
+    unless `values` is read.
+    """
+
+    table: np.ndarray
     diameter: float = 1.0
+    index: np.ndarray | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
+        v = np.asarray(self.table, dtype=np.float64)
+        object.__setattr__(self, "table", v)
         if self.diameter <= 0:
             raise ValidationError("diameter must be > 0")
         if v.size == 0:
@@ -251,10 +270,21 @@ class DistanceSeries:
             raise ValidationError("distances must not contain NaN")
         if float(v.min()) < 0 or float(v.max()) > self.diameter:
             raise ValidationError("distances must lie in [0, diameter]")
+        if self.index is not None:
+            i = np.asarray(self.index)
+            object.__setattr__(self, "index", i)
+            if i.ndim != 1 or i.size == 0 or i.dtype.kind not in "iu":
+                raise ValidationError("distance index must be a nonempty 1-d integer array")
+            if int(i.min()) < 0 or int(i.max()) >= v.size:
+                raise ValidationError(f"distance index must lie in [0, {v.size})")
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.table if self.index is None else self.table[self.index]
 
     @property
     def horizon(self) -> int:
-        return int(self.values.size)
+        return int((self.table if self.index is None else self.index).size)
 
 
 def default_threshold_grid(diameter: float = 1.0, points: int = 16) -> np.ndarray:
@@ -315,7 +345,9 @@ def phi_profile(
     if np.any(np.diff(grid) <= 0):
         raise PolicyError("threshold grid must be strictly increasing")
     # d_n < t_j exactly when fewer than j+1 grid points are <= d_n
-    codes = np.searchsorted(grid, d.values, side="right")
+    codes = np.searchsorted(grid, d.table, side="right")
+    if d.index is not None:
+        codes = codes[d.index]
     return PhiProfile(
         thresholds=grid,
         estimates=nested_density_estimates(codes, grid.size, policy),
@@ -341,15 +373,16 @@ def besicovitch_bounds(
     d: DistanceSeries, policy: CheckpointPolicy = CheckpointPolicy()
 ) -> BesicovitchBounds:
     """Running-mean extrema of the distance series; exact Fractions for
-    integer-valued series, floats otherwise."""
+    integer-valued series, floats otherwise. Integrality is read off the
+    table, so an integer-valued coded series is summed as integers."""
     cps = policy.checkpoints(d.horizon)
     at = np.asarray(cps, dtype=np.int64) - 1
-    v = d.values
-    rounded = np.rint(v)
-    if np.array_equal(v, rounded):
-        sums = np.cumsum(rounded.astype(np.int64))[at]
+    rounded = np.rint(d.table)
+    if np.array_equal(d.table, rounded):
+        ints = rounded.astype(np.int64)
+        sums = np.cumsum(ints if d.index is None else ints[d.index])[at]
         (high,), (low,) = _exact_extremes(sums, cps)
     else:
-        means = np.cumsum(v)[at] / np.asarray(cps, dtype=np.float64)
+        means = np.cumsum(d.values)[at] / np.asarray(cps, dtype=np.float64)
         low, high = float(means.min()), float(means.max())
     return BesicovitchBounds(low, high, policy.descriptor(d.horizon))

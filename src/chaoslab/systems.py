@@ -332,16 +332,29 @@ def construct_witness_pair(target: str, horizon: int) -> OrbitPair:
 METRICS = ("hamming-indicator", "cantor", "absolute")
 
 
+# The symbolic metrics take few values: the Hamming indicator {0, 1}, the
+# Cantor distance {2^-j}. Their series are a table of those values plus a
+# per-time index. 2^-1075 rounds to 0.0 (as does every smaller power), so
+# agreement lengths are clipped at 1075 and the table ends at 0.0. Every
+# series shares these tables, so they are read-only.
+HAMMING_TABLE = np.array([0.0, 1.0])
+CANTOR_CLIP = 1075
+CANTOR_TABLE = np.ldexp(1.0, -np.arange(CANTOR_CLIP + 1))
+HAMMING_TABLE.setflags(write=False)
+CANTOR_TABLE.setflags(write=False)
+
+
 def distance_series(pair: OrbitPair, metric: str = "hamming-indicator") -> DistanceSeries:
     a, b = pair.a, pair.b
     if metric == "hamming-indicator":
         if a.symbols is None or b.symbols is None:
             raise MetricUnavailable("hamming-indicator needs symbol tracks")
-        return DistanceSeries((a.symbols != b.symbols).astype(np.float64), 1.0)
+        mismatch = (a.symbols != b.symbols).view(np.uint8)
+        return DistanceSeries(HAMMING_TABLE, 1.0, index=mismatch)
     if metric == "cantor":
         if a.symbols is None or b.symbols is None:
             raise MetricUnavailable("cantor needs symbol tracks")
-        return DistanceSeries(_cantor_values(a.symbols, b.symbols), 1.0)
+        return DistanceSeries(CANTOR_TABLE, 1.0, index=_agreement_lengths(a.symbols, b.symbols))
     if metric == "absolute":
         if a.reals is None or b.reals is None:
             raise MetricUnavailable("absolute needs real tracks")
@@ -349,11 +362,19 @@ def distance_series(pair: OrbitPair, metric: str = "hamming-indicator") -> Dista
     raise MetricUnavailable(f"unknown metric {metric!r}")
 
 
-def _cantor_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """d_n = 2^-j with j the length of symbol agreement starting at n,
-    capped by the remaining horizon."""
+def _agreement_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Index into CANTOR_TABLE: the length j of the symbol agreement run
+    starting at each time, capped by the remaining horizon and clipped at
+    CANTOR_CLIP. int32 while the horizon fits, half the bytes of int64."""
     n = len(a)
-    idx = np.arange(n)
-    # first disagreement at or after each time (n if none): a reverse running min
-    nxt = np.minimum.accumulate(np.where(a != b, idx, n)[::-1])[::-1]
-    return np.ldexp(1.0, -(nxt - idx))
+    dtype = np.int32 if n < 2**31 else np.int64
+    idx = np.arange(n, dtype=dtype)
+    # first disagreement at or after each time (n if none): a reverse running
+    # min over idx at disagreements and n elsewhere. The operand is built by
+    # arithmetic, about 4x faster than a masked select on random symbols.
+    first = dtype(n) - idx
+    first *= (a == b).view(np.uint8)
+    first += idx
+    nxt = np.minimum.accumulate(first[::-1])[::-1]
+    run = nxt - idx
+    return np.minimum(run, CANTOR_CLIP, out=run)

@@ -2,16 +2,18 @@
 
 These deliberately avoid the library's estimator code paths: densities come
 from integer run-length arithmetic at run boundaries or from one Fraction per
-checkpoint per set, counting comes from direct per-block string comparison
-or from enumerating all 2^n difference masks, marker blocks come from
-running the block recursion on every row, and same-atom masks come from
-comparing per-time atom labels.
+checkpoint per set, symbolic distances come as N floats built per time,
+counting comes from direct per-block string comparison or from enumerating
+all 2^n difference masks, marker blocks come from running the block
+recursion on every row, and same-atom masks come from comparing per-time
+atom labels.
 """
 from fractions import Fraction
 
 import numpy as np
 
-from chaoslab.density import DensityEstimate, IndexSet
+from chaoslab.classify import all_pairs, classify_metric_pair, scan_scrambled_set
+from chaoslab.density import DensityEstimate, IndexSet, PhiProfile, default_threshold_grid
 
 
 def boundary_ratios(runs, horizon, want_agree=True):
@@ -169,6 +171,42 @@ def cantor_values_direct(a, b):
         nxt = np.where(idx < positions.size, positions[np.minimum(idx, positions.size - 1)], n)
         j = nxt - np.arange(n)
     return np.power(2.0, -j.astype(np.float64))
+
+
+def float_distance_values(pair, metric):
+    """N float distances of a symbolic metric, built per time: the mismatch
+    indicator, or `cantor_values_direct`."""
+    a, b = pair.a.symbols, pair.b.symbols
+    if metric == "hamming-indicator":
+        return (a != b).astype(np.float64)
+    if metric == "cantor":
+        return cantor_values_direct(a, b)
+    raise ValueError(f"no float oracle for metric {metric!r}")
+
+
+def phi_profile_float_path(pair, metric, policy):
+    """Phi profile on the default grid from the pair's N float distances,
+    one `per_set_density` pass per threshold (`per_threshold_phi`)."""
+    values = float_distance_values(pair, metric)
+    grid = default_threshold_grid()
+    return PhiProfile(
+        thresholds=grid,
+        estimates=per_threshold_phi(values, grid, policy),
+        horizon=values.size,
+        policy_descriptor=policy.descriptor(values.size),
+    )
+
+
+def scan_clique_float_path(trajectories, metric, th, target):
+    """Scrambled clique of `scan`, with each pair read off its float-path
+    Phi profile."""
+    policy = th.policy()
+
+    def scrambled(pair):
+        profile = phi_profile_float_path(pair, metric, policy)
+        return classify_metric_pair(profile, None, th).flags[target]
+
+    return scan_scrambled_set(all_pairs(trajectories), scrambled)
 
 
 def pair_dump_direct(pair):

@@ -378,6 +378,43 @@ class TestSourceIndex:
             bl.word_from_free_words(schedule, free * 2)
 
 
+class TestBitInput:
+    """Bit input is checked before its int8 cast: nothing is truncated or
+    wrapped into a bit."""
+
+    def test_fractional_free_bits_rejected(self):
+        with pytest.raises(ValidationError, match="^bits must be integers$"):
+            c.encode_block(c.QSchedule((2, 2)), 1, [0.9, 1])
+
+    def test_fractional_block_rejected(self):
+        with pytest.raises(ValidationError, match="^bits must be integers$"):
+            c.pi(c.QSchedule((2, 2)), 1, [0.5, 1, 0.2, 1])
+
+    def test_out_of_range_free_bits_rejected(self):
+        with pytest.raises(ValidationError, match="^free bits must be 0/1$"):
+            c.encode_block(c.QSchedule((2, 2)), 1, [256, 1])
+        with pytest.raises(MembershipError, match="^block is not a binary row$"):
+            c.pi(c.QSchedule((2, 2)), 1, [256, 1, 256, 1])
+
+    def test_every_bit_input_goes_through_the_check(self):
+        q = c.QSchedule((2, 2))
+        with pytest.raises(ValidationError, match="^row 1: bits must be integers$"):
+            bl.word_from_free_words(q, [[0, 1, 1, 0], [0.5, 1, 1, 0]])
+        with pytest.raises(ValidationError):
+            c.TwoRowWord(q, 0, np.full(16, 0.5))
+        with pytest.raises(ValidationError):
+            c.TwoRowWord(q, 0, np.full(16, 257))
+        with pytest.raises(ValidationError):
+            c.blocks.entry_disagreement([0, 1.5], [0, 1])
+        with pytest.raises(ValidationError):
+            c.blocks.image_component_disagreement(q, [0, 1, 1, 1], ["0", "1", "0", "0"], 1)
+        with pytest.raises(ValidationError):
+            c.disagreement_fraction(q, np.full(16, 0.5), np.zeros(16), 1)
+        # integral floats and bools are bits
+        assert c.encode_block(q, 1, [1.0, 0.0]).tolist() == [1, 0, 1, 0]
+        assert c.encode_block(q, 1, np.array([True, False])).tolist() == [1, 0, 1, 0]
+
+
 class TestMarkerRow:
     def test_base_example(self):
         row = c.marker_row(c.QSchedule((2, 2)), 0, 8)

@@ -7,8 +7,16 @@ from hypothesis import strategies as st
 import chaoslab as c
 from chaoslab import blocks as bl
 from chaoslab import classify as cl
+from chaoslab.cli import _system_spec, build_parser, run
 from chaoslab.errors import ConsistencyError, SchemeError, ValidationError
-from oracles import aligned_window_label, cylinder_label, per_set_density, same_label_mask
+from oracles import (
+    aligned_window_label,
+    cylinder_label,
+    per_set_density,
+    phi_profile_float_path,
+    same_label_mask,
+    scan_clique_float_path,
+)
 
 WITNESS_THRESHOLDS = c.Thresholds(tau_one=0.25, tau_zero=0.25)
 
@@ -440,3 +448,55 @@ class TestScan:
         vertices = trajectories[:3] + [loner]
         clique = c.scan_scrambled_set(c.all_pairs(vertices), self._verdict_fn())
         assert clique == [0, 1, 2]
+
+
+def estimate_keys(profile):
+    return [(e.upper, e.lower, e.checkpoints, e.burn_in, e.count_at_horizon)
+            for e in profile.estimates]
+
+
+class TestScanCodedAgainstFloatPath:
+    """Coded (table, index) distance series against the float per-pair path
+    of `oracles.scan_clique_float_path`: the same profiles, the same cliques."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    @pytest.mark.parametrize("system,metric", [
+        (["--system", "full-shift"], "hamming-indicator"),
+        (["--system", "full-shift", "--arity", "3"], "cantor"),
+        (["--system", "tent", "--param", "1.99"], "cantor"),
+        (["--system", "tent", "--param", "1.99"], "hamming-indicator"),
+    ])
+    def test_cli_scan_clique_matches_float_path(self, tmp_path, seed, system, metric):
+        count, horizon = 5, 3000
+        spec = _system_spec(build_parser().parse_args(["scan", *system]))
+        trajectories = [c.sample_orbit(spec, horizon, seed + i) for i in range(count)]
+        th = c.Thresholds(tau_one=0.55, tau_zero=0.4)
+        for pair in c.all_pairs(trajectories).values():
+            coded = c.phi_profile(c.distance_series(pair, metric), policy=th.policy())
+            want = phi_profile_float_path(pair, metric, th.policy())
+            assert estimate_keys(coded) == estimate_keys(want)
+        for target in ("li_yorke", "dc2", "dc3"):
+            out = tmp_path / f"clique-{target}.csv"
+            assert run(["scan", *system, "--metric", metric, "--count", str(count),
+                        "--horizon", str(horizon), "--seed", str(seed), "--target", target,
+                        "--tau-one", "0.55", "--tau-zero", "0.4", "--out", str(out)]) == 0
+            rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+            clique = [int(x) for x in rows[1:]]
+            assert clique == scan_clique_float_path(trajectories, metric, th, target)
+
+    @pytest.mark.parametrize("metric", ["hamming-indicator", "cantor"])
+    def test_pullback_family_clique_matches_float_path(self, metric):
+        q, trajectories = pulled_back_dc2_family(4)
+        blocks_count = trajectories[0].source.blocks
+        loner_free = np.ones((blocks_count, q.p(3)), dtype=np.int8)
+        loner = bl.trajectory_from_word(bl.word_from_free_words(q, loner_free))
+        vertices = trajectories[:3] + [loner]
+        th = WITNESS_THRESHOLDS
+        policy = th.policy()
+
+        def is_scrambled(pair):
+            prof = c.phi_profile(c.distance_series(pair, metric), policy=policy)
+            return c.classify_metric_pair(prof, None, th).flags["dc2"]
+
+        clique = c.scan_scrambled_set(c.all_pairs(vertices), is_scrambled)
+        assert clique == scan_clique_float_path(vertices, metric, th, "dc2")

@@ -291,10 +291,24 @@ class TestNestedDensityKernel:
         policy = c.CheckpointPolicy(burn_in=1)
         with pytest.raises(ValidationError):
             de.nested_density_estimates(np.array([0, 3, 1]), 2, policy)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
+            de.nested_density_estimates(np.array([0, 3, 1], dtype=np.uint8), 2, policy)
+        with pytest.raises(ValidationError):
             de.nested_density_estimates(np.array([0, -1, 1]), 2, policy)
         with pytest.raises(ValidationError):
             de.nested_density_estimates(np.array([], dtype=np.intp), 2, policy)
+
+    def test_negative_codes_are_validation_errors(self):
+        policy = c.CheckpointPolicy(burn_in=1)
+        for dtype in (np.intp, np.int8, np.int32):
+            with pytest.raises(ValidationError, match=r"codes must lie in \[0, 2\]"):
+                de.nested_density_estimates(np.array([0, -1, 2], dtype=dtype), 2, policy)
+
+    def test_non_integer_codes_are_validation_errors(self):
+        policy = c.CheckpointPolicy(burn_in=1)
+        for codes in (np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.0]), np.array(["0", "1"])):
+            with pytest.raises(ValidationError, match="codes must be integers"):
+                de.nested_density_estimates(codes, 2, policy)
 
     @given(coded_series())
     @settings(max_examples=60, deadline=None)
@@ -396,17 +410,29 @@ def symbol_pairs(draw):
     return a, b
 
 
+def symbol_pair(a, b):
+    spec = c.FullShift(3, (1 / 3, 1 / 3, 1 / 3))
+    ta = c.Trajectory(spec, len(a), None, symbols=np.asarray(a, dtype=np.int64))
+    tb = c.Trajectory(spec, len(b), None, symbols=np.asarray(b, dtype=np.int64))
+    return c.OrbitPair(ta, tb, "explicit-witness")
+
+
+def cantor_coded(a, b):
+    """The Cantor series' float values, gathered from its (table, index)."""
+    return c.distance_series(symbol_pair(a, b), "cantor").values
+
+
 class TestCantorValues:
     @given(symbol_pairs())
     @settings(max_examples=150, deadline=None)
     def test_matches_oracle_bytes(self, pair):
         a, b = pair
-        assert sy._cantor_values(a, b).tobytes() == cantor_values_direct(a, b).tobytes()
+        assert cantor_coded(a, b).tobytes() == cantor_values_direct(a, b).tobytes()
 
     def test_all_agreeing_pair_underflows_like_oracle(self):
         # agreement runs past 1074 steps go through the subnormals to 0
         a = np.zeros(3000, dtype=np.int64)
-        got = sy._cantor_values(a, a)
+        got = cantor_coded(a, a)
         assert got.tobytes() == cantor_values_direct(a, a).tobytes()
         assert got[0] == 0.0 and got[-1] == 0.5
 
@@ -414,4 +440,85 @@ class TestCantorValues:
         for spec in (c.FullShift(2, (0.5, 0.5)), c.FullShift(3, (0.6, 0.3, 0.1))):
             pair = c.make_pair(spec, 20000, "independent", (3, 4))
             a, b = pair.a.symbols, pair.b.symbols
-            assert sy._cantor_values(a, b).tobytes() == cantor_values_direct(a, b).tobytes()
+            got = c.distance_series(pair, "cantor").values
+            assert got.tobytes() == cantor_values_direct(a, b).tobytes()
+
+    @pytest.mark.parametrize("run", [1073, 1074, 1075, 1076, 2500])
+    def test_runs_around_the_clip_match_oracle_bytes(self, run):
+        # agreement runs of every length near the 1075 clip, each ended by
+        # one disagreement, then an agreeing tail
+        a = np.zeros(3 * run + 50, dtype=np.int64)
+        b = a.copy()
+        b[[run, 2 * run + 1]] = 1
+        d = c.distance_series(symbol_pair(a, b), "cantor")
+        assert d.index.dtype == np.int32 and int(d.index.max()) <= sy.CANTOR_CLIP
+        assert d.values.tobytes() == cantor_values_direct(a, b).tobytes()
+        grid = np.ldexp(1.0, -np.array([1074, 1073, 1000, 3, 0]))
+        codes = np.searchsorted(grid, d.table, side="right")[d.index]
+        assert np.array_equal(codes, np.searchsorted(grid, d.values, side="right"))
+
+
+class TestHammingValues:
+    @given(symbol_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_float_indicator_bytes(self, pair):
+        a, b = pair
+        d = c.distance_series(symbol_pair(a, b), "hamming-indicator")
+        assert d.index.dtype == np.uint8
+        assert d.values.tobytes() == (a != b).astype(np.float64).tobytes()
+
+
+# grids whose points equal some 2^-j (so d_n = t ties are exercised), down
+# to the smallest subnormal 2^-1074, plus a few points off the table
+dyadic_grids = st.lists(
+    st.one_of(
+        st.integers(0, 1074).map(lambda j: float(np.ldexp(1.0, -j))),
+        st.sampled_from([float(np.ldexp(1.0, -1074)), 0.3, 0.7, 1.5, 1e-300]),
+    ),
+    min_size=1,
+    max_size=12,
+    unique=True,
+).map(lambda g: np.array(sorted(g)))
+
+
+class TestCodedPhi:
+    @given(symbol_pairs(), dyadic_grids, st.sampled_from(["cantor", "hamming-indicator"]))
+    @settings(max_examples=150, deadline=None)
+    def test_table_codes_match_searchsorted_over_values(self, pair, grid, metric):
+        a, b = pair
+        d = c.distance_series(symbol_pair(a, b), metric)
+        coded = np.searchsorted(grid, d.table, side="right")[d.index]
+        assert np.array_equal(coded, np.searchsorted(grid, d.values, side="right"))
+        policy = c.CheckpointPolicy(burn_in=1)
+        prof = c.phi_profile(d, grid=grid, policy=policy)
+        want = c.phi_profile(c.DistanceSeries(d.values, 1.0), grid=grid, policy=policy)
+        assert [estimate_key(e) for e in prof.estimates] == [
+            estimate_key(e) for e in want.estimates
+        ]
+
+    def test_besicovitch_of_coded_series_matches_float_path(self):
+        pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 5000, "independent", (5, 6))
+        for metric in ("hamming-indicator", "cantor"):
+            d = c.distance_series(pair, metric)
+            plain = c.DistanceSeries(d.values, 1.0)
+            assert tuple(c.besicovitch_bounds(d)) == tuple(c.besicovitch_bounds(plain))
+
+    def test_checkpoints_built_once_per_grid(self):
+        policy = c.CheckpointPolicy(burn_in=7, ratio=1.1)
+        first = policy.checkpoints(5000)
+        assert c.CheckpointPolicy(burn_in=7, ratio=1.1).checkpoints(5000) is first
+        assert isinstance(first, tuple) and first[0] == 7 and first[-1] == 5000
+
+
+class TestCodedSeriesValidation:
+    def test_index_range_and_dtype(self):
+        table = np.array([0.0, 0.5, 1.0])
+        assert c.DistanceSeries(table, 1.0, index=np.array([2, 0, 1])).values.tolist() == [
+            1.0, 0.0, 0.5,
+        ]
+        for bad in (np.array([0, 3]), np.array([-1, 0]), np.array([0.0, 1.0]),
+                    np.array([], dtype=np.intp), np.zeros((2, 2), dtype=np.intp)):
+            with pytest.raises(ValidationError):
+                c.DistanceSeries(table, 1.0, index=bad)
+        with pytest.raises(ValidationError):
+            c.DistanceSeries(np.array([0.0, 2.0]), 1.0, index=np.array([0]))
