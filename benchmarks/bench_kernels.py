@@ -1,23 +1,24 @@
-"""Benchmark the numba orbit kernels against the pure-Python fallbacks, the
-exact eta-ball count, and the per-pair distance series plus Phi profile of
-the symbolic metrics.
+"""Benchmark the interval-map orbit loop, the exact eta-ball count, and the
+per-pair distance series plus Phi profile of the symbolic metrics.
 
 Run as a script from a checkout (no install needed):
     python benchmarks/bench_kernels.py
-Select the package-wide backend with CHAOSLAB_BACKEND=numpy|numba|auto.
 """
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from chaoslab import _kernels  # noqa: E402
 from chaoslab.density import phi_profile  # noqa: E402
 from chaoslab.entropy import count_eta_ball  # noqa: E402
-from chaoslab.systems import FullShift, distance_series, make_pair  # noqa: E402
+from chaoslab.systems import (  # noqa: E402
+    FullShift,
+    IntervalMap,
+    distance_series,
+    make_pair,
+    sample_orbit,
+)
 
 
 def timeit(fn, *args, repeat=3):
@@ -30,24 +31,16 @@ def timeit(fn, *args, repeat=3):
 
 
 def main():
-    print(f"numba available: {_kernels.tent_orbit_numba is not None}")
-    print(f"package backend in use: {'numba' if _kernels.USING_NUMBA else 'numpy'}")
-
-    print("\ncount_eta_ball (transfer-automaton DP, exact ints)")
+    print("count_eta_ball (transfer-automaton DP, exact ints)")
     for n in (20, 200, 1024):
         t, count = timeit(count_eta_ball, "0" * n, 5, 0.5)
         print(f"  n={n:4d} m=5 eta=0.5: {t*1e3:8.2f} ms   count has {count.bit_length()} bits")
 
-    print("\ntent_orbit (sequential map iteration)")
+    print("\nsample_orbit, tent a=1.99 (sequential map iteration plus coding track)")
+    tent = IntervalMap("tent", 1.99)
     for steps in (10_000, 100_000, 1_000_000):
-        t_np, ref = timeit(_kernels.tent_orbit_numpy, 0.2345, 1.99, steps)
-        line = f"  steps={steps:8d}: python-loop {t_np*1e3:8.2f} ms"
-        if _kernels.tent_orbit_numba is not None:
-            _kernels.tent_orbit_numba(0.2345, 1.99, steps)
-            t_nb, out = timeit(_kernels.tent_orbit_numba, 0.2345, 1.99, steps)
-            assert np.array_equal(ref, out)
-            line += f"   numba {t_nb*1e3:8.2f} ms   speedup {t_np / t_nb:5.1f}x"
-        print(line)
+        t, _ = timeit(sample_orbit, tent, steps, 1)
+        print(f"  steps={steps:8d}: {t*1e3:8.2f} ms")
 
     print("\ndistance_series + phi_profile per pair (full 2-shift, default grid)")
     spec = FullShift(2, (0.5, 0.5))

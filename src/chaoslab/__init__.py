@@ -6,7 +6,6 @@ build the zero-entropy marker-block system and verify its combinatorics,
 and check the entropy-counting bounds behind positive-entropy chaos.
 """
 
-from ._kernels import USING_NUMBA
 from .blocks import (
     QSchedule,
     TwoRowWord,

@@ -91,6 +91,16 @@ def unbounded_count_floor(horizon: int) -> int:
     return max(10, math.isqrt(horizon))
 
 
+def _largest_threshold_reaching(
+    thresholds: np.ndarray, values: np.ndarray, level: float
+) -> float | None:
+    """Largest grid threshold t_j with values[j] >= level."""
+    for j in range(thresholds.size - 1, -1, -1):
+        if values[j] >= level:
+            return float(thresholds[j])
+    return None
+
+
 def classify_metric_pair(
     profile: PhiProfile,
     averages: tuple | None,
@@ -142,19 +152,9 @@ def classify_metric_pair(
     # witnesses: separation threshold = largest grid t whose separation set
     # keeps positive upper density; eta -> s_eta map over the grid
     sep_upper = 1.0 - low  # complement identity at shared checkpoints
-    sep_threshold = None
-    for j in range(profile.thresholds.size - 1, -1, -1):
-        if sep_upper[j] >= th.eta_min:
-            sep_threshold = float(profile.thresholds[j])
-            break
-    eta_to_s: dict[float, float | None] = {}
-    for eta in th.eta_grid:
-        s_eta = None
-        for j in range(profile.thresholds.size - 1, -1, -1):
-            if sep_upper[j] >= eta:
-                s_eta = float(profile.thresholds[j])
-                break
-        eta_to_s[eta] = s_eta
+    grid = profile.thresholds
+    sep_threshold = _largest_threshold_reaching(grid, sep_upper, th.eta_min)
+    eta_to_s = {eta: _largest_threshold_reaching(grid, sep_upper, eta) for eta in th.eta_grid}
 
     return PairVerdict(
         li_yorke=ly,
@@ -256,6 +256,14 @@ def _same_atom_estimates(
     return list(nested_density_estimates(codes, scheme.depth, th.policy())[::-1])
 
 
+def _first_depth_reaching(values: Sequence[Fraction], level: float) -> int | None:
+    """First depth k (from 1) whose value, read as a float, is >= level."""
+    for k, v in enumerate(values, start=1):
+        if float(v) >= level:
+            return k
+    return None
+
+
 def classify_partition_pair(
     pair: OrbitPair, scheme: PartitionScheme, th: Thresholds = Thresholds()
 ) -> PartitionVerdict:
@@ -269,20 +277,9 @@ def classify_partition_pair(
     # exactly, at the shared checkpoints
     diff_upper = [Fraction(1) - e.lower for e in ests]
     agree_ok = all(float(e.upper) >= 1 - th.tau_one for e in ests)
-    k0 = None
-    for k, du in enumerate(diff_upper, start=1):
-        if float(du) >= th.eta_min:
-            k0 = k
-            break
+    k0 = _first_depth_reaching(diff_upper, th.eta_min)
     pk_scrambled = agree_ok and k0 is not None
-    eta_to_k: dict[float, int | None] = {}
-    for eta in th.eta_grid:
-        k_eta = None
-        for k, du in enumerate(diff_upper, start=1):
-            if float(du) >= eta:
-                k_eta = k
-                break
-        eta_to_k[eta] = k_eta
+    eta_to_k = {eta: _first_depth_reaching(diff_upper, eta) for eta in th.eta_grid}
     pk_plus = pk_scrambled and all(v is not None for v in eta_to_k.values())
     return PartitionVerdict(
         pk_scrambled=pk_scrambled,
@@ -304,11 +301,7 @@ def classify_pk_minus(
         raise SchemeError("partition classification needs scheme depth >= 2")
     ests = _same_atom_estimates(pair, scheme, th)
     gaps = {k: float(e.gap) for k, e in enumerate(ests, start=1)}
-    k0 = None
-    for k, e in enumerate(ests, start=1):
-        if float(e.gap) >= th.gap:
-            k0 = k
-            break
+    k0 = _first_depth_reaching([e.gap for e in ests], th.gap)
     return PartitionVerdict(
         pk_minus=k0 is not None,
         k0=k0,

@@ -694,10 +694,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         args = _merge_config(args)
         return HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
+    except (UsageError, ValidationError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except GuardExceeded as exc:

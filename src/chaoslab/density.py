@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -287,10 +287,18 @@ class DistanceSeries:
         return int((self.table if self.index is None else self.index).size)
 
 
+def _read_only(values) -> np.ndarray:
+    out = np.asarray(values, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=64)
 def default_threshold_grid(diameter: float = 1.0, points: int = 16) -> np.ndarray:
     """Logarithmic grid from diameter*2^-16 up to the diameter; the smallest
-    point stands in for the t -> 0+ limit."""
-    return np.geomspace(diameter * 2.0**-16, diameter, points)
+    point stands in for the t -> 0+ limit. Built once per (diameter, points)
+    and read-only: a scan asks for the same grid for every pair."""
+    return _read_only(np.geomspace(diameter * 2.0**-16, diameter, points))
 
 
 @dataclass(frozen=True)
@@ -319,13 +327,13 @@ class PhiProfile:
         if np.any(lows > stars):
             raise ValidationError("Phi must not exceed Phi* anywhere")
 
-    @property
+    @cached_property
     def phi_star(self) -> np.ndarray:
-        return np.array([e.upper_float for e in self.estimates])
+        return _read_only([e.upper_float for e in self.estimates])
 
-    @property
+    @cached_property
     def phi_lower(self) -> np.ndarray:
-        return np.array([e.lower_float for e in self.estimates])
+        return _read_only([e.lower_float for e in self.estimates])
 
     @property
     def counts_at_horizon(self) -> np.ndarray:

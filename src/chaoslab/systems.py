@@ -11,7 +11,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
 from .density import DistanceSeries
 from .errors import (
     InsufficientHorizon,
@@ -151,11 +150,20 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _interval_tracks(spec: IntervalMap, horizon: int, x0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The real orbit over the horizon plus its coding track, which reads
+    coding_depth - 1 steps past the horizon. Each map has its own loop, as
+    a call per step would slow the iteration down."""
     n_iter = horizon + spec.coding_depth - 1
+    xs = np.empty(n_iter, dtype=np.float64)
+    x, a = float(x0), spec.parameter
     if spec.kind == "tent":
-        xs = _kernels.tent_orbit(float(x0), spec.parameter, n_iter)
+        for i in range(n_iter):
+            xs[i] = x
+            x = a * (x if x < 1.0 - x else 1.0 - x)
     else:
-        xs = _kernels.logistic_orbit(float(x0), spec.parameter, n_iter)
+        for i in range(n_iter):
+            xs[i] = x
+            x = a * x * (1.0 - x)
     return xs[:horizon], coding_symbols(spec, xs)
 
 

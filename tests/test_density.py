@@ -110,6 +110,28 @@ class TestPhiProfile:
         prof = c.phi_profile(d, grid=np.array([0.5]), policy=full_policy())
         assert prof.phi_star[0] == 0.0 and prof.phi_lower[0] == 0.0
 
+    def test_phi_floats_computed_once_and_read_only(self):
+        d = c.DistanceSeries(np.random.default_rng(3).random(2000), 1.0)
+        prof = c.phi_profile(d, policy=full_policy())
+        for name, want in (
+            ("phi_star", [float(e.upper) for e in prof.estimates]),
+            ("phi_lower", [float(e.lower) for e in prof.estimates]),
+        ):
+            first = getattr(prof, name)
+            assert getattr(prof, name) is first
+            assert not first.flags.writeable
+            assert first.dtype == np.float64 and first.tolist() == want
+
+    @pytest.mark.parametrize("diameter", [1.0, 2.5, 1e-3])
+    def test_default_grid_cached_read_only(self, diameter):
+        grid = c.default_threshold_grid(diameter)
+        assert c.default_threshold_grid(diameter) is grid
+        assert not grid.flags.writeable
+        want = np.geomspace(diameter * 2**-16, diameter, 16)
+        assert grid.tobytes() == want.tobytes()
+        prof = c.phi_profile(c.DistanceSeries(np.zeros(200), diameter), policy=full_policy())
+        assert prof.thresholds is grid
+
     def test_nonpositive_grid_rejected(self):
         d = c.DistanceSeries(np.zeros(10), 1.0)
         with pytest.raises(PolicyError):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaoslab as c
-from chaoslab import _kernels
 from chaoslab.entropy import UndersampledWarning
 from chaoslab.errors import ValidationError
 from oracles import (
@@ -271,41 +271,25 @@ class TestKernelBackends:
                     expected = int(np.count_nonzero(counts < k))
                     assert c.count_eta_ball("0" * n, m, Fraction(k, nwin)) == expected
 
+    # sha256 of sample_orbit(IntervalMap(kind, parameter), 10**5, seed).reals
+    # .tobytes(): pins the orbit loops bit for bit, so any change to their
+    # float expressions, even a reassociation, fails here
+    ORBIT_SHA256 = {
+        ("tent", 1.97, 1): "2f61833dc405723fe93239e892566c968626355d43235254c4c11dfad0446e50",
+        ("tent", 1.97, 7): "468c092b262e41c64f2235a1b7b42aedea60abd28cc987efa640161e0ed47561",
+        ("tent", 1.99, 1): "1afff86edfc8cfdae1674647f17b29330266c8860b3373ade9c14a507ab53bae",
+        ("tent", 1.99, 7): "c01e04b0b188e6a3aa36cd666c52c28e67ee14d685e14b678e9400494766236e",
+        ("logistic", 3.91, 1): "1667d2381d39dc39d5380bdfd40294c131009461224da90ff8df2a2e6ee96788",
+        ("logistic", 3.91, 7): "705cb8d19f9c5fb7067d6d46f5c5ca18de9d2af987f12290f5d6c531089c9702",
+        ("logistic", 4.0, 1): "3a5703bedd41a8857ea78b100888504ef1ded3d25479e3da83cf0d76de27b4fa",
+        ("logistic", 4.0, 7): "ac6328f72c47480523b22f2f641b230dcfbb42b95a7ddb3fbaa20f4433c05dcf",
+    }
+
     def test_orbit_parity(self):
-        xs = _kernels.tent_orbit_numpy(0.2345, 1.97, 500)
-        ys = _kernels.logistic_orbit_numpy(0.2345, 3.91, 500)
-        if _kernels.tent_orbit_numba is not None:
-            assert np.array_equal(xs, _kernels.tent_orbit_numba(0.2345, 1.97, 500))
-            assert np.array_equal(ys, _kernels.logistic_orbit_numba(0.2345, 3.91, 500))
-
-    def test_numpy_backend_env_flag(self):
-        import os
-        import subprocess
-        import sys
-
-        # The child imports the same package as this process, whether it
-        # came from a checkout (PYTHONPATH=src) or an installed copy; the
-        # rest of the environment stays minimal so that CHAOSLAB_BACKEND
-        # alone picks the backend.
-        package_root = os.path.dirname(os.path.dirname(c.__file__))
-        code = (
-            "import chaoslab as c\n"
-            "from chaoslab import _kernels\n"
-            "print(_kernels._MODE)\n"
-            "print(c.USING_NUMBA)\n"
-            "print(c.count_eta_ball('0'*8, 2, 0.5))\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={
-                "PATH": "/usr/bin:/bin",
-                "PYTHONPATH": package_root,
-                "CHAOSLAB_BACKEND": "numpy",
-            },
-        )
-        assert out.returncode == 0, out.stderr
-        # without numba, USING_NUMBA is False under any flag; the resolved
-        # mode shows that the flag itself reached the child
-        assert out.stdout.split() == ["numpy", "False", "31"]
+        got = {
+            (kind, parameter, seed): hashlib.sha256(
+                c.sample_orbit(c.IntervalMap(kind, parameter), 10**5, seed).reals.tobytes()
+            ).hexdigest()
+            for kind, parameter, seed in self.ORBIT_SHA256
+        }
+        assert got == self.ORBIT_SHA256
