@@ -45,7 +45,7 @@ def main():
     print("\ndistance_series + phi_profile per pair (full 2-shift, default grid)")
     spec = FullShift(2, (0.5, 0.5))
     for horizon in (100_000, 1_000_000):
-        pair = make_pair(spec, horizon, "independent", (1, 2))
+        pair = make_pair(spec, horizon, (1, 2))
         for metric in ("hamming-indicator", "cantor"):
             t_d, series = timeit(distance_series, pair, metric)
             t_p, _ = timeit(phi_profile, series)

@@ -390,12 +390,21 @@ def fiber_pair(
         offset = int(offset_rng.integers(0, schedule.n(schedule.depth)))
     wa = sample_point(schedule, sa, blocks=blocks, offset=offset)
     wb = sample_point(schedule, sb, blocks=blocks, offset=offset)
-    return OrbitPair(
-        trajectory_from_word(wa, horizon), trajectory_from_word(wb, horizon), "same-fiber"
-    )
+    return OrbitPair(trajectory_from_word(wa, horizon), trajectory_from_word(wb, horizon))
 
 
 # --- percentages -------------------------------------------------------------
+
+
+def differing_components(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
+    """Per row of two equal-shape stacks, the number of aligned length-`length`
+    components (along the last axis) where the rows differ."""
+    if a.shape != b.shape:
+        raise ValidationError("stacks must have equal shape")
+    if a.shape[-1] % length != 0:
+        raise ValidationError(f"row length must be a multiple of {length}")
+    parts = a.shape[:-1] + (-1, length)
+    return np.count_nonzero(np.any(a.reshape(parts) != b.reshape(parts), axis=-1), axis=-1)
 
 
 def entry_disagreement(block_a: Sequence[int], block_b: Sequence[int]) -> Fraction:
@@ -404,7 +413,7 @@ def entry_disagreement(block_a: Sequence[int], block_b: Sequence[int]) -> Fracti
     b = _bits(block_b)
     if a.size != b.size:
         raise ValidationError("blocks must have equal length")
-    return Fraction(int(np.count_nonzero(a != b)), int(a.size))
+    return Fraction(int(differing_components(a.ravel(), b.ravel(), 1)), int(a.size))
 
 
 def disagreement_fraction(
@@ -423,10 +432,7 @@ def disagreement_fraction(
     if not 1 <= component_level < outer:
         raise ValidationError("component level must satisfy k < k'")
     nk = schedule.n(component_level)
-    comps_a = a.reshape(-1, nk)
-    comps_b = b.reshape(-1, nk)
-    differ = int(np.count_nonzero(np.any(comps_a != comps_b, axis=1)))
-    return Fraction(differ, comps_a.shape[0])
+    return Fraction(int(differing_components(a, b, nk)), a.size // nk)
 
 
 def image_component_disagreement(
@@ -444,10 +450,7 @@ def image_component_disagreement(
     pk = schedule.p(component_level)
     if a.size % pk != 0:
         raise ValidationError("word length must be a multiple of p_k")
-    ga = a.reshape(-1, pk)
-    gb = b.reshape(-1, pk)
-    differ = int(np.count_nonzero(np.any(ga != gb, axis=1)))
-    return Fraction(differ, ga.shape[0])
+    return Fraction(int(differing_components(a, b, pk)), a.size // pk)
 
 
 def _infer_level(schedule: QSchedule, length: int) -> int:

@@ -22,7 +22,7 @@ from .density import (
     PhiProfile,
     nested_density_estimates,
 )
-from .errors import ConsistencyError, SchemeError, ValidationError
+from .errors import SchemeError, ValidationError
 from .systems import OrbitPair, Trajectory
 
 
@@ -62,7 +62,6 @@ class PairVerdict:
     agreement_upper: float
     separation_upper: float
     eta_to_s: dict[float, float | None]
-    profile: PhiProfile | None = None
 
     def __post_init__(self):
         if self.dc1 and not self.dc1half:
@@ -101,25 +100,14 @@ def _largest_threshold_reaching(
     return None
 
 
-def classify_metric_pair(
-    profile: PhiProfile,
-    averages: tuple | None,
-    th: Thresholds = Thresholds(),
-) -> PairVerdict:
+def classify_metric_pair(profile: PhiProfile, th: Thresholds = Thresholds()) -> PairVerdict:
     """Read the DC flags off the Phi profile at the grid.
 
     Phi*(t_min) >= 1 - tau_one stands for Phi*(0) = 1; Phi(t_min) <= tau_zero
     for Phi(0) = 0; Phi(t) <= 1 - eta_min for the positive-upper-density
     separation of DC2; a gap >= `gap` at two consecutive grid points for DC3.
-    Li-Yorke reads unbounded agreement and separation counts. `averages`
-    (besicovitch bounds) must come from the same checkpoint policy.
+    Li-Yorke reads unbounded agreement and separation counts.
     """
-    if averages is not None:
-        desc = getattr(averages, "policy_descriptor", None)
-        if desc is not None and tuple(desc) != tuple(profile.policy_descriptor):
-            raise ConsistencyError(
-                "profile and averages were computed under different checkpoint policies"
-            )
     star = profile.phi_star
     low = profile.phi_lower
     counts = profile.counts_at_horizon
@@ -166,7 +154,6 @@ def classify_metric_pair(
         agreement_upper=float(star0),
         separation_upper=float(sep_upper[0]),
         eta_to_s=eta_to_s,
-        profile=profile,
     )
 
 
@@ -342,10 +329,10 @@ def scan_scrambled_set(
     return sorted(clique)
 
 
-def all_pairs(trajectories: Sequence[Trajectory], coupling: str = "explicit-witness"):
+def all_pairs(trajectories: Sequence[Trajectory]):
     """Dictionary of all unordered index pairs, for scan_scrambled_set."""
     out: dict[tuple[int, int], OrbitPair] = {}
     for i in range(len(trajectories)):
         for j in range(i + 1, len(trajectories)):
-            out[(i, j)] = OrbitPair(trajectories[i], trajectories[j], coupling)
+            out[(i, j)] = OrbitPair(trajectories[i], trajectories[j])
     return out

@@ -16,6 +16,7 @@ import itertools
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -347,13 +348,13 @@ def _system_spec(args) -> sy.SystemSpec:
 
 
 def _build_pair(args) -> sy.OrbitPair:
-    horizon = args.horizon or 10000
+    horizon = args.horizon if args.horizon is not None else 10000
     if args.witness:
         return sy.construct_witness_pair(args.witness, horizon)
     spec = _system_spec(args)
     seed = args.seed if args.seed is not None else 1
     seed2 = args.seed2 if args.seed2 is not None else seed + 1
-    return sy.make_pair(spec, horizon, "independent", (seed, seed2))
+    return sy.make_pair(spec, horizon, (seed, seed2))
 
 
 def _config_from_args(args, keys: Sequence[str]) -> RunConfig:
@@ -406,11 +407,9 @@ def _cmd_phi(args) -> int:
 def _cmd_classify(args) -> int:
     pair = _build_pair(args)
     metric = args.metric or "hamming-indicator"
-    series = sy.distance_series(pair, metric)
     th = _thresholds(args)
-    policy = th.policy()
-    profile = de.phi_profile(series, policy=policy)
-    verdict = cl.classify_metric_pair(profile, de.besicovitch_bounds(series, policy), th)
+    profile = de.phi_profile(sy.distance_series(pair, metric), policy=th.policy())
+    verdict = cl.classify_metric_pair(profile, th)
     flags = verdict.flags
     eta = repr(verdict.separation_upper)
     k0 = ""
@@ -443,7 +442,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_scan(args) -> int:
     spec = _system_spec(args)
-    horizon = args.horizon or 10000
+    horizon = args.horizon if args.horizon is not None else 10000
     seed = args.seed if args.seed is not None else 1
     trajectories = [sy.sample_orbit(spec, horizon, seed + i) for i in range(args.count)]
     common = min(t.horizon for t in trajectories)
@@ -454,7 +453,7 @@ def _cmd_scan(args) -> int:
 
     def scrambled(pair: sy.OrbitPair) -> bool:
         profile = de.phi_profile(sy.distance_series(pair, metric), policy=policy)
-        return cl.classify_metric_pair(profile, None, th).flags[args.target]
+        return cl.classify_metric_pair(profile, th).flags[args.target]
 
     clique = cl.scan_scrambled_set(
         cl.all_pairs(trajectories), scrambled, singleton_if_empty=not args.allow_empty
@@ -478,7 +477,7 @@ def _cmd_forge(args) -> int:
         write_csv(out, config, ["k", "q_k", "p_k", "N_k", "lenB", "count"], rows)
         return 0
     if args.dump == "blocks":
-        level = args.level or schedule.depth
+        level = args.level if args.level is not None else schedule.depth
         digits = np.asarray(bl.enumerate_family(schedule, level), np.uint8) + ord("0")
         suffix = ""
         if args.markers:
@@ -515,7 +514,9 @@ def _cmd_entropy(args) -> int:
         ]
         write_csv(out, config, ["k", "count", "length", "bits_per_symbol"], rows)
         return 0
-    horizon = args.horizon or 100000
+    horizon = args.horizon if args.horizon is not None else 100000
+    if horizon < 1:
+        raise UsageError("horizon must be >= 1")
     seed = args.seed if args.seed is not None else 1
     word = bl.sample_point(schedule, seed, offset=0)
     if word.available_horizon < horizon:
@@ -630,16 +631,19 @@ def _cmd_verify(args) -> int:
         words = bl.pi(schedule, k, family)
         rng = np.random.default_rng(args.seed)
         count = min(len(family) ** 2, 400)
-        for i, j in rng.integers(0, len(family), (count, 2)):
-            if bl.entry_disagreement(family[i], family[j]) != bl.entry_disagreement(
-                words[i], words[j]
-            ):
-                raise InvariantViolation("entry-level percentage not preserved")
-            for level in range(1, k):
-                lhs = bl.disagreement_fraction(schedule, family[i], family[j], level)
-                rhs = bl.image_component_disagreement(schedule, words[i], words[j], level)
-                if lhs != rhs:
-                    raise InvariantViolation("component percentage not preserved")
+        i, j = rng.integers(0, len(family), (count, 2)).T
+        n_k, p_k = schedule.n(k), schedule.p(k)
+        # the entries, then the level-l components: N_l-blocks against
+        # p_l-bit groups; the fractions agree when the counts cross-multiply
+        levels = [(1, 1, "entry-level percentage not preserved")] + [
+            (schedule.n(l), schedule.p(l), "component percentage not preserved")
+            for l in range(1, k)
+        ]
+        for n_l, p_l, message in levels:
+            lhs = bl.differing_components(family[i], family[j], n_l) * (p_k // p_l)
+            rhs = bl.differing_components(words[i], words[j], p_l) * (n_k // n_l)
+            if not np.array_equal(lhs, rhs):
+                raise InvariantViolation(message)
         print("percentage OK")
         return 0
     if suite == "entropy-zero":
@@ -689,23 +693,31 @@ HANDLERS = {
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code. Every warning the run raises
+    is printed to stderr as `warning: Category: message`, on every run and
+    without a source location, so the same command gives the same stderr."""
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        args = _merge_config(args)
-        return HANDLERS[args.command](args)
-    except (UsageError, ValidationError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except GuardExceeded as exc:
-        print(f"guard exceeded: {exc}", file=sys.stderr)
-        return 3
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 2
-    except ChaoslabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            args = parser.parse_args(argv)
+            args = _merge_config(args)
+            return HANDLERS[args.command](args)
+        except (UsageError, ValidationError) as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except GuardExceeded as exc:
+            print(f"guard exceeded: {exc}", file=sys.stderr)
+            return 3
+        except InvariantViolation as exc:
+            print(f"invariant violation: {exc}", file=sys.stderr)
+            return 2
+        except ChaoslabError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            for w in caught:
+                print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
 
 
 def main() -> None:

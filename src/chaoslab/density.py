@@ -9,10 +9,10 @@ the only approximation in this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,10 +46,6 @@ class CheckpointPolicy:
 
     def checkpoints(self, horizon: int) -> tuple[int, ...]:
         return _checkpoints(self.resolve_burn_in(horizon), self.ratio, horizon)
-
-    def descriptor(self, horizon: int) -> tuple:
-        """Identity token used to detect mismatched-policy comparisons."""
-        return (self.resolve_burn_in(horizon), self.ratio, horizon)
 
 
 @lru_cache(maxsize=64)
@@ -309,7 +305,6 @@ class PhiProfile:
     thresholds: np.ndarray
     estimates: tuple[DensityEstimate, ...]
     horizon: int
-    policy_descriptor: tuple = field(default=())
 
     def __post_init__(self):
         t = np.asarray(self.thresholds, dtype=np.float64)
@@ -360,21 +355,14 @@ def phi_profile(
         thresholds=grid,
         estimates=nested_density_estimates(codes, grid.size, policy),
         horizon=d.horizon,
-        policy_descriptor=policy.descriptor(d.horizon),
     )
 
 
-@dataclass(frozen=True)
-class BesicovitchBounds:
-    """min/max of the running mean of the distance over the checkpoint grid;
-    unpacks as (low, high)."""
+class BesicovitchBounds(NamedTuple):
+    """min/max of the running mean of the distance over the checkpoint grid."""
 
     low: Fraction | float
     high: Fraction | float
-    policy_descriptor: tuple = ()
-
-    def __iter__(self):
-        return iter((self.low, self.high))
 
 
 def besicovitch_bounds(
@@ -393,4 +381,4 @@ def besicovitch_bounds(
     else:
         means = np.cumsum(d.values)[at] / np.asarray(cps, dtype=np.float64)
         low, high = float(means.min()), float(means.max())
-    return BesicovitchBounds(low, high, policy.descriptor(d.horizon))
+    return BesicovitchBounds(low, high)

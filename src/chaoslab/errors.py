@@ -29,10 +29,6 @@ class MembershipError(ChaoslabError, ValueError):
     """Operand is not a member of the expected block family."""
 
 
-class ConsistencyError(ChaoslabError, ValueError):
-    """Inputs were computed under mismatched checkpoint policies."""
-
-
 class InsufficientHorizon(ChaoslabError, ValueError):
     """Horizon too short for the requested construction."""
 

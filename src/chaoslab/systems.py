@@ -130,15 +130,12 @@ class Trajectory:
 class OrbitPair:
     a: Trajectory
     b: Trajectory
-    coupling: str
 
     def __post_init__(self):
         if self.a.horizon != self.b.horizon:
             raise ValidationError("paired trajectories must share the horizon")
         if self.a.spec != self.b.spec:
             raise ValidationError("paired trajectories must share the system spec")
-        if self.coupling not in ("independent", "same-fiber", "explicit-witness"):
-            raise ValidationError(f"unknown coupling {self.coupling!r}")
 
     @property
     def horizon(self) -> int:
@@ -233,33 +230,16 @@ def truncate_trajectory(traj: Trajectory, horizon: int) -> Trajectory:
     )
 
 
-def make_pair(
-    spec: SystemSpec,
-    horizon: int,
-    coupling: str,
-    seeds: tuple[int, int] = (0, 1),
-    witness: OrbitPair | None = None,
-) -> OrbitPair:
-    if coupling == "same-fiber":
-        raise UsageError(
-            "same-fiber coupling is built by chaoslab.blocks.fiber_pair"
-        )
-    if coupling == "explicit-witness":
-        if witness is None:
-            raise UsageError("explicit-witness coupling needs a prebuilt pair")
-        return witness  # identity wrap
-    if coupling != "independent":
-        raise UsageError(f"unsupported coupling {coupling!r} for make_pair")
+def make_pair(spec: SystemSpec, horizon: int, seeds: tuple[int, int]) -> OrbitPair:
+    """Two orbits of `spec` sampled independently from distinct seeds."""
     sa, sb = seeds
     if sa == sb:
-        raise UsageError("independent coupling requires distinct seeds")
+        raise UsageError("an independent pair requires distinct seeds")
     a = sample_orbit(spec, horizon, sa)
     b = sample_orbit(spec, horizon, sb)
     # window-capped systems may cap the two horizons differently
     common = min(a.horizon, b.horizon)
-    return OrbitPair(
-        truncate_trajectory(a, common), truncate_trajectory(b, common), coupling
-    )
+    return OrbitPair(truncate_trajectory(a, common), truncate_trajectory(b, common))
 
 
 # --- witness pairs -----------------------------------------------------------
@@ -332,7 +312,7 @@ def construct_witness_pair(target: str, horizon: int) -> OrbitPair:
     spec = FullShift(2, (0.5, 0.5))
     x = Trajectory(spec, horizon, None, symbols=np.zeros(horizon, dtype=np.int64))
     y = Trajectory(spec, horizon, None, symbols=(~agree).astype(np.int64))
-    return OrbitPair(x, y, "explicit-witness")
+    return OrbitPair(x, y)
 
 
 # --- metrics -----------------------------------------------------------------

@@ -193,7 +193,6 @@ def phi_profile_float_path(pair, metric, policy):
         thresholds=grid,
         estimates=per_threshold_phi(values, grid, policy),
         horizon=values.size,
-        policy_descriptor=policy.descriptor(values.size),
     )
 
 
@@ -204,7 +203,7 @@ def scan_clique_float_path(trajectories, metric, th, target):
 
     def scrambled(pair):
         profile = phi_profile_float_path(pair, metric, policy)
-        return classify_metric_pair(profile, None, th).flags[target]
+        return classify_metric_pair(profile, th).flags[target]
 
     return scan_scrambled_set(all_pairs(trajectories), scrambled)
 

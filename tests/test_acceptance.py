@@ -150,7 +150,7 @@ def test_criterion_05_phi_calibration():
     with criterion(5, 5.0) as crit:
         # exact agreement probability 1/2; seeds fixed; burn-in 10^4 so the
         # checkpoint grid averages past early fluctuation
-        pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 100000, "independent", (1, 2))
+        pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 100000, (1, 2))
         d = c.distance_series(pair, "hamming-indicator")
         prof = c.phi_profile(d, policy=c.CheckpointPolicy(burn_in=10000))
         star_dev = float(np.abs(prof.phi_star - 0.5).max())
@@ -181,8 +181,7 @@ def test_criterion_06_oscillating_density():
 def _classify(values, th, burn_in=None):
     d = c.DistanceSeries(np.asarray(values, dtype=float), 1.0)
     policy = c.CheckpointPolicy(burn_in=burn_in)
-    prof = c.phi_profile(d, policy=policy)
-    return c.classify_metric_pair(prof, c.besicovitch_bounds(d, policy), th)
+    return c.classify_metric_pair(c.phi_profile(d, policy=policy), th)
 
 
 def _chain_ok(v):
@@ -335,7 +334,7 @@ def test_criterion_10_scrambling_transfer():
         word_x = bl.word_from_free_words(q, free_x)
         word_y = bl.word_from_free_words(q, free_y)
         pair = c.OrbitPair(
-            bl.trajectory_from_word(word_x), bl.trajectory_from_word(word_y), "same-fiber"
+            bl.trajectory_from_word(word_x), bl.trajectory_from_word(word_y)
         )
         th = c.Thresholds()
         scheme = c.central_block_scheme(q)
@@ -346,7 +345,7 @@ def test_criterion_10_scrambling_transfer():
         spec = c.FullShift(2, (0.5, 0.5))
         img_x = c.Trajectory(spec, blocks_count * pk3, None, symbols=free_x.reshape(-1).astype(np.int64))
         img_y = c.Trajectory(spec, blocks_count * pk3, None, symbols=free_y.reshape(-1).astype(np.int64))
-        img_pair = c.OrbitPair(img_x, img_y, "same-fiber")
+        img_pair = c.OrbitPair(img_x, img_y)
         img_scheme = bl.aligned_window_scheme([q.p(k) for k in (1, 2, 3)])
         # oracle: the product-side pair classifies the same way directly
         img_verdict = c.classify_partition_pair(img_pair, img_scheme, th)
@@ -385,7 +384,6 @@ def test_criterion_10_scrambling_transfer():
             dpair = c.OrbitPair(
                 bl.trajectory_from_word(wa, horizon),
                 bl.trajectory_from_word(wb, horizon),
-                "independent",
             )
             dverdict = c.classify_partition_pair(dpair, scheme, c.Thresholds(burn_in=50))
             assert not dverdict.pk_scrambled

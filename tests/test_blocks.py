@@ -558,6 +558,25 @@ class TestPercentages:
                     q, family[i], family[j], 1
                 ) == c.blocks.image_component_disagreement(q, words[i], words[j], 1)
 
+    @pytest.mark.parametrize("length", [1, 2, 3, 6])
+    def test_differing_components_per_row(self, length):
+        rng = np.random.default_rng(length)
+        a = rng.integers(0, 2, (4, 5, 12)).astype(np.int8)
+        b = a.copy()
+        b[rng.random(b.shape) < 0.1] ^= 1
+        counts = bl.differing_components(a, b, length)
+        assert counts.shape == (4, 5)
+        for idx in np.ndindex(4, 5):
+            parts = zip(a[idx].reshape(-1, length), b[idx].reshape(-1, length))
+            assert counts[idx] == sum(not np.array_equal(x, y) for x, y in parts)
+        assert bl.differing_components(a[0, 0], b[0, 0], length) == counts[0, 0]
+
+    def test_differing_components_checks_shapes(self):
+        with pytest.raises(ValidationError, match="equal shape"):
+            bl.differing_components(np.zeros((2, 4)), np.zeros((1, 4)), 2)
+        with pytest.raises(ValidationError, match="multiple of 3"):
+            bl.differing_components(np.zeros(4), np.zeros(4), 3)
+
 
 class TestEntropySignature:
     def test_exact_powers(self):
@@ -575,7 +594,7 @@ class TestCentralScheme:
         w1 = bl.word_from_free_words(q, bits.reshape(1, 8), offset=3)
         w2 = bl.word_from_free_words(q, bits.reshape(1, 8), offset=3)
         pair = c.OrbitPair(
-            bl.trajectory_from_word(w1), bl.trajectory_from_word(w2), "same-fiber"
+            bl.trajectory_from_word(w1), bl.trajectory_from_word(w2)
         )
         scheme = c.central_block_scheme(q)
         for k in (1, 2, 3):
@@ -590,7 +609,6 @@ class TestCentralScheme:
         pair = c.OrbitPair(
             bl.trajectory_from_word(w1, horizon),
             bl.trajectory_from_word(w2, horizon),
-            "independent",
         )
         scheme = c.central_block_scheme(q)
         assert len(c.same_atom_series(pair, scheme, 1)) == 0
@@ -627,7 +645,6 @@ class TestCentralScheme:
         pair = c.OrbitPair(
             bl.trajectory_from_word(wa, horizon),
             bl.trajectory_from_word(wb, horizon),
-            "independent",
         )
         scheme = c.central_block_scheme(q)
         for k in (1, 2, 3):
@@ -655,7 +672,6 @@ class TestCentralScheme:
                 pair = c.OrbitPair(
                     bl.trajectory_from_word(wa, horizon),
                     bl.trajectory_from_word(wb, horizon),
-                    "independent",
                 )
                 for k in range(1, q.depth + 1):
                     fast = scheme.same_atom_mask(pair, k)
@@ -669,12 +685,12 @@ class TestCentralScheme:
         plain = c.Trajectory(c.ZeroEntropy(q), 4, None, symbols=np.zeros(4, dtype=np.int64))
         traj = bl.trajectory_from_word(word)
         with pytest.raises(SchemeError, match="TwoRowWord"):
-            scheme.same_atom_mask(c.OrbitPair(traj, plain, "explicit-witness"), 1)
+            scheme.same_atom_mask(c.OrbitPair(traj, plain), 1)
         # the word holds times 0..3; a longer trajectory runs past its window
         long = c.Trajectory(c.ZeroEntropy(q), 5, None, symbols=np.zeros(5, dtype=np.int64),
                             source=word)
         with pytest.raises(SchemeError, match="time 4 outside the word's window"):
-            scheme.same_atom_mask(c.OrbitPair(long, long, "explicit-witness"), 1)
+            scheme.same_atom_mask(c.OrbitPair(long, long), 1)
 
     def test_refinement_and_shift_window(self):
         q = c.QSchedule((2, 2, 2))

@@ -8,7 +8,7 @@ import chaoslab as c
 from chaoslab import blocks as bl
 from chaoslab import classify as cl
 from chaoslab.cli import _system_spec, build_parser, run
-from chaoslab.errors import ConsistencyError, SchemeError, ValidationError
+from chaoslab.errors import SchemeError, ValidationError
 from oracles import (
     aligned_window_label,
     cylinder_label,
@@ -24,9 +24,7 @@ WITNESS_THRESHOLDS = c.Thresholds(tau_one=0.25, tau_zero=0.25)
 def classify_series(values, th=WITNESS_THRESHOLDS, burn_in=None):
     d = c.DistanceSeries(np.asarray(values, dtype=float), 1.0)
     policy = c.CheckpointPolicy(burn_in=burn_in)
-    prof = c.phi_profile(d, policy=policy)
-    avg = c.besicovitch_bounds(d, policy)
-    return c.classify_metric_pair(prof, avg, th)
+    return c.classify_metric_pair(c.phi_profile(d, policy=policy), th)
 
 
 class TestMetricClassification:
@@ -35,7 +33,7 @@ class TestMetricClassification:
         assert not any(v.flags.values())
 
     def test_identical_trajectories_no_flags(self):
-        pair = c.make_pair(c.FullShift(2, (1.0, 0.0)), 2000, "independent", (1, 2))
+        pair = c.make_pair(c.FullShift(2, (1.0, 0.0)), 2000, (1, 2))
         v = classify_series(c.distance_series(pair).values)
         assert not any(v.flags.values())
 
@@ -73,21 +71,14 @@ class TestMetricClassification:
         assert not v.li_yorke and not any(v.flags.values())
 
     def test_independent_bernoulli_no_dc_flags(self):
-        pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 100000, "independent", (1, 2))
+        pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 100000, (1, 2))
         v = classify_series(c.distance_series(pair).values, burn_in=10000)
         assert not (v.dc1 or v.dc1half or v.dc2 or v.dc3)
         assert v.li_yorke  # infinitely many agreements and separations
 
-    def test_policy_mismatch_rejected(self):
-        d = c.DistanceSeries(np.zeros(1000), 1.0)
-        prof = c.phi_profile(d, policy=c.CheckpointPolicy(burn_in=100))
-        avg = c.besicovitch_bounds(d, c.CheckpointPolicy(burn_in=50))
-        with pytest.raises(ConsistencyError):
-            c.classify_metric_pair(prof, avg)
-
     def test_symmetry_under_swap(self):
-        pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 3000, "independent", (5, 6))
-        swapped = c.OrbitPair(pair.b, pair.a, pair.coupling)
+        pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 3000, (5, 6))
+        swapped = c.OrbitPair(pair.b, pair.a)
         v1 = classify_series(c.distance_series(pair).values)
         v2 = classify_series(c.distance_series(swapped).values)
         assert v1.flags == v2.flags
@@ -177,7 +168,7 @@ def shift_pair(xs, ys):
     spec = c.FullShift(2, (0.5, 0.5))
     a = c.Trajectory(spec, len(xs), None, symbols=np.array(xs, dtype=np.int64))
     b = c.Trajectory(spec, len(ys), None, symbols=np.array(ys, dtype=np.int64))
-    return c.OrbitPair(a, b, "explicit-witness")
+    return c.OrbitPair(a, b)
 
 
 class TestSameAtomSeries:
@@ -224,7 +215,7 @@ class TestSameAtomSeries:
         a = c.Trajectory(spec, 3, None, reals=np.full(3, 0.25))
         b = c.Trajectory(spec, 3, None, reals=np.full(3, 0.75))
         with pytest.raises(SchemeError, match="symbol track"):
-            c.same_atom_series(c.OrbitPair(a, b, "explicit-witness"), c.cylinder_scheme(2), 1)
+            c.same_atom_series(c.OrbitPair(a, b), c.cylinder_scheme(2), 1)
 
 
 def estimate_key(e):
@@ -289,7 +280,7 @@ class TestPartitionKernelDifferential:
 
     def test_pullback_family_central_block(self):
         q, trajectories = pulled_back_dc2_family(2)
-        pair = c.OrbitPair(trajectories[0], trajectories[1], "same-fiber")
+        pair = c.OrbitPair(trajectories[0], trajectories[1])
         assert_partition_estimates_match(pair, c.central_block_scheme(q), c.Thresholds())
 
     def test_non_nested_scheme_rejected(self):
@@ -329,7 +320,7 @@ class TestPartitionClassification:
         assert abs(v.gap_by_k[1] - 1 / 3) < 0.02
 
     def test_pk_minus_bernoulli_false(self):
-        pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 100000, "independent", (1, 2))
+        pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 100000, (1, 2))
         v = c.classify_pk_minus(pair, c.cylinder_scheme(2), c.Thresholds(burn_in=10000))
         assert not v.pk_minus
 
@@ -353,7 +344,6 @@ class TestPartitionClassification:
         pair = c.OrbitPair(
             c.Trajectory(spec, total, None, symbols=xs),
             c.Trajectory(spec, total, None, symbols=ys),
-            "explicit-witness",
         )
         v = c.classify_partition_pair(pair, c.cylinder_scheme(2), c.Thresholds())
         assert v.pk_scrambled and v.pk_plus
@@ -364,7 +354,7 @@ class TestPartitionClassification:
         # the pullback witness separates on only ~a fifth of the time, so
         # the 0.5+ grid etas are out of reach
         q, trajectories = pulled_back_dc2_family(2)
-        pair = c.OrbitPair(trajectories[0], trajectories[1], "same-fiber")
+        pair = c.OrbitPair(trajectories[0], trajectories[1])
         v = c.classify_partition_pair(pair, c.central_block_scheme(q), c.Thresholds())
         assert v.pk_scrambled and not v.pk_plus
 
@@ -410,7 +400,7 @@ class TestScan:
 
         def is_scrambled(pair):
             prof = c.phi_profile(c.distance_series(pair), policy=policy)
-            return c.classify_metric_pair(prof, None, th).flags[target]
+            return c.classify_metric_pair(prof, th).flags[target]
 
         return is_scrambled
 
@@ -496,7 +486,7 @@ class TestScanCodedAgainstFloatPath:
 
         def is_scrambled(pair):
             prof = c.phi_profile(c.distance_series(pair, metric), policy=policy)
-            return c.classify_metric_pair(prof, None, th).flags["dc2"]
+            return c.classify_metric_pair(prof, th).flags["dc2"]
 
         clique = c.scan_scrambled_set(c.all_pairs(vertices), is_scrambled)
         assert clique == scan_clique_float_path(vertices, metric, th, "dc2")

@@ -1,7 +1,6 @@
 import hashlib
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +108,51 @@ class TestConfig:
             ["pair", "--config", str(cfg), "--horizon", "300", "--out", str(out2)]
         ) == 0
         assert len(read(out1).splitlines()) > len(read(out2).splitlines())
+
+
+class TestZeroSizesRefused:
+    """An explicit 0 is a value, not a request for the default: each command
+    refuses it with exit code 1 and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pair", "--horizon", "0"],
+            ["pair", "--witness", "DC3", "--horizon", "0"],
+            ["phi", "--horizon", "0"],
+            ["classify", "--horizon", "0"],
+            ["scan", "--horizon", "0"],
+            ["forge", "--dump", "blocks", "--level", "0"],
+            ["entropy", "--empirical", "--horizon", "0"],
+            ["entropy", "--empirical", "--horizon", "-5"],
+        ],
+        ids="_".join,
+    )
+    def test_flag(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["pair"], ["scan"], ["entropy", "--empirical"]])
+    def test_config_file(self, argv, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("run.horizon = 0\n")
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+
+
+class TestWarnings:
+    def test_same_stderr_on_every_run_without_a_path(self, tmp_path, capsys):
+        argv = ["entropy", "--q", "2,2,2", "--empirical", "--horizon", "5000",
+                "--out", str(tmp_path / "e.csv")]
+        errs = []
+        for _ in range(2):
+            assert run(argv) == 0
+            errs.append(capsys.readouterr().err)
+        line = "warning: UndersampledWarning: horizon 5000 undersamples 2^8 words\n"
+        assert errs == [line * 2, line * 2]
 
 
 class TestArtifacts:
@@ -238,14 +282,27 @@ class TestVerifySuites:
         assert "not injective" in capsys.readouterr().err
 
     def test_percentage_catches_a_changed_fraction(self, monkeypatch, capsys):
-        image = c.blocks.image_component_disagreement
+        # interleaving the p_1 = 2 bit groups of each word keeps every entry
+        # count and breaks the component counts
+        decode = c.blocks.pi
+        perm = [0, 2, 4, 6, 1, 3, 5, 7]
         monkeypatch.setattr(
-            c.blocks,
-            "image_component_disagreement",
-            lambda *args: image(*args) + Fraction(1, 1000),
+            c.blocks, "pi", lambda schedule, k, blocks: decode(schedule, k, blocks)[..., perm]
         )
         assert run(["verify", "--suite", "percentage", "--q", "2,2,2"]) == 2
         assert "component percentage not preserved" in capsys.readouterr().err
+
+    def test_percentage_catches_a_changed_entry_count(self, monkeypatch, capsys):
+        decode = c.blocks.pi
+
+        def zero_first_bit(schedule, k, blocks):
+            words = decode(schedule, k, blocks)
+            words[..., 0] = 0
+            return words
+
+        monkeypatch.setattr(c.blocks, "pi", zero_first_bit)
+        assert run(["verify", "--suite", "percentage", "--q", "2,2,2"]) == 2
+        assert "entry-level percentage not preserved" in capsys.readouterr().err
 
     def test_scheme_catches_a_mask_changing_inside_a_window(self, monkeypatch, capsys):
         # the same mask at every depth nests, so only the window check can fail
@@ -412,7 +469,7 @@ class SignedSymbols:
 
 def hand_built_pair(spec, x, y, track="symbols"):
     a, b = (c.Trajectory(spec, len(t), None, **{track: np.asarray(t)}) for t in (x, y))
-    return c.OrbitPair(a, b, "explicit-witness")
+    return c.OrbitPair(a, b)
 
 
 class TestPairDump:
@@ -450,7 +507,7 @@ class TestPairDump:
         assert (tmp_path / "pair.csv").read_bytes() == expected.encode()
 
     def test_rows_are_sized_and_reiterable(self):
-        pair = c.make_pair(c.IntervalMap("tent", 1.99), 500, "independent", (1, 2))
+        pair = c.make_pair(c.IntervalMap("tent", 1.99), 500, (1, 2))
         rows = _PairRows(pair)
         assert len(rows) == pair.horizon
         first = list(rows)

@@ -436,7 +436,7 @@ def symbol_pair(a, b):
     spec = c.FullShift(3, (1 / 3, 1 / 3, 1 / 3))
     ta = c.Trajectory(spec, len(a), None, symbols=np.asarray(a, dtype=np.int64))
     tb = c.Trajectory(spec, len(b), None, symbols=np.asarray(b, dtype=np.int64))
-    return c.OrbitPair(ta, tb, "explicit-witness")
+    return c.OrbitPair(ta, tb)
 
 
 def cantor_coded(a, b):
@@ -460,7 +460,7 @@ class TestCantorValues:
 
     def test_sampled_tracks_match_oracle_bytes(self):
         for spec in (c.FullShift(2, (0.5, 0.5)), c.FullShift(3, (0.6, 0.3, 0.1))):
-            pair = c.make_pair(spec, 20000, "independent", (3, 4))
+            pair = c.make_pair(spec, 20000, (3, 4))
             a, b = pair.a.symbols, pair.b.symbols
             got = c.distance_series(pair, "cantor").values
             assert got.tobytes() == cantor_values_direct(a, b).tobytes()
@@ -519,7 +519,7 @@ class TestCodedPhi:
         ]
 
     def test_besicovitch_of_coded_series_matches_float_path(self):
-        pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 5000, "independent", (5, 6))
+        pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 5000, (5, 6))
         for metric in ("hamming-indicator", "cantor"):
             d = c.distance_series(pair, metric)
             plain = c.DistanceSeries(d.values, 1.0)

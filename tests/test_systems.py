@@ -95,28 +95,15 @@ class TestSampleOrbit:
 class TestMakePair:
     def test_independent_reproducible(self):
         spec = c.FullShift(2, (0.5, 0.5))
-        p1 = c.make_pair(spec, 4, "independent", (1, 2))
-        p2 = c.make_pair(spec, 4, "independent", (1, 2))
+        p1 = c.make_pair(spec, 4, (1, 2))
+        p2 = c.make_pair(spec, 4, (1, 2))
         assert np.array_equal(p1.a.symbols, p2.a.symbols)
         assert np.array_equal(p1.b.symbols, p2.b.symbols)
         assert p1.horizon == 4
 
     def test_seed_collision_refused(self):
-        with pytest.raises(UsageError):
-            c.make_pair(c.FullShift(2, (0.5, 0.5)), 4, "independent", (3, 3))
-
-    def test_same_fiber_unsupported_here(self):
-        with pytest.raises(UsageError):
-            c.make_pair(c.FullShift(2, (0.5, 0.5)), 4, "same-fiber", (1, 2))
-
-    def test_explicit_witness_identity_wrap(self):
-        witness = c.construct_witness_pair("DC3", 2000)
-        wrapped = c.make_pair(
-            witness.a.spec, 2000, "explicit-witness", witness=witness
-        )
-        assert wrapped is witness
-        with pytest.raises(UsageError):
-            c.make_pair(witness.a.spec, 2000, "explicit-witness")
+        with pytest.raises(UsageError, match="distinct seeds"):
+            c.make_pair(c.FullShift(2, (0.5, 0.5)), 4, (3, 3))
 
     def test_zero_entropy_orbit_caps_horizon(self):
         from chaoslab.blocks import QSchedule
@@ -181,7 +168,7 @@ class TestDistanceSeries:
         spec = c.FullShift(2, (0.5, 0.5))
         a = c.Trajectory(spec, len(xs), None, symbols=np.array(xs, dtype=np.int64))
         b = c.Trajectory(spec, len(ys), None, symbols=np.array(ys, dtype=np.int64))
-        return c.OrbitPair(a, b, "explicit-witness")
+        return c.OrbitPair(a, b)
 
     def test_hamming_identical(self):
         d = c.distance_series(self._pair([0, 1, 0, 1], [0, 1, 0, 1]), "hamming-indicator")
