@@ -43,7 +43,6 @@ from .density import (
     CheckpointPolicy,
     DensityEstimate,
     DistanceSeries,
-    IndexSet,
     PhiProfile,
     besicovitch_bounds,
     default_threshold_grid,

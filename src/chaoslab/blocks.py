@@ -307,13 +307,6 @@ class TwoRowWord:
             )
         return self.binary[self.offset : self.offset + horizon].astype(np.int64)
 
-    def marker_track(self, horizon: int | None = None) -> np.ndarray:
-        if horizon is None:
-            horizon = self.available_horizon
-        if horizon > self.available_horizon:
-            raise UsageError("horizon exceeds the available window")
-        return self.markers[self.offset : self.offset + horizon]
-
     def validate(self) -> None:
         """Check that every top-level window is a family member (membership
         at the top level forces it at every lower level); the error names

@@ -18,7 +18,6 @@ import numpy as np
 from .density import (
     CheckpointPolicy,
     DensityEstimate,
-    IndexSet,
     PhiProfile,
     nested_density_estimates,
 )
@@ -192,16 +191,12 @@ def cylinder_scheme(max_depth: int):
     return PartitionScheme(depth=max_depth, same_atom_mask=same_atom_mask, name="cylinder")
 
 
-def _same_atom_mask(pair: OrbitPair, scheme: PartitionScheme, k: int) -> np.ndarray:
+def same_atom_series(pair: OrbitPair, scheme: PartitionScheme, k: int) -> np.ndarray:
+    """Boolean mask over times 1..N: where both trajectories lie in the same
+    depth-k atom."""
     if not 1 <= k <= scheme.depth:
         raise SchemeError(f"depth {k} outside the scheme's range 1..{scheme.depth}")
     return np.asarray(scheme.same_atom_mask(pair, k), dtype=bool)
-
-
-def same_atom_series(pair: OrbitPair, scheme: PartitionScheme, k: int) -> IndexSet:
-    """Times n (1-based) where both trajectories lie in the same depth-k
-    atom."""
-    return IndexSet.from_mask(_same_atom_mask(pair, scheme, k))
 
 
 @dataclass(frozen=True)
@@ -232,7 +227,7 @@ def _same_atom_estimates(
     codes = np.full(pair.horizon, scheme.depth, dtype=np.intp)
     prev = None
     for k in range(1, scheme.depth + 1):
-        mask = _same_atom_mask(pair, scheme, k)
+        mask = same_atom_series(pair, scheme, k)
         if prev is not None and np.any(mask > prev):
             raise SchemeError(
                 f"scheme {scheme.name!r} does not refine: its same-atom set at "
@@ -240,7 +235,8 @@ def _same_atom_estimates(
             )
         codes -= mask
         prev = mask
-    return list(nested_density_estimates(codes, scheme.depth, th.policy())[::-1])
+    cps = th.policy().checkpoints(pair.horizon)
+    return list(nested_density_estimates(codes, scheme.depth, cps)[::-1])
 
 
 def _first_depth_reaching(values: Sequence[Fraction], level: float) -> int | None:

@@ -441,6 +441,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.count < 1:
+        raise UsageError("count must be >= 1")
     spec = _system_spec(args)
     horizon = args.horizon if args.horizon is not None else 10000
     seed = args.seed if args.seed is not None else 1
@@ -658,6 +660,8 @@ def _cmd_verify(args) -> int:
         print("entropy-zero OK")
         return 0
     # scheme: refinement + shift-window property on sampled fiber pairs
+    if args.pairs < 1:
+        raise UsageError("pairs must be >= 1")
     scheme = bl.central_block_scheme(schedule)
     rng = np.random.default_rng(args.seed)
     for trial in range(args.pairs):

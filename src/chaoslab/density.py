@@ -64,41 +64,6 @@ def _checkpoints(burn: int, ratio: float, horizon: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class IndexSet:
-    """Strictly increasing times in [1, horizon]."""
-
-    times: np.ndarray
-    horizon: int
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.int64)
-        object.__setattr__(self, "times", t)
-        if self.horizon < 1:
-            raise ValidationError("horizon must be >= 1")
-        if t.size:
-            if t[0] < 1 or t[-1] > self.horizon:
-                raise ValidationError("times must lie in [1, horizon]")
-            if np.any(np.diff(t) <= 0):
-                raise ValidationError("times must be strictly increasing")
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "IndexSet":
-        mask = np.asarray(mask, dtype=bool)
-        return cls(np.flatnonzero(mask) + 1, mask.size)
-
-    def count_upto(self, n: int) -> int:
-        return int(np.searchsorted(self.times, n, side="right"))
-
-    def complement(self) -> "IndexSet":
-        mask = np.zeros(self.horizon, dtype=bool)
-        mask[self.times - 1] = True
-        return IndexSet.from_mask(~mask)
-
-    def __len__(self) -> int:
-        return int(self.times.size)
-
-
-@dataclass(frozen=True)
 class DensityEstimate:
     upper: Fraction
     lower: Fraction
@@ -165,15 +130,18 @@ def _pick_extreme(counts, ns, ratios, rows, sign) -> list[Fraction]:
 
 
 def nested_density_estimates(
-    codes: np.ndarray, levels: int, policy: CheckpointPolicy = CheckpointPolicy()
+    codes: np.ndarray, levels: int, checkpoints: Sequence[int]
 ) -> tuple[DensityEstimate, ...]:
     """Densities of the nested time sets S_j = {n : codes[n-1] <= j} for
     j = 0..levels-1, in one pass over the codes.
 
     Codes are integers in [0, levels]; a time with code `levels` lies in no
-    set. The codes are histogrammed per checkpoint segment, two cumsums give
-    the (checkpoints x levels) matrix of count(S_j cap [1, n]), and each
-    column's extremes are picked exactly by `_exact_extremes`.
+    set. Checkpoints are strictly increasing times in [1, len(codes)], and
+    the first one is each estimate's burn-in. The codes are histogrammed per
+    checkpoint segment, two cumsums give the (checkpoints x levels) matrix
+    of count(S_j cap [1, n]), and each column's extremes are picked exactly
+    by `_exact_extremes`. A single time set, as a boolean mask, is the
+    one-level case with codes `~mask`.
     """
     codes = np.asarray(codes)
     if codes.ndim != 1 or codes.size == 0:
@@ -186,7 +154,11 @@ def nested_density_estimates(
     # need only the upper check below
     if codes.dtype.kind == "i" and int(codes.min()) < 0:
         raise ValidationError(f"codes must lie in [0, {levels}]")
-    cps = policy.checkpoints(codes.size)
+    cps = tuple(int(n) for n in checkpoints)
+    if not cps or cps[0] < 1 or cps[-1] > codes.size or any(
+        a >= b for a, b in zip(cps, cps[1:])
+    ):
+        raise PolicyError(f"checkpoints must be strictly increasing in [1, {codes.size}]")
     hist = np.empty((len(cps), levels + 1), dtype=np.int64)
     start = 0
     for i, n in enumerate(cps):
@@ -197,47 +169,41 @@ def nested_density_estimates(
         start = n
     counts = np.cumsum(np.cumsum(hist, axis=0), axis=1)[:, :levels]
     uppers, lowers = _exact_extremes(counts, cps)
-    burn_in = policy.resolve_burn_in(codes.size)
-    cps_t = tuple(cps)
     return tuple(
-        DensityEstimate(upper, lower, cps_t, burn_in, int(count))
+        DensityEstimate(upper, lower, cps, cps[0], int(count))
         for upper, lower, count in zip(uppers, lowers, counts[-1])
     )
 
 
-def _counts_at(s: IndexSet, cps: Sequence[int]) -> np.ndarray:
-    return np.searchsorted(s.times, np.asarray(cps, dtype=np.int64), side="right")
+def empirical_density(
+    mask: np.ndarray, policy: CheckpointPolicy = CheckpointPolicy()
+) -> DensityEstimate:
+    """max/min of count(S cap [1,n])/n over the policy's checkpoint grid, for
+    the time set S whose boolean mask over times 1..N is `mask`."""
+    codes = (~np.asarray(mask, dtype=bool)).view(np.uint8)
+    (est,) = nested_density_estimates(codes, 1, policy.checkpoints(codes.size))
+    return est
 
 
-def empirical_density(s: IndexSet, policy: CheckpointPolicy = CheckpointPolicy()) -> DensityEstimate:
-    """max/min of count(s cap [1,n])/n over the policy's checkpoint grid."""
-    cps = policy.checkpoints(s.horizon)
-    counts = _counts_at(s, cps)
-    (upper,), (lower,) = _exact_extremes(counts, cps)
-    return DensityEstimate(
-        upper=upper,
-        lower=lower,
-        checkpoints=tuple(cps),
-        burn_in=policy.resolve_burn_in(s.horizon),
-        count_at_horizon=int(counts[-1]),
-    )
-
-
-def density_along(s: IndexSet, checkpoints: Iterable[int], which: str = "lower") -> Fraction:
-    """Density achieved along an explicit checkpoint subsequence.
+def density_along(
+    mask: np.ndarray, checkpoints: Iterable[int], which: str = "lower"
+) -> Fraction:
+    """Density of the time set masked by `mask` along an explicit checkpoint
+    subsequence.
 
     which="lower" takes the min of count/n over the given checkpoints (the
     density achieved as a liminf along the subsequence), "upper" the max.
     """
+    codes = (~np.asarray(mask, dtype=bool)).view(np.uint8)
     cps = sorted(set(int(n) for n in checkpoints))
     if not cps:
         raise PolicyError("empty checkpoint subsequence")
-    if cps[0] < 1 or cps[-1] > s.horizon:
+    if cps[0] < 1 or cps[-1] > codes.size:
         raise PolicyError("checkpoints must lie in [1, horizon]")
     if which not in ("lower", "upper"):
         raise ValidationError(f"which must be lower|upper, got {which!r}")
-    (upper,), (lower,) = _exact_extremes(_counts_at(s, cps), cps)
-    return lower if which == "lower" else upper
+    (est,) = nested_density_estimates(codes, 1, cps)
+    return est.lower if which == "lower" else est.upper
 
 
 @dataclass(frozen=True)
@@ -353,7 +319,7 @@ def phi_profile(
         codes = codes[d.index]
     return PhiProfile(
         thresholds=grid,
-        estimates=nested_density_estimates(codes, grid.size, policy),
+        estimates=nested_density_estimates(codes, grid.size, policy.checkpoints(d.horizon)),
         horizon=d.horizon,
     )
 

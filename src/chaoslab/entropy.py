@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .blocks import _bits
 from .errors import ValidationError
 
 DEFAULT_EPS_GRID = (0.005, 0.01, 0.02, 0.05)
@@ -178,8 +179,13 @@ def count_eta_ball(
     """
     if not isinstance(eta, (int, Fraction)) and not math.isfinite(eta):
         raise ValidationError(f"eta must be finite, got {eta!r}")
-    a0_arr = _as_bits(a0)
-    n = a0_arr.size
+    if isinstance(a0, str):
+        if not set(a0) <= {"0", "1"}:
+            raise ValidationError("block string must be over 0/1")
+        a0 = [int(c) for c in a0]
+    if np.ndim(a0) != 1 or len(a0) == 0:
+        raise ValidationError("block must be a nonempty 1-d bit sequence")
+    n = _bits(a0, message="block entries must be 0/1").size
     if not 1 <= m <= n:
         raise ValidationError("need 1 <= m <= n")
     nwin = n - m + 1
@@ -202,20 +208,6 @@ def count_eta_ball(
             rows[:m, 1:] = rows[:m, :-1]
             rows[:m, 0] = 0
     return int(rows.sum())
-
-
-def _as_bits(a0) -> np.ndarray:
-    if isinstance(a0, str):
-        if not set(a0) <= {"0", "1"}:
-            raise ValidationError("block string must be over 0/1")
-        arr = np.fromiter((int(c) for c in a0), dtype=np.int8, count=len(a0))
-    else:
-        arr = np.asarray(a0, dtype=np.int8)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("block must be a nonempty 1-d bit sequence")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValidationError("block entries must be 0/1")
-    return arr
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from chaoslab.classify import all_pairs, classify_metric_pair, scan_scrambled_set
-from chaoslab.density import DensityEstimate, IndexSet, PhiProfile, default_threshold_grid
+from chaoslab.density import DensityEstimate, PhiProfile, default_threshold_grid
 
 
 def boundary_ratios(runs, horizon, want_agree=True):
@@ -137,17 +137,19 @@ def plugin_entropy_direct(track, word_len, stride):
     return h / word_len
 
 
-def per_set_density(s, policy):
-    """DensityEstimate of one IndexSet: a Fraction at every checkpoint, then
-    max/min."""
-    cps = policy.checkpoints(s.horizon)
-    counts = np.searchsorted(s.times, np.asarray(cps, dtype=np.int64), side="right")
+def per_set_density(mask, policy):
+    """DensityEstimate of the time set masked by `mask`: its sorted times,
+    a count at every checkpoint by binary search, a Fraction per checkpoint,
+    then max/min."""
+    times = np.flatnonzero(mask) + 1
+    cps = policy.checkpoints(mask.size)
+    counts = np.searchsorted(times, np.asarray(cps, dtype=np.int64), side="right")
     ratios = [Fraction(int(c), int(n)) for c, n in zip(counts, cps)]
     return DensityEstimate(
         upper=max(ratios),
         lower=min(ratios),
         checkpoints=tuple(cps),
-        burn_in=policy.resolve_burn_in(s.horizon),
+        burn_in=policy.resolve_burn_in(mask.size),
         count_at_horizon=int(counts[-1]),
     )
 
@@ -156,7 +158,7 @@ def per_threshold_phi(values, grid, policy):
     """Phi profile estimates with one O(N) pass per threshold: the set
     {n : d_n < t} for each grid point t, through `per_set_density`."""
     values = np.asarray(values, dtype=np.float64)
-    return tuple(per_set_density(IndexSet.from_mask(values < t), policy) for t in grid)
+    return tuple(per_set_density(values < t, policy) for t in grid)
 
 
 def cantor_values_direct(a, b):

@@ -171,30 +171,36 @@ def shift_pair(xs, ys):
     return c.OrbitPair(a, b)
 
 
+def times(mask):
+    """The 1-based times a mask over times 1..N holds at."""
+    return (np.flatnonzero(mask) + 1).tolist()
+
+
 class TestSameAtomSeries:
     def test_identical_trajectories_full(self):
         pair = shift_pair([0, 1, 0, 1], [0, 1, 0, 1])
         scheme = c.cylinder_scheme(3)
         s = c.same_atom_series(pair, scheme, 1)
-        assert s.times.tolist() == [1, 2, 3, 4]
+        assert s.dtype == bool and s.shape == (pair.horizon,)
+        assert times(s) == [1, 2, 3, 4]
 
     def test_cylinder_positionwise_compare(self):
         # tracks 0101 vs 0001 agree at positions 1, 3, 4 (1-indexed)
         pair = shift_pair([0, 1, 0, 1], [0, 0, 0, 1])
         s = c.same_atom_series(pair, c.cylinder_scheme(2), 1)
-        assert s.times.tolist() == [1, 3, 4]
+        assert times(s) == [1, 3, 4]
 
     def test_cylinder_depth_two_windows(self):
         pair = shift_pair([0, 1, 0, 1], [0, 0, 0, 1])
         s = c.same_atom_series(pair, c.cylinder_scheme(2), 2)
         # windows [n, n+2): equal at n=3,4 (1-indexed times 3 and 4)
-        assert s.times.tolist() == [3, 4]
+        assert times(s) == [3, 4]
 
     def test_refinement_monotone(self):
         rng = np.random.default_rng(0)
         pair = shift_pair(rng.integers(0, 2, 300), rng.integers(0, 2, 300))
         scheme = c.cylinder_scheme(4)
-        sets = {k: set(c.same_atom_series(pair, scheme, k).times.tolist()) for k in (1, 2, 3, 4)}
+        sets = {k: set(times(c.same_atom_series(pair, scheme, k))) for k in (1, 2, 3, 4)}
         assert sets[4] <= sets[3] <= sets[2] <= sets[1]
 
     def test_depth_out_of_range(self):
@@ -255,7 +261,7 @@ class TestPartitionKernelDifferential:
         scheme = c.cylinder_scheme(4)
         for k in range(1, 5):
             by_label = same_label_mask(cylinder_label, pair, k)
-            assert c.same_atom_series(pair, scheme, k).times.tolist() == [
+            assert times(c.same_atom_series(pair, scheme, k)) == [
                 n + 1 for n, same in enumerate(by_label) if same
             ]
         assert_partition_estimates_match(pair, scheme, c.Thresholds(burn_in=1))

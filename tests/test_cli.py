@@ -125,6 +125,10 @@ class TestZeroSizesRefused:
             ["forge", "--dump", "blocks", "--level", "0"],
             ["entropy", "--empirical", "--horizon", "0"],
             ["entropy", "--empirical", "--horizon", "-5"],
+            ["scan", "--count", "0"],
+            ["scan", "--count", "-1"],
+            ["verify", "--suite", "scheme", "--pairs", "0"],
+            ["verify", "--suite", "scheme", "--pairs", "-1"],
         ],
         ids="_".join,
     )

@@ -25,23 +25,27 @@ def full_policy():
     return c.CheckpointPolicy(burn_in=1)
 
 
+def first_times(count, horizon):
+    """Mask over times 1..horizon of the set {1, ..., count}."""
+    mask = np.zeros(horizon, dtype=bool)
+    mask[:count] = True
+    return mask
+
+
 class TestEmpiricalDensity:
     def test_full_set(self):
-        s = c.IndexSet(np.arange(1, 51), 50)
-        est = c.empirical_density(s, full_policy())
+        est = c.empirical_density(np.ones(50, dtype=bool), full_policy())
         assert est.upper == 1 and est.lower == 1
 
     def test_empty_set(self):
-        s = c.IndexSet(np.array([], dtype=np.int64), 50)
-        est = c.empirical_density(s, full_policy())
+        est = c.empirical_density(np.zeros(50, dtype=bool), full_policy())
         assert est.upper == 0 and est.lower == 0
 
     def test_doubling_schedule_matches_boundary_oracle(self):
         horizon = 4**10
         runs = doubling_runs(horizon)
         mask = c.systems.runs_to_mask(runs, horizon)
-        s = c.IndexSet.from_mask(mask)
-        est = c.empirical_density(s)
+        est = c.empirical_density(mask)
         upper_oracle, lower_oracle = boundary_extrema(runs, horizon, est.burn_in)
         # the oracle's boundary values converge to 2/3 and 1/3
         assert abs(float(upper_oracle) - 2 / 3) <= 0.02
@@ -50,51 +54,40 @@ class TestEmpiricalDensity:
         assert abs(est.lower_float - float(lower_oracle)) <= 0.02
 
     def test_burn_in_beyond_horizon_is_policy_error(self):
-        s = c.IndexSet(np.array([1]), 5)
         with pytest.raises(PolicyError):
-            c.empirical_density(s, c.CheckpointPolicy(burn_in=10))
-
-    def test_invalid_index_sets(self):
-        with pytest.raises(ValidationError):
-            c.IndexSet(np.array([0, 1]), 5)
-        with pytest.raises(ValidationError):
-            c.IndexSet(np.array([2, 2]), 5)
-        with pytest.raises(ValidationError):
-            c.IndexSet(np.array([6]), 5)
+            c.empirical_density(first_times(1, 5), c.CheckpointPolicy(burn_in=10))
 
 
 class TestDensityAlong:
     def test_full_set_any_checkpoints(self):
-        s = c.IndexSet(np.arange(1, 101), 100)
-        assert c.density_along(s, [3, 50, 100]) == 1
+        assert c.density_along(np.ones(100, dtype=bool), [3, 50, 100]) == 1
 
     def test_run_boundary_checkpoints(self):
         horizon = 4**10
         runs = doubling_runs(horizon)
         mask = c.systems.runs_to_mask(runs, horizon)
-        s = c.IndexSet.from_mask(mask)
         bounds = np.cumsum([l for l, _ in runs])
         agree_ends = [int(n) for n, (_, a) in zip(bounds, runs) if a and n >= 1000]
         disagree_ends = [int(n) for n, (_, a) in zip(bounds, runs) if not a and n >= 1000]
         agree_ends = [n for n in agree_ends if n <= horizon]
         disagree_ends = [n for n in disagree_ends if n <= horizon]
-        assert abs(float(c.density_along(s, agree_ends, "lower")) - 2 / 3) <= 0.02
-        assert abs(float(c.density_along(s, disagree_ends, "lower")) - 1 / 3) <= 0.02
+        assert abs(float(c.density_along(mask, agree_ends, "lower")) - 2 / 3) <= 0.02
+        assert abs(float(c.density_along(mask, disagree_ends, "lower")) - 1 / 3) <= 0.02
 
     def test_empty_checkpoints_error(self):
-        s = c.IndexSet(np.array([1]), 10)
+        s = first_times(1, 10)
         with pytest.raises(PolicyError):
             c.density_along(s, [])
 
     def test_out_of_range_checkpoints_error(self):
-        s = c.IndexSet(np.array([1]), 10)
+        s = first_times(1, 10)
         with pytest.raises(PolicyError):
             c.density_along(s, [5, 11])
         with pytest.raises(PolicyError):
             c.density_along(s, [0, 5])
 
     def test_upper_variant(self):
-        s = c.IndexSet(np.array([1, 2, 3]), 10)
+        s = first_times(3, 10)
         assert c.density_along(s, [3, 10], "upper") == 1
         assert c.density_along(s, [3, 10], "lower") == Fraction(3, 10)
 
@@ -181,40 +174,37 @@ class TestBesicovitch:
         d = c.DistanceSeries(values, 1.0)
         policy = c.CheckpointPolicy(burn_in=min(burn, len(bits)))
         low, high = c.besicovitch_bounds(d, policy)
-        zero_set = c.IndexSet.from_mask(values == 0)
-        est = c.empirical_density(zero_set, policy)
+        est = c.empirical_density(values == 0, policy)
         assert low == 1 - est.upper
         assert high == 1 - est.lower
 
 
 @st.composite
-def nested_index_sets(draw):
+def nested_masks(draw):
     horizon = draw(st.integers(20, 300))
-    members = draw(st.sets(st.integers(1, horizon), max_size=horizon))
-    extra = draw(st.sets(st.integers(1, horizon), max_size=horizon))
-    small = np.array(sorted(members), dtype=np.int64)
-    big = np.array(sorted(members | extra), dtype=np.int64)
-    return c.IndexSet(small, horizon), c.IndexSet(big, horizon)
+    small = np.array(draw(st.lists(st.booleans(), min_size=horizon, max_size=horizon)))
+    extra = np.array(draw(st.lists(st.booleans(), min_size=horizon, max_size=horizon)))
+    return small, small | extra
 
 
 class TestInvariants:
-    @given(nested_index_sets(), st.integers(1, 20))
+    @given(nested_masks(), st.integers(1, 20))
     @settings(max_examples=80, deadline=None)
     def test_nesting_monotone(self, sets, burn):
         small, big = sets
-        policy = c.CheckpointPolicy(burn_in=min(burn, small.horizon))
+        policy = c.CheckpointPolicy(burn_in=min(burn, small.size))
         est_small = c.empirical_density(small, policy)
         est_big = c.empirical_density(big, policy)
         assert est_small.upper <= est_big.upper
         assert est_small.lower <= est_big.lower
 
-    @given(nested_index_sets(), st.integers(1, 20))
+    @given(nested_masks(), st.integers(1, 20))
     @settings(max_examples=80, deadline=None)
     def test_complement_identity(self, sets, burn):
         s, _ = sets
-        policy = c.CheckpointPolicy(burn_in=min(burn, s.horizon))
+        policy = c.CheckpointPolicy(burn_in=min(burn, s.size))
         est = c.empirical_density(s, policy)
-        est_c = c.empirical_density(s.complement(), policy)
+        est_c = c.empirical_density(~s, policy)
         assert est.upper == 1 - est_c.lower
         assert est.lower == 1 - est_c.upper
 
@@ -272,9 +262,7 @@ def coded_series(draw):
 
 
 def nested_sets_oracle(codes, levels, policy):
-    return [
-        per_set_density(c.IndexSet.from_mask(codes <= j), policy) for j in range(levels)
-    ]
+    return [per_set_density(codes <= j, policy) for j in range(levels)]
 
 
 class TestNestedDensityKernel:
@@ -284,9 +272,9 @@ class TestNestedDensityKernel:
         codes, levels, policy = case
         if codes.size < policy.resolve_burn_in(codes.size):
             with pytest.raises(PolicyError):
-                de.nested_density_estimates(codes, levels, policy)
+                policy.checkpoints(codes.size)
             return
-        got = de.nested_density_estimates(codes, levels, policy)
+        got = de.nested_density_estimates(codes, levels, policy.checkpoints(codes.size))
         want = nested_sets_oracle(codes, levels, policy)
         assert [estimate_key(e) for e in got] == [estimate_key(e) for e in want]
 
@@ -300,7 +288,7 @@ class TestNestedDensityKernel:
         # a constant code v leaves levels < v empty and levels >= v full:
         # every checkpoint ties at 0 or 1
         codes = np.full(500, value, dtype=np.intp)
-        got = de.nested_density_estimates(codes, 4, policy)
+        got = de.nested_density_estimates(codes, 4, policy.checkpoints(500))
         for j, e in enumerate(got):
             expect = 1 if j >= value else 0
             assert e.upper == e.lower == expect
@@ -310,39 +298,42 @@ class TestNestedDensityKernel:
         ]
 
     def test_codes_out_of_range_rejected(self):
-        policy = c.CheckpointPolicy(burn_in=1)
+        cps = (1, 2, 3)
         with pytest.raises(ValidationError):
-            de.nested_density_estimates(np.array([0, 3, 1]), 2, policy)
+            de.nested_density_estimates(np.array([0, 3, 1]), 2, cps)
         with pytest.raises(ValidationError):
-            de.nested_density_estimates(np.array([0, 3, 1], dtype=np.uint8), 2, policy)
+            de.nested_density_estimates(np.array([0, 3, 1], dtype=np.uint8), 2, cps)
         with pytest.raises(ValidationError):
-            de.nested_density_estimates(np.array([0, -1, 1]), 2, policy)
+            de.nested_density_estimates(np.array([0, -1, 1]), 2, cps)
         with pytest.raises(ValidationError):
-            de.nested_density_estimates(np.array([], dtype=np.intp), 2, policy)
+            de.nested_density_estimates(np.array([], dtype=np.intp), 2, cps)
 
     def test_negative_codes_are_validation_errors(self):
-        policy = c.CheckpointPolicy(burn_in=1)
         for dtype in (np.intp, np.int8, np.int32):
             with pytest.raises(ValidationError, match=r"codes must lie in \[0, 2\]"):
-                de.nested_density_estimates(np.array([0, -1, 2], dtype=dtype), 2, policy)
+                de.nested_density_estimates(np.array([0, -1, 2], dtype=dtype), 2, (1, 2, 3))
 
     def test_non_integer_codes_are_validation_errors(self):
-        policy = c.CheckpointPolicy(burn_in=1)
         for codes in (np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.0]), np.array(["0", "1"])):
             with pytest.raises(ValidationError, match="codes must be integers"):
-                de.nested_density_estimates(codes, 2, policy)
+                de.nested_density_estimates(codes, 2, (1, 2))
+
+    @pytest.mark.parametrize("cps", [(), (0, 2), (1, 4), (2, 2), (3, 1)], ids=repr)
+    def test_bad_checkpoints_are_policy_errors(self, cps):
+        with pytest.raises(PolicyError, match="checkpoints must be strictly increasing"):
+            de.nested_density_estimates(np.array([0, 1, 2]), 2, cps)
 
     @given(coded_series())
     @settings(max_examples=60, deadline=None)
     def test_empirical_density_and_density_along_match_oracle(self, case):
         codes, _, policy = case
-        s = c.IndexSet.from_mask(codes == codes[0])
-        if s.horizon >= policy.resolve_burn_in(s.horizon):
+        s = codes == codes[0]
+        if s.size >= policy.resolve_burn_in(s.size):
             assert estimate_key(c.empirical_density(s, policy)) == estimate_key(
                 per_set_density(s, policy)
             )
-        cps = list(range(1, s.horizon + 1, 3))
-        ratios = [Fraction(s.count_upto(n), n) for n in cps]
+        cps = list(range(1, s.size + 1, 3))
+        ratios = [Fraction(int(np.count_nonzero(s[:n])), n) for n in cps]
         assert c.density_along(s, cps, "upper") == max(ratios)
         assert c.density_along(s, cps, "lower") == min(ratios)
 

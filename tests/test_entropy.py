@@ -155,6 +155,13 @@ class TestCountEtaBall:
         with pytest.raises(ValidationError):
             c.count_eta_ball("0" * 8, 9, 0.5)
 
+    @pytest.mark.parametrize("a0", [[0.9, 1, 0], np.array([256, 1, 0]), "0120"], ids=repr)
+    def test_non_bit_block_rejected(self, a0):
+        # checked before any cast, so 0.9 is not truncated and 256 not
+        # wrapped into a bit; a string may hold only 0 and 1
+        with pytest.raises(ValidationError):
+            c.count_eta_ball(a0, 1, 0.5)
+
     @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
     def test_non_finite_eta_rejected(self, eta):
         with pytest.raises(ValidationError, match="eta must be finite"):

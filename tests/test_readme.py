@@ -2,6 +2,8 @@
 import re
 from pathlib import Path
 
+import numpy as np
+
 import chaoslab as c
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -14,4 +16,6 @@ def test_library_sketch_runs():
     exec(compile(code, f"{README}:Library sketch", "exec"), scope)
     assert isinstance(scope["verdict"], c.PairVerdict)
     assert scope["image"].shape == (scope["q"].p(3),)
-    assert isinstance(scope["atoms"], c.IndexSet)
+    atoms = scope["atoms"]
+    assert isinstance(atoms, np.ndarray) and atoms.dtype == bool
+    assert atoms.shape == (scope["fiber"].horizon,)
