@@ -1,12 +1,16 @@
 """Benchmark the interval-map orbit loop, the exact eta-ball count, the
-per-pair distance series plus Phi profile of the symbolic metrics, and the
-nested-time-set density kernel on its own.
+per-pair distance series plus Phi profile of the symbolic metrics, the
+nested-time-set density kernel on its own, the plug-in word entropy on both
+of its counting branches, and one small CLI call (first and later calls).
 
 Run as a script from a checkout (no install needed):
     python benchmarks/bench_kernels.py
 """
+import os
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +22,12 @@ from chaoslab.density import (  # noqa: E402
     nested_density_estimates,
     phi_profile,
 )
-from chaoslab.entropy import count_eta_ball  # noqa: E402
+from chaoslab import cli  # noqa: E402
+from chaoslab.entropy import (  # noqa: E402
+    UndersampledWarning,
+    count_eta_ball,
+    empirical_cylinder_entropy,
+)
 from chaoslab.systems import (  # noqa: E402
     FullShift,
     IntervalMap,
@@ -71,6 +80,33 @@ def main():
         t_1, _ = timeit(nested_density_estimates, (~mask).view(np.uint8), 1, cps)
         print(f"  N={horizon:8d} ({len(cps)} checkpoints): 17 levels {t_17*1e3:7.2f} ms"
               f"   1 level from a mask {t_1*1e3:7.2f} ms")
+
+    print("\nempirical_cylinder_entropy, N=1e6 fair bits (2^12 words: count table;"
+          " 2^24: sort)")
+    bits = rng.integers(0, 2, 1_000_000)
+    for word_len in (12, 24):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UndersampledWarning)  # 2^24 words
+            t, _ = timeit(empirical_cylinder_entropy, bits, word_len)
+        print(f"  word_len={word_len:2d}: {t*1e3:8.2f} ms")
+
+    print("\ncli.run count-ball --n 10 --m 3 --eta 0.5 (the parser is built on the"
+          " first call)")
+    argv = ["count-ball", "--n", "10", "--m", "3", "--eta", "0.5", "--out", "ball.csv"]
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            times = []
+            for _ in range(21):
+                t0 = time.perf_counter()
+                if cli.run(argv) != 0:
+                    raise SystemExit("count-ball failed")
+                times.append(time.perf_counter() - t0)
+        finally:
+            os.chdir(here)
+    print(f"  first call {times[0]*1e3:7.2f} ms   mean of the next 20"
+          f" {sum(times[1:]) / 20 * 1e3:7.2f} ms")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import itertools
 import os
 import sys
@@ -225,7 +226,10 @@ def _add_thresholds(p: _Parser) -> None:
     p.add_argument("--depth", type=int, default=3, help="partition scheme depth")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing fills a fresh
+    Namespace each call and never changes the parser, so `run` shares it."""
     parser = _Parser(prog="chaoslab")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -457,9 +461,12 @@ def _cmd_scan(args) -> int:
         profile = de.phi_profile(sy.distance_series(pair, metric), policy=policy)
         return cl.classify_metric_pair(profile, th).flags[args.target]
 
-    clique = cl.scan_scrambled_set(
-        cl.all_pairs(trajectories), scrambled, singleton_if_empty=not args.allow_empty
-    )
+    if args.count == 1:  # no pairs: the one trajectory is a clique of one
+        clique = [] if args.allow_empty else [0]
+    else:
+        clique = cl.scan_scrambled_set(
+            cl.all_pairs(trajectories), scrambled, singleton_if_empty=not args.allow_empty
+        )
     config = _config_from_args(
         args, ("system", "horizon", "seed", "count", "target", "metric")
     )

@@ -64,30 +64,65 @@ def empirical_cylinder_entropy(
     """Plug-in entropy rate H_l/l of the empirical distribution of length-l
     words read at the given stride (1 = overlapping windows).
 
+    Symbols must lie in [0, alphabet) and the alphabet^l word codes must fit
+    in int64 (alphabet^l <= 2^63); either failure raises a ValidationError.
     Horizons below 100 * alphabet^l undersample the word distribution; that
     raises an UndersampledWarning, not an error.
     """
-    sym = np.asarray(track, dtype=np.int64)
+    sym = np.asarray(track)
     if word_len < 1:
         raise ValidationError("word length must be >= 1")
     if stride < 1:
         raise ValidationError("stride must be >= 1")
+    if sym.ndim != 1:
+        raise ValidationError("track must be 1-d")
     if sym.size < word_len:
         raise ValidationError("track shorter than one word")
+    # the symbols are checked in their own dtype, before the cast to the
+    # code dtype could truncate or wrap them
+    kind = sym.dtype.kind
+    if kind not in "biuf" or (
+        kind == "f" and not np.all(np.isfinite(sym) & (sym == np.floor(sym)))
+    ):
+        raise ValidationError(f"symbols must be integers, got dtype {sym.dtype}")
+    lo, hi = int(sym.min()), int(sym.max())
     if alphabet is None:
-        alphabet = int(sym.max(initial=0)) + 1
+        alphabet = hi + 1
     alphabet = max(alphabet, 2)
-    if sym.size < 100 * alphabet**word_len:
+    if lo < 0 or hi >= alphabet:
+        raise ValidationError(f"symbols must lie in [0, {alphabet}), got [{lo}, {hi}]")
+    table = alphabet**word_len
+    if table > 2**63:
+        raise ValidationError(
+            f"{alphabet}^{word_len} word codes do not fit in int64; shorten the word"
+        )
+    if sym.size < 100 * table:
         warnings.warn(
             f"horizon {sym.size} undersamples {alphabet}^{word_len} words",
             UndersampledWarning,
             stacklevel=2,
         )
-    windows = np.lib.stride_tricks.sliding_window_view(sym, word_len)[::stride]
-    weights = alphabet ** np.arange(word_len - 1, -1, -1, dtype=np.int64)
-    values = windows @ weights
-    _, counts = np.unique(values, return_counts=True)
-    p = counts / values.size
+    # base-alphabet word codes by doubling, in the smallest dtype that holds
+    # table - 1 (no partial code exceeds it). codes[i] encodes the k symbols
+    # from i; read word_len's binary digits after the leading 1: each one
+    # joins two codes k apart into one of length 2k, and a digit 1 then
+    # appends one symbol, so about 2 log2(l) passes build every window
+    sym = sym.astype(np.min_scalar_type(table - 1), copy=False)
+    codes, k = sym, 1
+    for digit in bin(word_len)[3:]:
+        codes = codes[:-k] * alphabet**k + codes[k:]
+        k *= 2
+        if digit == "1":
+            codes = codes[:-1] * alphabet + sym[k:]
+            k += 1
+    codes = codes[::stride]
+    # both give the counts of the words seen in ascending code order
+    if table <= codes.size:  # the count table fits the sample: no sort
+        counts = np.bincount(codes, minlength=table)
+        counts = counts[counts > 0]
+    else:
+        _, counts = np.unique(codes, return_counts=True)
+    p = counts / codes.size
     return float(-(p * np.log2(p)).sum() / word_len)
 
 

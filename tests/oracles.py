@@ -5,8 +5,9 @@ from integer run-length arithmetic at run boundaries or from one Fraction per
 checkpoint per set, symbolic distances come as N floats built per time,
 counting comes from direct per-block string comparison or from enumerating
 all 2^n difference masks, marker blocks come from running the block
-recursion on every row, and same-atom masks come from comparing per-time
-atom labels.
+recursion on every row, same-atom masks come from comparing per-time
+atom labels, and plug-in word entropy comes from a Counter over word tuples
+or from int64 word codes sorted by `np.unique`.
 """
 from fractions import Fraction
 
@@ -135,6 +136,22 @@ def plugin_entropy_direct(track, word_len, stride):
         p = cnt / total
         h -= p * np.log2(p)
     return h / word_len
+
+
+def plugin_entropy_unique(track, word_len, stride=1, alphabet=None):
+    """Plug-in word entropy by int64 dot-product word codes and a sorting
+    `np.unique`: the estimator's arithmetic before codes were counted by
+    table, so its results must agree bit for bit."""
+    sym = np.asarray(track, dtype=np.int64)
+    if alphabet is None:
+        alphabet = int(sym.max(initial=0)) + 1
+    alphabet = max(alphabet, 2)
+    windows = np.lib.stride_tricks.sliding_window_view(sym, word_len)[::stride]
+    weights = alphabet ** np.arange(word_len - 1, -1, -1, dtype=np.int64)
+    values = windows @ weights
+    _, counts = np.unique(values, return_counts=True)
+    p = counts / values.size
+    return float(-(p * np.log2(p)).sum() / word_len)
 
 
 def per_set_density(mask, policy):

@@ -215,6 +215,24 @@ class TestArtifacts:
         assert lines[0] == "trajectory_id"
         assert [int(x) for x in lines[1:]] == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("allow_empty, rows", [(False, ["0"]), (True, [])])
+    def test_scan_single_trajectory_is_a_clique_of_one(self, allow_empty, rows, tmp_path):
+        out = tmp_path / "clique.csv"
+        argv = ["scan", "--count", "1", "--horizon", "500", "--out", str(out)]
+        assert run(argv + ["--allow-empty"] * allow_empty) == 0
+        lines = [l for l in read(out).splitlines() if not l.startswith("#")]
+        assert lines == ["trajectory_id", *rows]
+
+    @pytest.mark.parametrize("word_len", ["64", "70"])
+    def test_entropy_word_codes_beyond_int64_refused(self, word_len, tmp_path, capsys):
+        out = tmp_path / "entropy.csv"
+        argv = ["entropy", "--empirical", "--horizon", "2000", "--word-len", word_len]
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "int64" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_forge_blocks_dump(self, tmp_path):
         out = tmp_path / "blocks.txt"
         assert run(["forge", "--q", "2,2", "--dump", "blocks", "--out", str(out)]) == 0
@@ -537,3 +555,54 @@ class TestForgeBlocksGolden:
         rows = [l for l in read(out).splitlines() if not l.startswith("#")]
         assert len(rows) == 4096
         assert all((" " in r) == markers for r in rows)
+
+
+class TestParserReuse:
+    """`run` shares one parser per process: a mixed sequence of runs gives
+    the same exit codes, output and artifact bytes as each argv run alone
+    on a freshly built parser."""
+
+    def test_cached(self):
+        assert build_parser() is build_parser()
+
+    def test_mixed_sequence_matches_fresh_parser(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("thresholds.tau_one = 0.3\nrun.horizon = 1500\nrun.seed = 9\n")
+        sequence = [
+            (["classify", "--config", str(cfg), "--out", "verdict-cfg.csv"], "verdict-cfg.csv"),
+            (["classify", "--horizon", "2000", "--out", "verdict.csv"], "verdict.csv"),
+            (["classify", "--bogus"], None),
+            (["count-ball", "--n", "10", "--m", "3", "--eta", "0.5", "--out", "ball.csv"],
+             "ball.csv"),
+            (["entropy", "--empirical", "--horizon", "3000", "--word-len", "6",
+              "--out", "entropy.csv"], "entropy.csv"),
+            (["verify", "--suite", "params"], None),
+            (["phi", "--witness", "DC3", "--horizon", "4096", "--format", "svg",
+              "--out", "phi.svg"], "phi.svg"),
+            (["scan", "--count", "3", "--horizon", "1000", "--out", "clique.csv"],
+             "clique.csv"),
+            (["classify", "--config", str(cfg), "--seed", "4", "--out", "verdict-cfg2.csv"],
+             "verdict-cfg2.csv"),
+        ]
+
+        def outcome(argv, artifact):
+            rc = run(argv)
+            captured = capsys.readouterr()
+            digest = None
+            if artifact is not None:
+                digest = hashlib.sha256(Path(artifact).read_bytes()).hexdigest()
+            return rc, captured.out, captured.err, digest
+
+        shared_dir, fresh_dir = tmp_path / "shared", tmp_path / "fresh"
+        shared_dir.mkdir()
+        fresh_dir.mkdir()
+        monkeypatch.chdir(shared_dir)
+        build_parser.cache_clear()
+        shared = [outcome(argv, artifact) for argv, artifact in sequence]
+        monkeypatch.chdir(fresh_dir)
+        fresh = []
+        for argv, artifact in sequence:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv, artifact))
+        assert [rc for rc, *_ in shared] == [0, 0, 1, 0, 0, 0, 0, 0, 0]
+        assert shared == fresh

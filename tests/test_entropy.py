@@ -16,6 +16,7 @@ from oracles import (
     count_eta_ball_direct,
     count_eta_ball_enumerated,
     plugin_entropy_direct,
+    plugin_entropy_unique,
     window_mismatch_counts_direct,
 )
 
@@ -81,6 +82,95 @@ class TestCylinderEntropy:
     def test_undersampled_warns_not_fails(self):
         with pytest.warns(UndersampledWarning):
             c.empirical_cylinder_entropy(np.ones(200, dtype=int), 8, alphabet=2)
+
+    def test_word_codes_beyond_int64_rejected(self):
+        # two distinct words, so the true rate is positive; int64 weights
+        # would wrap 2^64 to 0 and report -0.0
+        track = np.zeros(200, dtype=int)
+        track[0] = 1
+        for word_len in (64, 65):
+            with pytest.raises(ValidationError, match="int64"):
+                c.empirical_cylinder_entropy(track, word_len)
+        with pytest.raises(ValidationError, match="int64"):
+            c.empirical_cylinder_entropy(track, 32, alphabet=5)
+
+    def test_largest_word_codes_exact(self):
+        # 2^63 codes is the largest table that fits
+        track = np.zeros(200, dtype=int)
+        track[0] = 1
+        with pytest.warns(UndersampledWarning):
+            h = c.empirical_cylinder_entropy(track, 63)
+        assert h > 0
+        assert repr(h) == repr(plugin_entropy_unique(track, 63))
+        assert math.isclose(h, plugin_entropy_direct(track, 63, 1), rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "track, alphabet",
+        [
+            ([0, 3, 1, 2] * 50, 2),
+            ([0, 1, -1, 1] * 50, 2),
+            ([0, 1, -1, 1] * 50, None),
+            ([0, 256, 1, 0] * 50, 3),
+        ],
+    )
+    def test_symbols_outside_alphabet_rejected(self, track, alphabet):
+        with pytest.raises(ValidationError, match="symbols must lie in"):
+            c.empirical_cylinder_entropy(np.array(track), 2, alphabet=alphabet)
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf])
+    def test_non_integer_symbols_rejected(self, bad):
+        track = np.array([0.0, 1.0, bad, 1.0] * 50)
+        with pytest.raises(ValidationError, match="symbols must be integers"):
+            c.empirical_cylinder_entropy(track, 2, alphabet=2)
+
+    def test_integral_float_symbols_accepted(self):
+        bits = np.random.default_rng(5).integers(0, 2, 3000)
+        assert c.empirical_cylinder_entropy(bits.astype(float), 3) == (
+            c.empirical_cylinder_entropy(bits, 3)
+        )
+
+
+@st.composite
+def entropy_cases(draw, table_fits):
+    """(track, word_len, stride, alphabet) with up to 3,000 symbols whose
+    alphabet^word_len count table is at most the number of windows
+    (table_fits) or above it."""
+    alphabet = draw(st.integers(2, 4))
+    stride = draw(st.integers(1, 4))
+
+    def need(l):  # windows = (N - l) // stride + 1 >= alphabet^l  <=>  N >= need(l)
+        return (alphabet**l - 1) * stride + l
+
+    if table_fits:
+        word_len = draw(st.integers(1, 10).filter(lambda l: need(l) <= 3000))
+        n = draw(st.integers(need(word_len), 3000))
+    else:
+        word_len = draw(st.integers(1, 10))
+        n = draw(st.integers(word_len, min(3000, need(word_len) - 1)))
+    used = draw(st.integers(1, alphabet))  # symbols in [0, used)
+    seed = draw(st.integers(0, 2**32 - 1))
+    track = np.random.default_rng(seed).integers(0, used, n)
+    if draw(st.booleans()):
+        track = np.sort(track)  # few distinct words
+    return track, word_len, stride, alphabet
+
+
+class TestCylinderEntropyExact:
+    """The table count and the sort count against the int64 dot-product and
+    np.unique oracle, equal by repr."""
+
+    @pytest.mark.parametrize("table_fits", [True, False], ids=["table", "sort"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_unique_oracle(self, table_fits, data):
+        track, word_len, stride, alphabet = data.draw(entropy_cases(table_fits))
+        windows = (track.size - word_len) // stride + 1
+        assert (alphabet**word_len <= windows) == table_fits
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UndersampledWarning)
+            for a in (alphabet, None):
+                ours = c.empirical_cylinder_entropy(track, word_len, stride, a)
+                assert repr(ours) == repr(plugin_entropy_unique(track, word_len, stride, a))
 
 
 class TestPipka:
