@@ -18,7 +18,6 @@ import os
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -87,20 +86,6 @@ def load_config(path: str | Path) -> dict:
     return overrides
 
 
-@dataclass
-class RunConfig:
-    command: str
-    values: dict = field(default_factory=dict)
-
-    def header_lines(self) -> list[str]:
-        lines = [f"# chaoslab {self.command}"]
-        for key in sorted(self.values):
-            value = self.values[key]
-            if value is not None:
-                lines.append(f"# {key} = {value}")
-        return lines
-
-
 def atomic_write(path: str | Path, text: str | Iterable[str]) -> None:
     """Replace `path` with `text` (one string, or chunks streamed in order)
     through a uniquely named temp file in the same directory: concurrent
@@ -129,16 +114,16 @@ CSV_BLOCK_ROWS = 1 << 16
 
 
 def write_csv(
-    path, config: RunConfig, header: Sequence[str], rows: Iterable[Sequence[str]]
+    path, lines: Sequence[str], header: Sequence[str], rows: Iterable[Sequence[str]]
 ) -> None:
-    """Write the config header, the column names and `rows`, each a sequence
-    of already formatted cell strings. Rows are joined and streamed to disk
-    in blocks of CSV_BLOCK_ROWS lines, so the whole text never sits in memory."""
-    atomic_write(path, _csv_chunks(config, header, rows))
+    """Write the `#` lines, the column names and `rows`, each a sequence of
+    already formatted cell strings. Rows are joined and streamed to disk in
+    blocks of CSV_BLOCK_ROWS lines, so the whole text never sits in memory."""
+    atomic_write(path, _csv_chunks(lines, header, rows))
 
 
-def _csv_chunks(config: RunConfig, header: Sequence[str], rows) -> Iterator[str]:
-    yield "\n".join(config.header_lines() + [",".join(header)]) + "\n"
+def _csv_chunks(lines: Sequence[str], header: Sequence[str], rows) -> Iterator[str]:
+    yield "\n".join([*lines, ",".join(header)]) + "\n"
     rows = iter(rows)
     while block := list(map(",".join, itertools.islice(rows, CSV_BLOCK_ROWS))):
         yield "\n".join(block) + "\n"
@@ -183,21 +168,12 @@ def _symbol_column(track: np.ndarray | None) -> Iterable[str]:
     return map(names.__getitem__, (track - lo).tolist())
 
 
-def emit_phi_svg(profile: de.PhiProfile, path, title: str = "Phi profile") -> None:
-    """Standalone deterministic SVG plot of Phi* and Phi versus t (log x)."""
-    atomic_write(path, render_phi_svg(profile, title))
-
-
 # --- argument plumbing --------------------------------------------------------
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--out", default=None, help="output path")
-    p.add_argument("--format", choices=("csv", "svg"), default=None)
-
-
-def _add_system(p: _Parser) -> None:
+def _add_system(p: _Parser, pair: bool) -> None:
+    """The system and sampling flags; `pair` adds the second seed and the
+    witness pairs, which only the one-pair commands read."""
     p.add_argument(
         "--system",
         choices=("full-shift", "tent", "logistic", "odometer", "zero-entropy"),
@@ -211,70 +187,82 @@ def _add_system(p: _Parser) -> None:
     p.add_argument("--q", default=None, help="q-schedule, comma-separated")
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--seed2", type=int, default=None)
-    p.add_argument("--witness", choices=sy.WITNESS_TARGETS, default=None)
+    if pair:
+        p.add_argument("--seed2", type=int, default=None)
+        p.add_argument("--witness", choices=sy.WITNESS_TARGETS, default=None)
 
 
-def _add_thresholds(p: _Parser) -> None:
-    p.add_argument("--tau-one", dest="tau_one", type=float, default=None)
-    p.add_argument("--tau-zero", dest="tau_zero", type=float, default=None)
-    p.add_argument("--eta-min", dest="eta_min", type=float, default=None)
-    p.add_argument("--gap", type=float, default=None)
-    p.add_argument("--eta-grid", dest="eta_grid", default=None)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
+def _add_profile(p: _Parser, thresholds: bool) -> None:
+    """The flags of a Phi profile; `thresholds` adds those of its verdict."""
     p.add_argument("--metric", choices=sy.METRICS, default=None)
-    p.add_argument("--depth", type=int, default=3, help="partition scheme depth")
+    p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
+    if thresholds:
+        p.add_argument("--tau-one", dest="tau_one", type=float, default=None)
+        p.add_argument("--tau-zero", dest="tau_zero", type=float, default=None)
+        p.add_argument("--eta-min", dest="eta_min", type=float, default=None)
+        p.add_argument("--gap", type=float, default=None)
+        p.add_argument("--eta-grid", dest="eta_grid", default=None)
 
 
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built once per process: parsing fills a fresh
-    Namespace each call and never changes the parser, so `run` shares it."""
+    Namespace each call and never changes the parser, so `run` shares it.
+    Each subcommand takes only the flags its handler reads."""
     parser = _Parser(prog="chaoslab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("pair", "phi", "classify"):
+    def command(name: str, out: bool = True) -> _Parser:
         p = sub.add_parser(name)
-        _add_common(p)
-        _add_system(p)
-        _add_thresholds(p)
+        p.add_argument("--config", default=None, help="key = value config file")
+        if out:
+            p.add_argument("--out", default=None, help="output path")
+        return p
 
-    p = sub.add_parser("scan")
-    _add_common(p)
-    _add_system(p)
-    _add_thresholds(p)
+    _add_system(command("pair"), pair=True)
+
+    p = command("phi")
+    p.add_argument("--format", choices=("csv", "svg"), default=None)
+    _add_system(p, pair=True)
+    _add_profile(p, thresholds=False)
+
+    p = command("classify")
+    _add_system(p, pair=True)
+    _add_profile(p, thresholds=True)
+    p.add_argument("--depth", type=int, default=3, help="partition scheme depth")
+
+    p = command("scan")
+    _add_system(p, pair=False)
+    _add_profile(p, thresholds=True)
     p.add_argument("--count", type=int, default=8, help="number of trajectories")
     p.add_argument(
         "--target", choices=("li_yorke", "dc1", "dc1half", "dc2", "dc3"), default="dc2"
     )
     p.add_argument("--allow-empty", action="store_true")
 
-    p = sub.add_parser("forge")
-    _add_common(p)
-    p.add_argument("--q", default="2,2,2")
+    # --q defaults to None, not 2,2,2, so that a config file's run.q applies
+    p = command("forge")
+    p.add_argument("--q", default=None, help="q-schedule, comma-separated (2,2,2)")
     p.add_argument("--dump", choices=("params", "blocks", "point"), default="params")
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--markers", action="store_true", help="include the marker row")
 
-    p = sub.add_parser("entropy")
-    _add_common(p)
-    p.add_argument("--q", default="2,2,2")
+    p = command("entropy")
+    p.add_argument("--q", default=None, help="q-schedule, comma-separated (2,2,2)")
     p.add_argument("--empirical", action="store_true")
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--word-len", dest="word_len", type=int, default=8)
     p.add_argument("--stride", type=int, default=1)
 
-    p = sub.add_parser("pipka")
-    _add_common(p)
+    p = command("pipka")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--card", type=int, required=True)
     p.add_argument("--eps-grid", dest="eps_grid", default=None)
 
-    p = sub.add_parser("count-ball")
-    _add_common(p)
+    p = command("count-ball")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--eta", type=float, required=True)
@@ -284,58 +272,56 @@ def build_parser() -> _Parser:
     p.add_argument("--card", type=int, default=2)
     p.add_argument("--delta", type=float, default=0.01)
 
-    p = sub.add_parser("verify")
-    _add_common(p)
+    p = command("verify", out=False)
     p.add_argument(
         "--suite",
         choices=("params", "pi-bijection", "percentage", "entropy-zero", "scheme"),
         required=True,
     )
-    p.add_argument("--q", default="2,2,2")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--q", default=None, help="q-schedule, comma-separated (2,2,2)")
+    p.add_argument("--seed", type=int, default=None, help="sampling seed (0)")
     p.add_argument("--pairs", type=int, default=20)
 
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """CLI flags beat config-file values beat defaults (None placeholders)."""
-    if getattr(args, "config", None):
-        overrides = load_config(args.config)
-        for dest, value in overrides.items():
-            if getattr(args, dest, None) is None:
+    """CLI flags beat config-file values beat defaults (None placeholders). A
+    key whose flag this subcommand lacks is ignored."""
+    if args.config:
+        for dest, value in load_config(args.config).items():
+            if dest in vars(args) and getattr(args, dest) is None:
                 setattr(args, dest, value)
     return args
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+def _numbers(text: str, cast) -> tuple:
+    """A comma-separated list of `cast` values; a malformed one is a usage error."""
+    try:
+        return tuple(cast(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"{text!r} is not a comma-separated list of {cast.__name__}s") from None
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _q(args) -> str:
+    """The q-schedule of forge, entropy and verify: --q or run.q, else 2,2,2."""
+    return "2,2,2" if args.q is None else args.q
 
 
 def _thresholds(args) -> cl.Thresholds:
-    kwargs = {}
-    if args.tau_one is not None:
-        kwargs["tau_one"] = args.tau_one
-    if args.tau_zero is not None:
-        kwargs["tau_zero"] = args.tau_zero
-    if args.eta_min is not None:
-        kwargs["eta_min"] = args.eta_min
-    if args.gap is not None:
-        kwargs["gap"] = args.gap
+    kwargs = {
+        k: getattr(args, k)
+        for k in ("tau_one", "tau_zero", "eta_min", "gap", "burn_in")
+        if getattr(args, k) is not None
+    }
     if args.eta_grid is not None:
-        kwargs["eta_grid"] = _floats(args.eta_grid)
-    if args.burn_in is not None:
-        kwargs["burn_in"] = args.burn_in
+        kwargs["eta_grid"] = _numbers(args.eta_grid, float)
     return cl.Thresholds(**kwargs)
 
 
 def _system_spec(args) -> sy.SystemSpec:
     if args.system == "full-shift":
-        probs = _floats(args.probs) if args.probs else (1.0 / args.arity,) * args.arity
+        probs = _numbers(args.probs, float) if args.probs else (1.0 / args.arity,) * args.arity
         return sy.FullShift(args.arity, probs)
     if args.system in ("tent", "logistic"):
         param = args.param if args.param is not None else (2.0 if args.system == "tent" else 4.0)
@@ -343,11 +329,11 @@ def _system_spec(args) -> sy.SystemSpec:
     if args.system == "odometer":
         if not args.base:
             raise UsageError("odometer needs --base")
-        return sy.OdometerSpec(_ints(args.base))
+        return sy.OdometerSpec(_numbers(args.base, int))
     if args.system == "zero-entropy":
         if not args.q:
             raise UsageError("zero-entropy needs --q")
-        return sy.ZeroEntropy(bl.QSchedule(_ints(args.q)))
+        return sy.ZeroEntropy(bl.QSchedule(_numbers(args.q, int)))
     raise UsageError(f"unknown system {args.system!r}")
 
 
@@ -361,58 +347,51 @@ def _build_pair(args) -> sy.OrbitPair:
     return sy.make_pair(spec, horizon, (seed, seed2))
 
 
-def _config_from_args(args, keys: Sequence[str]) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        values={k: getattr(args, k, None) for k in keys},
-    )
+def _profile(pair: sy.OrbitPair, args, policy: de.CheckpointPolicy) -> de.PhiProfile:
+    """The Phi profile of `pair` under --metric (Hamming indicator by default)."""
+    series = sy.distance_series(pair, args.metric or "hamming-indicator")
+    return de.phi_profile(series, policy=policy)
+
+
+def _header(args, keys: Sequence[str], **extras) -> list[str]:
+    """An artifact's `#` lines: the subcommand, then the flags named in `keys`
+    and the `extras`, sorted by name; a value of None is left out."""
+    values = {k: getattr(args, k) for k in keys} | extras
+    return [f"# chaoslab {args.command}"] + [
+        f"# {k} = {values[k]}" for k in sorted(values) if values[k] is not None
+    ]
+
+
+PAIR_KEYS = ("system", "horizon", "seed", "seed2", "witness", "q", "base")
 
 
 # --- subcommand bodies --------------------------------------------------------
 
 
 def _cmd_pair(args) -> int:
-    pair = _build_pair(args)
-    config = _config_from_args(
-        args, ("system", "horizon", "seed", "seed2", "witness", "q", "base")
-    )
-    rows = _PairRows(pair)
-    write_csv(args.out or "pair.csv", config, rows.header, rows)
+    rows = _PairRows(_build_pair(args))
+    write_csv(args.out or "pair.csv", _header(args, PAIR_KEYS), rows.header, rows)
     return 0
 
 
-def _phi_of(args) -> tuple[de.PhiProfile, RunConfig]:
-    pair = _build_pair(args)
-    metric = args.metric or "hamming-indicator"
-    series = sy.distance_series(pair, metric)
-    policy = de.CheckpointPolicy(burn_in=args.burn_in)
-    profile = de.phi_profile(series, policy=policy)
-    config = _config_from_args(
-        args,
-        ("system", "horizon", "seed", "seed2", "witness", "q", "base", "metric", "burn_in"),
-    )
-    return profile, config
-
-
 def _cmd_phi(args) -> int:
-    profile, config = _phi_of(args)
-    out = args.out or ("phi.svg" if args.format == "svg" else "phi.csv")
+    profile = _profile(_build_pair(args), args, de.CheckpointPolicy(burn_in=args.burn_in))
     if args.format == "svg":
-        emit_phi_svg(profile, out)
-    else:
-        rows = [
-            [repr(float(t)), repr(float(s)), repr(float(l))]
-            for t, s, l in zip(profile.thresholds, profile.phi_star, profile.phi_lower)
-        ]
-        write_csv(out, config, ["t", "phi_star", "phi_lower"], rows)
+        atomic_write(args.out or "phi.svg", render_phi_svg(profile))
+        return 0
+    rows = [
+        [repr(float(t)), repr(float(s)), repr(float(l))]
+        for t, s, l in zip(profile.thresholds, profile.phi_star, profile.phi_lower)
+    ]
+    lines = _header(args, PAIR_KEYS + ("metric", "burn_in"))
+    write_csv(args.out or "phi.csv", lines, ["t", "phi_star", "phi_lower"], rows)
     return 0
 
 
 def _cmd_classify(args) -> int:
     pair = _build_pair(args)
-    metric = args.metric or "hamming-indicator"
     th = _thresholds(args)
-    profile = de.phi_profile(sy.distance_series(pair, metric), policy=th.policy())
+    profile = _profile(pair, args, th.policy())
     verdict = cl.classify_metric_pair(profile, th)
     flags = verdict.flags
     eta = repr(verdict.separation_upper)
@@ -422,12 +401,6 @@ def _cmd_classify(args) -> int:
         if partition.k0 is not None:
             eta = repr(partition.separation_upper)
             k0 = str(partition.k0)
-    config = _config_from_args(
-        args,
-        ("system", "horizon", "seed", "seed2", "witness", "q", "base", "metric",
-         "burn_in", "depth"),
-    )
-    config.values["note"] = "dc1 is a finite-horizon read only"
     row = [
         "0",
         *(str(flags[k]) for k in ("li_yorke", "dc1", "dc1half", "dc2", "dc3")),
@@ -437,7 +410,8 @@ def _cmd_classify(args) -> int:
     ]
     write_csv(
         args.out or "verdict.csv",
-        config,
+        _header(args, PAIR_KEYS + ("metric", "burn_in", "depth"),
+                note="dc1 is a finite-horizon read only"),
         ["pair_id", "ly", "dc1", "dc1half", "dc2", "dc3", "s", "eta", "k0"],
         [row],
     )
@@ -454,12 +428,10 @@ def _cmd_scan(args) -> int:
     common = min(t.horizon for t in trajectories)
     trajectories = [sy.truncate_trajectory(t, common) for t in trajectories]
     th = _thresholds(args)
-    metric = args.metric or "hamming-indicator"
     policy = th.policy()
 
     def scrambled(pair: sy.OrbitPair) -> bool:
-        profile = de.phi_profile(sy.distance_series(pair, metric), policy=policy)
-        return cl.classify_metric_pair(profile, th).flags[args.target]
+        return cl.classify_metric_pair(_profile(pair, args, policy), th).flags[args.target]
 
     if args.count == 1:  # no pairs: the one trajectory is a clique of one
         clique = [] if args.allow_empty else [0]
@@ -467,23 +439,22 @@ def _cmd_scan(args) -> int:
         clique = cl.scan_scrambled_set(
             cl.all_pairs(trajectories), scrambled, singleton_if_empty=not args.allow_empty
         )
-    config = _config_from_args(
-        args, ("system", "horizon", "seed", "count", "target", "metric")
-    )
-    write_csv(args.out or "clique.csv", config, ["trajectory_id"], [[str(i)] for i in clique])
+    lines = _header(args, ("system", "horizon", "seed", "count", "target", "metric"))
+    write_csv(args.out or "clique.csv", lines, ["trajectory_id"], [[str(i)] for i in clique])
     return 0
 
 
 def _cmd_forge(args) -> int:
-    schedule = bl.QSchedule(_ints(args.q))
-    config = _config_from_args(args, ("q", "dump", "level", "seed"))
+    q = _q(args)
+    schedule = bl.QSchedule(_numbers(q, int))
+    lines = _header(args, ("dump", "level", "seed"), q=q)
     out = args.out or f"forge-{args.dump}.csv"
     if args.dump == "params":
         rows = [
             [str(v) for v in (p.k, p.q_k, p.p_k, p.n_k, p.b_length, p.family_size)]
             for p in bl.derive_params(schedule)
         ]
-        write_csv(out, config, ["k", "q_k", "p_k", "N_k", "lenB", "count"], rows)
+        write_csv(out, lines, ["k", "q_k", "p_k", "N_k", "lenB", "count"], rows)
         return 0
     if args.dump == "blocks":
         level = args.level if args.level is not None else schedule.depth
@@ -492,14 +463,12 @@ def _cmd_forge(args) -> int:
         if args.markers:
             marks = bl.marker_row(schedule, 0, schedule.n(level))
             suffix = " " + ",".join(str(int(v)) for v in marks)
-        lines = config.header_lines()
         lines.extend(row.tobytes().decode() + suffix for row in digits)
         atomic_write(out, "\n".join(lines) + "\n")
         return 0
     # point dump: marker row and binary row of one sampled point
     seed = args.seed if args.seed is not None else 1
     word = bl.sample_point(schedule, seed)
-    lines = config.header_lines()
     lines.append("offset," + str(word.offset))
     lines.append("markers," + ",".join(str(int(v)) for v in word.markers))
     lines.append("binary," + "".join(str(int(b)) for b in word.binary))
@@ -508,10 +477,9 @@ def _cmd_forge(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    schedule = bl.QSchedule(_ints(args.q))
-    config = _config_from_args(
-        args, ("q", "empirical", "horizon", "seed", "word_len", "stride")
-    )
+    q = _q(args)
+    schedule = bl.QSchedule(_numbers(q, int))
+    lines = _header(args, ("empirical", "horizon", "seed", "word_len", "stride"), q=q)
     out = args.out or "entropy.csv"
     if not args.empirical:
         report = en.block_count_entropy(
@@ -521,42 +489,27 @@ def _cmd_entropy(args) -> int:
             [str(k + 1), str(count), str(length), str(rate)]
             for k, ((count, length), rate) in enumerate(zip(report.levels, report.rates))
         ]
-        write_csv(out, config, ["k", "count", "length", "bits_per_symbol"], rows)
+        write_csv(out, lines, ["k", "count", "length", "bits_per_symbol"], rows)
         return 0
     horizon = args.horizon if args.horizon is not None else 100000
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
     seed = args.seed if args.seed is not None else 1
-    word = bl.sample_point(schedule, seed, offset=0)
-    if word.available_horizon < horizon:
-        reps = -(-horizon // word.binary.size)
-        word = bl.sample_point(schedule, seed, offset=0, blocks=reps)
-    track = word.symbol_track(horizon)
+    blocks = -(-horizon // schedule.n(schedule.depth))
+    track = bl.sample_point(schedule, seed, offset=0, blocks=blocks).symbol_track(horizon)
     fair = np.random.default_rng(np.random.SeedSequence(seed)).integers(0, 2, horizon)
     rows = [
-        [
-            "marker-block",
-            str(args.word_len),
-            str(args.stride),
-            str(horizon),
-            repr(en.empirical_cylinder_entropy(track, args.word_len, args.stride)),
-        ],
-        [
-            "iid-fair-bits",
-            str(args.word_len),
-            str(args.stride),
-            str(horizon),
-            repr(en.empirical_cylinder_entropy(fair, args.word_len, args.stride)),
-        ],
+        [source, str(args.word_len), str(args.stride), str(horizon),
+         repr(en.empirical_cylinder_entropy(symbols, args.word_len, args.stride))]
+        for source, symbols in (("marker-block", track), ("iid-fair-bits", fair))
     ]
-    write_csv(out, config, ["source", "word_len", "stride", "horizon", "bits_per_symbol"], rows)
+    write_csv(out, lines, ["source", "word_len", "stride", "horizon", "bits_per_symbol"], rows)
     return 0
 
 
 def _cmd_pipka(args) -> int:
-    grid = _floats(args.eps_grid) if args.eps_grid else en.DEFAULT_EPS_GRID
+    grid = _numbers(args.eps_grid, float) if args.eps_grid else en.DEFAULT_EPS_GRID
     params = en.solve_pipka(args.eta, args.h, args.card, grid)
-    config = _config_from_args(args, ("eta", "h", "card", "eps_grid"))
     row = [
         str(params.eta),
         str(params.h),
@@ -568,7 +521,7 @@ def _cmd_pipka(args) -> int:
     ]
     write_csv(
         args.out or "pipka.csv",
-        config,
+        _header(args, ("eta", "h", "card", "eps_grid")),
         ["eta", "h", "card", "m", "eps", "margin", "feasible"],
         [row],
     )
@@ -592,9 +545,6 @@ def _cmd_count_ball(args) -> int:
         args.delta,
         a0=a0,
     )
-    config = _config_from_args(
-        args, ("n", "m", "eta", "eps", "h", "card", "delta", "a0")
-    )
     row = [
         str(experiment.n),
         str(experiment.m),
@@ -608,7 +558,7 @@ def _cmd_count_ball(args) -> int:
     ]
     write_csv(
         args.out or "count-ball.csv",
-        config,
+        _header(args, ("n", "m", "eta", "eps", "h", "card", "delta", "a0")),
         ["n", "m", "eta", "eps", "delta", "count", "bound", "ratio", "flag"],
         [row],
     )
@@ -616,7 +566,8 @@ def _cmd_count_ball(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    schedule = bl.QSchedule(_ints(args.q))
+    schedule = bl.QSchedule(_numbers(_q(args), int))
+    seed = 0 if args.seed is None else args.seed
     suite = args.suite
     if suite == "params":
         for p in bl.derive_params(schedule):
@@ -638,7 +589,7 @@ def _cmd_verify(args) -> int:
         k = schedule.depth
         family = bl.enumerate_family(schedule, k)
         words = bl.pi(schedule, k, family)
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(seed)
         count = min(len(family) ** 2, 400)
         i, j = rng.integers(0, len(family), (count, 2)).T
         n_k, p_k = schedule.n(k), schedule.p(k)
@@ -670,11 +621,11 @@ def _cmd_verify(args) -> int:
     if args.pairs < 1:
         raise UsageError("pairs must be >= 1")
     scheme = bl.central_block_scheme(schedule)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     for trial in range(args.pairs):
         offset = int(rng.integers(0, schedule.n(schedule.depth)))
         pair = bl.fiber_pair(
-            schedule, (args.seed + 2 * trial + 1, args.seed + 2 * trial + 2), offset=offset
+            schedule, (seed + 2 * trial + 1, seed + 2 * trial + 2), offset=offset
         )
         masks = [scheme.same_atom_mask(pair, k) for k in range(1, schedule.depth + 1)]
         for coarse, fine in zip(masks, masks[1:]):
@@ -711,9 +662,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            args = parser.parse_args(argv)
-            args = _merge_config(args)
+            args = _merge_config(parser.parse_args(argv))
             return HANDLERS[args.command](args)
+        except SystemExit as exc:  # argparse exits 0 after printing --help
+            return exc.code
         except (UsageError, ValidationError) as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 1

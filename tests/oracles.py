@@ -246,11 +246,10 @@ def pair_dump_direct(pair):
     return header, rows
 
 
-def csv_text_direct(config, header, rows):
-    """A CSV artifact's text with `str` applied to every cell, built as one
-    string."""
-    lines = config.header_lines()
-    lines.append(",".join(header))
+def csv_text_direct(lines, header, rows):
+    """A CSV artifact's text after the `#` lines, with `str` applied to every
+    cell, built as one string."""
+    lines = [*lines, ",".join(header)]
     for row in rows:
         lines.append(",".join(str(x) for x in row))
     return "\n".join(lines) + "\n"

@@ -9,18 +9,18 @@ import pytest
 import chaoslab as c
 from chaoslab import cli
 from chaoslab.cli import (
-    RunConfig,
+    PAIR_KEYS,
     _build_pair,
-    _config_from_args,
+    _header,
     _PairRows,
     atomic_write,
     build_parser,
-    emit_phi_svg,
     load_config,
     run,
     write_csv,
 )
 from chaoslab.errors import UsageError
+from chaoslab.svgplot import render_phi_svg
 from oracles import csv_text_direct, pair_dump_direct
 
 
@@ -377,35 +377,27 @@ def _polyline_ys(text):
 
 
 class TestSvg:
-    def test_witness_profile_curves_visibly_separated(self, tmp_path):
+    def test_witness_profile_curves_visibly_separated(self):
         # the doubling witness has a 1/3 gap between the curves at every
         # threshold: about a third of the plot height apart
         pair = c.construct_witness_pair("DC3", 4**10)
         prof = c.phi_profile(c.distance_series(pair))
-        path = tmp_path / "gap.svg"
-        emit_phi_svg(prof, path)
-        star_ys, lower_ys = _polyline_ys(read(path))
+        star_ys, lower_ys = _polyline_ys(render_phi_svg(prof))
         plot_height = 420 - 30 - 50
         gaps = [(l - s) / plot_height for s, l in zip(star_ys, lower_ys)]
         assert all(abs(g - 1 / 3) < 0.05 for g in gaps)
 
-    def test_deterministic_bytes(self, tmp_path):
+    def test_deterministic_bytes(self):
         pair = c.construct_witness_pair("DC3", 16382)
         prof = c.phi_profile(c.distance_series(pair))
-        p1 = tmp_path / "a.svg"
-        p2 = tmp_path / "b.svg"
-        emit_phi_svg(prof, p1)
-        emit_phi_svg(prof, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        text = read(p1)
+        text = render_phi_svg(prof)
+        assert render_phi_svg(prof) == text
         assert text.startswith("<?xml") and "<svg" in text and "polyline" in text
 
-    def test_flat_profile_two_lines_at_one(self, tmp_path):
+    def test_flat_profile_two_lines_at_one(self):
         d = c.DistanceSeries(np.zeros(1000), 1.0)
         prof = c.phi_profile(d, policy=c.CheckpointPolicy(burn_in=10))
-        path = tmp_path / "flat.svg"
-        emit_phi_svg(prof, path)
-        text = read(path)
+        text = render_phi_svg(prof)
         assert text.count("polyline") == 2
 
     def test_svg_via_cli_format_flag(self, tmp_path):
@@ -463,7 +455,6 @@ class TestAtomicWrite:
         assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
-PAIR_KEYS = ("system", "horizon", "seed", "seed2", "witness", "q", "base")
 PAIR_CASES = {
     "full-shift-2": ["--horizon", "3000", "--seed", "4"],
     "weighted-3": ["--arity", "3", "--probs", "0.5,0.3,0.2", "--horizon", "3000", "--seed", "7"],
@@ -478,9 +469,7 @@ def assert_pair_matches_oracle(case, out):
     argv = ["pair", *PAIR_CASES[case], "--out", str(out)]
     assert run(argv) == 0
     args = build_parser().parse_args(argv)
-    expected = csv_text_direct(
-        _config_from_args(args, PAIR_KEYS), *pair_dump_direct(_build_pair(args))
-    )
+    expected = csv_text_direct(_header(args, PAIR_KEYS), *pair_dump_direct(_build_pair(args)))
     assert out.read_bytes() == expected.encode()
 
 
@@ -522,10 +511,10 @@ class TestPairDump:
         ids=["negative", "sparse", "reals-only"],
     )
     def test_hand_built_pairs_match_oracle(self, pair, tmp_path):
-        config = RunConfig("pair", {"horizon": pair.horizon})
+        lines = ["# chaoslab pair", f"# horizon = {pair.horizon}"]
         rows = _PairRows(pair)
-        write_csv(tmp_path / "pair.csv", config, rows.header, rows)
-        expected = csv_text_direct(config, *pair_dump_direct(pair))
+        write_csv(tmp_path / "pair.csv", lines, rows.header, rows)
+        expected = csv_text_direct(lines, *pair_dump_direct(pair))
         assert (tmp_path / "pair.csv").read_bytes() == expected.encode()
 
     def test_rows_are_sized_and_reiterable(self):
