@@ -240,7 +240,8 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--allow-empty", action="store_true")
 
-    # --q defaults to None, not 2,2,2, so that a config file's run.q applies
+    # --q, and verify's --seed, default to None so that a config file's value
+    # applies; _q and _cmd_verify then fill in 2,2,2 and 0
     p = command("forge")
     p.add_argument("--q", default=None, help="q-schedule, comma-separated (2,2,2)")
     p.add_argument("--dump", choices=("params", "blocks", "point"), default="params")
@@ -408,10 +409,12 @@ def _cmd_classify(args) -> int:
         eta,
         k0,
     ]
+    lines = _header(
+        args, PAIR_KEYS + ("metric", "burn_in", "depth"), note="dc1 is a finite-horizon read only"
+    )
     write_csv(
         args.out or "verdict.csv",
-        _header(args, PAIR_KEYS + ("metric", "burn_in", "depth"),
-                note="dc1 is a finite-horizon read only"),
+        lines,
         ["pair_id", "ly", "dc1", "dc1half", "dc2", "dc3", "s", "eta", "k0"],
         [row],
     )
@@ -662,10 +665,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            args = _merge_config(parser.parse_args(argv))
-            return HANDLERS[args.command](args)
-        except SystemExit as exc:  # argparse exits 0 after printing --help
-            return exc.code
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit as exc:  # argparse exits 0 after printing --help
+                return exc.code
+            return HANDLERS[args.command](_merge_config(args))
         except (UsageError, ValidationError) as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 1

@@ -74,6 +74,37 @@ class TestExitCodes:
              "--out", str(tmp_path / "x.csv")]
         ) == 1
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["forge", "--q", "2,x"], "2,x"),
+            (["entropy", "--q", "2,2,"], "2,2,"),
+            (["pair", "--system", "odometer", "--base", "2,,4"], "2,,4"),
+            (["pair", "--probs", "0.5,x"], "0.5,x"),
+            (["classify", "--horizon", "500", "--eta-grid", "0.5;0.7"], "0.5;0.7"),
+            (["pipka", "--eta", "0.5", "--h", "1", "--card", "2", "--eps-grid", "0.1,x"], "0.1,x"),
+        ],
+        ids=lambda v: "_".join(v) if isinstance(v, list) else None,
+    )
+    def test_malformed_list_is_usage(self, argv, text, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and repr(text) in err
+        assert not out.exists()
+
+    def test_malformed_config_list_is_usage(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("thresholds.eta_grid = x\n")
+        out = tmp_path / "v.csv"
+        assert run(["classify", "--horizon", "500", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "usage error: 'x' is not" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_returns_zero(self, capsys):
+        assert run(["pair", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: chaoslab pair")
+
 
 class TestConfig:
     def test_empty_file_all_defaults(self, tmp_path):
@@ -108,6 +139,40 @@ class TestConfig:
             ["pair", "--config", str(cfg), "--horizon", "300", "--out", str(out2)]
         ) == 0
         assert len(read(out1).splitlines()) > len(read(out2).splitlines())
+
+    @pytest.mark.parametrize("argv", [["forge"], ["entropy", "--empirical", "--horizon", "500"]])
+    def test_config_q_reaches_forge_and_entropy(self, argv, tmp_path):
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("run.q = 2,3,2\n")
+        outs = {}
+        for name, extra in {
+            "file": ["--config", str(cfg)],
+            "flag": ["--q", "2,3,2"],
+            "flag-over-file": ["--config", str(cfg), "--q", "2,2,2"],
+            "default": [],
+        }.items():
+            outs[name] = tmp_path / f"{name}.csv"
+            assert run(argv + extra + ["--out", str(outs[name])]) == 0
+        assert "# q = 2,3,2" in read(outs["file"])
+        assert outs["file"].read_bytes() == outs["flag"].read_bytes()
+        assert "# q = 2,2,2" in read(outs["default"])
+        assert outs["flag-over-file"].read_bytes() == outs["default"].read_bytes()
+
+    def test_config_q_and_seed_reach_verify(self, tmp_path, monkeypatch):
+        calls = []
+        fiber_pair = c.blocks.fiber_pair
+
+        def recording(schedule, seeds, **kwargs):
+            calls.append((schedule.q, seeds))
+            return fiber_pair(schedule, seeds, **kwargs)
+
+        monkeypatch.setattr(c.blocks, "fiber_pair", recording)
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("run.q = 2,3,2\nrun.seed = 7\n")
+        argv = ["verify", "--suite", "scheme", "--pairs", "1"]
+        assert run(argv + ["--config", str(cfg)]) == 0
+        assert run(argv + ["--config", str(cfg), "--seed", "0"]) == 0
+        assert calls == [((2, 3, 2), (8, 9)), ((2, 3, 2), (1, 2))]
 
 
 class TestZeroSizesRefused:
@@ -544,6 +609,55 @@ class TestForgeBlocksGolden:
         rows = [l for l in read(out).splitlines() if not l.startswith("#")]
         assert len(rows) == 4096
         assert all((" " in r) == markers for r in rows)
+
+
+# flags that another subcommand takes but this one does not read: each must be
+# refused, never accepted and ignored
+REMOVED_FLAGS = {
+    "pair": ["--tau-one", "--tau-zero", "--eta-min", "--gap", "--eta-grid", "--burn-in",
+             "--metric", "--depth", "--format"],
+    "phi": ["--tau-one", "--tau-zero", "--eta-min", "--gap", "--eta-grid", "--depth"],
+    "scan": ["--witness", "--seed2", "--depth", "--format"],
+    "classify": ["--format"],
+    "forge": ["--format"],
+    "entropy": ["--format"],
+    "pipka": ["--format"],
+    "count-ball": ["--format"],
+    "verify": ["--format", "--out"],
+}
+REMOVED_VALUES = {
+    "--tau-one": "0.3", "--tau-zero": "0.3", "--eta-min": "0.1", "--gap": "0.2",
+    "--eta-grid": "0.5", "--burn-in": "5", "--metric": "cantor", "--depth": "7",
+    "--format": "svg", "--witness": "DC1", "--seed2": "77", "--out": "artifact.txt",
+}
+VALID_ARGV = {
+    "pair": ["--horizon", "300"],
+    "phi": ["--horizon", "300"],
+    "scan": ["--count", "3", "--horizon", "500"],
+    "classify": ["--horizon", "500"],
+    "forge": [],
+    "entropy": [],
+    "pipka": ["--eta", "0.81", "--h", "1", "--card", "2"],
+    "count-ball": ["--n", "8", "--m", "2", "--eta", "0.5"],
+    "verify": ["--suite", "params"],
+}
+
+
+class TestParserSurface:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, flags in REMOVED_FLAGS.items() for flag in flags],
+    )
+    def test_removed_flag_is_usage(self, command, flag, tmp_path, monkeypatch, capsys):
+        # the whole message names only the flag: the rest of the argv is valid
+        monkeypatch.chdir(tmp_path)
+        assert run([command, *VALID_ARGV[command], flag, REMOVED_VALUES[flag]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: unrecognized arguments: {flag} {REMOVED_VALUES[flag]}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParserReuse:

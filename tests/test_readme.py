@@ -1,12 +1,19 @@
-"""The README's library sketch runs against the current API."""
+"""The README's library sketch runs against the current API, and its CLI
+section names only flags the parser takes."""
+import argparse
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import chaoslab as c
+from chaoslab.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+CLI_SECTION = README.read_text(encoding="utf-8").split("## CLI\n", 1)[1].split("\n## ", 1)[0]
+EXAMPLES = re.findall(r"^chaoslab .*$", CLI_SECTION, re.MULTILINE)
 
 
 def test_library_sketch_runs():
@@ -19,3 +26,24 @@ def test_library_sketch_runs():
     atoms = scope["atoms"]
     assert isinstance(atoms, np.ndarray) and atoms.dtype == bool
     assert atoms.shape == (scope["fiber"].horizon,)
+
+
+@pytest.mark.parametrize("line", EXAMPLES)
+def test_cli_example_parses(line):
+    # parsed, not run: a flag its subcommand lacks raises UsageError
+    build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_flag_table_matches_parser():
+    table = CLI_SECTION.split("Flags by subcommand.", 1)[1]
+    documented = {
+        name: set(re.findall(r"`(--[a-z0-9-]+)`", cell))
+        for name, cell in re.findall(r"^\| `([a-z-]+)` +\|(.*)\|$", table, re.MULTILINE)
+    }
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {s for a in sub._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == parsed
