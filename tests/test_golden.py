@@ -119,16 +119,47 @@ GOLDEN = {
 }
 
 
+# config-file runs: (argv, file text) -> sha256; the file is passed as --config
+GOLDEN_CONFIG = {
+    ("classify --horizon 4000",
+     "thresholds.tau_one = 0.3\nthresholds.tau_zero = 0.2\nthresholds.gap = 0.1\n"
+     "thresholds.eta_grid = 0.4,0.6\nthresholds.burn_in = 40\n"
+     "run.metric = cantor\nrun.seed = 3\n"):
+        "4e011faa625d7af7277cd4d0a4da36295c311b759c511469d76c938eca340c44",
+    # the file's thresholds turn dc2 on: the default ones leave it off
+    ("classify --witness DC2 --horizon 7776",
+     "thresholds.tau_one = 0.25\nthresholds.tau_zero = 0.25\nthresholds.burn_in = 40\n"
+     "run.metric = cantor\nrun.seed = 3\n"):
+        "d09afda932dd1b4157684b7f482a098dafcf9f7b21a8920b5cb6d395acb8803a",
+    ("forge --dump blocks", "run.q = 2,3\n"):
+        "4e534a0ee03d6ff42f8eb3b63c63b0c5e044e2444bdeec5f7230b759280b9f0f",
+    # verify prints one line: this pins that the file's q and seed pass the suite
+    ("verify --suite scheme --pairs 3", "run.q = 2,3,2\nrun.seed = 5\n"):
+        "12e8fef364a5fe1dad46e54c69041d92bb76457233434fed543079444eb80726",
+}
+
+
+def artifact_bytes(argv, tmp_path, capsys) -> bytes:
+    if argv[0] == "verify":
+        assert run(argv) == 0
+        return capsys.readouterr().out.encode()
+    out = tmp_path / "artifact"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    return out.read_bytes()
+
+
 @pytest.mark.parametrize("cmd", list(GOLDEN))
 def test_artifact_bytes(cmd, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    argv = cmd.split()
-    if argv[0] == "verify":
-        assert run(argv) == 0
-        data = capsys.readouterr().out.encode()
-    else:
-        out = tmp_path / "artifact"
-        assert run(argv + ["--out", str(out)]) == 0
-        assert capsys.readouterr().out == ""
-        data = out.read_bytes()
+    data = artifact_bytes(cmd.split(), tmp_path, capsys)
     assert hashlib.sha256(data).hexdigest() == GOLDEN[cmd]
+
+
+@pytest.mark.parametrize("cmd, text", list(GOLDEN_CONFIG), ids=lambda v: v.split("\n")[0])
+def test_config_artifact_bytes(cmd, text, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    data = artifact_bytes(cmd.split() + ["--config", str(cfg)], tmp_path, capsys)
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_CONFIG[cmd, text]
