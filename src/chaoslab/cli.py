@@ -37,22 +37,12 @@ from .errors import (
 )
 from .svgplot import render_phi_svg
 
-# dotted config keys -> (argparse dest, parser)
-CONFIG_KEYS = {
-    "thresholds.tau_one": ("tau_one", float),
-    "thresholds.tau_zero": ("tau_zero", float),
-    "thresholds.eta_min": ("eta_min", float),
-    "thresholds.gap": ("gap", float),
-    "thresholds.eta_grid": ("eta_grid", str),
-    "thresholds.burn_in": ("burn_in", int),
-    "run.horizon": ("horizon", int),
-    "run.seed": ("seed", int),
-    "run.seed2": ("seed2", int),
-    "run.metric": ("metric", str),
-    "run.q": ("q", str),
-    "run.out": ("out", str),
-    "run.format": ("format", str),
-}
+# dotted config keys; each sets the flag whose dest is its last part
+CONFIG_KEYS = (
+    "thresholds.tau_one", "thresholds.tau_zero", "thresholds.eta_min", "thresholds.gap",
+    "thresholds.eta_grid", "thresholds.burn_in",
+    "run.horizon", "run.seed", "run.seed2", "run.metric", "run.q", "run.out", "run.format",
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,9 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def load_config(path: str | Path) -> dict:
-    """Plain-text `key = value` lines, '#' comments, dotted keys. Unknown
-    keys are hard errors (with a suggestion); values are parsed per key."""
+def load_config(path: str | Path) -> dict[str, str]:
+    """Plain-text `key = value` lines, '#' comments, dotted keys, read into
+    {dest: value text}. Unknown keys are hard errors (with a suggestion);
+    `run` checks the values with the parser, as it does the flags."""
     overrides = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -78,11 +69,7 @@ def load_config(path: str | Path) -> dict:
             hint = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
             suffix = f"; did you mean {hint[0]!r}?" if hint else ""
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}{suffix}")
-        dest, cast = CONFIG_KEYS[key]
-        try:
-            overrides[dest] = cast(value)
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        overrides[key.rsplit(".", 1)[1]] = value
     return overrides
 
 
@@ -171,6 +158,17 @@ def _symbol_column(track: np.ndarray | None) -> Iterable[str]:
 # --- argument plumbing --------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """A seed: numpy's SeedSequence takes non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _add_system(p: _Parser, pair: bool) -> None:
     """The system and sampling flags; `pair` adds the second seed and the
     witness pairs, which only the one-pair commands read."""
@@ -186,9 +184,9 @@ def _add_system(p: _Parser, pair: bool) -> None:
     p.add_argument("--base", default=None, help="odometer base, comma-separated")
     p.add_argument("--q", default=None, help="q-schedule, comma-separated")
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     if pair:
-        p.add_argument("--seed2", type=int, default=None)
+        p.add_argument("--seed2", type=_seed, default=None)
         p.add_argument("--witness", choices=sy.WITNESS_TARGETS, default=None)
 
 
@@ -240,20 +238,18 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--allow-empty", action="store_true")
 
-    # --q, and verify's --seed, default to None so that a config file's value
-    # applies; _q and _cmd_verify then fill in 2,2,2 and 0
     p = command("forge")
-    p.add_argument("--q", default=None, help="q-schedule, comma-separated (2,2,2)")
+    p.add_argument("--q", default="2,2,2", help="q-schedule, comma-separated")
     p.add_argument("--dump", choices=("params", "blocks", "point"), default="params")
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--markers", action="store_true", help="include the marker row")
 
     p = command("entropy")
-    p.add_argument("--q", default=None, help="q-schedule, comma-separated (2,2,2)")
+    p.add_argument("--q", default="2,2,2", help="q-schedule, comma-separated")
     p.add_argument("--empirical", action="store_true")
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--word-len", dest="word_len", type=int, default=8)
     p.add_argument("--stride", type=int, default=1)
 
@@ -279,21 +275,29 @@ def build_parser() -> _Parser:
         choices=("params", "pi-bijection", "percentage", "entropy-zero", "scheme"),
         required=True,
     )
-    p.add_argument("--q", default=None, help="q-schedule, comma-separated (2,2,2)")
-    p.add_argument("--seed", type=int, default=None, help="sampling seed (0)")
+    p.add_argument("--q", default="2,2,2", help="q-schedule, comma-separated")
+    p.add_argument("--seed", type=_seed, default=0, help="sampling seed")
     p.add_argument("--pairs", type=int, default=20)
 
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """CLI flags beat config-file values beat defaults (None placeholders). A
-    key whose flag this subcommand lacks is ignored."""
-    if args.config:
-        for dest, value in load_config(args.config).items():
-            if dest in vars(args) and getattr(args, dest) is None:
-                setattr(args, dest, value)
-    return args
+def _parse_with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]):
+    """Parse again with each config-file value as one `--flag=value` token
+    in front of the command line (the `=` keeps a value such as -0.5,0.2
+    from reading as an option), so the flag's own type and choices check
+    it and a command-line flag, coming later, wins. A key whose flag this
+    subcommand lacks is dropped. The first parse passed the command line,
+    so a usage error here comes from the file."""
+    file_flags = [
+        f"--{dest.replace('_', '-')}={value}"
+        for dest, value in load_config(args.config).items()
+        if dest in vars(args)
+    ]
+    try:
+        return parser.parse_args([args.command, *file_flags, *argv[1:]])
+    except UsageError as exc:
+        raise UsageError(f"{args.config}: {exc}") from None
 
 
 def _numbers(text: str, cast) -> tuple:
@@ -302,11 +306,6 @@ def _numbers(text: str, cast) -> tuple:
         return tuple(cast(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"{text!r} is not a comma-separated list of {cast.__name__}s") from None
-
-
-def _q(args) -> str:
-    """The q-schedule of forge, entropy and verify: --q or run.q, else 2,2,2."""
-    return "2,2,2" if args.q is None else args.q
 
 
 def _thresholds(args) -> cl.Thresholds:
@@ -397,11 +396,10 @@ def _cmd_classify(args) -> int:
     flags = verdict.flags
     eta = repr(verdict.separation_upper)
     k0 = ""
-    if args.depth and pair.a.symbols is not None:
-        partition = cl.classify_partition_pair(pair, cl.cylinder_scheme(args.depth), th)
-        if partition.k0 is not None:
-            eta = repr(partition.separation_upper)
-            k0 = str(partition.k0)
+    partition = cl.classify_partition_pair(pair, cl.cylinder_scheme(args.depth), th)
+    if partition.k0 is not None:
+        eta = repr(partition.separation_upper)
+        k0 = str(partition.k0)
     row = [
         "0",
         *(str(flags[k]) for k in ("li_yorke", "dc1", "dc1half", "dc2", "dc3")),
@@ -448,9 +446,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_forge(args) -> int:
-    q = _q(args)
-    schedule = bl.QSchedule(_numbers(q, int))
-    lines = _header(args, ("dump", "level", "seed"), q=q)
+    schedule = bl.QSchedule(_numbers(args.q, int))
+    lines = _header(args, ("dump", "level", "q", "seed"))
     out = args.out or f"forge-{args.dump}.csv"
     if args.dump == "params":
         rows = [
@@ -480,9 +477,8 @@ def _cmd_forge(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    q = _q(args)
-    schedule = bl.QSchedule(_numbers(q, int))
-    lines = _header(args, ("empirical", "horizon", "seed", "word_len", "stride"), q=q)
+    schedule = bl.QSchedule(_numbers(args.q, int))
+    lines = _header(args, ("empirical", "horizon", "q", "seed", "word_len", "stride"))
     out = args.out or "entropy.csv"
     if not args.empirical:
         report = en.block_count_entropy(
@@ -569,8 +565,7 @@ def _cmd_count_ball(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    schedule = bl.QSchedule(_numbers(_q(args), int))
-    seed = 0 if args.seed is None else args.seed
+    schedule = bl.QSchedule(_numbers(args.q, int))
     suite = args.suite
     if suite == "params":
         for p in bl.derive_params(schedule):
@@ -592,7 +587,7 @@ def _cmd_verify(args) -> int:
         k = schedule.depth
         family = bl.enumerate_family(schedule, k)
         words = bl.pi(schedule, k, family)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(args.seed)
         count = min(len(family) ** 2, 400)
         i, j = rng.integers(0, len(family), (count, 2)).T
         n_k, p_k = schedule.n(k), schedule.p(k)
@@ -624,11 +619,11 @@ def _cmd_verify(args) -> int:
     if args.pairs < 1:
         raise UsageError("pairs must be >= 1")
     scheme = bl.central_block_scheme(schedule)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     for trial in range(args.pairs):
         offset = int(rng.integers(0, schedule.n(schedule.depth)))
         pair = bl.fiber_pair(
-            schedule, (seed + 2 * trial + 1, seed + 2 * trial + 2), offset=offset
+            schedule, (args.seed + 2 * trial + 1, args.seed + 2 * trial + 2), offset=offset
         )
         masks = [scheme.same_atom_mask(pair, k) for k in range(1, schedule.depth + 1)]
         for coarse, fine in zip(masks, masks[1:]):
@@ -662,6 +657,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     is printed to stderr as `warning: Category: message`, on every run and
     without a source location, so the same command gives the same stderr."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -669,7 +665,9 @@ def run(argv: Sequence[str] | None = None) -> int:
                 args = parser.parse_args(argv)
             except SystemExit as exc:  # argparse exits 0 after printing --help
                 return exc.code
-            return HANDLERS[args.command](_merge_config(args))
+            if args.config:
+                args = _parse_with_config(parser, args, argv)
+            return HANDLERS[args.command](args)
         except (UsageError, ValidationError) as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 1

@@ -113,9 +113,10 @@ class TestConfig:
         assert load_config(cfg) == {}
 
     def test_override(self, tmp_path):
+        # the value stays text, keyed by its flag's dest: the parser casts it
         cfg = tmp_path / "t.cfg"
         cfg.write_text("thresholds.tau_one = 0.1\n")
-        assert load_config(cfg) == {"tau_one": 0.1}
+        assert load_config(cfg) == {"tau_one": "0.1"}
 
     def test_malformed_line_names_line_number(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -174,10 +175,49 @@ class TestConfig:
         assert run(argv + ["--config", str(cfg), "--seed", "0"]) == 0
         assert calls == [((2, 3, 2), (8, 9)), ((2, 3, 2), (1, 2))]
 
+    @pytest.mark.parametrize(
+        "line, argv, message",
+        [
+            ("run.format = pdf", ["phi", "--horizon", "300"], "argument --format: invalid choice"),
+            ("run.metric = bogus", ["phi", "--horizon", "300"], "argument --metric: invalid choice"),
+            ("run.horizon = abc", ["pair"], "argument --horizon: invalid int value: 'abc'"),
+            ("run.seed = -1", ["pair"], "argument --seed: expected a non-negative integer"),
+        ],
+        ids=["format-pdf", "metric-bogus", "horizon-abc", "seed-negative"],
+    )
+    def test_bad_value_names_the_file(self, line, argv, message, tmp_path, monkeypatch, capsys):
+        # a file value gets its flag's type and choices checks
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run(argv + ["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {cfg}: {message}")
+        assert list(work.iterdir()) == []
+
+    def test_negative_grid_value_reaches_the_range_check(self, tmp_path, capsys):
+        # passed as --eta-grid=-0.5,0.2, not read as an option with no value
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("thresholds.eta_grid = -0.5,0.2\n")
+        out = tmp_path / "v.csv"
+        assert run(["classify", "--horizon", "500", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: eta grid values must lie in (0,1)\n"
+        assert not out.exists()
+
+    def test_key_without_flag_is_ignored(self, tmp_path):
+        # pair has no --metric, --format or threshold flags
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text("run.metric = cantor\nrun.format = svg\nthresholds.gap = 0.3\n")
+        outs = [tmp_path / "file.csv", tmp_path / "none.csv"]
+        assert run(["pair", "--horizon", "300", "--config", str(cfg), "--out", str(outs[0])]) == 0
+        assert run(["pair", "--horizon", "300", "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestZeroSizesRefused:
     """An explicit 0 is a value, not a request for the default: each command
-    refuses it with exit code 1 and writes nothing."""
+    refuses it, and a negative seed, with exit code 1 and writes nothing."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -194,14 +234,28 @@ class TestZeroSizesRefused:
             ["scan", "--count", "-1"],
             ["verify", "--suite", "scheme", "--pairs", "0"],
             ["verify", "--suite", "scheme", "--pairs", "-1"],
+            ["classify", "--depth", "0"],
+            ["pair", "--seed", "-3"],
+            ["pair", "--seed2", "-1"],
+            ["phi", "--seed", "-1"],
+            ["classify", "--seed", "-3"],
+            ["scan", "--seed", "-3"],
+            ["forge", "--dump", "point", "--seed", "-3"],
+            ["entropy", "--empirical", "--seed", "-3"],
+            ["verify", "--suite", "scheme", "--seed", "-1"],
+            ["verify", "--suite", "percentage", "--seed", "-1"],
         ],
         ids="_".join,
     )
-    def test_flag(self, argv, tmp_path, capsys):
+    def test_flag(self, argv, tmp_path, monkeypatch, capsys):
+        # the last flag of each argv is the refused input, and the one line of
+        # stderr names it; verify writes no artifact and has no --out
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "out.csv"
-        assert run(argv + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err.count("\n") == 1
-        assert not out.exists()
+        assert run(argv if argv[0] == "verify" else argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and argv[-2].lstrip("-") in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [["pair"], ["scan"], ["entropy", "--empirical"]])
     def test_config_file(self, argv, tmp_path):
@@ -404,32 +458,56 @@ class TestVerifySuites:
         assert "shift-window property fails" in capsys.readouterr().err
 
 
+# each config key -> a run that takes its flag, and a value that changes
+# that run's output (the witness pairs make the thresholds move the verdict)
+KEY_RUNS = {
+    "thresholds.tau_one": (["classify", "--witness", "DC1", "--horizon", "7776"], "0.25"),
+    "thresholds.tau_zero": (
+        ["classify", "--witness", "DC1", "--horizon", "7776", "--tau-one", "0.25"], "0.2"
+    ),
+    "thresholds.eta_min": (["classify", "--witness", "DC2", "--horizon", "7776"], "0.3"),
+    "thresholds.gap": (["classify", "--witness", "DC2", "--horizon", "7776"], "0.3"),
+    # no artifact byte reads the eta grid (see the range-check test)
+    "thresholds.eta_grid": (["classify", "--witness", "DC2", "--horizon", "7776"], "0.2,0.95"),
+    "thresholds.burn_in": (["classify", "--witness", "DC3", "--horizon", "7776"], "40"),
+    "run.horizon": (["pair", "--seed", "3"], "300"),
+    "run.seed": (["pair", "--horizon", "300"], "5"),
+    "run.seed2": (["pair", "--horizon", "300"], "9"),
+    "run.metric": (["phi", "--horizon", "300"], "cantor"),
+    "run.q": (["forge"], "2,3"),
+    "run.out": (["pair", "--horizon", "300"], "somewhere.csv"),
+    "run.format": (["phi", "--horizon", "300"], "svg"),
+}
+
+
 class TestConfigKeys:
     def test_every_registered_key_round_trips(self, tmp_path):
         from chaoslab.cli import CONFIG_KEYS
 
-        lines = {
-            "thresholds.tau_one": "0.2",
-            "thresholds.tau_zero": "0.1",
-            "thresholds.eta_min": "0.07",
-            "thresholds.gap": "0.15",
-            "thresholds.eta_grid": "0.5,0.8",
-            "thresholds.burn_in": "50",
-            "run.horizon": "1234",
-            "run.seed": "5",
-            "run.seed2": "6",
-            "run.metric": "cantor",
-            "run.q": "2,2",
-            "run.out": "somewhere.csv",
-            "run.format": "csv",
-        }
-        assert set(lines) == set(CONFIG_KEYS)
+        assert set(KEY_RUNS) == set(CONFIG_KEYS)
         cfg = tmp_path / "full.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
-        parsed = load_config(cfg)
-        assert parsed["horizon"] == 1234
-        assert parsed["tau_one"] == 0.2
-        assert parsed["metric"] == "cantor"
+        cfg.write_text("".join(f"{k} = {value}\n" for k, (_, value) in KEY_RUNS.items()))
+        assert load_config(cfg) == {
+            k.rsplit(".", 1)[1]: value for k, (_, value) in KEY_RUNS.items()
+        }
+
+    @pytest.mark.parametrize("key", list(KEY_RUNS))
+    def test_file_value_writes_the_flag_bytes(self, key, tmp_path, monkeypatch):
+        argv, value = KEY_RUNS[key]
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        flag = "--" + key.rsplit(".", 1)[1].replace("_", "-")
+
+        def written(name, extra):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert run(argv + extra) == 0
+            return {p.name: p.read_bytes() for p in Path.cwd().iterdir()}
+
+        from_file = written("file", ["--config", str(cfg)])
+        assert from_file == written("flag", [flag, value])
+        if key != "thresholds.eta_grid":
+            assert from_file != written("default", [])
 
 
 def _polyline_ys(text):
