@@ -1,7 +1,8 @@
 """Benchmark the interval-map orbit loop, the exact eta-ball count, the
 per-pair distance series plus Phi profile of the symbolic metrics, the
 nested-time-set density kernel on its own, the plug-in word entropy on both
-of its counting branches, and one small CLI call (first and later calls).
+of its counting branches, the `pair` dump writer on its own, and one small
+CLI call (first and later calls).
 
 Run as a script from a checkout (no install needed):
     python benchmarks/bench_kernels.py
@@ -89,6 +90,19 @@ def main():
             warnings.simplefilter("ignore", UndersampledWarning)  # 2^24 words
             t, _ = timeit(empirical_cylinder_entropy, bits, word_len)
         print(f"  word_len={word_len:2d}: {t*1e3:8.2f} ms")
+
+    print("\npair dump writer alone (pair sampled beforehand, written to a temp directory)")
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "pair.csv"
+        for name, spec, horizon in (
+            ("full shift", FullShift(2, (0.5, 0.5)), 1_000_000),
+            ("tent a=1.99", IntervalMap("tent", 1.99), 250_000),
+        ):
+            pair = make_pair(spec, horizon, (1, 2))
+            t, _ = timeit(lambda: cli.atomic_write(out, cli._pair_chunks(["# pair"], pair)))
+            mb = out.stat().st_size / 1e6
+            print(f"  {name:11s} N={horizon:8d}: {t*1e3:8.2f} ms   {mb:6.1f} MB"
+                  f"   {mb / t:6.1f} MB/s")
 
     print("\ncli.run count-ball --n 10 --m 3 --eta 0.5 (the parser is built on the"
           " first call)")

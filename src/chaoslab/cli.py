@@ -116,43 +116,55 @@ def _csv_chunks(lines: Sequence[str], header: Sequence[str], rows) -> Iterator[s
         yield "\n".join(block) + "\n"
 
 
-class _PairRows:
-    """The rows of a pair dump, formatted a column at a time: `n`, both
-    symbol tracks and, when the pair has reals, both real tracks. Sized (its
-    length is the horizon) and iterable any number of times."""
-
-    def __init__(self, pair: sy.OrbitPair):
-        self.pair = pair
-        self.header = ["n", "x_symbol", "y_symbol"]
-        if pair.a.reals is not None:
-            self.header += ["x_real", "y_real"]
-
-    def __len__(self) -> int:
-        return self.pair.horizon
-
-    def __iter__(self) -> Iterator[tuple[str, ...]]:
-        a, b = self.pair.a, self.pair.b
-        columns = [
-            map(str, range(1, self.pair.horizon + 1)),
-            _symbol_column(a.symbols),
-            _symbol_column(b.symbols),
-        ]
-        if a.reals is not None:
-            columns += [map(repr, a.reals.tolist()), map(repr, b.reals.tolist())]
-        return zip(*columns)
+def _pair_chunks(lines: Sequence[str], pair: sy.OrbitPair) -> Iterator[str]:
+    """The text of a pair dump in blocks of CSV_BLOCK_ROWS rows: `n`, both
+    symbol tracks (blank without one) and, when the pair has reals, both
+    real tracks. The integer cells of a block are one byte matrix; the reals
+    go through `repr`, which numpy cannot reproduce byte for byte."""
+    a, b = pair.a, pair.b
+    header = ["n", "x_symbol", "y_symbol"] + (["x_real", "y_real"] if a.reals is not None else [])
+    yield "\n".join([*lines, ",".join(header)]) + "\n"
+    for start in range(0, pair.horizon, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, pair.horizon)
+        cells = np.hstack([
+            _decimal_cells(np.arange(start + 1, stop + 1), stop - start, ","),
+            *(_decimal_cells(None if t.symbols is None else t.symbols[start:stop],
+                             stop - start, end) for t, end in ((a, ","), (b, "\n"))),
+        ])
+        text = cells[cells != 0].tobytes().decode("ascii")
+        if a.reals is None:
+            yield text
+        else:  # the '' that `split` leaves after the last row has no reals: map drops it
+            xs, ys = (t.reals[start:stop].tolist() for t in (a, b))
+            yield "".join(map("{},{!r},{!r}\n".format, text.split("\n"), xs, ys))
 
 
-def _symbol_column(track: np.ndarray | None) -> Iterable[str]:
-    """Each symbol's decimal name, looked up in a table over [min, max]
-    (cheaper than `str` per cell); a track without symbols is blank."""
-    if track is None:
-        return itertools.repeat("")
-    track = np.asarray(track, dtype=np.int64)
-    lo, hi = int(track.min()), int(track.max())
-    if hi - lo >= track.size:  # a sparse range: the table would outgrow the track
-        return map(str, track.tolist())
-    names = [str(v) for v in range(lo, hi + 1)]
-    return map(names.__getitem__, (track - lo).tolist())
+def _decimal_cells(values: np.ndarray | None, rows: int, end: str) -> np.ndarray:
+    """A (rows, width + 1) uint8 matrix: each value's decimal digits, after a
+    '-' when negative, right-aligned behind NUL padding, then `end`. Without
+    values the cells are blank: a column of `end` alone."""
+    if values is None:
+        return np.full((rows, 1), ord(end), np.uint8)
+    values = np.asarray(values, np.int64)
+    negative = values < 0
+    left = np.abs(values)
+    top = left.max()
+    left = left.astype(np.min_scalar_type(top))  # narrow ints divide faster
+    width = len(str(top)) + int(negative.any())
+    cells = np.zeros((rows, width + 1), np.uint8)
+    cells[:, width] = ord(end)
+    column = width - 1
+    left, digit = np.divmod(left, 10)
+    cells[:, column] = digit + ord("0")  # the units digit, also of a 0
+    while left.any():
+        column -= 1
+        present = left > 0
+        left, digit = np.divmod(left, 10)
+        cells[:, column] = np.where(present, digit + ord("0"), 0)
+    if negative.any():
+        sign = width - 1 - np.count_nonzero(cells[:, :width], axis=1)
+        cells[negative, sign[negative]] = ord("-")
+    return cells
 
 
 # --- argument plumbing --------------------------------------------------------
@@ -369,8 +381,8 @@ PAIR_KEYS = ("system", "horizon", "seed", "seed2", "witness", "q", "base")
 
 
 def _cmd_pair(args) -> int:
-    rows = _PairRows(_build_pair(args))
-    write_csv(args.out or "pair.csv", _header(args, PAIR_KEYS), rows.header, rows)
+    lines = _header(args, PAIR_KEYS)
+    atomic_write(args.out or "pair.csv", _pair_chunks(lines, _build_pair(args)))
     return 0
 
 
@@ -458,13 +470,16 @@ def _cmd_forge(args) -> int:
         return 0
     if args.dump == "blocks":
         level = args.level if args.level is not None else schedule.depth
-        digits = np.asarray(bl.enumerate_family(schedule, level), np.uint8) + ord("0")
-        suffix = ""
+        family = np.asarray(bl.enumerate_family(schedule, level), np.uint8)
+        suffix = "\n"
         if args.markers:
             marks = bl.marker_row(schedule, 0, schedule.n(level))
-            suffix = " " + ",".join(str(int(v)) for v in marks)
-        lines.extend(row.tobytes().decode() + suffix for row in digits)
-        atomic_write(out, "\n".join(lines) + "\n")
+            suffix = " " + ",".join(str(int(v)) for v in marks) + suffix
+        # one byte row per block: its digits, then the suffix shared by all
+        rows = np.empty((len(family), family.shape[1] + len(suffix)), np.uint8)
+        rows[:, : family.shape[1]] = family + ord("0")
+        rows[:, family.shape[1] :] = np.frombuffer(suffix.encode(), np.uint8)
+        atomic_write(out, "\n".join(lines) + "\n" + rows.tobytes().decode("ascii"))
         return 0
     # point dump: marker row and binary row of one sampled point
     seed = args.seed if args.seed is not None else 1

@@ -12,12 +12,11 @@ from chaoslab.cli import (
     PAIR_KEYS,
     _build_pair,
     _header,
-    _PairRows,
+    _pair_chunks,
     atomic_write,
     build_parser,
     load_config,
     run,
-    write_csv,
 )
 from chaoslab.errors import UsageError
 from chaoslab.svgplot import render_phi_svg
@@ -605,6 +604,9 @@ PAIR_CASES = {
     "witness": ["--witness", "DC2", "--horizon", "5000"],
     "odometer": ["--system", "odometer", "--base", "2,4,12", "--horizon", "3000"],
     "zero-entropy": ["--system", "zero-entropy", "--q", "2,2,2", "--horizon", "3000"],
+    "full-shift-12": ["--arity", "12", "--horizon", "3000", "--seed", "5"],
+    "logistic-depth-4": ["--system", "logistic", "--param", "3.9", "--coding-depth", "4",
+                         "--horizon", "3000", "--seed", "4"],
 }
 
 
@@ -627,8 +629,8 @@ def hand_built_pair(spec, x, y, track="symbols"):
 
 
 class TestPairDump:
-    """`pair` formats whole columns; its bytes must equal one `str` per cell
-    in a per-row loop (the oracle)."""
+    """`pair` formats its integer cells as byte blocks; its bytes must
+    equal one `str` per cell in a per-row loop (the oracle)."""
 
     @pytest.mark.parametrize("case", sorted(PAIR_CASES))
     def test_cli_matches_per_row_oracle(self, case, tmp_path):
@@ -643,9 +645,9 @@ class TestPairDump:
     @pytest.mark.parametrize(
         "pair",
         [
-            # negative symbols, names looked up in a table over [min, max]
+            # negative symbols: a sign slot in the widest cell
             hand_built_pair(SignedSymbols(), [-3, 1, 0, -1, -3, 1], [0, -2, 1, 1, -1, 0]),
-            # a range far wider than the track
+            # 13-digit magnitudes of both signs beside a 1-digit track
             hand_built_pair(SignedSymbols(), [0, -(10**12), 10**12], [1, 1, 1]),
             # reals without a symbol track: blank symbol cells
             hand_built_pair(c.IntervalMap("tent", 1.5), [0.1, 1 / 3, 0.75], [2**-40, 0.5, 1.0],
@@ -655,19 +657,9 @@ class TestPairDump:
     )
     def test_hand_built_pairs_match_oracle(self, pair, tmp_path):
         lines = ["# chaoslab pair", f"# horizon = {pair.horizon}"]
-        rows = _PairRows(pair)
-        write_csv(tmp_path / "pair.csv", lines, rows.header, rows)
+        atomic_write(tmp_path / "pair.csv", _pair_chunks(lines, pair))
         expected = csv_text_direct(lines, *pair_dump_direct(pair))
         assert (tmp_path / "pair.csv").read_bytes() == expected.encode()
-
-    def test_rows_are_sized_and_reiterable(self):
-        pair = c.make_pair(c.IntervalMap("tent", 1.99), 500, (1, 2))
-        rows = _PairRows(pair)
-        assert len(rows) == pair.horizon
-        first = list(rows)
-        assert len(first) == pair.horizon
-        assert list(rows) == first
-        assert first[0][0] == "1" and len(first[0]) == 5
 
 
 class TestForgeBlocksGolden:
