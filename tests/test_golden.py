@@ -26,6 +26,9 @@ GOLDEN = {
         "54b305d46731b41ab3894442b23d4187de9f82a3b3ed4c7fc2eaf39095d2488e",
     "pair --witness DC2 --horizon 5000":
         "1e0f9a10e8e97468ba695567004ad18a77fe6065d05ecdafc644d15bbaa7cecb",
+    # about 40 reals below 1e-4, written in exponent notation
+    "pair --system logistic --param 4 --horizon 3000 --seed 1":
+        "cd039b271df9ffdc2f575bf86f6ada9cd7309347813874d67659c9162d8cb7a2",
 
     "phi --witness DC3 --horizon 16382":
         "51e304c3e9ef05cbe0f467bc27e589d86ffce3689984245878231f69ef588a43",
