@@ -1,8 +1,8 @@
 """Benchmark the interval-map orbit loop, the exact eta-ball count, the
 per-pair distance series plus Phi profile of the symbolic metrics, the
 nested-time-set density kernel on its own, the plug-in word entropy on both
-of its counting branches, the `pair` dump writer on its own, and one small
-CLI call (first and later calls).
+of its counting branches, the `pair` dump writer on its own and its real
+cells against `repr`, and one small CLI call (first and later calls).
 
 Run as a script from a checkout (no install needed):
     python benchmarks/bench_kernels.py
@@ -103,6 +103,22 @@ def main():
             mb = out.stat().st_size / 1e6
             print(f"  {name:11s} N={horizon:8d}: {t*1e3:8.2f} ms   {mb:6.1f} MB"
                   f"   {mb / t:6.1f} MB/s")
+
+    rows = cli.CSV_BLOCK_ROWS
+    tent = make_pair(IntervalMap("tent", 1.99), rows, (1, 2))
+    block = np.stack([tent.a.reals, tent.b.reals], axis=1)
+
+    def real_cells():
+        # the shortest digits of every cell, written as bytes behind "0."
+        digits, places, _ = cli._shortest_decimals(block)
+        cells = np.zeros((rows, 2, 2 + int(places.max())), np.uint8)
+        cli._decimal_cells(cells[..., 2:], digits, places)
+        return cells
+
+    t_fast, _ = timeit(real_cells)
+    t_repr, _ = timeit(lambda: list(map(repr, block.ravel().tolist())))
+    print(f"  real cells of one {rows}-row tent block: {t_fast*1e3:7.2f} ms"
+          f"   map(repr) {t_repr*1e3:7.2f} ms")
 
     print("\ncli.run count-ball --n 10 --m 3 --eta 0.5 (the parser is built on the"
           " first call)")

@@ -119,52 +119,152 @@ def _csv_chunks(lines: Sequence[str], header: Sequence[str], rows) -> Iterator[s
 def _pair_chunks(lines: Sequence[str], pair: sy.OrbitPair) -> Iterator[str]:
     """The text of a pair dump in blocks of CSV_BLOCK_ROWS rows: `n`, both
     symbol tracks (blank without one) and, when the pair has reals, both
-    real tracks. The integer cells of a block are one byte matrix; the reals
-    go through `repr`, which numpy cannot reproduce byte for byte."""
+    real tracks, each written as `repr` writes it. A block is one uint8
+    matrix, a row per line: every cell right-aligned behind NUL padding in
+    its field, then its `,` or newline; the block's text is the matrix with
+    the NULs dropped."""
     a, b = pair.a, pair.b
-    header = ["n", "x_symbol", "y_symbol"] + (["x_real", "y_real"] if a.reals is not None else [])
+    reals = a.reals is not None
+    header = ["n", "x_symbol", "y_symbol"] + (["x_real", "y_real"] if reals else [])
     yield "\n".join([*lines, ",".join(header)]) + "\n"
     for start in range(0, pair.horizon, CSV_BLOCK_ROWS):
         stop = min(start + CSV_BLOCK_ROWS, pair.horizon)
-        cells = np.hstack([
-            _decimal_cells(np.arange(start + 1, stop + 1), stop - start, ","),
-            *(_decimal_cells(None if t.symbols is None else t.symbols[start:stop],
-                             stop - start, end) for t, end in ((a, ","), (b, "\n"))),
-        ])
-        text = cells[cells != 0].tobytes().decode("ascii")
-        if a.reals is None:
-            yield text
-        else:  # the '' that `split` leaves after the last row has no reals: map drops it
-            xs, ys = (t.reals[start:stop].tolist() for t in (a, b))
-            yield "".join(map("{},{!r},{!r}\n".format, text.split("\n"), xs, ys))
+        ints = [np.arange(start + 1, stop + 1, dtype=np.int64),
+                *(None if t.symbols is None else np.asarray(t.symbols[start:stop], np.int64)
+                  for t in (a, b))]
+        widths = [_decimal_width(v) for v in ints]
+        total = sum(widths) + len(widths)
+        if reals:
+            xy = np.stack([a.reals[start:stop], b.reals[start:stop]], axis=1)
+            digits, places, other = _shortest_decimals(xy)
+            texts = [repr(v) for v in xy[other].tolist()]
+            real = max([2 + int(places.max()), *map(len, texts)])  # "0." and the places
+            total += 2 * (real + 1)
+        cells = np.zeros((stop - start, total), np.uint8)
+        at = 0
+        for values, width, end in zip(ints, widths, ",,," if reals else ",,\n"):
+            if values is not None:
+                _decimal_cells(cells[:, at : at + width], values)
+            cells[:, at + width] = ord(end)
+            at += width + 1
+        if reals:
+            fields = cells[:, at:].reshape(stop - start, 2, real + 1)  # x, y: a view
+            fields[..., :2] = np.frombuffer(b"0.", np.uint8)
+            _decimal_cells(fields[..., 2:real], digits, places)
+            fields[other, :real] = np.array(texts, f"S{real}").view(np.uint8).reshape(-1, real)
+            fields[..., real] = np.frombuffer(b",\n", np.uint8)
+        yield cells[cells != 0].tobytes().decode("ascii")
 
 
-def _decimal_cells(values: np.ndarray | None, rows: int, end: str) -> np.ndarray:
-    """A (rows, width + 1) uint8 matrix: each value's decimal digits, after a
-    '-' when negative, right-aligned behind NUL padding, then `end`. Without
-    values the cells are blank: a column of `end` alone."""
+def _decimal_width(values: np.ndarray | None) -> int:
+    """The field width of integer `values`: the digits of the largest
+    magnitude and a sign slot when any is negative; 0 without values."""
     if values is None:
-        return np.full((rows, 1), ord(end), np.uint8)
-    values = np.asarray(values, np.int64)
+        return 0
+    return len(str(np.abs(values).max())) + int((values < 0).any())
+
+
+def _decimal_cells(out: np.ndarray, values: np.ndarray, digits=1) -> None:
+    """Write integer `values` into the last axis of the zeroed `out`: each
+    one's decimal digits, right-aligned behind NUL padding and zero-padded
+    to at least `digits` digits (so the units digit of a 0 by default),
+    after a '-' when negative. The digits are laid out one place per row,
+    each row contiguous, and moved into `out` in one copy."""
+    places = np.zeros((out.shape[-1], *values.shape), np.uint8)
+    _place_rows(places, np.abs(values), digits)
     negative = values < 0
-    left = np.abs(values)
-    top = left.max()
-    left = left.astype(np.min_scalar_type(top))  # narrow ints divide faster
-    width = len(str(top)) + int(negative.any())
-    cells = np.zeros((rows, width + 1), np.uint8)
-    cells[:, width] = ord(end)
-    column = width - 1
-    left, digit = np.divmod(left, 10)
-    cells[:, column] = digit + ord("0")  # the units digit, also of a 0
-    while left.any():
-        column -= 1
-        present = left > 0
-        left, digit = np.divmod(left, 10)
-        cells[:, column] = np.where(present, digit + ord("0"), 0)
     if negative.any():
-        sign = width - 1 - np.count_nonzero(cells[:, :width], axis=1)
-        cells[negative, sign[negative]] = ord("-")
-    return cells
+        sign = len(places) - 1 - np.count_nonzero(places, axis=0)
+        where = np.nonzero(negative)
+        places[(sign[where], *where)] = ord("-")
+    out[...] = np.moveaxis(places, 0, -1)
+
+
+def _place_rows(rows: np.ndarray, left: np.ndarray, digits) -> None:
+    """Fill `rows`, the last one the units, with the decimal digits of the
+    non-negative `left` (NUL where a value has none), zero-padded to
+    `digits` digits."""
+    top = left.max()
+    if top >> 32:  # split off the low nine digits: narrow ints divide faster
+        high = left // 10**9
+        _place_rows(rows[-9:], left - high * 10**9, np.where(high > 0, 9, np.minimum(digits, 9)))
+        _place_rows(rows[:-9], high, np.maximum(np.subtract(digits, 9), 0))
+        return
+    left = left.astype(np.min_scalar_type(top))
+    for place, row in enumerate(rows[::-1]):
+        shown = (left > 0) | (place < np.asarray(digits))
+        if not shown.any():
+            break
+        rest = left // 10
+        row[...] = (left - rest * 10 + ord("0")) * shown
+        left = rest
+
+
+# 17 significant digits of a float in [1e-4, 1) take at most 20 places
+_POW5 = 5 ** np.arange(21, dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _shortest_decimals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shortest decimal that reads back as each float64 of `x`, as `repr`
+    writes it: (digits, places, other), where a cell not in `other` is `0.`
+    and `digits` zero-padded to `places`. `other` marks the cells to leave
+    to `repr`: 0.0, anything outside [1e-4, 1) (exponent notation or an
+    integer part), exact powers of two (whose rounding interval is uneven)
+    and exact ties, where `repr` rounds half to even.
+
+    x = m / 2^q with m the 53-bit significand, and the reals that read back
+    as x are those strictly within 2^-(q+1) of it (the bounds are never
+    decimals, as (2m +- 1) 5^K is odd). At K places, 17 significant digits,
+    the bounds times 10^K are L, U = (2m -+ 1) 5^K / 2^(q-K+1), at least 1
+    apart. Dropping t places still reads back while some multiple of 10^t
+    lies between them, that is while floor(L / 10^t) != floor(U / 10^t);
+    the cell is then the nearest decimal at K - t places (Steele & White
+    1990, Adams 2018)."""
+    shape = x.shape
+    x = np.ascontiguousarray(x, np.float64).ravel()
+    bits = x.view(np.uint64)
+    fraction = bits & np.uint64((1 << 52) - 1)
+    other = ~((x >= 1e-4) & (x < 1)) | (fraction == 0)
+    m = fraction | np.uint64(1 << 52)
+    q = np.where(other, 53, 1075 - (bits >> np.uint64(52)).astype(np.int64))
+    # the float thresholds lie above 10^-j with no float between, so these
+    # compares count the zeros after the point exactly
+    places = 17 + (x < 0.1) + (x < 0.01) + (x < 0.001).astype(np.int64)
+    lower, _ = _times_pow5(2 * m - np.uint64(1), places, q - places + 1)
+    upper, _ = _times_pow5(2 * m + np.uint64(1), places, q - places + 1)
+    shorter = np.ones(len(x), bool)
+    while True:
+        lower //= np.uint64(10)
+        upper //= np.uint64(10)
+        shorter &= lower != upper
+        if not shorter.any():
+            break
+        places -= shorter
+    digits, rest = _times_pow5(m, places, q - places)
+    half = np.uint64(1) << (q - places - 1).astype(np.uint64)
+    digits += rest > half
+    other |= rest == half
+    digits[other] = 0
+    places[other] = 0
+    return digits.reshape(shape), places.reshape(shape), other.reshape(shape)
+
+
+def _times_pow5(n: np.ndarray, k: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(floor(n 5^k / 2^shift), n 5^k mod 2^shift), exact for n < 2^54,
+    k <= 20 and 0 < shift < 64: the product is held as two uint64 words,
+    summed from 32-bit limbs."""
+    p = _POW5[k]
+    shift = shift.astype(np.uint64)
+    nh, nl = n >> np.uint64(32), n & _LOW32
+    ph, pl = p >> np.uint64(32), p & _LOW32
+    low = nl * pl
+    mid = nh * pl + nl * ph
+    carry = (low >> np.uint64(32)) + (mid & _LOW32)
+    low = (low & _LOW32) | (carry << np.uint64(32))
+    high = nh * ph + (mid >> np.uint64(32)) + (carry >> np.uint64(32))
+    quotient = (high << (np.uint64(64) - shift)) | (low >> shift)
+    return quotient, low & ((np.uint64(1) << shift) - np.uint64(1))
 
 
 # --- argument plumbing --------------------------------------------------------
@@ -181,6 +281,17 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _positive(text: str) -> int:
+    """A size (a horizon, a count of trajectories or pairs): at least 1."""
+    try:
+        size = int(text)
+    except ValueError:
+        size = 0
+    if size < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return size
+
+
 def _add_system(p: _Parser, pair: bool) -> None:
     """The system and sampling flags; `pair` adds the second seed and the
     witness pairs, which only the one-pair commands read."""
@@ -195,7 +306,7 @@ def _add_system(p: _Parser, pair: bool) -> None:
     p.add_argument("--coding-depth", type=int, default=1)
     p.add_argument("--base", default=None, help="odometer base, comma-separated")
     p.add_argument("--q", default=None, help="q-schedule, comma-separated")
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=_positive, default=None)
     p.add_argument("--seed", type=_seed, default=None)
     if pair:
         p.add_argument("--seed2", type=_seed, default=None)
@@ -244,7 +355,7 @@ def build_parser() -> _Parser:
     p = command("scan")
     _add_system(p, pair=False)
     _add_profile(p, thresholds=True)
-    p.add_argument("--count", type=int, default=8, help="number of trajectories")
+    p.add_argument("--count", type=_positive, default=8, help="number of trajectories")
     p.add_argument(
         "--target", choices=("li_yorke", "dc1", "dc1half", "dc2", "dc3"), default="dc2"
     )
@@ -260,7 +371,7 @@ def build_parser() -> _Parser:
     p = command("entropy")
     p.add_argument("--q", default="2,2,2", help="q-schedule, comma-separated")
     p.add_argument("--empirical", action="store_true")
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=_positive, default=None)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--word-len", dest="word_len", type=int, default=8)
     p.add_argument("--stride", type=int, default=1)
@@ -289,7 +400,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--q", default="2,2,2", help="q-schedule, comma-separated")
     p.add_argument("--seed", type=_seed, default=0, help="sampling seed")
-    p.add_argument("--pairs", type=int, default=20)
+    p.add_argument("--pairs", type=_positive, default=20)
 
     return parser
 
@@ -432,8 +543,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.count < 1:
-        raise UsageError("count must be >= 1")
     spec = _system_spec(args)
     horizon = args.horizon if args.horizon is not None else 10000
     seed = args.seed if args.seed is not None else 1
@@ -506,8 +615,6 @@ def _cmd_entropy(args) -> int:
         write_csv(out, lines, ["k", "count", "length", "bits_per_symbol"], rows)
         return 0
     horizon = args.horizon if args.horizon is not None else 100000
-    if horizon < 1:
-        raise UsageError("horizon must be >= 1")
     seed = args.seed if args.seed is not None else 1
     blocks = -(-horizon // schedule.n(schedule.depth))
     track = bl.sample_point(schedule, seed, offset=0, blocks=blocks).symbol_track(horizon)
@@ -631,8 +738,6 @@ def _cmd_verify(args) -> int:
         print("entropy-zero OK")
         return 0
     # scheme: refinement + shift-window property on sampled fiber pairs
-    if args.pairs < 1:
-        raise UsageError("pairs must be >= 1")
     scheme = bl.central_block_scheme(schedule)
     rng = np.random.default_rng(args.seed)
     for trial in range(args.pairs):

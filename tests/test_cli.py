@@ -1,10 +1,14 @@
 import hashlib
+import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chaoslab as c
 from chaoslab import cli
@@ -179,10 +183,14 @@ class TestConfig:
         [
             ("run.format = pdf", ["phi", "--horizon", "300"], "argument --format: invalid choice"),
             ("run.metric = bogus", ["phi", "--horizon", "300"], "argument --metric: invalid choice"),
-            ("run.horizon = abc", ["pair"], "argument --horizon: invalid int value: 'abc'"),
+            ("run.horizon = abc", ["pair"], "argument --horizon: expected a positive integer"),
             ("run.seed = -1", ["pair"], "argument --seed: expected a non-negative integer"),
+            ("run.horizon = 0", ["pair"], "argument --horizon: expected a positive integer"),
+            ("run.horizon = 0", ["entropy", "--empirical"],
+             "argument --horizon: expected a positive integer"),
         ],
-        ids=["format-pdf", "metric-bogus", "horizon-abc", "seed-negative"],
+        ids=["format-pdf", "metric-bogus", "horizon-abc", "seed-negative", "horizon-zero",
+             "entropy-horizon-zero"],
     )
     def test_bad_value_names_the_file(self, line, argv, message, tmp_path, monkeypatch, capsys):
         # a file value gets its flag's type and choices checks
@@ -652,14 +660,100 @@ class TestPairDump:
             # reals without a symbol track: blank symbol cells
             hand_built_pair(c.IntervalMap("tent", 1.5), [0.1, 1 / 3, 0.75], [2**-40, 0.5, 1.0],
                             track="reals"),
+            # rows 6 and 7 of 10, inside the second block, hold cells only repr
+            # writes (a tie, exponent notation, 0.0, 1.0) between digit cells
+            hand_built_pair(
+                c.IntervalMap("tent", 1.99),
+                [0.3, 0.7, 0.123, 0.99, 0.5001, 0.59879302978515625, 4.366151316184339e-06,
+                 0.25000000000000006, 0.0001, 0.6],
+                [0.1, 0.2, 0.3, 0.4, 0.5, 0.0, 1.0, 0.9999999999999999, 0.875, 0.02],
+                track="reals",
+            ),
         ],
-        ids=["negative", "sparse", "reals-only"],
+        ids=["negative", "sparse", "reals-only", "repr-cells-mid-block"],
     )
-    def test_hand_built_pairs_match_oracle(self, pair, tmp_path):
+    def test_hand_built_pairs_match_oracle(self, pair, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
         lines = ["# chaoslab pair", f"# horizon = {pair.horizon}"]
         atomic_write(tmp_path / "pair.csv", _pair_chunks(lines, pair))
         expected = csv_text_direct(lines, *pair_dump_direct(pair))
         assert (tmp_path / "pair.csv").read_bytes() == expected.encode()
+
+
+def shortest_cells(values):
+    """Each float of `values` as `_shortest_decimals` has the writer put it,
+    and the mask of the cells it leaves to `repr`."""
+    values = np.asarray(values, np.float64)
+    digits, places, other = cli._shortest_decimals(values)
+    cells = [
+        repr(v) if o else "0." + str(d).zfill(p)
+        for v, d, p, o in zip(values.tolist(), digits.tolist(), places.tolist(), other.tolist())
+    ]
+    return cells, other
+
+
+def left_to_repr(value: float) -> bool:
+    """The oracle of the fallback: outside [1e-4, 1), a power of two, or an
+    exact tie at the places `repr` writes."""
+    if not 1e-4 <= value < 1 or math.frexp(value)[0] == 0.5:
+        return True
+    places = len(repr(value)) - 2
+    scaled = Fraction(value) * 10**places
+    return scaled - math.floor(scaled) == Fraction(1, 2)
+
+
+def nextafter_walk(start, steps):
+    below = above = np.float64(start)
+    out = [below]
+    for _ in range(steps):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, 2.0)
+        out += [below, above]
+    return out
+
+
+RNG = np.random.default_rng(20260)
+SHORTEST_CASES = {
+    "uniform": RNG.random(20000),
+    "tent-1.99": c.sample_orbit(c.IntervalMap("tent", 1.99), 20000, 3).reals,
+    "logistic-4": c.sample_orbit(c.IntervalMap("logistic", 4.0), 20000, 1).reals,
+    # short dyadics: exact decimals, some of them ties at their shortest length
+    "dyadics": np.concatenate([RNG.integers(1, 2**b, 2000) / 2.0**b for b in (3, 8, 17, 20, 30)]
+                              + [[0.59879302978515625, 0.375, 0.5 + 2.0**-53]]),
+    "near-powers-of-ten": np.concatenate([nextafter_walk(10.0**-j, 200) for j in range(5)]),
+    "near-1e-4": nextafter_walk(1e-4, 500) + list(RNG.uniform(1e-4, 1.2e-4, 2000)),
+    "near-powers-of-two": np.concatenate([nextafter_walk(2.0**-e, 50) for e in range(1, 15)]),
+    # d significant digits after 0 to 3 zeros
+    "short-decimals": np.concatenate([
+        RNG.integers(1, 10**d, 500) / 10.0 ** (d + RNG.integers(0, 4, 500)) for d in range(1, 18)
+    ]),
+    "fallback": [0.0, -0.0, 1.0, 1.5, 2.0**-1074, 1e-310, 2.0**-1022, 9.999999999999999e-05,
+                 -0.25, -0.3, 1e300, math.inf, -math.inf, math.nan],
+}
+
+
+class TestShortestDecimals:
+    """The real cells of a pair dump against `repr`, the oracle."""
+
+    @pytest.mark.parametrize("case", list(SHORTEST_CASES))
+    def test_matches_repr(self, case):
+        values = np.asarray(SHORTEST_CASES[case], np.float64)
+        cells, other = shortest_cells(values)
+        assert cells == [repr(v) for v in values.tolist()]
+        # and only the documented cells are left to repr
+        assert other.tolist() == [left_to_repr(v) for v in values.tolist()]
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern(self, patterns):
+        values = np.array(patterns, np.uint64).view(np.float64)
+        assert shortest_cells(values)[0] == [repr(v) for v in values.tolist()]
+
+    @given(st.lists(st.floats(1e-4, 1.0, exclude_max=True), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_value_in_range(self, values):
+        cells, other = shortest_cells(values)
+        assert cells == [repr(v) for v in values]
+        assert other.tolist() == [left_to_repr(v) for v in values]
 
 
 class TestForgeBlocksGolden:
