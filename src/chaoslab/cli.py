@@ -227,10 +227,11 @@ def _shortest_decimals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     fraction = bits & np.uint64((1 << 52) - 1)
     other = ~((x >= 1e-4) & (x < 1)) | (fraction == 0)
     m = fraction | np.uint64(1 << 52)
+    # the cells left to repr get the exponent of [0.5, 1): shifts stay in range
     q = np.where(other, 53, 1075 - (bits >> np.uint64(52)).astype(np.int64))
     # the float thresholds lie above 10^-j with no float between, so these
     # compares count the zeros after the point exactly
-    places = 17 + (x < 0.1) + (x < 0.01) + (x < 0.001).astype(np.int64)
+    places = 17 + (x < 0.1) + (x < 0.01) + (x < 0.001)
     lower, _ = _times_pow5(2 * m - np.uint64(1), places, q - places + 1)
     upper, _ = _times_pow5(2 * m + np.uint64(1), places, q - places + 1)
     shorter = np.ones(len(x), bool)
