@@ -33,7 +33,6 @@ from .classify import (
     all_pairs,
     classify_metric_pair,
     classify_partition_pair,
-    classify_pk_minus,
     cylinder_scheme,
     same_atom_series,
     scan_scrambled_set,

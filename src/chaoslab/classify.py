@@ -9,7 +9,7 @@ enforced structurally on the emitted flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -31,7 +31,6 @@ class Thresholds:
 
     tau_one: float = 0.05  # "upper density 1" reads as >= 1 - tau_one
     tau_zero: float = 0.05  # "lower density 0" reads as <= tau_zero
-    eta_grid: tuple[float, ...] = (0.5, 0.75, 0.9)
     eta_min: float = 0.05  # positive-density floor for separation
     gap: float = 0.1  # no-density gap for DC3-style reads
     burn_in: int | None = None
@@ -43,8 +42,6 @@ class Thresholds:
                 raise ValidationError(f"{name} must lie in (0,1)")
         if self.tau_one + self.tau_zero >= 1:
             raise ValidationError("tau_one + tau_zero must be < 1")
-        if any(not 0 < e < 1 for e in self.eta_grid):
-            raise ValidationError("eta grid values must lie in (0,1)")
 
     def policy(self) -> CheckpointPolicy:
         return CheckpointPolicy(burn_in=self.burn_in)
@@ -60,7 +57,6 @@ class PairVerdict:
     separation_threshold: float | None
     agreement_upper: float
     separation_upper: float
-    eta_to_s: dict[float, float | None]
 
     def __post_init__(self):
         if self.dc1 and not self.dc1half:
@@ -87,16 +83,6 @@ def unbounded_count_floor(horizon: int) -> int:
     """Finite surrogate for 'infinitely many times': a count is treated as
     unbounded once it reaches max(10, sqrt(N))."""
     return max(10, math.isqrt(horizon))
-
-
-def _largest_threshold_reaching(
-    thresholds: np.ndarray, values: np.ndarray, level: float
-) -> float | None:
-    """Largest grid threshold t_j with values[j] >= level."""
-    for j in range(thresholds.size - 1, -1, -1):
-        if values[j] >= level:
-            return float(thresholds[j])
-    return None
 
 
 def classify_metric_pair(profile: PhiProfile, th: Thresholds = Thresholds()) -> PairVerdict:
@@ -136,12 +122,11 @@ def classify_metric_pair(profile: PhiProfile, th: Thresholds = Thresholds()) -> 
     dc1half = dc1half_raw and dc2
     dc1 = dc1_raw and dc1half
 
-    # witnesses: separation threshold = largest grid t whose separation set
-    # keeps positive upper density; eta -> s_eta map over the grid
+    # witness: separation threshold = largest grid t whose separation set
+    # keeps positive upper density
     sep_upper = 1.0 - low  # complement identity at shared checkpoints
-    grid = profile.thresholds
-    sep_threshold = _largest_threshold_reaching(grid, sep_upper, th.eta_min)
-    eta_to_s = {eta: _largest_threshold_reaching(grid, sep_upper, eta) for eta in th.eta_grid}
+    reaching = np.flatnonzero(sep_upper >= th.eta_min)
+    sep_threshold = float(profile.thresholds[reaching[-1]]) if reaching.size else None
 
     return PairVerdict(
         li_yorke=ly,
@@ -152,7 +137,6 @@ def classify_metric_pair(profile: PhiProfile, th: Thresholds = Thresholds()) -> 
         separation_threshold=sep_threshold,
         agreement_upper=float(star0),
         separation_upper=float(sep_upper[0]),
-        eta_to_s=eta_to_s,
     )
 
 
@@ -201,14 +185,18 @@ def same_atom_series(pair: OrbitPair, scheme: PartitionScheme, k: int) -> np.nda
 
 @dataclass(frozen=True)
 class PartitionVerdict:
-    pk_scrambled: bool | None = None
-    pk_plus: bool | None = None
-    pk_minus: bool | None = None
-    k0: int | None = None
-    separation_upper: float | None = None
-    eta_to_k: dict[float, int | None] = field(default_factory=dict)
-    gap_by_k: dict[int, float] = field(default_factory=dict)
-    depth: int = 0
+    """The partition analogs of dc2, dc1half and dc3 (measure-theoretic,
+    measure-theoretic+ and minus chaos); k0 is the first depth whose
+    different-atom upper density reaches eta_min, with that density as
+    separation_upper (0.0 without one)."""
+
+    pk_scrambled: bool
+    pk_plus: bool
+    pk_minus: bool
+    k0: int | None
+    separation_upper: float
+    gap_by_k: dict[int, float]
+    depth: int
 
     def __post_init__(self):
         if self.pk_plus and not self.pk_scrambled:
@@ -239,56 +227,38 @@ def _same_atom_estimates(
     return list(nested_density_estimates(codes, scheme.depth, cps)[::-1])
 
 
-def _first_depth_reaching(values: Sequence[Fraction], level: float) -> int | None:
-    """First depth k (from 1) whose value, read as a float, is >= level."""
-    for k, v in enumerate(values, start=1):
-        if float(v) >= level:
-            return k
-    return None
+def _decimal(x: float) -> Fraction:
+    """A threshold as the decimal it prints as: Fraction(repr(0.1)) is 1/10,
+    where Fraction(0.1) is the binary float just above it."""
+    return Fraction(repr(x))
 
 
 def classify_partition_pair(
     pair: OrbitPair, scheme: PartitionScheme, th: Thresholds = Thresholds()
 ) -> PartitionVerdict:
-    """Same-atom upper density >= 1 - tau_one at every depth, plus some depth
-    whose different-atom set has upper density >= eta_min; the plus variant
-    needs a depth reaching every eta of the grid."""
+    """Three reads of the same-atom densities at depths 1..depth, compared
+    exactly against the thresholds as decimals:
+    - pk: same-atom upper density >= 1 - tau_one at every depth, and some
+      depth whose different-atom upper density is >= eta_min;
+    - pk_plus: pk, and some depth whose different-atom upper density is
+      >= 1 - tau_zero;
+    - pk_minus: some depth whose same-atom set has upper - lower >= gap."""
     if scheme.depth < 2:
         raise SchemeError("partition classification needs scheme depth >= 2")
     ests = _same_atom_estimates(pair, scheme, th)
     # complement identity: different-atom upper = 1 - same-atom lower,
     # exactly, at the shared checkpoints
-    diff_upper = [Fraction(1) - e.lower for e in ests]
-    agree_ok = all(float(e.upper) >= 1 - th.tau_one for e in ests)
-    k0 = _first_depth_reaching(diff_upper, th.eta_min)
-    pk_scrambled = agree_ok and k0 is not None
-    eta_to_k = {eta: _first_depth_reaching(diff_upper, eta) for eta in th.eta_grid}
-    pk_plus = pk_scrambled and all(v is not None for v in eta_to_k.values())
+    diff_upper = [1 - e.lower for e in ests]
+    tau_one, tau_zero, eta_min, gap = map(_decimal, (th.tau_one, th.tau_zero, th.eta_min, th.gap))
+    k0 = next((k for k, v in enumerate(diff_upper, start=1) if v >= eta_min), None)
+    pk = k0 is not None and all(e.upper >= 1 - tau_one for e in ests)
     return PartitionVerdict(
-        pk_scrambled=pk_scrambled,
-        pk_plus=pk_plus,
+        pk_scrambled=pk,
+        pk_plus=pk and any(v >= 1 - tau_zero for v in diff_upper),
+        pk_minus=any(e.gap >= gap for e in ests),
         k0=k0,
         separation_upper=float(diff_upper[k0 - 1]) if k0 else 0.0,
-        eta_to_k=eta_to_k,
         gap_by_k={k: float(e.gap) for k, e in enumerate(ests, start=1)},
-        depth=scheme.depth,
-    )
-
-
-def classify_pk_minus(
-    pair: OrbitPair, scheme: PartitionScheme, th: Thresholds = Thresholds()
-) -> PartitionVerdict:
-    """Fires when, at some depth, the same-atom time set has no density:
-    upper - lower >= gap."""
-    if scheme.depth < 2:
-        raise SchemeError("partition classification needs scheme depth >= 2")
-    ests = _same_atom_estimates(pair, scheme, th)
-    gaps = {k: float(e.gap) for k, e in enumerate(ests, start=1)}
-    k0 = _first_depth_reaching([e.gap for e in ests], th.gap)
-    return PartitionVerdict(
-        pk_minus=k0 is not None,
-        k0=k0,
-        gap_by_k=gaps,
         depth=scheme.depth,
     )
 

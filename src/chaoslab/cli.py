@@ -40,7 +40,7 @@ from .svgplot import render_phi_svg
 # dotted config keys; each sets the flag whose dest is its last part
 CONFIG_KEYS = (
     "thresholds.tau_one", "thresholds.tau_zero", "thresholds.eta_min", "thresholds.gap",
-    "thresholds.eta_grid", "thresholds.burn_in",
+    "thresholds.burn_in",
     "run.horizon", "run.seed", "run.seed2", "run.metric", "run.q", "run.out", "run.format",
 )
 
@@ -282,6 +282,22 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _comma_list(cast):
+    """An argparse type: a comma-separated list of `cast` values, as a tuple."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(map(cast, text.split(",")))
+        except ValueError:
+            message = f"{text!r} is not a comma-separated list of {cast.__name__}s"
+            raise argparse.ArgumentTypeError(message) from None
+
+    return parse
+
+
+_ints, _floats = _comma_list(int), _comma_list(float)
+
+
 def _positive(text: str) -> int:
     """A size (a horizon, a count of trajectories or pairs): at least 1."""
     try:
@@ -302,11 +318,11 @@ def _add_system(p: _Parser, pair: bool) -> None:
         default="full-shift",
     )
     p.add_argument("--arity", type=int, default=2)
-    p.add_argument("--probs", default=None, help="comma-separated symbol weights")
+    p.add_argument("--probs", type=_floats, default=None, help="comma-separated symbol weights")
     p.add_argument("--param", type=float, default=None, help="interval-map parameter")
     p.add_argument("--coding-depth", type=int, default=1)
-    p.add_argument("--base", default=None, help="odometer base, comma-separated")
-    p.add_argument("--q", default=None, help="q-schedule, comma-separated")
+    p.add_argument("--base", type=_ints, default=None, help="odometer base, comma-separated")
+    p.add_argument("--q", type=_ints, default=None, help="q-schedule, comma-separated")
     p.add_argument("--horizon", type=_positive, default=None)
     p.add_argument("--seed", type=_seed, default=None)
     if pair:
@@ -323,7 +339,6 @@ def _add_profile(p: _Parser, thresholds: bool) -> None:
         p.add_argument("--tau-zero", dest="tau_zero", type=float, default=None)
         p.add_argument("--eta-min", dest="eta_min", type=float, default=None)
         p.add_argument("--gap", type=float, default=None)
-        p.add_argument("--eta-grid", dest="eta_grid", default=None)
 
 
 @functools.cache
@@ -363,14 +378,14 @@ def build_parser() -> _Parser:
     p.add_argument("--allow-empty", action="store_true")
 
     p = command("forge")
-    p.add_argument("--q", default="2,2,2", help="q-schedule, comma-separated")
+    p.add_argument("--q", type=_ints, default="2,2,2", help="q-schedule, comma-separated")
     p.add_argument("--dump", choices=("params", "blocks", "point"), default="params")
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--markers", action="store_true", help="include the marker row")
 
     p = command("entropy")
-    p.add_argument("--q", default="2,2,2", help="q-schedule, comma-separated")
+    p.add_argument("--q", type=_ints, default="2,2,2", help="q-schedule, comma-separated")
     p.add_argument("--empirical", action="store_true")
     p.add_argument("--horizon", type=_positive, default=None)
     p.add_argument("--seed", type=_seed, default=None)
@@ -381,7 +396,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--card", type=int, required=True)
-    p.add_argument("--eps-grid", dest="eps_grid", default=None)
+    p.add_argument("--eps-grid", dest="eps_grid", type=_floats, default=None)
 
     p = command("count-ball")
     p.add_argument("--n", type=int, required=True)
@@ -399,7 +414,7 @@ def build_parser() -> _Parser:
         choices=("params", "pi-bijection", "percentage", "entropy-zero", "scheme"),
         required=True,
     )
-    p.add_argument("--q", default="2,2,2", help="q-schedule, comma-separated")
+    p.add_argument("--q", type=_ints, default="2,2,2", help="q-schedule, comma-separated")
     p.add_argument("--seed", type=_seed, default=0, help="sampling seed")
     p.add_argument("--pairs", type=_positive, default=20)
 
@@ -408,8 +423,8 @@ def build_parser() -> _Parser:
 
 def _parse_with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]):
     """Parse again with each config-file value as one `--flag=value` token
-    in front of the command line (the `=` keeps a value such as -0.5,0.2
-    from reading as an option), so the flag's own type and choices check
+    in front of the command line (the `=` keeps a value such as -2,2 from
+    reading as an option), so the flag's own type and choices check
     it and a command-line flag, coming later, wins. A key whose flag this
     subcommand lacks is dropped. The first parse passed the command line,
     so a usage error here comes from the file."""
@@ -424,40 +439,30 @@ def _parse_with_config(parser: _Parser, args: argparse.Namespace, argv: list[str
         raise UsageError(f"{args.config}: {exc}") from None
 
 
-def _numbers(text: str, cast) -> tuple:
-    """A comma-separated list of `cast` values; a malformed one is a usage error."""
-    try:
-        return tuple(cast(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"{text!r} is not a comma-separated list of {cast.__name__}s") from None
-
-
 def _thresholds(args) -> cl.Thresholds:
-    kwargs = {
+    return cl.Thresholds(**{
         k: getattr(args, k)
         for k in ("tau_one", "tau_zero", "eta_min", "gap", "burn_in")
         if getattr(args, k) is not None
-    }
-    if args.eta_grid is not None:
-        kwargs["eta_grid"] = _numbers(args.eta_grid, float)
-    return cl.Thresholds(**kwargs)
+    })
 
 
 def _system_spec(args) -> sy.SystemSpec:
     if args.system == "full-shift":
-        probs = _numbers(args.probs, float) if args.probs else (1.0 / args.arity,) * args.arity
-        return sy.FullShift(args.arity, probs)
+        # FullShift refuses arity < 2; max() keeps arity 0 from dividing first
+        uniform = (1.0 / max(args.arity, 1),) * args.arity
+        return sy.FullShift(args.arity, args.probs or uniform)
     if args.system in ("tent", "logistic"):
         param = args.param if args.param is not None else (2.0 if args.system == "tent" else 4.0)
         return sy.IntervalMap(args.system, param, args.coding_depth)
     if args.system == "odometer":
         if not args.base:
             raise UsageError("odometer needs --base")
-        return sy.OdometerSpec(_numbers(args.base, int))
+        return sy.OdometerSpec(args.base)
     if args.system == "zero-entropy":
         if not args.q:
             raise UsageError("zero-entropy needs --q")
-        return sy.ZeroEntropy(bl.QSchedule(_numbers(args.q, int)))
+        return sy.ZeroEntropy(bl.QSchedule(args.q))
     raise UsageError(f"unknown system {args.system!r}")
 
 
@@ -479,10 +484,12 @@ def _profile(pair: sy.OrbitPair, args, policy: de.CheckpointPolicy) -> de.PhiPro
 
 def _header(args, keys: Sequence[str], **extras) -> list[str]:
     """An artifact's `#` lines: the subcommand, then the flags named in `keys`
-    and the `extras`, sorted by name; a value of None is left out."""
+    and the `extras`, sorted by name; a value of None is left out, and a
+    list is written as its values joined by commas."""
     values = {k: getattr(args, k) for k in keys} | extras
     return [f"# chaoslab {args.command}"] + [
-        f"# {k} = {values[k]}" for k in sorted(values) if values[k] is not None
+        f"# {k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}"
+        for k, v in sorted(values.items()) if v is not None
     ]
 
 
@@ -568,7 +575,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_forge(args) -> int:
-    schedule = bl.QSchedule(_numbers(args.q, int))
+    schedule = bl.QSchedule(args.q)
     lines = _header(args, ("dump", "level", "q", "seed"))
     out = args.out or f"forge-{args.dump}.csv"
     if args.dump == "params":
@@ -602,7 +609,7 @@ def _cmd_forge(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    schedule = bl.QSchedule(_numbers(args.q, int))
+    schedule = bl.QSchedule(args.q)
     lines = _header(args, ("empirical", "horizon", "q", "seed", "word_len", "stride"))
     out = args.out or "entropy.csv"
     if not args.empirical:
@@ -630,8 +637,7 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_pipka(args) -> int:
-    grid = _numbers(args.eps_grid, float) if args.eps_grid else en.DEFAULT_EPS_GRID
-    params = en.solve_pipka(args.eta, args.h, args.card, grid)
+    params = en.solve_pipka(args.eta, args.h, args.card, args.eps_grid or en.DEFAULT_EPS_GRID)
     row = [
         str(params.eta),
         str(params.h),
@@ -688,7 +694,7 @@ def _cmd_count_ball(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    schedule = bl.QSchedule(_numbers(args.q, int))
+    schedule = bl.QSchedule(args.q)
     suite = args.suite
     if suite == "params":
         for p in bl.derive_params(schedule):

@@ -149,6 +149,21 @@ class PipkaParams:
         return (1 - math.sqrt(self.eta)) * self.h
 
 
+def _smallest_strict_m(two_h: float, slack: float) -> int | None:
+    """The smallest m > floor(two_h / slack) with two_h / m < slack as
+    floats (rounding can fail the first few), by bisection: near 1e153, m
+    and m + 1 give the same quotient. None if m could leave the float range."""
+    ratio = two_h / slack
+    if not math.isfinite(2 * ratio):
+        return None
+    low = math.floor(ratio)
+    high = 2 * low + 2  # two_h / high is about slack / 2
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if two_h / mid < slack else (mid, high)
+    return high
+
+
 def solve_pipka(
     eta: float,
     h: float,
@@ -157,12 +172,14 @@ def solve_pipka(
 ) -> PipkaParams:
     if not 0 < eta < 1:
         raise ValidationError("eta must lie in (0,1)")
-    if h < 0:
-        raise ValidationError("h must be >= 0")
+    if not (math.isfinite(h) and h >= 0):
+        raise ValidationError("h must be finite and >= 0")
     if card_p < 2:
         raise ValidationError("partition cardinality must be >= 2")
     if not eps_grid:
         raise ValidationError("eps grid must be nonempty")
+    if not all(math.isfinite(e) for e in eps_grid):
+        raise ValidationError("eps grid values must be finite")
     root = math.sqrt(eta)
     rhs = (1 - root) * h
     two_h = 2 * binary_entropy(root)
@@ -173,10 +190,8 @@ def solve_pipka(
         slack = rhs - eps * (3 * card_p + 1)
         if slack <= 0:
             continue
-        m = math.floor(two_h / slack) + 1
-        while two_h / m >= slack:  # strictness under float rounding
-            m += 1
-        if best_m is None or m < best_m:
+        m = _smallest_strict_m(two_h, slack)
+        if m is not None and (best_m is None or m < best_m):
             best_m = m
     if best_m is None:
         return PipkaParams(eta=eta, h=h, card_p=card_p, feasible=False)

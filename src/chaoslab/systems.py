@@ -36,8 +36,8 @@ class FullShift:
         object.__setattr__(self, "probs", p)
         if len(p) != self.arity:
             raise ValidationError("need one probability per symbol")
-        if min(p) < 0:
-            raise ValidationError("probabilities must be nonnegative")
+        if not (np.isfinite(p).all() and min(p) >= 0):
+            raise ValidationError("probabilities must be finite and nonnegative")
         if abs(sum(p) - 1.0) > PROB_TOL:
             raise ValidationError("probabilities must sum to 1 within 1e-12")
 

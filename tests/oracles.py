@@ -171,6 +171,21 @@ def per_set_density(mask, policy):
     )
 
 
+def partition_verdict_direct(masks, policy, th):
+    """(pk, pk_plus, pk_minus) by the rules as stated, on `per_set_density`
+    of each depth's same-atom mask and of its complement, the different-atom
+    set, with every threshold the decimal it prints as."""
+    tau_one, tau_zero, eta_min, gap = (
+        Fraction(repr(x)) for x in (th.tau_one, th.tau_zero, th.eta_min, th.gap)
+    )
+    same = [per_set_density(mask, policy) for mask in masks]
+    diff_upper = [per_set_density(~mask, policy).upper for mask in masks]
+    pk = all(e.upper >= 1 - tau_one for e in same) and any(u >= eta_min for u in diff_upper)
+    pk_plus = pk and any(u >= 1 - tau_zero for u in diff_upper)
+    pk_minus = any(e.upper - e.lower >= gap for e in same)
+    return pk, pk_plus, pk_minus
+
+
 def per_threshold_phi(values, grid, policy):
     """Phi profile estimates with one O(N) pass per threshold: the set
     {n : d_n < t} for each grid point t, through `per_set_density`."""

@@ -170,11 +170,12 @@ def test_criterion_06_oscillating_density():
         low, high = c.besicovitch_bounds(d)
         assert abs(float(low) - 1 / 3) <= 0.05
         assert abs(float(high) - 2 / 3) <= 0.05
-        verdict = c.classify_pk_minus(pair, c.cylinder_scheme(2), c.Thresholds())
-        assert verdict.pk_minus and verdict.gap_by_k[verdict.k0] >= 0.1
+        verdict = c.classify_partition_pair(pair, c.cylinder_scheme(2), c.Thresholds())
+        gap = max(verdict.gap_by_k.values())
+        assert verdict.pk_minus and gap >= 0.1
         crit.note(
             f"phi*={prof.phi_star[0]:.4f}~2/3, phi={prof.phi_lower[0]:.4f}~1/3, "
-            f"avg=({float(low):.4f},{float(high):.4f}), pk_minus gap {verdict.gap_by_k[verdict.k0]:.3f}"
+            f"avg=({float(low):.4f},{float(high):.4f}), pk_minus gap {gap:.3f}"
         )
 
 

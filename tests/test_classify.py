@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from chaoslab.errors import SchemeError, ValidationError
 from oracles import (
     aligned_window_label,
     cylinder_label,
+    partition_verdict_direct,
     per_set_density,
     phi_profile_float_path,
     same_label_mask,
@@ -83,12 +86,12 @@ class TestMetricClassification:
         v2 = classify_series(c.distance_series(swapped).values)
         assert v1.flags == v2.flags
 
-    def test_dc1half_witness_map_eta_to_s(self):
+    def test_dc1half_witness_separation_upper(self):
         pair = c.construct_witness_pair("DC1", 7776)
         v = classify_series(c.distance_series(pair).values)
-        # separation upper density ~0.857, so s_eta exists for grid etas <= 0.857
-        assert v.eta_to_s[0.5] is not None
-        assert v.eta_to_s[0.75] is not None
+        # witness runs grow by a factor of 5: separation upper density ~5/6
+        assert abs(v.separation_upper - 0.857) < 0.01
+        assert v.separation_threshold == 1.0
 
     @given(
         st.one_of(
@@ -120,7 +123,7 @@ class TestMetricClassification:
         with pytest.raises(ValidationError):
             c.Thresholds(gap=0.0)
         with pytest.raises(ValidationError):
-            c.Thresholds(eta_grid=(0.5, 1.0))
+            c.Thresholds(eta_min=1.0)
 
     def test_scheme_mismatch_rejected(self):
         # both schedules share N_1 = 4, so only the schedule check can refuse
@@ -142,7 +145,6 @@ class TestMetricClassification:
                 separation_threshold=None,
                 agreement_upper=1.0,
                 separation_upper=1.0,
-                eta_to_s={},
             )
 
     @pytest.mark.parametrize(
@@ -157,7 +159,7 @@ class TestMetricClassification:
     def test_each_broken_implication_is_rejected(self, ly, dc1, dc1half, dc2, dc3, message):
         # every other implication holds, so the named one alone must trip
         fields = dict(
-            separation_threshold=None, agreement_upper=1.0, separation_upper=1.0, eta_to_s={}
+            separation_threshold=None, agreement_upper=1.0, separation_upper=1.0
         )
         with pytest.raises(ValidationError, match=message):
             c.PairVerdict(li_yorke=ly, dc1=dc1, dc1half=dc1half, dc2=dc2, dc3=dc3, **fields)
@@ -300,8 +302,6 @@ class TestPartitionKernelDifferential:
         pair = shift_pair([0] * 20, [0] * 20)
         with pytest.raises(SchemeError, match="does not refine"):
             c.classify_partition_pair(pair, scheme, c.Thresholds(burn_in=1))
-        with pytest.raises(SchemeError):
-            c.classify_pk_minus(pair, scheme, c.Thresholds(burn_in=1))
 
 
 class TestPartitionClassification:
@@ -314,30 +314,33 @@ class TestPartitionClassification:
     def test_pk_minus_constant_false(self):
         xs = np.tile([0, 1], 2000)
         pair = shift_pair(xs, xs)
-        v = c.classify_pk_minus(pair, c.cylinder_scheme(3), c.Thresholds(burn_in=100))
+        v = c.classify_partition_pair(pair, c.cylinder_scheme(3), c.Thresholds(burn_in=100))
         assert not v.pk_minus
         assert all(g == 0 for g in v.gap_by_k.values())
 
     def test_pk_minus_doubling_witness(self):
         horizon = 4**10
         pair = c.construct_witness_pair("DC3", horizon)
-        v = c.classify_pk_minus(pair, c.cylinder_scheme(2), c.Thresholds())
-        assert v.pk_minus and v.k0 == 1
+        v = c.classify_partition_pair(pair, c.cylinder_scheme(2), c.Thresholds())
+        assert v.pk_minus
         assert abs(v.gap_by_k[1] - 1 / 3) < 0.02
 
     def test_pk_minus_bernoulli_false(self):
         pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 100000, (1, 2))
-        v = c.classify_pk_minus(pair, c.cylinder_scheme(2), c.Thresholds(burn_in=10000))
+        v = c.classify_partition_pair(pair, c.cylinder_scheme(2), c.Thresholds(burn_in=10000))
         assert not v.pk_minus
 
     def test_plus_implies_scrambled_structurally(self):
         with pytest.raises(ValidationError):
-            c.PartitionVerdict(pk_scrambled=False, pk_plus=True)
+            c.PartitionVerdict(
+                pk_scrambled=False, pk_plus=True, pk_minus=False, k0=None,
+                separation_upper=0.0, gap_by_k={}, depth=2,
+            )
 
     def test_pk_plus_on_heavy_oscillation(self):
         # runs growing by factor 40 push both the same-atom and the
-        # different-atom upper densities to 40/41 > 0.95 at their own run
-        # ends, so every eta of the default grid is reached at depth 1
+        # different-atom upper densities to 40/41 at their own run ends:
+        # above 1 - tau_one and 1 - tau_zero, both 0.95, at depth 1
         length, agree, runs, total = 1, True, [], 0
         while total < 3_000_000:
             runs.append((length, agree))
@@ -354,15 +357,82 @@ class TestPartitionClassification:
         v = c.classify_partition_pair(pair, c.cylinder_scheme(2), c.Thresholds())
         assert v.pk_scrambled and v.pk_plus
         assert v.k0 == 1
-        assert v.eta_to_k == {0.5: 1, 0.75: 1, 0.9: 1}
 
     def test_pk_plus_false_when_separation_shallow(self):
-        # the pullback witness separates on only ~a fifth of the time, so
-        # the 0.5+ grid etas are out of reach
+        # the pullback witness separates on only ~a fifth of the time, far
+        # below 1 - tau_zero
         q, trajectories = pulled_back_dc2_family(2)
         pair = c.OrbitPair(trajectories[0], trajectories[1])
         v = c.classify_partition_pair(pair, c.central_block_scheme(q), c.Thresholds())
         assert v.pk_scrambled and not v.pk_plus
+
+    def test_threshold_tie_reads_as_the_decimal(self):
+        # the same-atom upper density is exactly 3/10 at every depth, and
+        # 1 - tau_one is 3/10 as decimals (the float 1 - 0.7 lies above it)
+        mask = np.tile([False] * 7 + [True] * 3, 1000)
+        scheme = c.PartitionScheme(2, lambda pair, k: mask, "period-10")
+        pair = shift_pair(np.zeros(mask.size), np.zeros(mask.size))
+        th = c.Thresholds(tau_one=0.7, tau_zero=0.2, burn_in=1000)
+        assert per_set_density(mask, th.policy()).upper == Fraction(3, 10)
+        v = c.classify_partition_pair(pair, scheme, th)
+        assert v.pk_scrambled and v.k0 == 1 and not v.pk_plus
+
+    @pytest.mark.parametrize("witness, pk, pk_plus", [
+        ("LY", False, False),
+        ("DC1", True, True),
+        ("DC1half", True, True),
+        ("DC2", True, False),
+        ("DC3", False, False),
+    ])
+    def test_cylinder_reads_of_the_witnesses(self, witness, pk, pk_plus):
+        # runs growing by a factor of 5 cap the different-atom upper density
+        # near 5/6, above 1 - 0.25 for DC1 and DC1half; DC2 separates on
+        # about a quarter of the time; the same-atom upper density of LY
+        # (about 1/2) and of DC3 (about 2/3) stays below 1 - 0.25
+        pair = c.construct_witness_pair(witness, 2**16)
+        v = c.classify_partition_pair(pair, c.cylinder_scheme(3), WITNESS_THRESHOLDS)
+        assert (v.pk_scrambled, v.pk_plus) == (pk, pk_plus)
+
+
+@st.composite
+def nested_mask_cases(draw):
+    """Nested same-atom masks over a short horizon, with thresholds taken
+    from the masks' own densities so that reads land on ties."""
+    n = draw(st.integers(1, 120))
+    depth = draw(st.integers(2, 4))
+    levels = np.array(draw(st.lists(st.integers(0, depth), min_size=n, max_size=n)))
+    masks = [levels >= k for k in range(1, depth + 1)]
+    policy = c.CheckpointPolicy(burn_in=draw(st.integers(1, n)))
+    same = [per_set_density(m, policy) for m in masks]
+    diff_upper = [float(per_set_density(~m, policy).upper) for m in masks]
+
+    def pick(values, top=1.0):
+        return draw(st.sampled_from([v for v in values if 0 < v < top] or [top / 2]))
+
+    tau_one = pick([1 - float(e.upper) for e in same] + [0.05])
+    tau_zero = pick([1 - v for v in diff_upper] + [0.05], top=1 - tau_one)
+    th = c.Thresholds(
+        tau_one=tau_one,
+        tau_zero=tau_zero,
+        eta_min=pick(diff_upper + [0.05]),
+        gap=pick([float(e.gap) for e in same] + [0.1]),
+        burn_in=policy.burn_in,
+    )
+    return masks, th
+
+
+class TestPartitionReadDifferential:
+    @given(nested_mask_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_reads_match_the_direct_rules(self, case):
+        masks, th = case
+        scheme = c.PartitionScheme(len(masks), lambda pair, k: masks[k - 1], "drawn")
+        n = masks[0].size
+        v = c.classify_partition_pair(shift_pair(np.zeros(n), np.zeros(n)), scheme, th)
+        assert (v.pk_scrambled, v.pk_plus, v.pk_minus) == partition_verdict_direct(
+            masks, th.policy(), th
+        )
+        assert v.pk_scrambled or not v.pk_plus
 
 
 def hadamard_codes(count: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -71,6 +73,38 @@ class TestExitCodes:
         assert "eta must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pair", "--arity", "0"], "full shift needs arity >= 2"),
+            (["pair", "--probs", "nan,0.5"], "probabilities must be finite and nonnegative"),
+            (["pipka", "--eta", "0.5", "--h", "nan", "--card", "2"], "h must be finite and >= 0"),
+            (["pipka", "--eta", "0.5", "--h", "1", "--card", "2", "--eps-grid", "0.01,nan"],
+             "eps grid values must be finite"),
+        ],
+        ids=["arity-zero", "probs-nan", "pipka-h-nan", "pipka-eps-nan"],
+    )
+    def test_degenerate_value_is_usage(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    def test_pipka_m_search_ends_where_m_plus_one_rounds_away(self, tmp_path):
+        # m is near 1e153, where two_h / (m + 1) is the float two_h / m: a
+        # search stepping m by one never ends, so run it under a timeout
+        out = tmp_path / "pipka.csv"
+        argv = ["pipka", "--eta", "1e-300", "--h", "1e-300", "--card", "2", "--eps-grid", "0"]
+        code = "import sys; from chaoslab.cli import run; sys.exit(run(sys.argv[1:]))"
+        env = {**os.environ, "PYTHONPATH": str(Path(c.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--out", str(out)], env=env, timeout=60
+        )
+        assert proc.returncode == 0
+        row = read(out).splitlines()[-1].split(",")
+        m, margin = int(row[3]), float(row[5])
+        assert 10**152 < m < 10**154 and margin > 0
+
     def test_bad_parameter_is_usage(self, tmp_path):
         assert run(
             ["pair", "--system", "tent", "--param", "3.0",
@@ -84,7 +118,6 @@ class TestExitCodes:
             (["entropy", "--q", "2,2,"], "2,2,"),
             (["pair", "--system", "odometer", "--base", "2,,4"], "2,,4"),
             (["pair", "--probs", "0.5,x"], "0.5,x"),
-            (["classify", "--horizon", "500", "--eta-grid", "0.5;0.7"], "0.5;0.7"),
             (["pipka", "--eta", "0.5", "--h", "1", "--card", "2", "--eps-grid", "0.1,x"], "0.1,x"),
         ],
         ids=lambda v: "_".join(v) if isinstance(v, list) else None,
@@ -97,11 +130,14 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_malformed_config_list_is_usage(self, tmp_path, capsys):
-        cfg = tmp_path / "grid.cfg"
-        cfg.write_text("thresholds.eta_grid = x\n")
-        out = tmp_path / "v.csv"
-        assert run(["classify", "--horizon", "500", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "usage error: 'x' is not" in capsys.readouterr().err
+        # the parser reads the list, so the message names the file
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("run.q = x\n")
+        out = tmp_path / "f.csv"
+        assert run(["forge", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: {cfg}: argument --q: 'x' is not a comma-separated list of ints\n"
+        )
         assert not out.exists()
 
     def test_help_returns_zero(self, capsys):
@@ -204,12 +240,12 @@ class TestConfig:
         assert list(work.iterdir()) == []
 
     def test_negative_grid_value_reaches_the_range_check(self, tmp_path, capsys):
-        # passed as --eta-grid=-0.5,0.2, not read as an option with no value
-        cfg = tmp_path / "grid.cfg"
-        cfg.write_text("thresholds.eta_grid = -0.5,0.2\n")
-        out = tmp_path / "v.csv"
-        assert run(["classify", "--horizon", "500", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "usage error: eta grid values must lie in (0,1)\n"
+        # passed as --q=-2,2, not read as an option with no value
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("run.q = -2,2\n")
+        out = tmp_path / "f.csv"
+        assert run(["forge", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: every q_k must be >= 2\n"
         assert not out.exists()
 
     def test_key_without_flag_is_ignored(self, tmp_path):
@@ -366,14 +402,6 @@ class TestArtifacts:
         assert len(rows) == 16 and all(len(r) == 16 for r in rows)
         assert rows[0] == "0" * 16
 
-    def test_eta_grid_flag_parsed(self, tmp_path):
-        out = tmp_path / "v.csv"
-        assert run(
-            ["classify", "--witness", "DC1", "--horizon", "7776",
-             "--tau-one", "0.25", "--tau-zero", "0.25",
-             "--eta-grid", "0.4,0.6", "--out", str(out)]
-        ) == 0
-
     def test_absolute_metric_on_interval_map(self, tmp_path):
         out = tmp_path / "phi-abs.csv"
         assert run(
@@ -474,8 +502,6 @@ KEY_RUNS = {
     ),
     "thresholds.eta_min": (["classify", "--witness", "DC2", "--horizon", "7776"], "0.3"),
     "thresholds.gap": (["classify", "--witness", "DC2", "--horizon", "7776"], "0.3"),
-    # no artifact byte reads the eta grid (see the range-check test)
-    "thresholds.eta_grid": (["classify", "--witness", "DC2", "--horizon", "7776"], "0.2,0.95"),
     "thresholds.burn_in": (["classify", "--witness", "DC3", "--horizon", "7776"], "40"),
     "run.horizon": (["pair", "--seed", "3"], "300"),
     "run.seed": (["pair", "--horizon", "300"], "5"),
@@ -513,8 +539,7 @@ class TestConfigKeys:
 
         from_file = written("file", ["--config", str(cfg)])
         assert from_file == written("flag", [flag, value])
-        if key != "thresholds.eta_grid":
-            assert from_file != written("default", [])
+        assert from_file != written("default", [])
 
 
 def _polyline_ys(text):
@@ -775,14 +800,14 @@ class TestForgeBlocksGolden:
         assert all((" " in r) == markers for r in rows)
 
 
-# flags that another subcommand takes but this one does not read: each must be
-# refused, never accepted and ignored
+# flags that another subcommand takes but this one does not read, or that no
+# subcommand takes any more: each must be refused, never accepted and ignored
 REMOVED_FLAGS = {
     "pair": ["--tau-one", "--tau-zero", "--eta-min", "--gap", "--eta-grid", "--burn-in",
              "--metric", "--depth", "--format"],
     "phi": ["--tau-one", "--tau-zero", "--eta-min", "--gap", "--eta-grid", "--depth"],
-    "scan": ["--witness", "--seed2", "--depth", "--format"],
-    "classify": ["--format"],
+    "scan": ["--witness", "--seed2", "--depth", "--format", "--eta-grid"],
+    "classify": ["--format", "--eta-grid"],
     "forge": ["--format"],
     "entropy": ["--format"],
     "pipka": ["--format"],

@@ -202,6 +202,11 @@ class TestPipka:
         assert not params.feasible
         assert params.m is None
 
+    def test_m_beyond_the_float_range_is_infeasible(self):
+        # slack near 3e-311: 2H / slack overflows, so no m can be checked
+        params = c.solve_pipka(0.5, 1e-310, 2, eps_grid=(0.0,))
+        assert not params.feasible and params.m is None
+
     def test_smallest_m_with_largest_feasible_eps(self):
         params = c.solve_pipka(0.81, 1.0, 2, eps_grid=(0.001, 0.005, 0.02))
         # eps = 0.001 leaves slack 0.093, so m must exceed 2H(0.9)/0.093 =

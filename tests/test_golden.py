@@ -61,8 +61,7 @@ GOLDEN = {
         "d170fc2bc542e0b7b24de625350f6b62724822245df782c3b31e66a4878d1151",
     "classify --horizon 4000 --seed 3":
         "d97b2d40b81e302f0292ef6a005e945eda294ab293188fd670881f43e56d8fc4",
-    "classify --horizon 4000 --seed 3 --metric cantor --eta-grid 0.4,0.6 --gap 0.1 "
-    "--eta-min 0.02 --burn-in 40":
+    "classify --horizon 4000 --seed 3 --metric cantor --gap 0.1 --eta-min 0.02 --burn-in 40":
         "4e011faa625d7af7277cd4d0a4da36295c311b759c511469d76c938eca340c44",
     "classify --system tent --param 1.99 --horizon 4000 --metric absolute":
         "a752a8c5d9665bf83e78be29be0ea4898dc20ab774d5a50f23d1ebaa72dccd11",
@@ -126,7 +125,7 @@ GOLDEN = {
 GOLDEN_CONFIG = {
     ("classify --horizon 4000",
      "thresholds.tau_one = 0.3\nthresholds.tau_zero = 0.2\nthresholds.gap = 0.1\n"
-     "thresholds.eta_grid = 0.4,0.6\nthresholds.burn_in = 40\n"
+     "thresholds.burn_in = 40\n"
      "run.metric = cantor\nrun.seed = 3\n"):
         "4e011faa625d7af7277cd4d0a4da36295c311b759c511469d76c938eca340c44",
     # the file's thresholds turn dc2 on: the default ones leave it off
