@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -45,6 +46,17 @@ class Thresholds:
 
     def policy(self) -> CheckpointPolicy:
         return CheckpointPolicy(burn_in=self.burn_in)
+
+    @cached_property
+    def exact_bounds(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """The bounds of `threshold_reads`, 1 - tau_one, tau_zero, 1 - eta_min
+        and gap, built once, each threshold taken as the decimal it prints
+        as: Fraction(repr(0.1)) is 1/10, where Fraction(0.1) is the binary
+        float just above it."""
+        tau_one, tau_zero, eta_min, gap = (
+            Fraction(repr(x)) for x in (self.tau_one, self.tau_zero, self.eta_min, self.gap)
+        )
+        return 1 - tau_one, tau_zero, 1 - eta_min, gap
 
 
 @dataclass(frozen=True)
@@ -85,48 +97,53 @@ def unbounded_count_floor(horizon: int) -> int:
     return max(10, math.isqrt(horizon))
 
 
+def threshold_reads(estimates: Sequence[DensityEstimate], th: Thresholds):
+    """The one place a verdict meets a threshold: four tuples with one bool
+    per estimate, (full, null, separated, gapped), for upper >= 1 - tau_one,
+    lower <= tau_zero, lower <= 1 - eta_min (the complement's upper density
+    is >= eta_min) and upper - lower >= gap. The metric flags read them per
+    grid point, the partition flags per depth. Each compare is exact, in
+    integers cross-multiplied over the positive denominators, so no Fraction
+    is built per read."""
+    (fn, fd), (zn, zd), (sn, sd), (gn, gd) = (b.as_integer_ratio() for b in th.exact_bounds)
+    full, null, separated, gapped = [], [], [], []
+    for e in estimates:
+        un, ud = e.upper.as_integer_ratio()
+        ln, ld = e.lower.as_integer_ratio()
+        full.append(un * fd >= fn * ud)
+        null.append(ln * zd <= zn * ld)
+        separated.append(ln * sd <= sn * ld)
+        gapped.append((un * ld - ln * ud) * gd >= gn * ud * ld)
+    return tuple(full), tuple(null), tuple(separated), tuple(gapped)
+
+
 def classify_metric_pair(profile: PhiProfile, th: Thresholds = Thresholds()) -> PairVerdict:
-    """Read the DC flags off the Phi profile at the grid.
+    """Read the DC flags off the Phi profile's estimates at the grid.
 
     Phi*(t_min) >= 1 - tau_one stands for Phi*(0) = 1; Phi(t_min) <= tau_zero
-    for Phi(0) = 0; Phi(t) <= 1 - eta_min for the positive-upper-density
-    separation of DC2; a gap >= `gap` at two consecutive grid points for DC3.
+    for Phi(0) = 0 (dc1 takes it at any grid point); Phi(t) <= 1 - eta_min for
+    the positive-upper-density separation of DC2; a gap >= `gap` at two
+    consecutive grid points (at the one point of a one-point grid) for DC3.
     Li-Yorke reads unbounded agreement and separation counts.
     """
-    star = profile.phi_star
-    low = profile.phi_lower
-    counts = profile.counts_at_horizon
+    first = profile.estimates[0]
+    full, null, separated, gapped = threshold_reads(profile.estimates, th)
     horizon = profile.horizon
     floor = unbounded_count_floor(horizon)
 
     # close approaches are read at the smallest grid threshold (the stand-in
     # for t -> 0+); separations at d >= t_min, the weakest separation level
-    agree_unbounded = bool(counts[0] >= floor)
-    sep_unbounded = bool(horizon - counts[0] >= floor)
-    ly = agree_unbounded and sep_unbounded
+    ly = first.count_at_horizon >= floor and horizon - first.count_at_horizon >= floor
 
-    star0 = star[0]
-    low0 = low[0]
-    upper_one = star0 >= 1 - th.tau_one
-
-    dc1_raw = upper_one and bool(np.any(low <= th.tau_zero))
-    dc1half_raw = upper_one and low0 <= th.tau_zero
-    dc2_raw = upper_one and low0 <= 1 - th.eta_min
-    gaps = star - low
-    consec = np.logical_and(gaps[:-1] >= th.gap, gaps[1:] >= th.gap)
-    dc3_raw = bool(np.any(consec)) if gaps.size > 1 else bool(gaps[0] >= th.gap)
-
+    dc3 = any(map(all, zip(gapped, gapped[1:]))) if len(gapped) > 1 else gapped[0]
     # structural chain: a flag survives only if every weaker flag is set
-    dc3 = dc3_raw
-    dc2 = dc2_raw and dc3 and ly
-    dc1half = dc1half_raw and dc2
-    dc1 = dc1_raw and dc1half
+    dc2 = full[0] and separated[0] and dc3 and ly
+    dc1half = dc2 and null[0]
+    dc1 = dc1half and any(null)
 
     # witness: separation threshold = largest grid t whose separation set
     # keeps positive upper density
-    sep_upper = 1.0 - low  # complement identity at shared checkpoints
-    reaching = np.flatnonzero(sep_upper >= th.eta_min)
-    sep_threshold = float(profile.thresholds[reaching[-1]]) if reaching.size else None
+    reaching = [t for t, sep in zip(profile.thresholds.tolist(), separated) if sep]
 
     return PairVerdict(
         li_yorke=ly,
@@ -134,9 +151,10 @@ def classify_metric_pair(profile: PhiProfile, th: Thresholds = Thresholds()) -> 
         dc1half=dc1half,
         dc2=dc2,
         dc3=dc3,
-        separation_threshold=sep_threshold,
-        agreement_upper=float(star0),
-        separation_upper=float(sep_upper[0]),
+        separation_threshold=reaching[-1] if reaching else None,
+        agreement_upper=float(first.upper),
+        # complement identity at shared checkpoints
+        separation_upper=float(1 - first.lower),
     )
 
 
@@ -227,17 +245,12 @@ def _same_atom_estimates(
     return list(nested_density_estimates(codes, scheme.depth, cps)[::-1])
 
 
-def _decimal(x: float) -> Fraction:
-    """A threshold as the decimal it prints as: Fraction(repr(0.1)) is 1/10,
-    where Fraction(0.1) is the binary float just above it."""
-    return Fraction(repr(x))
-
-
 def classify_partition_pair(
     pair: OrbitPair, scheme: PartitionScheme, th: Thresholds = Thresholds()
 ) -> PartitionVerdict:
-    """Three reads of the same-atom densities at depths 1..depth, compared
-    exactly against the thresholds as decimals:
+    """Three reads of the same-atom densities at depths 1..depth, through
+    `threshold_reads`; the different-atom set is the complement, so its
+    upper density is 1 - the same-atom lower density:
     - pk: same-atom upper density >= 1 - tau_one at every depth, and some
       depth whose different-atom upper density is >= eta_min;
     - pk_plus: pk, and some depth whose different-atom upper density is
@@ -246,18 +259,15 @@ def classify_partition_pair(
     if scheme.depth < 2:
         raise SchemeError("partition classification needs scheme depth >= 2")
     ests = _same_atom_estimates(pair, scheme, th)
-    # complement identity: different-atom upper = 1 - same-atom lower,
-    # exactly, at the shared checkpoints
-    diff_upper = [1 - e.lower for e in ests]
-    tau_one, tau_zero, eta_min, gap = map(_decimal, (th.tau_one, th.tau_zero, th.eta_min, th.gap))
-    k0 = next((k for k, v in enumerate(diff_upper, start=1) if v >= eta_min), None)
-    pk = k0 is not None and all(e.upper >= 1 - tau_one for e in ests)
+    full, null, separated, gapped = threshold_reads(ests, th)
+    k0 = next((k for k, sep in enumerate(separated, start=1) if sep), None)
+    pk = k0 is not None and all(full)
     return PartitionVerdict(
         pk_scrambled=pk,
-        pk_plus=pk and any(v >= 1 - tau_zero for v in diff_upper),
-        pk_minus=any(e.gap >= gap for e in ests),
+        pk_plus=pk and any(null),
+        pk_minus=any(gapped),
         k0=k0,
-        separation_upper=float(diff_upper[k0 - 1]) if k0 else 0.0,
+        separation_upper=float(1 - ests[k0 - 1].lower) if k0 else 0.0,
         gap_by_k={k: float(e.gap) for k, e in enumerate(ests, start=1)},
         depth=scheme.depth,
     )
@@ -269,11 +279,10 @@ def classify_partition_pair(
 def scan_scrambled_set(
     pairs: Mapping[tuple[int, int], OrbitPair],
     is_scrambled: Callable[[OrbitPair], bool],
-    singleton_if_empty: bool = True,
 ) -> list[int]:
     """Greedy clique in the graph whose edges are scrambled pairs: vertices
-    visited by descending degree, ties broken by ascending id. Deterministic.
-    """
+    visited by descending degree, ties broken by ascending id. Deterministic;
+    a graph without edges gives its lowest id alone, and no pairs give []."""
     vertices: set[int] = set()
     for i, j in pairs:
         vertices.update((i, j))
@@ -289,9 +298,6 @@ def scan_scrambled_set(
     for v in order:
         if all(u in adjacency[v] for u in clique):
             clique.append(v)
-    if len(clique) <= 1 and not singleton_if_empty:
-        # size 1 can only mean the graph had no edges at all
-        return []
     return sorted(clique)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import difflib
 import functools
-import itertools
 import os
 import sys
 import tempfile
@@ -97,23 +96,16 @@ def atomic_write(path: str | Path, text: str | Iterable[str]) -> None:
         raise
 
 
-CSV_BLOCK_ROWS = 1 << 16
-
-
 def write_csv(
     path, lines: Sequence[str], header: Sequence[str], rows: Iterable[Sequence[str]]
 ) -> None:
     """Write the `#` lines, the column names and `rows`, each a sequence of
-    already formatted cell strings. Rows are joined and streamed to disk in
-    blocks of CSV_BLOCK_ROWS lines, so the whole text never sits in memory."""
-    atomic_write(path, _csv_chunks(lines, header, rows))
+    already formatted cell strings, as one string: every caller writes a
+    short table (the pair dump streams through `_pair_chunks`)."""
+    atomic_write(path, "\n".join([*lines, ",".join(header), *map(",".join, rows)]) + "\n")
 
 
-def _csv_chunks(lines: Sequence[str], header: Sequence[str], rows) -> Iterator[str]:
-    yield "\n".join([*lines, ",".join(header)]) + "\n"
-    rows = iter(rows)
-    while block := list(map(",".join, itertools.islice(rows, CSV_BLOCK_ROWS))):
-        yield "\n".join(block) + "\n"
+CSV_BLOCK_ROWS = 1 << 16
 
 
 def _pair_chunks(lines: Sequence[str], pair: sy.OrbitPair) -> Iterator[str]:
@@ -563,12 +555,11 @@ def _cmd_scan(args) -> int:
     def scrambled(pair: sy.OrbitPair) -> bool:
         return cl.classify_metric_pair(_profile(pair, args, policy), th).flags[args.target]
 
-    if args.count == 1:  # no pairs: the one trajectory is a clique of one
-        clique = [] if args.allow_empty else [0]
-    else:
-        clique = cl.scan_scrambled_set(
-            cl.all_pairs(trajectories), scrambled, singleton_if_empty=not args.allow_empty
-        )
+    # a single trajectory has no pairs; it is a clique of one, as is any
+    # vertex of a graph without edges, which --allow-empty writes as none
+    clique = cl.scan_scrambled_set(cl.all_pairs(trajectories), scrambled) or [0]
+    if len(clique) == 1 and args.allow_empty:
+        clique = []
     lines = _header(args, ("system", "horizon", "seed", "count", "target", "metric"))
     write_csv(args.out or "clique.csv", lines, ["trajectory_id"], [[str(i)] for i in clique])
     return 0

@@ -76,14 +76,6 @@ class DensityEstimate:
             raise ValidationError("need 0 <= lower <= upper <= 1")
 
     @property
-    def upper_float(self) -> float:
-        return float(self.upper)
-
-    @property
-    def lower_float(self) -> float:
-        return float(self.lower)
-
-    @property
     def gap(self) -> Fraction:
         return self.upper - self.lower
 
@@ -281,24 +273,20 @@ class PhiProfile:
             raise ValidationError("smallest threshold must be > 0")
         if len(self.estimates) != t.size:
             raise ValidationError("one estimate per threshold required")
-        stars = self.phi_star
-        lows = self.phi_lower
-        if np.any(np.diff(stars) < 0) or np.any(np.diff(lows) < 0):
+        # each estimate has lower <= upper; the sets grow with t
+        if any(
+            b.upper < a.upper or b.lower < a.lower
+            for a, b in zip(self.estimates, self.estimates[1:])
+        ):
             raise ValidationError("Phi profiles must be nondecreasing in t")
-        if np.any(lows > stars):
-            raise ValidationError("Phi must not exceed Phi* anywhere")
 
     @cached_property
     def phi_star(self) -> np.ndarray:
-        return _read_only([e.upper_float for e in self.estimates])
+        return _read_only([float(e.upper) for e in self.estimates])
 
     @cached_property
     def phi_lower(self) -> np.ndarray:
-        return _read_only([e.lower_float for e in self.estimates])
-
-    @property
-    def counts_at_horizon(self) -> np.ndarray:
-        return np.array([e.count_at_horizon for e in self.estimates], dtype=np.int64)
+        return _read_only([float(e.lower) for e in self.estimates])
 
 
 def phi_profile(

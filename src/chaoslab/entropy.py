@@ -180,6 +180,8 @@ def solve_pipka(
         raise ValidationError("eps grid must be nonempty")
     if not all(math.isfinite(e) for e in eps_grid):
         raise ValidationError("eps grid values must be finite")
+    if not all(e > 0 for e in eps_grid):
+        raise ValidationError("eps grid values must be > 0")
     root = math.sqrt(eta)
     rhs = (1 - root) * h
     two_h = 2 * binary_entropy(root)

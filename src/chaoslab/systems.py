@@ -59,8 +59,8 @@ class IntervalMap:
         hi = 2.0 if self.kind == "tent" else 4.0
         if not (0.0 < self.parameter <= hi):
             raise ValidationError(f"{self.kind} parameter must be in (0, {hi}]")
-        if self.coding_depth < 1:
-            raise ValidationError("coding depth must be >= 1")
+        if not 1 <= self.coding_depth <= 63:  # a symbol packs its bits in an int64
+            raise ValidationError(f"coding depth must lie in 1..63, got {self.coding_depth}")
 
     @property
     def arity(self) -> int:

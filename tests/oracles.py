@@ -9,6 +9,7 @@ recursion on every row, same-atom masks come from comparing per-time
 atom labels, and plug-in word entropy comes from a Counter over word tuples
 or from int64 word codes sorted by `np.unique`.
 """
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -184,6 +185,31 @@ def partition_verdict_direct(masks, policy, th):
     pk_plus = pk and any(u >= 1 - tau_zero for u in diff_upper)
     pk_minus = any(e.upper - e.lower >= gap for e in same)
     return pk, pk_plus, pk_minus
+
+
+def metric_verdict_direct(profile, th):
+    """(flags, separation threshold) of a Phi profile by the five metric
+    rules as stated, on the estimates' Fractions, with every threshold the
+    decimal it prints as. Grid point j reads the set {n : d_n < t_j}; its
+    complement, the separation set, has upper density 1 - lower."""
+    tau_one, tau_zero, eta_min, gap = (
+        Fraction(repr(x)) for x in (th.tau_one, th.tau_zero, th.eta_min, th.gap)
+    )
+    ests = profile.estimates
+    n, count = profile.horizon, ests[0].count_at_horizon
+    floor = max(10, math.isqrt(n))
+    li_yorke = count >= floor and n - count >= floor
+    gapped = [e.upper - e.lower >= gap for e in ests]
+    if len(ests) == 1:
+        dc3 = gapped[0]
+    else:
+        dc3 = any(gapped[j] and gapped[j + 1] for j in range(len(ests) - 1))
+    dc2 = ests[0].upper >= 1 - tau_one and 1 - ests[0].lower >= eta_min and dc3 and li_yorke
+    dc1half = dc2 and ests[0].lower <= tau_zero
+    dc1 = dc1half and any(e.lower <= tau_zero for e in ests)
+    separating = [float(t) for t, e in zip(profile.thresholds, ests) if 1 - e.lower >= eta_min]
+    flags = {"li_yorke": li_yorke, "dc1": dc1, "dc1half": dc1half, "dc2": dc2, "dc3": dc3}
+    return flags, (separating[-1] if separating else None)
 
 
 def per_threshold_phi(values, grid, policy):

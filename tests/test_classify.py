@@ -14,6 +14,7 @@ from chaoslab.errors import SchemeError, ValidationError
 from oracles import (
     aligned_window_label,
     cylinder_label,
+    metric_verdict_direct,
     partition_verdict_direct,
     per_set_density,
     phi_profile_float_path,
@@ -109,6 +110,20 @@ class TestMetricClassification:
         assert (not v.dc1half) or v.dc2
         assert (not v.dc2) or v.dc3
         assert (not v.dc2) or v.li_yorke
+
+    def test_gap_tie_reads_as_the_decimal(self):
+        # the exact gap 3/10 - 1/5 is 1/10; the float 0.3 - 0.2 lies below it
+        est = c.DensityEstimate(Fraction(3, 10), Fraction(1, 5), (10,), 10, 2)
+        v = c.classify_metric_pair(c.PhiProfile([0.5], (est,), 100), c.Thresholds(gap=0.1))
+        assert v.dc3
+
+    def test_separation_tie_reads_as_the_decimal(self):
+        # the separation set's upper density is exactly 1/10 = eta_min; the
+        # float 1.0 - 0.9 lies below it
+        est = c.DensityEstimate(Fraction(9, 10), Fraction(9, 10), (10,), 10, 9)
+        prof = c.PhiProfile([0.5], (est,), 100)
+        v = c.classify_metric_pair(prof, c.Thresholds(eta_min=0.1))
+        assert v.separation_threshold == 0.5
 
     def test_cantor_metric_profile_grades_with_threshold(self):
         # under the cantor metric the witness profile actually varies along
@@ -435,6 +450,43 @@ class TestPartitionReadDifferential:
         assert v.pk_scrambled or not v.pk_plus
 
 
+@st.composite
+def metric_profile_cases(draw):
+    """Phi profiles of short distance series on a few levels, with
+    thresholds taken from the profile's own densities so that reads land on
+    ties."""
+    n = draw(st.integers(1, 120))
+    values = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))) / 4
+    grid = sorted(draw(st.sets(st.sampled_from([0.125, 0.375, 0.625, 0.875, 1.0]), min_size=1)))
+    policy = c.CheckpointPolicy(burn_in=draw(st.integers(1, n)))
+    prof = c.phi_profile(c.DistanceSeries(values), np.array(grid), policy)
+    uppers = [float(e.upper) for e in prof.estimates]
+    lowers = [float(e.lower) for e in prof.estimates]
+
+    def pick(values, top=1.0):
+        return draw(st.sampled_from([v for v in values if 0 < v < top] or [top / 2]))
+
+    tau_one = pick([1 - u for u in uppers] + [0.05])
+    th = c.Thresholds(
+        tau_one=tau_one,
+        tau_zero=pick(lowers + [0.05], top=1 - tau_one),
+        eta_min=pick([1 - v for v in lowers] + [0.05]),
+        gap=pick([float(e.gap) for e in prof.estimates] + [0.1]),
+    )
+    return prof, th
+
+
+class TestMetricReadDifferential:
+    @given(metric_profile_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_reads_match_the_direct_rules(self, case):
+        prof, th = case
+        v = c.classify_metric_pair(prof, th)
+        assert (v.flags, v.separation_threshold) == metric_verdict_direct(prof, th)
+        assert v.agreement_upper == float(prof.estimates[0].upper)
+        assert v.separation_upper == float(1 - prof.estimates[0].lower)
+
+
 def hadamard_codes(count: int) -> np.ndarray:
     """Rows of the 8x8 Hadamard matrix in 0/1 form: pairwise Hamming
     distance exactly 4 of 8."""
@@ -490,8 +542,9 @@ class TestScan:
         trajectories = [c.sample_orbit(spec, 500, seed=i) for i in range(4)]
         pairs = c.all_pairs(trajectories)
         fn = self._verdict_fn()
-        assert c.scan_scrambled_set(pairs, fn, singleton_if_empty=True) == [0]
-        assert c.scan_scrambled_set(pairs, fn, singleton_if_empty=False) == []
+        # no edges: the lowest id alone; no pairs at all: no vertex
+        assert c.scan_scrambled_set(pairs, fn) == [0]
+        assert c.scan_scrambled_set({}, fn) == []
 
     def test_eight_pullback_witnesses_form_clique(self):
         q, trajectories = pulled_back_dc2_family(8)

@@ -81,8 +81,15 @@ class TestExitCodes:
             (["pipka", "--eta", "0.5", "--h", "nan", "--card", "2"], "h must be finite and >= 0"),
             (["pipka", "--eta", "0.5", "--h", "1", "--card", "2", "--eps-grid", "0.01,nan"],
              "eps grid values must be finite"),
+            (["pipka", "--eta", "0.5", "--h", "1", "--card", "2", "--eps-grid", "-0.5"],
+             "eps grid values must be > 0"),
+            (["pipka", "--eta", "0.5", "--h", "1", "--card", "2", "--eps-grid", "0.01,0"],
+             "eps grid values must be > 0"),
+            (["pair", "--system", "tent", "--param", "1.99", "--coding-depth", "64",
+              "--horizon", "50"], "coding depth must lie in 1..63, got 64"),
         ],
-        ids=["arity-zero", "probs-nan", "pipka-h-nan", "pipka-eps-nan"],
+        ids=["arity-zero", "probs-nan", "pipka-h-nan", "pipka-eps-nan", "pipka-eps-negative",
+             "pipka-eps-zero", "coding-depth-64"],
     )
     def test_degenerate_value_is_usage(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -90,11 +97,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
+    def test_coding_depth_63_packs_into_int64(self, tmp_path):
+        out = tmp_path / "pair.csv"
+        argv = ["pair", "--system", "tent", "--param", "1.99", "--coding-depth", "63",
+                "--horizon", "50", "--out", str(out)]
+        assert run(argv) == 0
+        rows = [l.split(",") for l in read(out).splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 50 and all(0 <= int(r[1]) < 2**63 for r in rows)
+
     def test_pipka_m_search_ends_where_m_plus_one_rounds_away(self, tmp_path):
         # m is near 1e153, where two_h / (m + 1) is the float two_h / m: a
         # search stepping m by one never ends, so run it under a timeout
         out = tmp_path / "pipka.csv"
-        argv = ["pipka", "--eta", "1e-300", "--h", "1e-300", "--card", "2", "--eps-grid", "0"]
+        argv = ["pipka", "--eta", "1e-300", "--h", "1e-300", "--card", "2", "--eps-grid", "5e-324"]
         code = "import sys; from chaoslab.cli import run; sys.exit(run(sys.argv[1:]))"
         env = {**os.environ, "PYTHONPATH": str(Path(c.__file__).parents[1])}
         proc = subprocess.run(
@@ -379,11 +394,13 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("allow_empty, rows", [(False, ["0"]), (True, [])])
     def test_scan_single_trajectory_is_a_clique_of_one(self, allow_empty, rows, tmp_path):
+        # one trajectory has no pairs; three constant ones have no edges
         out = tmp_path / "clique.csv"
-        argv = ["scan", "--count", "1", "--horizon", "500", "--out", str(out)]
-        assert run(argv + ["--allow-empty"] * allow_empty) == 0
-        lines = [l for l in read(out).splitlines() if not l.startswith("#")]
-        assert lines == ["trajectory_id", *rows]
+        for count in (["--count", "1"], ["--count", "3", "--probs", "1,0"]):
+            argv = ["scan", *count, "--horizon", "500", "--out", str(out)]
+            assert run(argv + ["--allow-empty"] * allow_empty) == 0
+            lines = [l for l in read(out).splitlines() if not l.startswith("#")]
+            assert lines == ["trajectory_id", *rows]
 
     @pytest.mark.parametrize("word_len", ["64", "70"])
     def test_entropy_word_codes_beyond_int64_refused(self, word_len, tmp_path, capsys):

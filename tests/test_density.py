@@ -50,8 +50,8 @@ class TestEmpiricalDensity:
         # the oracle's boundary values converge to 2/3 and 1/3
         assert abs(float(upper_oracle) - 2 / 3) <= 0.02
         assert abs(float(lower_oracle) - 1 / 3) <= 0.02
-        assert abs(est.upper_float - float(upper_oracle)) <= 0.02
-        assert abs(est.lower_float - float(lower_oracle)) <= 0.02
+        assert abs(float(est.upper) - float(upper_oracle)) <= 0.02
+        assert abs(float(est.lower) - float(lower_oracle)) <= 0.02
 
     def test_burn_in_beyond_horizon_is_policy_error(self):
         with pytest.raises(PolicyError):

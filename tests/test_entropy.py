@@ -204,7 +204,7 @@ class TestPipka:
 
     def test_m_beyond_the_float_range_is_infeasible(self):
         # slack near 3e-311: 2H / slack overflows, so no m can be checked
-        params = c.solve_pipka(0.5, 1e-310, 2, eps_grid=(0.0,))
+        params = c.solve_pipka(0.5, 1e-310, 2, eps_grid=(5e-324,))
         assert not params.feasible and params.m is None
 
     def test_smallest_m_with_largest_feasible_eps(self):
