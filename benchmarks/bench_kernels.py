@@ -2,11 +2,13 @@
 per-pair distance series plus Phi profile of the symbolic metrics, the
 nested-time-set density kernel on its own, the plug-in word entropy on both
 of its counting branches, the `pair` dump writer on its own and its real
-cells against `repr`, and one small CLI call (first and later calls).
+cells against `repr`, one small CLI call (first and later calls) and the
+`verify --suite pi-bijection` CLI call at q = 2,3,2.
 
 Run as a script from a checkout (no install needed):
     python benchmarks/bench_kernels.py
 """
+import contextlib
 import os
 import sys
 import tempfile
@@ -137,6 +139,17 @@ def main():
             os.chdir(here)
     print(f"  first call {times[0]*1e3:7.2f} ms   mean of the next 20"
           f" {sum(times[1:]) / 20 * 1e3:7.2f} ms")
+
+    print("\ncli.run verify --suite pi-bijection --q 2,3,2 (4096 blocks of N_3 = 48)")
+    argv = ["verify", "--suite", "pi-bijection", "--q", "2,3,2"]
+    times = []
+    for _ in range(21):
+        t0 = time.perf_counter()
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            if cli.run(argv) != 0:
+                raise SystemExit("pi-bijection failed")
+        times.append(time.perf_counter() - t0)
+    print(f"  median of 21 calls {sorted(times)[10]*1e3:7.2f} ms")
 
 
 if __name__ == "__main__":

@@ -51,7 +51,6 @@ from .density import (
 )
 from .entropy import (
     BallBound,
-    CountingExperiment,
     EntropyReport,
     PipkaParams,
     binary_entropy,
@@ -59,7 +58,6 @@ from .entropy import (
     count_eta_ball,
     empirical_cylinder_entropy,
     eta_ball_bound,
-    run_counting_experiment,
     solve_pipka,
 )
 from .systems import (

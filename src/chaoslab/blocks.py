@@ -492,7 +492,7 @@ def central_block_scheme(schedule: QSchedule):
     )
 
 
-def aligned_window_scheme(window_lengths: Sequence[int], name: str = "aligned-window"):
+def aligned_window_scheme(window_lengths: Sequence[int]):
     """The depth-k atom at time n is (phase, content) of its enclosing
     aligned window of length L_k, the trailing window cut at the horizon;
     L_k must divide L_{k+1}. Works on plain symbol tracks (offset 0). This is
@@ -515,4 +515,4 @@ def aligned_window_scheme(window_lengths: Sequence[int], name: str = "aligned-wi
         out[full:] = np.array_equal(pair.a.symbols[full:], pair.b.symbols[full:])
         return out
 
-    return PartitionScheme(depth=len(lengths), same_atom_mask=same_atom_mask, name=name)
+    return PartitionScheme(depth=len(lengths), same_atom_mask=same_atom_mask, name="aligned-window")

@@ -41,7 +41,8 @@ class Thresholds:
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ValidationError(f"{name} must lie in (0,1)")
-        if self.tau_one + self.tau_zero >= 1:
+        one_minus_tau_one, tau_zero, _, _ = self.exact_bounds
+        if tau_zero >= one_minus_tau_one:  # on the decimals the reads use
             raise ValidationError("tau_one + tau_zero must be < 1")
 
     def policy(self) -> CheckpointPolicy:

@@ -11,6 +11,7 @@ outputs, 3 window/enumeration guard exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
 import functools
 import os
@@ -96,13 +97,23 @@ def atomic_write(path: str | Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def write_csv(
-    path, lines: Sequence[str], header: Sequence[str], rows: Iterable[Sequence[str]]
-) -> None:
+def _text(value) -> str:
+    """The text of an artifact value, header or cell: blank for None, a
+    tuple's values joined by commas, anything else as `str` writes it (for
+    a float that is `repr`, the shortest decimal that reads back)."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ",".join(map(_text, value))
+    return str(value)
+
+
+def write_csv(path, lines: Sequence[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write the `#` lines, the column names and `rows`, each a sequence of
-    already formatted cell strings, as one string: every caller writes a
+    values written through `_text`, as one string: every caller writes a
     short table (the pair dump streams through `_pair_chunks`)."""
-    atomic_write(path, "\n".join([*lines, ",".join(header), *map(",".join, rows)]) + "\n")
+    cells = (",".join(map(_text, row)) for row in rows)
+    atomic_write(path, "\n".join([*lines, ",".join(header), *cells]) + "\n")
 
 
 CSV_BLOCK_ROWS = 1 << 16
@@ -476,12 +487,11 @@ def _profile(pair: sy.OrbitPair, args, policy: de.CheckpointPolicy) -> de.PhiPro
 
 def _header(args, keys: Sequence[str], **extras) -> list[str]:
     """An artifact's `#` lines: the subcommand, then the flags named in `keys`
-    and the `extras`, sorted by name; a value of None is left out, and a
-    list is written as its values joined by commas."""
+    and the `extras`, sorted by name, each written through `_text`; a value
+    of None is left out."""
     values = {k: getattr(args, k) for k in keys} | extras
     return [f"# chaoslab {args.command}"] + [
-        f"# {k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}"
-        for k, v in sorted(values.items()) if v is not None
+        f"# {k} = {_text(v)}" for k, v in sorted(values.items()) if v is not None
     ]
 
 
@@ -502,10 +512,8 @@ def _cmd_phi(args) -> int:
     if args.format == "svg":
         atomic_write(args.out or "phi.svg", render_phi_svg(profile))
         return 0
-    rows = [
-        [repr(float(t)), repr(float(s)), repr(float(l))]
-        for t, s, l in zip(profile.thresholds, profile.phi_star, profile.phi_lower)
-    ]
+    columns = (profile.thresholds, profile.phi_star, profile.phi_lower)
+    rows = list(zip(*(c.tolist() for c in columns)))
     lines = _header(args, PAIR_KEYS + ("metric", "burn_in"))
     write_csv(args.out or "phi.csv", lines, ["t", "phi_star", "phi_lower"], rows)
     return 0
@@ -516,20 +524,9 @@ def _cmd_classify(args) -> int:
     th = _thresholds(args)
     profile = _profile(pair, args, th.policy())
     verdict = cl.classify_metric_pair(profile, th)
-    flags = verdict.flags
-    eta = repr(verdict.separation_upper)
-    k0 = ""
     partition = cl.classify_partition_pair(pair, cl.cylinder_scheme(args.depth), th)
-    if partition.k0 is not None:
-        eta = repr(partition.separation_upper)
-        k0 = str(partition.k0)
-    row = [
-        "0",
-        *(str(flags[k]) for k in ("li_yorke", "dc1", "dc1half", "dc2", "dc3")),
-        "" if verdict.separation_threshold is None else repr(verdict.separation_threshold),
-        eta,
-        k0,
-    ]
+    eta = verdict.separation_upper if partition.k0 is None else partition.separation_upper
+    row = [0, *verdict.flags.values(), verdict.separation_threshold, eta, partition.k0]
     lines = _header(
         args, PAIR_KEYS + ("metric", "burn_in", "depth"), note="dc1 is a finite-horizon read only"
     )
@@ -561,7 +558,7 @@ def _cmd_scan(args) -> int:
     if len(clique) == 1 and args.allow_empty:
         clique = []
     lines = _header(args, ("system", "horizon", "seed", "count", "target", "metric"))
-    write_csv(args.out or "clique.csv", lines, ["trajectory_id"], [[str(i)] for i in clique])
+    write_csv(args.out or "clique.csv", lines, ["trajectory_id"], [[i] for i in clique])
     return 0
 
 
@@ -570,10 +567,7 @@ def _cmd_forge(args) -> int:
     lines = _header(args, ("dump", "level", "q", "seed"))
     out = args.out or f"forge-{args.dump}.csv"
     if args.dump == "params":
-        rows = [
-            [str(v) for v in (p.k, p.q_k, p.p_k, p.n_k, p.b_length, p.family_size)]
-            for p in bl.derive_params(schedule)
-        ]
+        rows = [dataclasses.astuple(p) for p in bl.derive_params(schedule)]
         write_csv(out, lines, ["k", "q_k", "p_k", "N_k", "lenB", "count"], rows)
         return 0
     if args.dump == "blocks":
@@ -582,7 +576,7 @@ def _cmd_forge(args) -> int:
         suffix = "\n"
         if args.markers:
             marks = bl.marker_row(schedule, 0, schedule.n(level))
-            suffix = " " + ",".join(str(int(v)) for v in marks) + suffix
+            suffix = " " + _text(tuple(marks.tolist())) + suffix
         # one byte row per block: its digits, then the suffix shared by all
         rows = np.empty((len(family), family.shape[1] + len(suffix)), np.uint8)
         rows[:, : family.shape[1]] = family + ord("0")
@@ -592,9 +586,9 @@ def _cmd_forge(args) -> int:
     # point dump: marker row and binary row of one sampled point
     seed = args.seed if args.seed is not None else 1
     word = bl.sample_point(schedule, seed)
-    lines.append("offset," + str(word.offset))
-    lines.append("markers," + ",".join(str(int(v)) for v in word.markers))
-    lines.append("binary," + "".join(str(int(b)) for b in word.binary))
+    lines.append(_text(("offset", word.offset)))
+    lines.append(_text(("markers", *word.markers.tolist())))
+    lines.append("binary," + "".join(map(_text, word.binary.tolist())))
     atomic_write(out, "\n".join(lines) + "\n")
     return 0
 
@@ -608,8 +602,8 @@ def _cmd_entropy(args) -> int:
             (schedule.family_size(k), schedule.n(k)) for k in range(1, schedule.depth + 1)
         )
         rows = [
-            [str(k + 1), str(count), str(length), str(rate)]
-            for k, ((count, length), rate) in enumerate(zip(report.levels, report.rates))
+            [k, count, length, rate]
+            for k, ((count, length), rate) in enumerate(zip(report.levels, report.rates), 1)
         ]
         write_csv(out, lines, ["k", "count", "length", "bits_per_symbol"], rows)
         return 0
@@ -619,8 +613,8 @@ def _cmd_entropy(args) -> int:
     track = bl.sample_point(schedule, seed, offset=0, blocks=blocks).symbol_track(horizon)
     fair = np.random.default_rng(np.random.SeedSequence(seed)).integers(0, 2, horizon)
     rows = [
-        [source, str(args.word_len), str(args.stride), str(horizon),
-         repr(en.empirical_cylinder_entropy(symbols, args.word_len, args.stride))]
+        [source, args.word_len, args.stride, horizon,
+         en.empirical_cylinder_entropy(symbols, args.word_len, args.stride)]
         for source, symbols in (("marker-block", track), ("iid-fair-bits", fair))
     ]
     write_csv(out, lines, ["source", "word_len", "stride", "horizon", "bits_per_symbol"], rows)
@@ -629,15 +623,8 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_pipka(args) -> int:
     params = en.solve_pipka(args.eta, args.h, args.card, args.eps_grid or en.DEFAULT_EPS_GRID)
-    row = [
-        str(params.eta),
-        str(params.h),
-        str(params.card_p),
-        str(params.m) if params.m is not None else "",
-        str(params.eps) if params.eps is not None else "",
-        repr(params.margin) if params.margin is not None else "",
-        str(params.feasible),
-    ]
+    row = [params.eta, params.h, params.card_p, params.m, params.eps, params.margin,
+           params.feasible]
     write_csv(
         args.out or "pipka.csv",
         _header(args, ("eta", "h", "card", "eps_grid")),
@@ -654,27 +641,13 @@ def _cmd_count_ball(args) -> int:
         a0 = ("01" * args.n)[: args.n]
     else:
         a0 = args.a0
-    experiment = en.run_counting_experiment(
-        args.n,
-        args.m,
-        args.eta,
-        args.eps,
-        args.h,
-        args.card,
-        args.delta,
-        a0=a0,
-    )
-    row = [
-        str(experiment.n),
-        str(experiment.m),
-        str(experiment.eta),
-        str(experiment.eps),
-        str(experiment.delta),
-        str(experiment.count),
-        repr(experiment.bound.value),
-        repr(experiment.ratio_to_total),
-        str(experiment.bound.flag),
-    ]
+    if len(a0) != args.n:
+        raise ValidationError("a0 must have length n")
+    count = en.count_eta_ball(a0, args.m, args.eta)
+    bound = en.eta_ball_bound(args.n, args.m, args.eta, args.eps, args.h, args.card, args.delta)
+    # the int division is exact at any n, where 2.0**n overflows past 1023
+    row = [args.n, args.m, args.eta, args.eps, args.delta, count, bound.value,
+           count / (1 << args.n), bound.flag]
     write_csv(
         args.out or "count-ball.csv",
         _header(args, ("n", "m", "eta", "eps", "h", "card", "delta", "a0")),
@@ -699,7 +672,10 @@ def _cmd_verify(args) -> int:
         words = bl.pi(schedule, k, family)
         if not np.array_equal(bl.inverse_pi(schedule, k, words), family):
             raise InvariantViolation("inverse_pi(pi(C)) != C")
-        if len(np.unique(words, axis=0)) != schedule.family_size(k):
+        # each p_k-bit word (p_k <= 16 under the enumeration guard) packs into
+        # one int; the 2^p_k words are distinct exactly when every code appears
+        codes = words @ (1 << np.arange(words.shape[1])[::-1])
+        if not np.bincount(codes, minlength=schedule.family_size(k)).all():
             raise InvariantViolation("pi is not injective onto the word space")
         print("bijection OK")
         return 0

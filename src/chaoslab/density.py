@@ -248,11 +248,11 @@ def _read_only(values) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def default_threshold_grid(diameter: float = 1.0, points: int = 16) -> np.ndarray:
-    """Logarithmic grid from diameter*2^-16 up to the diameter; the smallest
-    point stands in for the t -> 0+ limit. Built once per (diameter, points)
-    and read-only: a scan asks for the same grid for every pair."""
-    return _read_only(np.geomspace(diameter * 2.0**-16, diameter, points))
+def default_threshold_grid(diameter: float = 1.0) -> np.ndarray:
+    """Logarithmic grid of 16 points from diameter*2^-16 up to the diameter;
+    the smallest point stands in for the t -> 0+ limit. Built once per
+    diameter and read-only: a scan asks for the same grid for every pair."""
+    return _read_only(np.geomspace(diameter * 2.0**-16, diameter, 16))
 
 
 @dataclass(frozen=True)

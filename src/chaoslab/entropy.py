@@ -164,6 +164,21 @@ def _smallest_strict_m(two_h: float, slack: float) -> int | None:
     return high
 
 
+def _check_bound_inputs(h: float, card_p: int, *positive: tuple[str, Sequence[float]]) -> None:
+    """The domain `solve_pipka` and `eta_ball_bound` share: h finite and
+    >= 0, a partition of at least two atoms, and each value of every named
+    group in `positive` (the eps values, delta) finite and > 0."""
+    if not (math.isfinite(h) and h >= 0):
+        raise ValidationError("h must be finite and >= 0")
+    if card_p < 2:
+        raise ValidationError("partition cardinality must be >= 2")
+    for name, values in positive:
+        if not all(math.isfinite(v) for v in values):
+            raise ValidationError(f"{name} must be finite")
+        if not all(v > 0 for v in values):
+            raise ValidationError(f"{name} must be > 0")
+
+
 def solve_pipka(
     eta: float,
     h: float,
@@ -172,16 +187,9 @@ def solve_pipka(
 ) -> PipkaParams:
     if not 0 < eta < 1:
         raise ValidationError("eta must lie in (0,1)")
-    if not (math.isfinite(h) and h >= 0):
-        raise ValidationError("h must be finite and >= 0")
-    if card_p < 2:
-        raise ValidationError("partition cardinality must be >= 2")
+    _check_bound_inputs(h, card_p, ("eps grid values", eps_grid))
     if not eps_grid:
         raise ValidationError("eps grid must be nonempty")
-    if not all(math.isfinite(e) for e in eps_grid):
-        raise ValidationError("eps grid values must be finite")
-    if not all(e > 0 for e in eps_grid):
-        raise ValidationError("eps grid values must be > 0")
     root = math.sqrt(eta)
     rhs = (1 - root) * h
     two_h = 2 * binary_entropy(root)
@@ -292,6 +300,7 @@ def eta_ball_bound(
     root = math.sqrt(eta)
     if eps >= 1 - root:
         raise ValidationError("need eps < 1 - sqrt(eta)")
+    _check_bound_inputs(h, card_p, ("eps", (eps,)), ("delta", (delta,)))
     exponent = (
         2 * binary_entropy(root) / m
         + math.log2(m) / n
@@ -299,43 +308,3 @@ def eta_ball_bound(
         + h * root
     )
     return BallBound(log2_value=n * exponent, log2_target=n * (h - 2 * delta))
-
-
-@dataclass(frozen=True)
-class CountingExperiment:
-    """One row of a counting sweep: the exact ball count against the
-    closed-form bound."""
-
-    n: int
-    m: int
-    eta: float
-    eps: float
-    delta: float
-    a0: str
-    count: int
-    bound: BallBound
-
-    @property
-    def ratio_to_total(self) -> float:
-        return self.count / (1 << self.n)  # exact int division, no overflow
-
-
-def run_counting_experiment(
-    n: int,
-    m: int,
-    eta: float,
-    eps: float,
-    h: float,
-    card_p: int,
-    delta: float,
-    a0: str | None = None,
-) -> CountingExperiment:
-    if a0 is None:
-        a0 = "0" * n
-    if len(a0) != n:
-        raise ValidationError("a0 must have length n")
-    count = count_eta_ball(a0, m, eta)
-    bound = eta_ball_bound(n, m, eta, eps, h, card_p, delta)
-    return CountingExperiment(
-        n=n, m=m, eta=eta, eps=eps, delta=delta, a0=a0, count=count, bound=bound
-    )

@@ -20,7 +20,7 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}".rstrip("0").rstrip(".") or "0"
 
 
-def render_phi_svg(profile: PhiProfile, title: str = "Phi profile") -> str:
+def render_phi_svg(profile: PhiProfile) -> str:
     ts = profile.thresholds
     if ts.size < 1:
         raise ValidationError("profile must be nonempty")
@@ -48,7 +48,7 @@ def render_phi_svg(profile: PhiProfile, title: str = "Phi profile") -> str:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" font-family="monospace" '
-        f'font-size="14">{title}</text>',
+        'font-size="14">Phi profile</text>',
         # frame
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#555" stroke-width="1"/>',

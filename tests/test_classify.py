@@ -140,6 +140,15 @@ class TestMetricClassification:
         with pytest.raises(ValidationError):
             c.Thresholds(eta_min=1.0)
 
+    def test_tau_sum_is_read_on_the_decimals(self):
+        # the floats sum to 1.0, the decimals to 0.99999999999999997
+        th = c.Thresholds(tau_one=0.763774618976614, tau_zero=0.23622538102338597)
+        assert th.exact_bounds[1] < th.exact_bounds[0]
+        # these decimals sum to exactly 1
+        for tau_one, tau_zero in ((0.95, 0.05), (0.5833333333333333, 0.4166666666666667)):
+            with pytest.raises(ValidationError, match="tau_one \\+ tau_zero"):
+                c.Thresholds(tau_one=tau_one, tau_zero=tau_zero)
+
     def test_scheme_mismatch_rejected(self):
         # both schedules share N_1 = 4, so only the schedule check can refuse
         pair = bl.fiber_pair(c.QSchedule((2, 2, 2)), (1, 2), blocks=3)
@@ -409,6 +418,16 @@ class TestPartitionClassification:
         assert (v.pk_scrambled, v.pk_plus) == (pk, pk_plus)
 
 
+def draw_tau_zero(draw, candidates, tau_one):
+    """A tau_zero from `candidates`, or half the room left, that Thresholds
+    accepts beside `tau_one`: its decimal lies below 1 minus tau_one's. A
+    float guard such as v < 1 - tau_one admits 0.05 beside 0.95, whose
+    decimals sum to exactly 1."""
+    room = 1 - Fraction(repr(tau_one))
+    fits = [v for v in candidates if 0 < v and Fraction(repr(v)) < room]
+    return draw(st.sampled_from(fits or [float(room / 2)]))
+
+
 @st.composite
 def nested_mask_cases(draw):
     """Nested same-atom masks over a short horizon, with thresholds taken
@@ -421,14 +440,13 @@ def nested_mask_cases(draw):
     same = [per_set_density(m, policy) for m in masks]
     diff_upper = [float(per_set_density(~m, policy).upper) for m in masks]
 
-    def pick(values, top=1.0):
-        return draw(st.sampled_from([v for v in values if 0 < v < top] or [top / 2]))
+    def pick(values):
+        return draw(st.sampled_from([v for v in values if 0 < v < 1] or [0.5]))
 
     tau_one = pick([1 - float(e.upper) for e in same] + [0.05])
-    tau_zero = pick([1 - v for v in diff_upper] + [0.05], top=1 - tau_one)
     th = c.Thresholds(
         tau_one=tau_one,
-        tau_zero=tau_zero,
+        tau_zero=draw_tau_zero(draw, [1 - v for v in diff_upper] + [0.05], tau_one),
         eta_min=pick(diff_upper + [0.05]),
         gap=pick([float(e.gap) for e in same] + [0.1]),
         burn_in=policy.burn_in,
@@ -463,13 +481,13 @@ def metric_profile_cases(draw):
     uppers = [float(e.upper) for e in prof.estimates]
     lowers = [float(e.lower) for e in prof.estimates]
 
-    def pick(values, top=1.0):
-        return draw(st.sampled_from([v for v in values if 0 < v < top] or [top / 2]))
+    def pick(values):
+        return draw(st.sampled_from([v for v in values if 0 < v < 1] or [0.5]))
 
     tau_one = pick([1 - u for u in uppers] + [0.05])
     th = c.Thresholds(
         tau_one=tau_one,
-        tau_zero=pick(lowers + [0.05], top=1 - tau_one),
+        tau_zero=draw_tau_zero(draw, lowers + [0.05], tau_one),
         eta_min=pick([1 - v for v in lowers] + [0.05]),
         gap=pick([float(e.gap) for e in prof.estimates] + [0.1]),
     )

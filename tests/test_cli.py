@@ -19,6 +19,7 @@ from chaoslab.cli import (
     _build_pair,
     _header,
     _pair_chunks,
+    _text,
     atomic_write,
     build_parser,
     load_config,
@@ -31,6 +32,9 @@ from oracles import csv_text_direct, pair_dump_direct
 
 def read(path):
     return Path(path).read_text()
+
+
+COUNT_BALL = ["count-ball", "--n", "8", "--m", "2", "--eta", "0.5"]
 
 
 class TestExitCodes:
@@ -87,9 +91,17 @@ class TestExitCodes:
              "eps grid values must be > 0"),
             (["pair", "--system", "tent", "--param", "1.99", "--coding-depth", "64",
               "--horizon", "50"], "coding depth must lie in 1..63, got 64"),
+            (COUNT_BALL + ["--eps", "nan"], "eps must be finite"),
+            (COUNT_BALL + ["--eps", "-1"], "eps must be > 0"),
+            (COUNT_BALL + ["--h", "nan"], "h must be finite and >= 0"),
+            (COUNT_BALL + ["--h", "-3"], "h must be finite and >= 0"),
+            (COUNT_BALL + ["--delta", "inf"], "delta must be finite"),
+            (COUNT_BALL + ["--card", "1"], "partition cardinality must be >= 2"),
         ],
         ids=["arity-zero", "probs-nan", "pipka-h-nan", "pipka-eps-nan", "pipka-eps-negative",
-             "pipka-eps-zero", "coding-depth-64"],
+             "pipka-eps-zero", "coding-depth-64", "count-ball-eps-nan", "count-ball-eps-negative",
+             "count-ball-h-nan", "count-ball-h-negative", "count-ball-delta-inf",
+             "count-ball-card-one"],
     )
     def test_degenerate_value_is_usage(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -336,7 +348,36 @@ class TestWarnings:
         assert errs == [line * 2, line * 2]
 
 
+class TestText:
+    """The one text rule of every header value and CSV cell."""
+
+    def test_none_tuple_and_scalars(self):
+        assert _text(None) == ""
+        assert _text((2, 3, 2)) == "2,3,2"
+        assert _text(("markers", 1, 0)) == "markers,1,0"
+        assert _text(0.1) == "0.1" and _text(1e-05) == "1e-05"
+        assert _text(Fraction(1, 8)) == "1/8"
+        assert _text(True) == "True" and _text("marker-block") == "marker-block"
+
+    @pytest.mark.parametrize("value", [0.1, 1e-05, 2.0**-1074, math.inf, -7, 2**62, True, False])
+    def test_numpy_scalars_read_as_python_values(self, value):
+        numpy_type = {bool: np.bool_, int: np.int64, float: np.float64}[type(value)]
+        assert _text(numpy_type(value)) == _text(value)
+
+
 class TestArtifacts:
+    def test_count_ball_ratio_exact_at_any_n(self, tmp_path):
+        # m = 1 and eta = 0.001 leave masks of at most one set bit: 1 + n of
+        # them. 2.0**1030 overflows; the int division still writes the
+        # nearest float to count / 2^n
+        out = tmp_path / "ball.csv"
+        argv = ["count-ball", "--n", "1030", "--m", "1", "--eta", "0.001", "--out", str(out)]
+        assert run(argv) == 0
+        row = read(out).splitlines()[-1].split(",")
+        assert row[5] == "1031"
+        assert row[7] == repr(1031 / 2**1030) == "8.961137297347362e-308"
+        assert float(row[7]) == float(Fraction(1031, 2**1030))
+
     def test_pipka_row(self, tmp_path):
         out = tmp_path / "p.csv"
         assert run(

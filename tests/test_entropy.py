@@ -344,16 +344,6 @@ class TestEtaBallBound:
         assert not bound.flag  # decided in log2 space, not from the value
         assert c.BallBound(log2_value=10.0, log2_target=0.0).value == 1024.0
 
-    def test_ratio_exact_at_any_n(self):
-        bound = c.BallBound(0.0, 0.0)
-        for n, count in ((20, 5), (53, 2**53 + 1), (1023, 3**600), (1024, 2**1023), (2000, 7)):
-            exp = c.CountingExperiment(n, 1, 0.5, 0.01, 0.01, "0" * n, count, bound)
-            assert exp.ratio_to_total == Fraction(count, 2**n).__float__()
-        # bit-identical to the float division it replaced wherever that works
-        for n, count in ((20, 31), (60, 3**37), (1000, 3**600)):
-            exp = c.CountingExperiment(n, 1, 0.5, 0.01, 0.01, "0" * n, count, bound)
-            assert exp.ratio_to_total == count / 2.0**n
-
     def test_eps_domain(self):
         with pytest.raises(ValidationError):
             c.eta_ball_bound(64, 4, 0.81, 0.2, 1.0, 2, 0.01)  # eps >= 1 - 0.9
