@@ -1,9 +1,10 @@
 """Benchmark the interval-map orbit loop, the exact eta-ball count, the
 per-pair distance series plus Phi profile of the symbolic metrics, the
-nested-time-set density kernel on its own, the plug-in word entropy on both
-of its counting branches, the `pair` dump writer on its own and its real
-cells against `repr`, one small CLI call (first and later calls) and the
-`verify --suite pi-bijection` CLI call at q = 2,3,2.
+nested-time-set density kernel on its own and its exact pick on the
+Fraction path, the plug-in word entropy on both of its counting branches,
+the `pair` dump writer on its own and its real cells against `repr`, one
+small CLI call (first and later calls) and the `verify --suite
+pi-bijection` CLI call at q = 2,3,2.
 
 Run as a script from a checkout (no install needed):
     python benchmarks/bench_kernels.py
@@ -22,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from chaoslab.density import (  # noqa: E402
     CheckpointPolicy,
+    _exact_extremes,
     nested_density_estimates,
     phi_profile,
 )
@@ -83,6 +85,14 @@ def main():
         t_1, _ = timeit(nested_density_estimates, (~mask).view(np.uint8), 1, cps)
         print(f"  N={horizon:8d} ({len(cps)} checkpoints): 17 levels {t_17*1e3:7.2f} ms"
               f"   1 level from a mask {t_1*1e3:7.2f} ms")
+    # above nmax**2 * max ratio = 2**51 every ratio is a Fraction: synthetic
+    # counts of 17 levels on the N = 1e8 grid, so no 1e8 sample is built
+    cps = CheckpointPolicy().checkpoints(100_000_000)
+    ns = np.asarray(cps, dtype=np.int64)
+    counts = ns[:, None] * np.arange(1, 18) // 18 + rng.integers(0, 1000, (ns.size, 17))
+    t, _ = timeit(_exact_extremes, counts, cps)
+    print(f"  _exact_extremes alone, N=1e8 grid ({len(cps)} checkpoints x 17 levels,"
+          f" Fraction path): {t*1e3:7.2f} ms")
 
     print("\nempirical_cylinder_entropy, N=1e6 fair bits (2^12 words: count table;"
           " 2^24: sort)")

@@ -122,10 +122,11 @@ def classify_metric_pair(profile: PhiProfile, th: Thresholds = Thresholds()) -> 
     """Read the DC flags off the Phi profile's estimates at the grid.
 
     Phi*(t_min) >= 1 - tau_one stands for Phi*(0) = 1; Phi(t_min) <= tau_zero
-    for Phi(0) = 0 (dc1 takes it at any grid point); Phi(t) <= 1 - eta_min for
-    the positive-upper-density separation of DC2; a gap >= `gap` at two
-    consecutive grid points (at the one point of a one-point grid) for DC3.
-    Li-Yorke reads unbounded agreement and separation counts.
+    for Phi(0) = 0; Phi(t) <= 1 - eta_min for the positive-upper-density
+    separation of DC2; a gap >= `gap` at two consecutive grid points (at the
+    one point of a one-point grid) for DC3. Li-Yorke reads unbounded
+    agreement and separation counts. The finite read cannot yet tell DC1
+    from DC1half, so `dc1` repeats `dc1half`.
     """
     first = profile.estimates[0]
     full, null, separated, gapped = threshold_reads(profile.estimates, th)
@@ -140,7 +141,6 @@ def classify_metric_pair(profile: PhiProfile, th: Thresholds = Thresholds()) -> 
     # structural chain: a flag survives only if every weaker flag is set
     dc2 = full[0] and separated[0] and dc3 and ly
     dc1half = dc2 and null[0]
-    dc1 = dc1half and any(null)
 
     # witness: separation threshold = largest grid t whose separation set
     # keeps positive upper density
@@ -148,7 +148,7 @@ def classify_metric_pair(profile: PhiProfile, th: Thresholds = Thresholds()) -> 
 
     return PairVerdict(
         li_yorke=ly,
-        dc1=dc1,
+        dc1=dc1half,
         dc1half=dc1half,
         dc2=dc2,
         dc3=dc3,

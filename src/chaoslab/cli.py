@@ -160,26 +160,19 @@ def _pair_chunks(lines: Sequence[str], pair: sy.OrbitPair) -> Iterator[str]:
 
 
 def _decimal_width(values: np.ndarray | None) -> int:
-    """The field width of integer `values`: the digits of the largest
-    magnitude and a sign slot when any is negative; 0 without values."""
-    if values is None:
-        return 0
-    return len(str(np.abs(values).max())) + int((values < 0).any())
+    """The field width of non-negative integer `values`: the digits of the
+    largest; 0 without values."""
+    return 0 if values is None else len(str(values.max()))
 
 
 def _decimal_cells(out: np.ndarray, values: np.ndarray, digits=1) -> None:
-    """Write integer `values` into the last axis of the zeroed `out`: each
-    one's decimal digits, right-aligned behind NUL padding and zero-padded
-    to at least `digits` digits (so the units digit of a 0 by default),
-    after a '-' when negative. The digits are laid out one place per row,
-    each row contiguous, and moved into `out` in one copy."""
+    """Write non-negative integer `values` into the last axis of the zeroed
+    `out`: each one's decimal digits, right-aligned behind NUL padding and
+    zero-padded to at least `digits` digits (so the units digit of a 0 by
+    default). The digits are laid out one place per row, each row
+    contiguous, and moved into `out` in one copy."""
     places = np.zeros((out.shape[-1], *values.shape), np.uint8)
-    _place_rows(places, np.abs(values), digits)
-    negative = values < 0
-    if negative.any():
-        sign = len(places) - 1 - np.count_nonzero(places, axis=0)
-        where = np.nonzero(negative)
-        places[(sign[where], *where)] = ord("-")
+    _place_rows(places, values, digits)
     out[...] = np.moveaxis(places, 0, -1)
 
 

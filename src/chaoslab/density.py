@@ -85,40 +85,26 @@ def _exact_extremes(
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Exact column-wise max and min of counts[i, j] / ns[i], as Fractions.
 
-    Floats preselect: int/int below 2**53 rounds correctly, hence
-    monotonically, so each exact extreme lies among the rows whose float
-    ratio ties the float extreme. Ties are settled by int64
-    cross-multiplication, exact while max|count| * max(n) < 2**63. Empty and
-    full columns tie at every row, so the check runs on whole arrays and a
-    Fraction is built only for each winner.
+    Two unequal ratios whose denominators are at most nmax differ by at
+    least 1/nmax**2, while two reals that round to the same float f differ
+    by at most 2**-52 * |f|. So while nmax**2 * max|ratio| < 2**51, which
+    also keeps every count and n below 2**51 unless every count is 0 (so
+    int/int rounds correctly, hence monotonically), a float tie is an exact
+    tie, the float argmax and argmin are the exact extremes, and a Fraction
+    is built only for each winner. Above the bound every ratio is a
+    Fraction.
     """
     ns = np.asarray(ns, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64).reshape(ns.size, -1)
-    top = int(np.abs(counts).max(initial=0))
-    nmax = int(ns.max())
-    if max(top, nmax) >= 2**53 or top * nmax >= 2**63:
-        cols = [[Fraction(int(c), int(n)) for c, n in zip(col, ns)] for col in counts.T]
-        return [max(col) for col in cols], [min(col) for col in cols]
     ratios = counts / ns[:, None]
-    return (
-        _pick_extreme(counts, ns, ratios, np.argmax(ratios, axis=0), 1),
-        _pick_extreme(counts, ns, ratios, np.argmin(ratios, axis=0), -1),
-    )
-
-
-def _pick_extreme(counts, ns, ratios, rows, sign) -> list[Fraction]:
-    """Fractions at `rows` (one per column), after replacing any row that a
-    float-tied row beats exactly (sign=1 for max, -1 for min)."""
-    cols = np.arange(counts.shape[1])
-    tied = ratios == ratios[rows, cols]
-    # sign of counts[i, j]/ns[i] - counts[rows[j], j]/ns[rows[j]], exactly
-    cross = counts * ns[rows] - counts[rows, cols] * ns[:, None]
-    for j in np.flatnonzero(np.any(tied & (sign * cross > 0), axis=0)):
-        rows[j] = max(
-            np.flatnonzero(tied[:, j]),
-            key=lambda i: sign * Fraction(int(counts[i, j]), int(ns[i])),
+    nmax = int(ns.max())
+    if nmax * nmax * float(np.abs(ratios).max(initial=0)) < 2**51:
+        return tuple(
+            [Fraction(int(counts[i, j]), int(ns[i])) for j, i in enumerate(rows)]
+            for rows in (np.argmax(ratios, axis=0), np.argmin(ratios, axis=0))
         )
-    return [Fraction(int(counts[i, j]), int(ns[i])) for j, i in enumerate(rows)]
+    cols = [[Fraction(int(c), int(n)) for c, n in zip(col, ns)] for col in counts.T]
+    return [max(col) for col in cols], [min(col) for col in cols]
 
 
 def nested_density_estimates(

@@ -130,7 +130,9 @@ def empirical_cylinder_entropy(
 class PipkaParams:
     """Solution of the separation-parameter inequality
     2 H(sqrt(eta), 1-sqrt(eta))/m + eps (3 #P + 1) < (1 - sqrt(eta)) h
-    with eps < 1 - sqrt(eta): smallest m, then largest feasible grid eps."""
+    with eps < 1 - sqrt(eta): smallest m, then largest feasible grid eps.
+    The margin is the right side minus the left, as floats; (m, eps) is
+    feasible exactly when it is > 0."""
 
     eta: float
     h: float
@@ -140,28 +142,31 @@ class PipkaParams:
     eps: float | None = None
     margin: float | None = None
 
-    def lhs(self) -> float:
-        assert self.m is not None and self.eps is not None
-        root = math.sqrt(self.eta)
-        return 2 * binary_entropy(root) / self.m + self.eps * (3 * self.card_p + 1)
 
-    def rhs(self) -> float:
-        return (1 - math.sqrt(self.eta)) * self.h
-
-
-def _smallest_strict_m(two_h: float, slack: float) -> int | None:
-    """The smallest m > floor(two_h / slack) with two_h / m < slack as
-    floats (rounding can fail the first few), by bisection: near 1e153, m
-    and m + 1 give the same quotient. None if m could leave the float range."""
-    ratio = two_h / slack
-    if not math.isfinite(2 * ratio):
+def _smallest_m(feasible) -> int | None:
+    """The smallest m >= 1 with feasible(m), for a predicate that stays true
+    once true: doubling brackets it and bisection pins it (near 1e153, m and
+    m + 1 give the same quotient, so m cannot step by one). None if m would
+    leave the float range, or if even m = inf is not feasible."""
+    if not feasible(math.inf):
         return None
-    low = math.floor(ratio)
-    high = 2 * low + 2  # two_h / high is about slack / 2
+    high = 1
+    while not feasible(high):
+        if high >= 2**1023:
+            return None
+        high *= 2
+    low = high // 2
     while high - low > 1:
         mid = (low + high) // 2
-        low, high = (low, mid) if two_h / mid < slack else (mid, high)
+        low, high = (low, mid) if feasible(mid) else (mid, high)
     return high
+
+
+def _check_window(n: int, m: int) -> None:
+    """The window domain `count_eta_ball` and `eta_ball_bound` share:
+    windows of length m inside a block of length n."""
+    if not 1 <= m <= n:
+        raise ValidationError("need 1 <= m <= n")
 
 
 def _check_bound_inputs(h: float, card_p: int, *positive: tuple[str, Sequence[float]]) -> None:
@@ -193,32 +198,18 @@ def solve_pipka(
     root = math.sqrt(eta)
     rhs = (1 - root) * h
     two_h = 2 * binary_entropy(root)
-    best_m: int | None = None
-    for eps in eps_grid:
-        if eps >= 1 - root:
-            continue
-        slack = rhs - eps * (3 * card_p + 1)
-        if slack <= 0:
-            continue
-        m = _smallest_strict_m(two_h, slack)
-        if m is not None and (best_m is None or m < best_m):
-            best_m = m
-    if best_m is None:
+
+    def margin(m: float, eps: float) -> float:
+        return rhs - (two_h / m + eps * (3 * card_p + 1))
+
+    usable = [e for e in eps_grid if e < 1 - root]
+    m = _smallest_m(lambda m: any(margin(m, e) > 0 for e in usable))
+    if m is None:
         return PipkaParams(eta=eta, h=h, card_p=card_p, feasible=False)
-    feasible_eps = [
-        e
-        for e in eps_grid
-        if e < 1 - root and two_h / best_m + e * (3 * card_p + 1) < rhs
-    ]
-    eps = max(feasible_eps)
-    margin = rhs - (two_h / best_m + eps * (3 * card_p + 1))
-    params = PipkaParams(
-        eta=eta, h=h, card_p=card_p, feasible=True, m=best_m, eps=eps, margin=margin
+    eps = max(e for e in usable if margin(m, e) > 0)
+    return PipkaParams(
+        eta=eta, h=h, card_p=card_p, feasible=True, m=m, eps=eps, margin=margin(m, eps)
     )
-    # post-check substitution of both constraints
-    if not (params.eps < 1 - root and params.lhs() < params.rhs()):
-        raise ValidationError("solver produced an infeasible solution")  # pragma: no cover
-    return params
 
 
 def count_eta_ball(
@@ -246,8 +237,7 @@ def count_eta_ball(
     if np.ndim(a0) != 1 or len(a0) == 0:
         raise ValidationError("block must be a nonempty 1-d bit sequence")
     n = _bits(a0, message="block entries must be 0/1").size
-    if not 1 <= m <= n:
-        raise ValidationError("need 1 <= m <= n")
+    _check_window(n, m)
     nwin = n - m + 1
     # c < eta*nwin  <=>  c <= ceil(eta*nwin) - 1, exactly
     threshold = Fraction(eta) * nwin
@@ -295,6 +285,7 @@ class BallBound:
 def eta_ball_bound(
     n: int, m: int, eta: float, eps: float, h: float, card_p: int, delta: float
 ) -> BallBound:
+    _check_window(n, m)
     if not 0 < eta < 1:
         raise ValidationError("eta must lie in (0,1)")
     root = math.sqrt(eta)

@@ -114,12 +114,14 @@ class Trajectory:
     source: object | None = None  # carrier object a partition scheme reads
 
     def __post_init__(self):
+        if not isinstance(self.spec, SystemSpec):
+            raise ValidationError(f"spec must be a system spec, got {type(self.spec).__name__}")
         if self.horizon < 1:
             raise UsageError("horizon must be >= 1")
         for track in (self.symbols, self.reals):
             if track is not None and len(track) != self.horizon:
                 raise ValidationError("track length must equal the horizon")
-        if self.symbols is not None and hasattr(self.spec, "arity"):
+        if self.symbols is not None:
             if int(self.symbols.min(initial=0)) < 0:
                 raise ValidationError("symbols must be >= 0")
             if int(self.symbols.max(initial=0)) >= self.spec.arity:

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,16 +96,35 @@ class TestExitCodes:
             (COUNT_BALL + ["--h", "-3"], "h must be finite and >= 0"),
             (COUNT_BALL + ["--delta", "inf"], "delta must be finite"),
             (COUNT_BALL + ["--card", "1"], "partition cardinality must be >= 2"),
+            (["pair", "--system", "odometer"], "odometer needs --base"),
+            (["pair", "--system", "zero-entropy"], "zero-entropy needs --q"),
         ],
         ids=["arity-zero", "probs-nan", "pipka-h-nan", "pipka-eps-nan", "pipka-eps-negative",
              "pipka-eps-zero", "coding-depth-64", "count-ball-eps-nan", "count-ball-eps-negative",
              "count-ball-h-nan", "count-ball-h-negative", "count-ball-delta-inf",
-             "count-ball-card-one"],
+             "count-ball-card-one", "odometer-no-base", "zero-entropy-no-q"],
     )
     def test_degenerate_value_is_usage(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert run(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classify", "--horizon", "50"], "horizon 50 below burn-in 100: no checkpoints"),
+            (["classify", "--metric", "absolute", "--horizon", "500"],
+             "absolute needs real tracks"),
+            (["classify", "--witness", "DC1", "--horizon", "10"],
+             "horizon 10 covers only 3 runs of the DC1 schedule; at least 6 required"),
+        ],
+        ids=["no-checkpoints", "metric-unavailable", "witness-too-short"],
+    )
+    def test_library_error_is_error(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_coding_depth_63_packs_into_int64(self, tmp_path):
@@ -186,9 +204,13 @@ class TestConfig:
 
     def test_malformed_line_names_line_number(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("foo ==\n")
-        with pytest.raises(UsageError, match=r":1:"):
-            load_config(cfg)
+        for line, message in (
+            ("foo ==", "expected a single 'key = value'"),
+            ("run.seed =", "malformed 'key = value' line"),  # an empty value
+        ):
+            cfg.write_text(line + "\n")
+            with pytest.raises(UsageError, match=f":1: {message}$"):
+                load_config(cfg)
 
     def test_unknown_key_suggests(self, tmp_path):
         cfg = tmp_path / "typo.cfg"
@@ -388,6 +410,15 @@ class TestArtifacts:
         row = text.strip().splitlines()[-1].split(",")
         assert row[3] == "15" and row[4] == "0.005"
         assert float(row[5]) > 0
+
+    def test_pipka_margin_tie_moves_to_the_next_m(self, tmp_path):
+        # at m = 8 the left side 2/8 + 0.30 is exactly the right side 0.55,
+        # though 0.55 - 0.30 rounds above 2/8: the row is m = 9
+        out = tmp_path / "p.csv"
+        argv = ["pipka", "--eta", "0.25", "--h", "1.1", "--card", "3", "--eps-grid", "0.03"]
+        assert run(argv + ["--out", str(out)]) == 0
+        row = read(out).splitlines()[-1].split(",")
+        assert row[3:5] == ["9", "0.03"] and float(row[5]) > 0
 
     def test_csv_reproducible_byte_identical(self, tmp_path):
         for name, argv in {
@@ -709,11 +740,6 @@ def assert_pair_matches_oracle(case, out):
     assert out.read_bytes() == expected.encode()
 
 
-@dataclass(frozen=True)
-class SignedSymbols:
-    """A hand-made system spec without an arity, so any integer symbol goes."""
-
-
 def hand_built_pair(spec, x, y, track="symbols"):
     a, b = (c.Trajectory(spec, len(t), None, **{track: np.asarray(t)}) for t in (x, y))
     return c.OrbitPair(a, b)
@@ -736,10 +762,10 @@ class TestPairDump:
     @pytest.mark.parametrize(
         "pair",
         [
-            # negative symbols: a sign slot in the widest cell
-            hand_built_pair(SignedSymbols(), [-3, 1, 0, -1, -3, 1], [0, -2, 1, 1, -1, 0]),
-            # 13-digit magnitudes of both signs beside a 1-digit track
-            hand_built_pair(SignedSymbols(), [0, -(10**12), 10**12], [1, 1, 1]),
+            # 13-digit symbols beside a 1-digit track: the cells above 2^32
+            # split off their low nine digits
+            hand_built_pair(c.IntervalMap("tent", 1.5, coding_depth=41),
+                            [0, 10**12, 2**41 - 1], [1, 1, 1]),
             # reals without a symbol track: blank symbol cells
             hand_built_pair(c.IntervalMap("tent", 1.5), [0.1, 1 / 3, 0.75], [2**-40, 0.5, 1.0],
                             track="reals"),
@@ -753,7 +779,7 @@ class TestPairDump:
                 track="reals",
             ),
         ],
-        ids=["negative", "sparse", "reals-only", "repr-cells-mid-block"],
+        ids=["sparse", "reals-only", "repr-cells-mid-block"],
     )
     def test_hand_built_pairs_match_oracle(self, pair, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -359,6 +361,20 @@ class TestExactExtremes:
         (upper,), (lower,) = de._exact_extremes(counts, ns)
         assert upper == Fraction(big - 1, big)
         assert lower == Fraction(big - 3, big - 2)
+
+    def test_closest_ratios_just_below_the_float_bound(self):
+        # (n-2)/(n-1) and (n-1)/n differ by 1/(n(n-1)), the least two
+        # ratios with these denominators can, a few ulps below 1; with n =
+        # isqrt(2**51) the floats pick them, and must pick them exactly
+        n = math.isqrt(2**51)
+        counts = np.array([[n - 2, 1], [n - 1, 2], [n - 3, 1]])
+        ns = [n - 1, n, n - 2]
+        assert n * n * max(c / m for c, m in zip(counts[:, 0], ns)) < 2**51
+        assert len({c / m for c, m in zip(counts[:, 0], ns)}) == 3
+        uppers, lowers = de._exact_extremes(counts, ns)
+        for j in range(2):
+            ratios = [Fraction(int(counts[i, j]), m) for i, m in enumerate(ns)]
+            assert uppers[j] == max(ratios) and lowers[j] == min(ratios)
 
     @given(
         st.lists(

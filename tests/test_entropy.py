@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaoslab as c
@@ -312,6 +312,36 @@ class TestEtaBallDP:
         assert c.count_eta_ball(zeros, n, Fraction(n + 1, n)) == 2**n
 
 
+class TestPipkaMargin:
+    @given(
+        st.decimals("0.001", "0.999", places=3).map(float),
+        st.decimals("0", "3", places=2).map(float),
+        st.integers(2, 6),
+        st.lists(st.decimals("0.001", "0.3", places=3).map(float), min_size=1, max_size=4),
+    )
+    @example(0.25, 1.1, 3, [0.03])  # 2/8 + 0.30 ties 0.55 exactly
+    @settings(max_examples=300, deadline=None)
+    def test_smallest_m_with_positive_margin(self, eta, h, card, grid):
+        try:
+            params = c.solve_pipka(eta, h, card, grid)
+        except ValidationError:
+            return
+        root = math.sqrt(eta)
+        usable = [e for e in grid if e < 1 - root]
+
+        def margin(m, eps):
+            return (1 - root) * h - (2 * c.binary_entropy(root) / m + eps * (3 * card + 1))
+
+        if not params.feasible:
+            assert params.m is None
+            assert not any(margin(1e300, e) > 0 for e in usable)
+            return
+        assert params.margin == margin(params.m, params.eps) > 0
+        assert params.eps == max(e for e in usable if margin(params.m, e) > 0)
+        if params.m > 1:
+            assert not any(margin(params.m - 1, e) > 0 for e in usable)
+
+
 class TestEtaBallBound:
     def test_flag_true_with_solver_params(self):
         params = c.solve_pipka(0.81, 1.0, 2)
@@ -343,6 +373,13 @@ class TestEtaBallBound:
         assert bound.value == math.inf
         assert not bound.flag  # decided in log2 space, not from the value
         assert c.BallBound(log2_value=10.0, log2_target=0.0).value == 1024.0
+
+    @pytest.mark.parametrize(
+        "n, m", [(10, 0), (0, 1), (5, 9)], ids=["m-zero", "n-zero", "m-above-n"]
+    )
+    def test_window_domain_shared_with_the_count(self, n, m):
+        with pytest.raises(ValidationError, match=r"^need 1 <= m <= n$"):
+            c.eta_ball_bound(n, m, 0.5, 0.005, 1.0, 2, 0.01)
 
     def test_eps_domain(self):
         with pytest.raises(ValidationError):

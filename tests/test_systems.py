@@ -71,6 +71,10 @@ class TestSampleOrbit:
         ok = c.Trajectory(spec, 3, None, symbols=np.array([0, 1, 1]))
         assert ok.symbols.tolist() == [0, 1, 1]
 
+    def test_spec_must_be_a_system_spec(self):
+        with pytest.raises(ValidationError, match="spec must be a system spec, got object"):
+            c.Trajectory(object(), 3, None, symbols=np.array([0, -1, 7]))
+
     def test_horizon_zero_rejected(self):
         with pytest.raises(UsageError):
             c.sample_orbit(c.FullShift(2, (0.5, 0.5)), 0, seed=1)
