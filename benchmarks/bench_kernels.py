@@ -1,4 +1,5 @@
-"""Benchmark the interval-map orbit loop, the exact eta-ball count, the
+"""Benchmark the interval-map orbit loops (tent and logistic) and the
+coding track built from a real track, the exact eta-ball count, the
 per-pair distance series plus Phi profile of the symbolic metrics, the
 nested-time-set density kernel on its own and its exact pick on the
 Fraction path, the plug-in word entropy on both of its counting branches,
@@ -36,6 +37,7 @@ from chaoslab.entropy import (  # noqa: E402
 from chaoslab.systems import (  # noqa: E402
     FullShift,
     IntervalMap,
+    coding_symbols,
     distance_series,
     make_pair,
     sample_orbit,
@@ -57,11 +59,20 @@ def main():
         t, count = timeit(count_eta_ball, "0" * n, 5, 0.5)
         print(f"  n={n:4d} m=5 eta=0.5: {t*1e3:8.2f} ms   count has {count.bit_length()} bits")
 
-    print("\nsample_orbit, tent a=1.99 (sequential map iteration plus coding track)")
-    tent = IntervalMap("tent", 1.99)
-    for steps in (10_000, 100_000, 1_000_000):
-        t, _ = timeit(sample_orbit, tent, steps, 1)
-        print(f"  steps={steps:8d}: {t*1e3:8.2f} ms")
+    print("\nsample_orbit (sequential map iteration plus coding track)")
+    for name, spec in (
+        ("tent a=1.99", IntervalMap("tent", 1.99)),
+        ("logistic r=4", IntervalMap("logistic", 4.0)),
+    ):
+        for steps in (10_000, 100_000, 1_000_000):
+            t, _ = timeit(sample_orbit, spec, steps, 1)
+            print(f"  {name:12s} steps={steps:8d}: {t*1e3:8.2f} ms")
+
+    print("\ncoding_symbols alone, 1e6 reals of a tent a=1.99 orbit")
+    reals = sample_orbit(IntervalMap("tent", 1.99), 1_000_000, 1).reals
+    for depth in (1, 3):
+        t, _ = timeit(coding_symbols, IntervalMap("tent", 1.99, depth), reals)
+        print(f"  depth={depth}: {t*1e3:8.2f} ms")
 
     print("\ndistance_series + phi_profile per pair (full 2-shift, default grid)")
     spec = FullShift(2, (0.5, 0.5))

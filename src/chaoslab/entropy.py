@@ -137,10 +137,14 @@ class PipkaParams:
     eta: float
     h: float
     card_p: int
-    feasible: bool
     m: int | None = None
     eps: float | None = None
     margin: float | None = None
+
+    @property
+    def feasible(self) -> bool:
+        """Whether some (m, eps) satisfies the inequality."""
+        return self.m is not None
 
 
 def _smallest_m(feasible) -> int | None:
@@ -205,11 +209,9 @@ def solve_pipka(
     usable = [e for e in eps_grid if e < 1 - root]
     m = _smallest_m(lambda m: any(margin(m, e) > 0 for e in usable))
     if m is None:
-        return PipkaParams(eta=eta, h=h, card_p=card_p, feasible=False)
+        return PipkaParams(eta=eta, h=h, card_p=card_p)
     eps = max(e for e in usable if margin(m, e) > 0)
-    return PipkaParams(
-        eta=eta, h=h, card_p=card_p, feasible=True, m=m, eps=eps, margin=margin(m, eps)
-    )
+    return PipkaParams(eta=eta, h=h, card_p=card_p, m=m, eps=eps, margin=margin(m, eps))
 
 
 def count_eta_ball(

@@ -150,29 +150,38 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _interval_tracks(spec: IntervalMap, horizon: int, x0: float) -> tuple[np.ndarray, np.ndarray]:
     """The real orbit over the horizon plus its coding track, which reads
-    coding_depth - 1 steps past the horizon. Each map has its own loop, as
-    a call per step would slow the iteration down."""
-    n_iter = horizon + spec.coding_depth - 1
-    xs = np.empty(n_iter, dtype=np.float64)
-    x, a = float(x0), spec.parameter
+    coding_depth - 1 steps past the horizon. Each map has its own generator
+    (a call per step would slow the iteration down) that yields x and then
+    steps it; np.fromiter drains it in place of a numpy scalar store per
+    step."""
+    a = spec.parameter
     if spec.kind == "tent":
-        for i in range(n_iter):
-            xs[i] = x
-            x = a * (x if x < 1.0 - x else 1.0 - x)
+        def orbit(x):
+            while True:
+                yield x
+                # `x < 0.5` decides as `x < 1.0 - x` would on [0, 1], where
+                # a <= 2 keeps the orbit: for x < 0.5, fl(1 - x) >= 0.5 > x;
+                # for x >= 0.5, 1 - x is exact (Sterbenz) and <= 0.5 <= x.
+                x = a * (x if x < 0.5 else 1.0 - x)
     else:
-        for i in range(n_iter):
-            xs[i] = x
-            x = a * x * (1.0 - x)
+        def orbit(x):
+            while True:
+                yield x
+                x = a * x * (1.0 - x)
+    xs = np.fromiter(orbit(float(x0)), np.float64, horizon + spec.coding_depth - 1)
     return xs[:horizon], coding_symbols(spec, xs)
 
 
 def coding_symbols(spec: IntervalMap, reals: np.ndarray) -> np.ndarray:
     """Regenerate the coding track from a real track (where the window fits)."""
-    bits = (np.asarray(reals) >= 0.5).astype(np.int64)
+    bits = np.asarray(reals) >= 0.5
     horizon = len(bits) - spec.coding_depth + 1
-    sym = np.zeros(horizon, dtype=np.int64)
-    for j in range(spec.coding_depth):
-        sym = sym * 2 + bits[j : j + horizon]
+    if horizon < 0:
+        raise ValidationError("real track is shorter than coding_depth - 1")
+    sym = bits[:horizon].astype(np.int64)
+    for j in range(1, spec.coding_depth):
+        sym <<= 1
+        sym |= bits[j : j + horizon]
     return sym
 
 

@@ -6,8 +6,9 @@ checkpoint per set, symbolic distances come as N floats built per time,
 counting comes from direct per-block string comparison or from enumerating
 all 2^n difference masks, marker blocks come from running the block
 recursion on every row, same-atom masks come from comparing per-time
-atom labels, and plug-in word entropy comes from a Counter over word tuples
-or from int64 word codes sorted by `np.unique`.
+atom labels, plug-in word entropy comes from a Counter over word tuples
+or from int64 word codes sorted by `np.unique`, and interval-map orbits
+come from a list-appending loop with Python-int symbol packing.
 """
 import math
 from fractions import Fraction
@@ -122,6 +123,28 @@ def project_position_recursive(q, k, j):
     j %= n_prev * q[k - 1]
     i, rest = divmod(j, n_prev)
     return i * int(np.prod(q[: k - 1])) + project_position_recursive(q, k - 1, rest)
+
+
+def interval_orbit_direct(kind, a, x0, n, depth):
+    """Tent or logistic orbit as a plain Python list, with the tent branch
+    chosen by `x < 1.0 - x`, then the coding track packed depth by depth
+    with `*2 +` in Python ints: (reals over n steps, n int64 symbols)."""
+    xs = []
+    x = float(x0)
+    for _ in range(n + depth - 1):
+        xs.append(x)
+        if kind == "tent":
+            x = a * (x if x < 1.0 - x else 1.0 - x)
+        else:
+            x = a * x * (1.0 - x)
+    bits = [int(v >= 0.5) for v in xs]
+    symbols = []
+    for t in range(n):
+        sym = 0
+        for j in range(depth):
+            sym = sym * 2 + bits[t + j]
+        symbols.append(sym)
+    return np.array(xs[:n], dtype=np.float64), np.array(symbols, dtype=np.int64)
 
 
 def plugin_entropy_direct(track, word_len, stride):

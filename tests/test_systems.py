@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaoslab as c
@@ -12,7 +12,7 @@ from chaoslab.errors import (
     UsageError,
     ValidationError,
 )
-from oracles import boundary_ratios
+from oracles import boundary_ratios, interval_orbit_direct
 
 
 class TestSpecs:
@@ -87,6 +87,13 @@ class TestSampleOrbit:
         away = np.abs(t.reals[: len(regen)] - 0.5) > 1e-9
         assert np.array_equal(regen[away], t.symbols[: len(regen)][away])
 
+    def test_coding_track_needs_depth_minus_one_reals(self):
+        spec = c.IntervalMap("tent", 2.0, coding_depth=7)
+        assert c.systems.coding_symbols(spec, np.full(6, 0.7)).size == 0
+        for n in (1, 5):
+            with pytest.raises(ValidationError):
+                c.systems.coding_symbols(spec, np.full(n, 0.7))
+
     def test_coding_depth_packs_windows(self):
         spec = c.IntervalMap("tent", 2.0, coding_depth=2)
         t = c.sample_orbit(spec, 50, seed=9)
@@ -94,6 +101,48 @@ class TestSampleOrbit:
         expect = base.symbols[:50] * 2 + base.symbols[1:51]
         assert np.array_equal(t.symbols, expect)
         assert t.symbols.max() < spec.arity
+
+
+# x0 on and next to the coding cut 1/2, at the ends of [0, 1], or uniform
+INTERVAL_X0 = st.one_of(
+    st.sampled_from([0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def interval_maps(draw):
+    """A tent or logistic map, its parameter at the top of the range (tent
+    a = 2 collapses to 0 within about 55 steps) or uniform in (0, top]."""
+    kind = draw(st.sampled_from(["tent", "logistic"]))
+    top = 2.0 if kind == "tent" else 4.0
+    a = draw(st.one_of(st.just(top), st.floats(0.0, top, exclude_min=True)))
+    return kind, a
+
+
+class TestIntervalOrbitDifferential:
+    """sample_orbit's reals and coding track against the list-based loop."""
+
+    @staticmethod
+    def _check(kind, a, x0, horizon, depth):
+        t = c.sample_orbit(c.IntervalMap(kind, a, depth), horizon, seed=0, x0=x0)
+        reals, symbols = interval_orbit_direct(kind, a, x0, horizon, depth)
+        assert t.reals.tobytes() == reals.tobytes()
+        assert t.symbols.dtype == np.int64
+        assert np.array_equal(t.symbols, symbols)
+        return t
+
+    @given(interval_maps(), INTERVAL_X0, st.integers(1, 300), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    @example(("logistic", 3.91), 0.3, 10, 1)  # a * (x * (1 - x)) rounds apart here
+    @example(("tent", 1.99), 0.3, 40, 3)  # reversed packing gives other symbols
+    def test_orbit_and_coding_track(self, system, x0, horizon, depth):
+        self._check(*system, x0, horizon, depth)
+
+    @pytest.mark.parametrize("kind,a", [("tent", 1.99), ("logistic", 4.0)])
+    def test_depth_63_uses_the_top_symbol_bit(self, kind, a):
+        t = self._check(kind, a, 0.7, 5, 63)
+        assert t.symbols[0] >= 2**62  # x0 >= 1/2 sets bit 62
 
 
 class TestMakePair:
