@@ -1,8 +1,8 @@
-"""Benchmark the interval-map orbit loops (tent and logistic) and the
-coding track built from a real track, the exact eta-ball count, the
-per-pair distance series plus Phi profile of the symbolic metrics, the
-nested-time-set density kernel on its own and its exact pick on the
-Fraction path, the plug-in word entropy on both of its counting branches,
+"""Benchmark the full-shift sampler, the interval-map orbit loops (tent
+and logistic) and the coding track built from a real track, the exact
+eta-ball count, the per-pair distance series plus Phi profile of the
+symbolic metrics, the nested-time-set density kernel on its own and its
+exact pick on the Fraction path, the plug-in word entropy on both of its counting branches,
 the `pair` dump writer on its own and its real cells against `repr`, one
 small CLI call (first and later calls) and the `verify --suite
 pi-bijection` CLI call at q = 2,3,2.
@@ -58,6 +58,12 @@ def main():
     for n in (20, 200, 1024):
         t, count = timeit(count_eta_ball, "0" * n, 5, 0.5)
         print(f"  n={n:4d} m=5 eta=0.5: {t*1e3:8.2f} ms   count has {count.bit_length()} bits")
+
+    print("\nsample_orbit (full shift, uniform weights, 1e6 symbols)")
+    for arity in (2, 256):
+        t, traj = timeit(sample_orbit, FullShift(arity, (1 / arity,) * arity), 1_000_000, 1)
+        print(f"  arity={arity:3d}: {t*1e3:8.2f} ms   track {traj.symbols.nbytes / 1e6:.1f} MB"
+              f" ({traj.symbols.dtype})")
 
     print("\nsample_orbit (sequential map iteration plus coding track)")
     for name, spec in (

@@ -71,6 +71,7 @@ from .systems import (
     distance_series,
     make_pair,
     sample_orbit,
+    symbol_dtype,
     witness_runs,
 )
 

@@ -28,7 +28,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .systems import OrbitPair, Trajectory, ZeroEntropy, odometer_track
+from .systems import OrbitPair, Trajectory, ZeroEntropy, odometer_track, symbol_dtype
 
 DEFAULT_WINDOW_BUDGET = 1 << 24
 ENUMERATION_LIMIT = 16  # enumerate C_k only while p_k <= 16
@@ -305,7 +305,7 @@ class TwoRowWord:
                 f"horizon {horizon} exceeds available {self.available_horizon} "
                 f"(window length minus offset)"
             )
-        return self.binary[self.offset : self.offset + horizon].astype(np.int64)
+        return self.binary[self.offset : self.offset + horizon].astype(symbol_dtype(2))
 
     def validate(self) -> None:
         """Check that every top-level window is a family member (membership

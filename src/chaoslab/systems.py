@@ -22,6 +22,12 @@ from .errors import (
 PROB_TOL = 1e-12
 
 
+def symbol_dtype(arity: int) -> np.dtype:
+    """The dtype of every symbol track over `arity` symbols: the narrowest
+    unsigned integer holding arity - 1 (uint8 up to 256 symbols)."""
+    return np.min_scalar_type(arity - 1)
+
+
 @dataclass(frozen=True)
 class FullShift:
     """Full shift on `arity` symbols sampled i.i.d. with the given weights."""
@@ -59,7 +65,10 @@ class IntervalMap:
         hi = 2.0 if self.kind == "tent" else 4.0
         if not (0.0 < self.parameter <= hi):
             raise ValidationError(f"{self.kind} parameter must be in (0, {hi}]")
-        if not 1 <= self.coding_depth <= 63:  # a symbol packs its bits in an int64
+        # a symbol packs its bits in symbol_dtype(arity), uint64 at depth 63;
+        # the cap keeps each symbol below 2^63, where the pair dump's int64
+        # cells and the entropy's word codes hold it
+        if not 1 <= self.coding_depth <= 63:
             raise ValidationError(f"coding depth must lie in 1..63, got {self.coding_depth}")
 
     @property
@@ -104,7 +113,11 @@ SystemSpec = FullShift | IntervalMap | OdometerSpec | ZeroEntropy
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Finite orbit segment: a symbol track and/or a real track."""
+    """Finite orbit segment: a symbol track and/or a real track.
+
+    The symbol track is stored in symbol_dtype(spec.arity); a track of
+    another integer dtype is checked against the alphabet and then cast,
+    and a track of non-integer dtype is refused."""
 
     spec: SystemSpec
     horizon: int
@@ -122,10 +135,14 @@ class Trajectory:
             if track is not None and len(track) != self.horizon:
                 raise ValidationError("track length must equal the horizon")
         if self.symbols is not None:
+            if self.symbols.dtype.kind not in "biu":
+                raise ValidationError(f"symbols must be integers, got dtype {self.symbols.dtype}")
             if int(self.symbols.min(initial=0)) < 0:
                 raise ValidationError("symbols must be >= 0")
             if int(self.symbols.max(initial=0)) >= self.spec.arity:
                 raise ValidationError("symbols must be < arity")
+            narrow = self.symbols.astype(symbol_dtype(self.spec.arity), copy=False)
+            object.__setattr__(self, "symbols", narrow)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,10 +195,32 @@ def coding_symbols(spec: IntervalMap, reals: np.ndarray) -> np.ndarray:
     horizon = len(bits) - spec.coding_depth + 1
     if horizon < 0:
         raise ValidationError("real track is shorter than coding_depth - 1")
-    sym = bits[:horizon].astype(np.int64)
+    sym = bits[:horizon].astype(symbol_dtype(spec.arity))
     for j in range(1, spec.coding_depth):
         sym <<= 1
         sym |= bits[j : j + horizon]
+    return sym
+
+
+def _full_shift_symbols(spec: FullShift, horizon: int, seed: int) -> np.ndarray:
+    """The symbols Generator.choice(arity, horizon, p=probs) draws, from its
+    uniforms and its cdf, found by a branchless binary search in place of
+    its searchsorted: the boundaries cdf[:-1] are padded with inf to
+    2^m - 1 entries (m bits name a symbol), and each of the m steps adds
+    its power of two where the boundary it gathers is <= u. The result
+    counts the boundaries <= u, as searchsorted(side="right") does."""
+    u = _rng(seed).random(horizon)
+    cdf = np.cumsum(spec.probs)
+    cdf /= cdf[-1]
+    m = (spec.arity - 1).bit_length()
+    bounds = np.full(2**m - 1, np.inf)
+    bounds[: spec.arity - 1] = cdf[:-1]
+    dtype = symbol_dtype(spec.arity)
+    step = 1 << (m - 1)
+    sym = np.multiply(bounds[step - 1] <= u, step, dtype=dtype)
+    while step > 1:
+        step >>= 1
+        sym += np.multiply(bounds[sym + (step - 1)] <= u, step, dtype=dtype)
     return sym
 
 
@@ -193,9 +232,7 @@ def sample_orbit(
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
     if isinstance(spec, FullShift):
-        rng = _rng(seed)
-        sym = rng.choice(spec.arity, size=horizon, p=np.asarray(spec.probs))
-        return Trajectory(spec, horizon, seed, symbols=sym.astype(np.int64))
+        return Trajectory(spec, horizon, seed, symbols=_full_shift_symbols(spec, horizon, seed))
     if isinstance(spec, IntervalMap):
         if x0 is None:
             x0 = float(_rng(seed).uniform())
@@ -220,7 +257,7 @@ def sample_orbit(
 def odometer_track(base: Sequence[int], offset: int, horizon: int) -> np.ndarray:
     """Marker symbol at time j = max{k : j = offset mod N_k}, else 0."""
     js = np.arange(horizon, dtype=np.int64)
-    track = np.zeros(horizon, dtype=np.int64)
+    track = np.zeros(horizon, dtype=symbol_dtype(len(base) + 1))
     for k, nk in enumerate(base, start=1):
         track[(js - offset) % nk == 0] = k
     return track
@@ -321,8 +358,8 @@ def construct_witness_pair(target: str, horizon: int) -> OrbitPair:
         )
     agree = runs_to_mask(runs, horizon)
     spec = FullShift(2, (0.5, 0.5))
-    x = Trajectory(spec, horizon, None, symbols=np.zeros(horizon, dtype=np.int64))
-    y = Trajectory(spec, horizon, None, symbols=(~agree).astype(np.int64))
+    x = Trajectory(spec, horizon, None, symbols=np.zeros(horizon, dtype=symbol_dtype(spec.arity)))
+    y = Trajectory(spec, horizon, None, symbols=(~agree).view(symbol_dtype(spec.arity)))
     return OrbitPair(x, y)
 
 

@@ -7,8 +7,9 @@ counting comes from direct per-block string comparison or from enumerating
 all 2^n difference masks, marker blocks come from running the block
 recursion on every row, same-atom masks come from comparing per-time
 atom labels, plug-in word entropy comes from a Counter over word tuples
-or from int64 word codes sorted by `np.unique`, and interval-map orbits
-come from a list-appending loop with Python-int symbol packing.
+or from int64 word codes sorted by `np.unique`, interval-map orbits
+come from a list-appending loop with Python-int symbol packing, and
+full-shift symbols come from `Generator.choice`.
 """
 import math
 from fractions import Fraction
@@ -123,6 +124,13 @@ def project_position_recursive(q, k, j):
     j %= n_prev * q[k - 1]
     i, rest = divmod(j, n_prev)
     return i * int(np.prod(q[: k - 1])) + project_position_recursive(q, k - 1, rest)
+
+
+def full_shift_direct(spec, horizon, seed):
+    """Full-shift symbols drawn by Generator.choice, which finds each one by
+    searchsorted on the weights' cdf."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return rng.choice(spec.arity, size=horizon, p=np.asarray(spec.probs))
 
 
 def interval_orbit_direct(kind, a, x0, n, depth):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import chaoslab as c
@@ -12,7 +12,8 @@ from chaoslab.errors import (
     UsageError,
     ValidationError,
 )
-from oracles import boundary_ratios, interval_orbit_direct
+from chaoslab.blocks import QSchedule
+from oracles import boundary_ratios, full_shift_direct, interval_orbit_direct
 
 
 class TestSpecs:
@@ -71,6 +72,14 @@ class TestSampleOrbit:
         ok = c.Trajectory(spec, 3, None, symbols=np.array([0, 1, 1]))
         assert ok.symbols.tolist() == [0, 1, 1]
 
+    def test_non_integer_symbols_rejected(self):
+        # a cast to the narrow symbol dtype would turn 0.5 into 0
+        spec = c.FullShift(2, (0.5, 0.5))
+        with pytest.raises(ValidationError, match="symbols must be integers, got dtype float64"):
+            c.Trajectory(spec, 3, None, symbols=np.array([0.5, 1.0, 0.0]))
+        with pytest.raises(ValidationError, match="got dtype float64"):
+            c.Trajectory(spec, 3, None, symbols=np.array([0.0, 1.0, 0.0]))
+
     def test_spec_must_be_a_system_spec(self):
         with pytest.raises(ValidationError, match="spec must be a system spec, got object"):
             c.Trajectory(object(), 3, None, symbols=np.array([0, -1, 7]))
@@ -80,12 +89,14 @@ class TestSampleOrbit:
             c.sample_orbit(c.FullShift(2, (0.5, 0.5)), 0, seed=1)
 
     def test_tent_conjugacy_on_coding_track(self):
-        # regenerated coding bits match emitted ones away from the boundary
-        spec = c.IntervalMap("tent", 2.0, coding_depth=1)
-        t = c.sample_orbit(spec, 3000, seed=5)
-        regen = c.systems.coding_symbols(spec, t.reals)
-        away = np.abs(t.reals[: len(regen)] - 0.5) > 1e-9
-        assert np.array_equal(regen[away], t.symbols[: len(regen)][away])
+        # the depth-1 symbol at time n names the branch the step from x_n
+        # took: 1 for a * (1 - x), 0 for a * x
+        for a in (1.5, 1.99, 2.0):
+            for seed in (1, 5, 9):
+                t = c.sample_orbit(c.IntervalMap("tent", a, coding_depth=1), 3000, seed)
+                x, branch = t.reals[:-1], t.symbols[:-1] == 1
+                want = a * np.where(branch, 1.0 - x, x)
+                assert t.reals[1:].tobytes() == want.tobytes(), (a, seed)
 
     def test_coding_track_needs_depth_minus_one_reals(self):
         spec = c.IntervalMap("tent", 2.0, coding_depth=7)
@@ -128,7 +139,7 @@ class TestIntervalOrbitDifferential:
         t = c.sample_orbit(c.IntervalMap(kind, a, depth), horizon, seed=0, x0=x0)
         reals, symbols = interval_orbit_direct(kind, a, x0, horizon, depth)
         assert t.reals.tobytes() == reals.tobytes()
-        assert t.symbols.dtype == np.int64
+        assert t.symbols.dtype == c.symbol_dtype(2**depth)
         assert np.array_equal(t.symbols, symbols)
         return t
 
@@ -143,6 +154,91 @@ class TestIntervalOrbitDifferential:
     def test_depth_63_uses_the_top_symbol_bit(self, kind, a):
         t = self._check(kind, a, 0.7, 5, 63)
         assert t.symbols[0] >= 2**62  # x0 >= 1/2 sets bit 62
+
+
+def tie_sample(arity, horizon, seed, k, j, l):
+    """A full shift whose boundaries cdf[j:l] all equal the uniform the
+    sampler draws at time k: weights u_k on j and 1 - u_k on l, zero
+    elsewhere, so the cdf is exact and sums to 1 exactly. Only the
+    boundaries <= u count, so time k gets symbol l."""
+    u = np.random.default_rng(np.random.SeedSequence(seed)).random(horizon)[k]
+    weights = np.zeros(arity)
+    weights[j], weights[l] = u, 1.0 - u
+    return c.FullShift(arity, tuple(weights)), horizon, seed
+
+
+@st.composite
+def full_shift_samples(draw):
+    """(spec, horizon, seed): a full shift on 2..300 symbols (uint8 up to
+    256, uint16 beyond) whose weights may be zero, on the last symbol among
+    others, or whose cdf puts a boundary on a uniform the sampler draws."""
+    arity = draw(st.integers(2, 300))
+    horizon = draw(st.integers(1, 2000))
+    seed = draw(st.integers(0, 2**32))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, horizon - 1))
+        j = draw(st.integers(0, arity - 2))
+        return tie_sample(arity, horizon, seed, k, j, draw(st.integers(j + 1, arity - 1)))
+    weights = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=arity, max_size=arity
+    )))
+    if draw(st.booleans()):
+        weights[-1] = 0.0
+    assume(weights.sum() > 0)
+    return c.FullShift(arity, tuple(weights / weights.sum())), horizon, seed
+
+
+class TestFullShiftDifferential:
+    """sample_orbit's full-shift symbols against Generator.choice."""
+
+    @given(full_shift_samples())
+    @settings(max_examples=200, deadline=None)
+    @example((c.FullShift(257, (0.0,) * 255 + (0.5, 0.5)), 500, 3))
+    @example((c.FullShift(3, (0.5, 0.5, 0.0)), 500, 1))  # cdf[1] = 1.0 is a boundary
+    @example(tie_sample(257, 500, 3, k=17, j=100, l=256))
+    def test_symbols_match_choice(self, sample):
+        spec, horizon, seed = sample
+        t = c.sample_orbit(spec, horizon, seed)
+        assert t.symbols.dtype == c.symbol_dtype(spec.arity)
+        assert np.array_equal(t.symbols, full_shift_direct(spec, horizon, seed))
+
+
+class TestSymbolDtype:
+    """Every producer writes symbol_dtype(arity), the narrowest unsigned
+    dtype holding arity - 1."""
+
+    @pytest.mark.parametrize(
+        "spec,dtype",
+        [
+            (c.FullShift(2, (0.5, 0.5)), np.uint8),
+            (c.FullShift(257, (1 / 257,) * 257), np.uint16),
+            (c.IntervalMap("tent", 1.99, 1), np.uint8),
+            (c.IntervalMap("tent", 1.99, 8), np.uint8),
+            (c.IntervalMap("logistic", 4.0, 9), np.uint16),
+            (c.IntervalMap("tent", 1.99, 63), np.uint64),
+            (c.OdometerSpec((2, 4, 8)), np.uint8),
+            (c.ZeroEntropy(QSchedule((2, 2))), np.uint8),
+        ],
+        ids=["shift-2", "shift-257", "depth-1", "depth-8", "depth-9", "depth-63",
+             "odometer", "zero-entropy"],
+    )
+    def test_sampled_tracks(self, spec, dtype):
+        t = c.sample_orbit(spec, 100, seed=3)
+        assert c.symbol_dtype(spec.arity) == dtype
+        assert t.symbols.dtype == dtype
+        cut = c.systems.truncate_trajectory(t, t.horizon - 1)
+        assert cut.symbols.dtype == dtype
+
+    @pytest.mark.parametrize("target", c.systems.WITNESS_TARGETS)
+    def test_witness_pairs(self, target):
+        pair = c.construct_witness_pair(target, 2000)
+        assert pair.a.symbols.dtype == pair.b.symbols.dtype == np.uint8
+
+    def test_wide_track_is_narrowed(self):
+        wide = np.array([0, 256, 3, 299], dtype=np.int64)
+        t = c.Trajectory(c.FullShift(300, (1 / 300,) * 300), 4, None, symbols=wide)
+        assert t.symbols.dtype == np.uint16
+        assert t.symbols.tolist() == wide.tolist()
 
 
 class TestMakePair:
