@@ -1,7 +1,8 @@
 """Benchmark the full-shift sampler, the interval-map orbit loops (tent
 and logistic) and the coding track built from a real track, the exact
 eta-ball count, the per-pair distance series plus Phi profile of the
-symbolic metrics, the nested-time-set density kernel on its own and its
+symbolic metrics, the nested-time-set density kernel on its own (at 1, 3,
+4 and 16 levels, on both sides of its counting-method constant) and its
 exact pick on the Fraction path, the plug-in word entropy on both of its counting branches,
 the `pair` dump writer on its own and its real cells against `repr`, one
 small CLI call (first and later calls) and the `verify --suite
@@ -22,6 +23,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from chaoslab import density  # noqa: E402
 from chaoslab.density import (  # noqa: E402
     CheckpointPolicy,
     _exact_extremes,
@@ -90,18 +92,27 @@ def main():
             print(f"  N={horizon:8d} {metric:17s}: distance_series {t_d*1e3:7.2f} ms"
                   f"   phi_profile {t_p*1e3:7.2f} ms")
 
-    print("\nnested_density_estimates alone (default checkpoint grid, random codes)")
+    chosen = density.COUNT_NONZERO_MAX_LEVELS
+    print("\nnested_density_estimates alone (default checkpoint grid, random uint8 codes),"
+          " each level count forced through count_nonzero and through bincount; the"
+          f" kernel uses count_nonzero up to COUNT_NONZERO_MAX_LEVELS = {chosen}")
     rng = np.random.default_rng(0)
-    for horizon in (100_000, 1_000_000):
+    for horizon in (100_000, 2**20):
         cps = CheckpointPolicy().checkpoints(horizon)
-        # 17 nested sets on codes in [0, 17] (a Phi profile on the default
-        # grid has 16), and the one-level case of a single set's mask
-        codes = rng.integers(0, 18, horizon).astype(np.intp)
-        t_17, _ = timeit(nested_density_estimates, codes, 17, cps)
-        mask = rng.random(horizon) < 0.5
-        t_1, _ = timeit(nested_density_estimates, (~mask).view(np.uint8), 1, cps)
-        print(f"  N={horizon:8d} ({len(cps)} checkpoints): 17 levels {t_17*1e3:7.2f} ms"
-              f"   1 level from a mask {t_1*1e3:7.2f} ms")
+        # a Hamming profile has 1 level, a depth-3 partition 3, a Cantor
+        # profile on the default grid 16; 3 and 4 straddle the constant
+        for levels in (1, 3, 4, 16):
+            codes = rng.integers(0, levels + 1, horizon).astype(np.uint8)
+            times = {}
+            try:
+                for method, limit in (("count_nonzero", levels), ("bincount", 0)):
+                    density.COUNT_NONZERO_MAX_LEVELS = limit
+                    times[method], _ = timeit(nested_density_estimates, codes, levels, cps,
+                                              repeat=7)
+            finally:
+                density.COUNT_NONZERO_MAX_LEVELS = chosen
+            print(f"  N={horizon:8d} ({len(cps)} checkpoints) levels={levels:2d}: "
+                  + "   ".join(f"{m} {t*1e3:6.2f} ms" for m, t in times.items()))
     # above nmax**2 * max ratio = 2**51 every ratio is a Fraction: synthetic
     # counts of 17 levels on the N = 1e8 grid, so no 1e8 sample is built
     cps = CheckpointPolicy().checkpoints(100_000_000)

@@ -231,7 +231,7 @@ def _same_atom_estimates(
     depth minus the number of depths whose same-atom mask holds there, and
     the kernel's level j is the same-atom set at depth `depth - j`.
     """
-    codes = np.full(pair.horizon, scheme.depth, dtype=np.intp)
+    codes = np.full(pair.horizon, scheme.depth, dtype=np.min_scalar_type(scheme.depth))
     prev = None
     for k in range(1, scheme.depth + 1):
         mask = same_atom_series(pair, scheme, k)

@@ -115,8 +115,9 @@ SystemSpec = FullShift | IntervalMap | OdometerSpec | ZeroEntropy
 class Trajectory:
     """Finite orbit segment: a symbol track and/or a real track.
 
-    The symbol track is stored in symbol_dtype(spec.arity); a track of
-    another integer dtype is checked against the alphabet and then cast,
+    Each track is taken through np.asarray and must be 1-d over the
+    horizon. The symbol track is stored in symbol_dtype(spec.arity); a track
+    of another integer dtype is checked against the alphabet and then cast,
     and a track of non-integer dtype is refused."""
 
     spec: SystemSpec
@@ -131,9 +132,12 @@ class Trajectory:
             raise ValidationError(f"spec must be a system spec, got {type(self.spec).__name__}")
         if self.horizon < 1:
             raise UsageError("horizon must be >= 1")
-        for track in (self.symbols, self.reals):
-            if track is not None and len(track) != self.horizon:
-                raise ValidationError("track length must equal the horizon")
+        for name in ("symbols", "reals"):
+            if getattr(self, name) is not None:
+                track = np.asarray(getattr(self, name))
+                object.__setattr__(self, name, track)
+                if track.shape != (self.horizon,):
+                    raise ValidationError("track length must equal the horizon")
         if self.symbols is not None:
             if self.symbols.dtype.kind not in "biu":
                 raise ValidationError(f"symbols must be integers, got dtype {self.symbols.dtype}")
@@ -394,14 +398,16 @@ def distance_series(pair: OrbitPair, metric: str = "hamming-indicator") -> Dista
     if metric == "absolute":
         if a.reals is None or b.reals is None:
             raise MetricUnavailable("absolute needs real tracks")
-        return DistanceSeries(np.abs(a.reals - b.reals), 1.0)
+        diff = a.reals - b.reals
+        return DistanceSeries(np.abs(diff, out=diff), 1.0)
     raise MetricUnavailable(f"unknown metric {metric!r}")
 
 
 def _agreement_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Index into CANTOR_TABLE: the length j of the symbol agreement run
     starting at each time, capped by the remaining horizon and clipped at
-    CANTOR_CLIP. int32 while the horizon fits, half the bytes of int64."""
+    CANTOR_CLIP, as uint16 (CANTOR_CLIP < 2^16). The running minimum works
+    in int32 while the horizon fits, half the bytes of int64."""
     n = len(a)
     dtype = np.int32 if n < 2**31 else np.int64
     idx = np.arange(n, dtype=dtype)
@@ -411,6 +417,6 @@ def _agreement_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     first = dtype(n) - idx
     first *= (a == b).view(np.uint8)
     first += idx
-    nxt = np.minimum.accumulate(first[::-1])[::-1]
-    run = nxt - idx
-    return np.minimum(run, CANTOR_CLIP, out=run)
+    np.minimum.accumulate(first[::-1], out=first[::-1])
+    first -= idx
+    return np.minimum(first, CANTOR_CLIP, out=np.empty(n, np.uint16), casting="unsafe")

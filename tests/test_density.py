@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaoslab as c
@@ -253,14 +253,17 @@ def policies_for(draw, horizon):
 
 @st.composite
 def coded_series(draw):
-    levels = draw(st.integers(1, 6))
+    # levels on both sides of COUNT_NONZERO_MAX_LEVELS, so both ways of
+    # counting the sets run
+    levels = draw(st.integers(1, 2 * de.COUNT_NONZERO_MAX_LEVELS))
     horizon = draw(st.integers(1, 400))
     # a narrow code range leaves low levels empty and high levels full
     lo = draw(st.integers(0, levels))
     hi = draw(st.integers(lo, levels))
     codes = draw(st.lists(st.integers(lo, hi), min_size=horizon, max_size=horizon))
     policy = draw(policies_for(horizon))
-    return np.array(codes, dtype=np.intp), levels, policy
+    dtype = draw(st.sampled_from([np.intp, np.uint8]))
+    return np.array(codes, dtype=dtype), levels, policy
 
 
 def nested_sets_oracle(codes, levels, policy):
@@ -288,27 +291,35 @@ class TestNestedDensityKernel:
     ])
     def test_empty_and_full_levels_tie_everywhere(self, value, policy):
         # a constant code v leaves levels < v empty and levels >= v full:
-        # every checkpoint ties at 0 or 1
-        codes = np.full(500, value, dtype=np.intp)
-        got = de.nested_density_estimates(codes, 4, policy.checkpoints(500))
-        for j, e in enumerate(got):
-            expect = 1 if j >= value else 0
-            assert e.upper == e.lower == expect
-            assert e.count_at_horizon == 500 * expect
-        assert [estimate_key(e) for e in got] == [
-            estimate_key(e) for e in nested_sets_oracle(codes, 4, policy)
-        ]
+        # every checkpoint ties at 0 or 1; on both ways of counting
+        for levels in (de.COUNT_NONZERO_MAX_LEVELS, de.COUNT_NONZERO_MAX_LEVELS + 1):
+            code = min(value, levels)
+            codes = np.full(500, code, dtype=np.intp)
+            got = de.nested_density_estimates(codes, levels, policy.checkpoints(500))
+            for j, e in enumerate(got):
+                expect = 1 if j >= code else 0
+                assert e.upper == e.lower == expect
+                assert e.count_at_horizon == 500 * expect
+            assert [estimate_key(e) for e in got] == [
+                estimate_key(e) for e in nested_sets_oracle(codes, levels, policy)
+            ]
 
-    def test_codes_out_of_range_rejected(self):
+    @pytest.mark.parametrize(
+        "levels", [1, de.COUNT_NONZERO_MAX_LEVELS, de.COUNT_NONZERO_MAX_LEVELS + 1, 16]
+    )
+    def test_codes_out_of_range_rejected(self, levels):
         cps = (1, 2, 3)
+        message = rf"codes must lie in \[0, {levels}\]"
+        for dtype in (np.intp, np.uint8):
+            with pytest.raises(ValidationError, match=message):
+                de.nested_density_estimates(np.array([0, levels + 1, 1], dtype), levels, cps)
+            # past the last checkpoint too
+            with pytest.raises(ValidationError, match=message):
+                de.nested_density_estimates(np.array([0, 1, levels + 1], dtype), levels, (1, 2))
         with pytest.raises(ValidationError):
-            de.nested_density_estimates(np.array([0, 3, 1]), 2, cps)
+            de.nested_density_estimates(np.array([0, -1, 1]), levels, cps)
         with pytest.raises(ValidationError):
-            de.nested_density_estimates(np.array([0, 3, 1], dtype=np.uint8), 2, cps)
-        with pytest.raises(ValidationError):
-            de.nested_density_estimates(np.array([0, -1, 1]), 2, cps)
-        with pytest.raises(ValidationError):
-            de.nested_density_estimates(np.array([], dtype=np.intp), 2, cps)
+            de.nested_density_estimates(np.array([], dtype=np.intp), levels, cps)
 
     def test_negative_codes_are_validation_errors(self):
         for dtype in (np.intp, np.int8, np.int32):
@@ -427,6 +438,45 @@ class TestPhiKernelDifferential:
 
 
 @st.composite
+def indexed_series(draw):
+    """A coded DistanceSeries and a grid: the default one or a custom one.
+    Table values come from a small pool holding the grid points (ties), 0,
+    1 and values between, so tables repeat values and codes, and often have
+    no code 0 (nothing below the first grid point) or no code grid.size
+    (nothing at or above the last)."""
+    grid = draw(st.one_of(
+        st.none(),
+        st.lists(st.sampled_from(DYADIC[1:] + [0.1, 0.3, 1.5]), min_size=1, max_size=8,
+                 unique=True).map(lambda g: np.array(sorted(g))),
+    ))
+    points = list(c.default_threshold_grid() if grid is None else grid[grid <= 1])
+    pool = st.sampled_from(DYADIC + points) | st.floats(0, 1, allow_nan=False)
+    table = draw(st.lists(pool, min_size=1, max_size=12))
+    horizon = draw(st.integers(1, 300))
+    index = draw(st.lists(st.integers(0, len(table) - 1), min_size=horizon, max_size=horizon))
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.int32, np.intp]))
+    return c.DistanceSeries(np.array(table), 1.0, index=np.array(index, dtype=dtype)), grid
+
+
+class TestIndexedPhi:
+    @given(indexed_series(), st.data())
+    @example((c.DistanceSeries(np.array([0.5, 0.75]), 1.0, index=np.array([0, 1, 1, 0])),
+              np.array([0.25, 0.5, 1.5])), None)  # no code 0, no code grid.size
+    @example((c.DistanceSeries(sy.HAMMING_TABLE, 1.0, index=np.array([1, 0, 1], np.uint8)),
+              None), None)  # the Hamming table: ranks 0 and 1 are its own index
+    @settings(max_examples=150, deadline=None)
+    def test_phi_profile_matches_per_threshold_oracle(self, case, data):
+        d, grid = case
+        policy = c.CheckpointPolicy(burn_in=1) if data is None else data.draw(
+            policies_for(d.horizon))
+        if d.horizon < policy.resolve_burn_in(d.horizon):
+            return
+        prof = c.phi_profile(d, grid=grid, policy=policy)
+        want = per_threshold_phi(d.values, prof.thresholds, policy)
+        assert [estimate_key(e) for e in prof.estimates] == [estimate_key(e) for e in want]
+
+
+@st.composite
 def symbol_pairs(draw):
     n = draw(st.integers(1, 400))
     alphabet = draw(st.integers(2, 3))
@@ -480,7 +530,7 @@ class TestCantorValues:
         b = a.copy()
         b[[run, 2 * run + 1]] = 1
         d = c.distance_series(symbol_pair(a, b), "cantor")
-        assert d.index.dtype == np.int32 and int(d.index.max()) <= sy.CANTOR_CLIP
+        assert d.index.dtype == np.uint16 and int(d.index.max()) <= sy.CANTOR_CLIP
         assert d.values.tobytes() == cantor_values_direct(a, b).tobytes()
         grid = np.ldexp(1.0, -np.array([1074, 1073, 1000, 3, 0]))
         codes = np.searchsorted(grid, d.table, side="right")[d.index]

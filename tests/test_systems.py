@@ -80,6 +80,23 @@ class TestSampleOrbit:
         with pytest.raises(ValidationError, match="got dtype float64"):
             c.Trajectory(spec, 3, None, symbols=np.array([0.0, 1.0, 0.0]))
 
+    def test_list_tracks_get_the_array_rules(self):
+        spec = c.FullShift(2, (0.5, 0.5))
+        t = c.Trajectory(spec, 3, None, symbols=[0, 1, 1], reals=[0.1, 0.2, 0.3])
+        assert t.symbols.dtype == np.uint8 and t.symbols.tolist() == [0, 1, 1]
+        assert t.reals.dtype == np.float64 and t.reals.tolist() == [0.1, 0.2, 0.3]
+        for bad, match in (
+            ([0, 2, 1], "symbols must be < arity"),
+            ([0, -1, 1], "symbols must be >= 0"),
+            ([0.5, 1.0, 0.0], "symbols must be integers"),
+            ([0, 1], "track length must equal the horizon"),
+            ([[0, 1, 1]], "track length must equal the horizon"),
+        ):
+            with pytest.raises(ValidationError, match=match):
+                c.Trajectory(spec, 3, None, symbols=bad)
+        with pytest.raises(ValidationError, match="track length must equal the horizon"):
+            c.Trajectory(spec, 3, None, reals=[0.1, 0.2])
+
     def test_spec_must_be_a_system_spec(self):
         with pytest.raises(ValidationError, match="spec must be a system spec, got object"):
             c.Trajectory(object(), 3, None, symbols=np.array([0, -1, 7]))
