@@ -25,8 +25,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from chaoslab import density  # noqa: E402
 from chaoslab.density import (  # noqa: E402
-    CheckpointPolicy,
     _exact_extremes,
+    checkpoint_grid,
     nested_density_estimates,
     phi_profile,
 )
@@ -98,7 +98,7 @@ def main():
           f" kernel uses count_nonzero up to COUNT_NONZERO_MAX_LEVELS = {chosen}")
     rng = np.random.default_rng(0)
     for horizon in (100_000, 2**20):
-        cps = CheckpointPolicy().checkpoints(horizon)
+        cps = checkpoint_grid(horizon)
         # a Hamming profile has 1 level, a depth-3 partition 3, a Cantor
         # profile on the default grid 16; 3 and 4 straddle the constant
         for levels in (1, 3, 4, 16):
@@ -115,7 +115,7 @@ def main():
                   + "   ".join(f"{m} {t*1e3:6.2f} ms" for m, t in times.items()))
     # above nmax**2 * max ratio = 2**51 every ratio is a Fraction: synthetic
     # counts of 17 levels on the N = 1e8 grid, so no 1e8 sample is built
-    cps = CheckpointPolicy().checkpoints(100_000_000)
+    cps = checkpoint_grid(100_000_000)
     ns = np.asarray(cps, dtype=np.int64)
     counts = ns[:, None] * np.arange(1, 18) // 18 + rng.integers(0, 1000, (ns.size, 17))
     t, _ = timeit(_exact_extremes, counts, cps)

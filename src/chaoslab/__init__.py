@@ -38,13 +38,13 @@ from .classify import (
     scan_scrambled_set,
 )
 from .density import (
+    THRESHOLD_GRID,
     BesicovitchBounds,
-    CheckpointPolicy,
     DensityEstimate,
     DistanceSeries,
     PhiProfile,
     besicovitch_bounds,
-    default_threshold_grid,
+    checkpoint_grid,
     density_along,
     empirical_density,
     phi_profile,

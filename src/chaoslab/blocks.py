@@ -30,7 +30,7 @@ from .errors import (
 )
 from .systems import OrbitPair, Trajectory, ZeroEntropy, odometer_track, symbol_dtype
 
-DEFAULT_WINDOW_BUDGET = 1 << 24
+WINDOW_BUDGET = 1 << 24  # longest binary row derive_params and sample_point allow
 ENUMERATION_LIMIT = 16  # enumerate C_k only while p_k <= 16
 
 
@@ -83,14 +83,12 @@ class LevelParams:
     family_size: int
 
 
-def derive_params(
-    schedule: QSchedule, window_budget: int = DEFAULT_WINDOW_BUDGET
-) -> list[LevelParams]:
+def derive_params(schedule: QSchedule) -> list[LevelParams]:
     """Exact integer parameter table for every level of the schedule."""
-    if schedule.n(schedule.depth) > window_budget:
+    if schedule.n(schedule.depth) > WINDOW_BUDGET:
         raise GuardExceeded(
             f"N_{schedule.depth} = {schedule.n(schedule.depth)} exceeds the "
-            f"window budget {window_budget}"
+            f"window budget {WINDOW_BUDGET}"
         )
     return [
         LevelParams(
@@ -247,17 +245,13 @@ def project_position(schedule: QSchedule, k: int, j: int) -> int:
     return int(_source_index(schedule, k)[0][j])
 
 
-def marker_row(
-    schedule: QSchedule, offset: int = 0, length: int | None = None
-) -> np.ndarray:
-    """Marker value at position j = max{k <= K : j = offset mod N_k}, else 0:
-    the odometer track over (N_1, ..., N_K). The top level is capped at K;
-    no infinite marker is ever emitted."""
-    top = schedule.n(schedule.depth)
-    if not 0 <= offset < top:
-        raise ValidationError(f"offset must lie in [0, {top})")
+def marker_row(schedule: QSchedule, length: int | None = None) -> np.ndarray:
+    """Marker value at position j = max{k <= K : N_k divides j}, else 0, over
+    `length` positions (N_K by default): the odometer track over
+    (N_1, ..., N_K). The top level is capped at K; no infinite marker is
+    ever emitted."""
     levels = [schedule.n(k) for k in range(1, schedule.depth + 1)]
-    return odometer_track(levels, offset, top if length is None else length)
+    return odometer_track(levels, 0, levels[-1] if length is None else length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +262,6 @@ class TwoRowWord:
     schedule: QSchedule
     offset: int
     binary: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         row = _bits(self.binary, message="binary row must be 0/1")
@@ -291,7 +284,7 @@ class TwoRowWord:
 
     @property
     def markers(self) -> np.ndarray:
-        return marker_row(self.schedule, 0, self.binary.size)
+        return marker_row(self.schedule, self.binary.size)
 
     @property
     def available_horizon(self) -> int:
@@ -316,18 +309,14 @@ class TwoRowWord:
 
 
 def sample_point(
-    schedule: QSchedule,
-    seed: int,
-    window_budget: int = DEFAULT_WINDOW_BUDGET,
-    blocks: int = 1,
-    offset: int | None = None,
+    schedule: QSchedule, seed: int, blocks: int = 1, offset: int | None = None
 ) -> TwoRowWord:
     """Uniform offset and uniform free bits: every (offset, free-word) atom
     has probability 1/(N_K 2^{p_K}). Extra blocks draw fresh free words."""
     top_n = schedule.n(schedule.depth)
-    if top_n * blocks > window_budget:
+    if top_n * blocks > WINDOW_BUDGET:
         raise GuardExceeded(
-            f"window of {blocks} block(s) of length {top_n} exceeds budget {window_budget}"
+            f"window of {blocks} block(s) of length {top_n} exceeds budget {WINDOW_BUDGET}"
         )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if offset is None:
@@ -335,7 +324,7 @@ def sample_point(
     # one draw of shape (blocks, p_K) is the same stream as one per block
     bits = rng.integers(0, 2, (blocks, schedule.p(schedule.depth)))
     binary = encode_block(schedule, schedule.depth, bits).reshape(-1)
-    return TwoRowWord(schedule, offset, binary, seed=seed)
+    return TwoRowWord(schedule, offset, binary)
 
 
 def word_from_free_words(
@@ -359,18 +348,13 @@ def trajectory_from_word(word: TwoRowWord, horizon: int | None = None) -> Trajec
     return Trajectory(
         spec=ZeroEntropy(word.schedule),
         horizon=horizon,
-        seed=word.seed,
         symbols=word.symbol_track(horizon),
         source=word,
     )
 
 
 def fiber_pair(
-    schedule: QSchedule,
-    seeds: tuple[int, int],
-    offset: int | None = None,
-    blocks: int = 1,
-    horizon: int | None = None,
+    schedule: QSchedule, seeds: tuple[int, int], offset: int | None = None, blocks: int = 1
 ) -> OrbitPair:
     """Two words over identical marker rows (shared offset) with independent
     uniform free bits."""
@@ -383,7 +367,7 @@ def fiber_pair(
         offset = int(offset_rng.integers(0, schedule.n(schedule.depth)))
     wa = sample_point(schedule, sa, blocks=blocks, offset=offset)
     wb = sample_point(schedule, sb, blocks=blocks, offset=offset)
-    return OrbitPair(trajectory_from_word(wa, horizon), trajectory_from_word(wb, horizon))
+    return OrbitPair(trajectory_from_word(wa), trajectory_from_word(wb))
 
 
 # --- percentages -------------------------------------------------------------

@@ -16,12 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .density import (
-    CheckpointPolicy,
-    DensityEstimate,
-    PhiProfile,
-    nested_density_estimates,
-)
+from .density import DensityEstimate, PhiProfile, checkpoint_grid, nested_density_estimates
 from .errors import SchemeError, ValidationError
 from .systems import OrbitPair, Trajectory
 
@@ -44,9 +39,6 @@ class Thresholds:
         one_minus_tau_one, tau_zero, _, _ = self.exact_bounds
         if tau_zero >= one_minus_tau_one:  # on the decimals the reads use
             raise ValidationError("tau_one + tau_zero must be < 1")
-
-    def policy(self) -> CheckpointPolicy:
-        return CheckpointPolicy(burn_in=self.burn_in)
 
     @cached_property
     def exact_bounds(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -123,10 +115,10 @@ def classify_metric_pair(profile: PhiProfile, th: Thresholds = Thresholds()) -> 
 
     Phi*(t_min) >= 1 - tau_one stands for Phi*(0) = 1; Phi(t_min) <= tau_zero
     for Phi(0) = 0; Phi(t) <= 1 - eta_min for the positive-upper-density
-    separation of DC2; a gap >= `gap` at two consecutive grid points (at the
-    one point of a one-point grid) for DC3. Li-Yorke reads unbounded
-    agreement and separation counts. The finite read cannot yet tell DC1
-    from DC1half, so `dc1` repeats `dc1half`.
+    separation of DC2; a gap >= `gap` at two consecutive grid points for
+    DC3. Li-Yorke reads unbounded agreement and separation counts. The
+    finite read cannot yet tell DC1 from DC1half, so `dc1` repeats
+    `dc1half`.
     """
     first = profile.estimates[0]
     full, null, separated, gapped = threshold_reads(profile.estimates, th)
@@ -137,7 +129,7 @@ def classify_metric_pair(profile: PhiProfile, th: Thresholds = Thresholds()) -> 
     # for t -> 0+); separations at d >= t_min, the weakest separation level
     ly = first.count_at_horizon >= floor and horizon - first.count_at_horizon >= floor
 
-    dc3 = any(map(all, zip(gapped, gapped[1:]))) if len(gapped) > 1 else gapped[0]
+    dc3 = any(map(all, zip(gapped, gapped[1:])))
     # structural chain: a flag survives only if every weaker flag is set
     dc2 = full[0] and separated[0] and dc3 and ly
     dc1half = dc2 and null[0]
@@ -242,7 +234,7 @@ def _same_atom_estimates(
             )
         codes -= mask
         prev = mask
-    cps = th.policy().checkpoints(pair.horizon)
+    cps = checkpoint_grid(pair.horizon, th.burn_in)
     return list(nested_density_estimates(codes, scheme.depth, cps)[::-1])
 
 

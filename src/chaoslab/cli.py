@@ -295,7 +295,8 @@ _ints, _floats = _comma_list(int), _comma_list(float)
 
 
 def _positive(text: str) -> int:
-    """A size (a horizon, a count of trajectories or pairs): at least 1."""
+    """A size (a horizon, a burn-in, a count of trajectories or pairs): at
+    least 1."""
     try:
         size = int(text)
     except ValueError:
@@ -329,7 +330,7 @@ def _add_system(p: _Parser, pair: bool) -> None:
 def _add_profile(p: _Parser, thresholds: bool) -> None:
     """The flags of a Phi profile; `thresholds` adds those of its verdict."""
     p.add_argument("--metric", choices=sy.METRICS, default=None)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
+    p.add_argument("--burn-in", dest="burn_in", type=_positive, default=None)
     if thresholds:
         p.add_argument("--tau-one", dest="tau_one", type=float, default=None)
         p.add_argument("--tau-zero", dest="tau_zero", type=float, default=None)
@@ -472,10 +473,11 @@ def _build_pair(args) -> sy.OrbitPair:
     return sy.make_pair(spec, horizon, (seed, seed2))
 
 
-def _profile(pair: sy.OrbitPair, args, policy: de.CheckpointPolicy) -> de.PhiProfile:
-    """The Phi profile of `pair` under --metric (Hamming indicator by default)."""
+def _profile(pair: sy.OrbitPair, args) -> de.PhiProfile:
+    """The Phi profile of `pair` under --metric (Hamming indicator by default)
+    from --burn-in."""
     series = sy.distance_series(pair, args.metric or "hamming-indicator")
-    return de.phi_profile(series, policy=policy)
+    return de.phi_profile(series, args.burn_in)
 
 
 def _header(args, keys: Sequence[str], **extras) -> list[str]:
@@ -501,7 +503,7 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    profile = _profile(_build_pair(args), args, de.CheckpointPolicy(burn_in=args.burn_in))
+    profile = _profile(_build_pair(args), args)
     if args.format == "svg":
         atomic_write(args.out or "phi.svg", render_phi_svg(profile))
         return 0
@@ -515,7 +517,7 @@ def _cmd_phi(args) -> int:
 def _cmd_classify(args) -> int:
     pair = _build_pair(args)
     th = _thresholds(args)
-    profile = _profile(pair, args, th.policy())
+    profile = _profile(pair, args)
     verdict = cl.classify_metric_pair(profile, th)
     partition = cl.classify_partition_pair(pair, cl.cylinder_scheme(args.depth), th)
     eta = verdict.separation_upper if partition.k0 is None else partition.separation_upper
@@ -540,10 +542,9 @@ def _cmd_scan(args) -> int:
     common = min(t.horizon for t in trajectories)
     trajectories = [sy.truncate_trajectory(t, common) for t in trajectories]
     th = _thresholds(args)
-    policy = th.policy()
 
     def scrambled(pair: sy.OrbitPair) -> bool:
-        return cl.classify_metric_pair(_profile(pair, args, policy), th).flags[args.target]
+        return cl.classify_metric_pair(_profile(pair, args), th).flags[args.target]
 
     # a single trajectory has no pairs; it is a clique of one, as is any
     # vertex of a graph without edges, which --allow-empty writes as none
@@ -568,7 +569,7 @@ def _cmd_forge(args) -> int:
         family = np.asarray(bl.enumerate_family(schedule, level), np.uint8)
         suffix = "\n"
         if args.markers:
-            marks = bl.marker_row(schedule, 0, schedule.n(level))
+            marks = bl.marker_row(schedule, schedule.n(level))
             suffix = " " + _text(tuple(marks.tolist())) + suffix
         # one byte row per block: its digits, then the suffix shared by all
         rows = np.empty((len(family), family.shape[1] + len(suffix)), np.uint8)

@@ -12,55 +12,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import PolicyError, ValidationError
 
-DEFAULT_CHECKPOINT_RATIO = 1.05
-
-
-def default_burn_in(horizon: int) -> int:
-    return max(100, horizon // 1000)
-
-
-@dataclass(frozen=True)
-class CheckpointPolicy:
-    """Geometric checkpoint grid from burn-in to the horizon.
-
-    burn_in=None defers to max(100, N/1000) at evaluation time.
-    """
-
-    burn_in: int | None = None
-    ratio: float = DEFAULT_CHECKPOINT_RATIO
-
-    def __post_init__(self):
-        if self.burn_in is not None and self.burn_in < 1:
-            raise PolicyError("burn-in must be >= 1")
-        if self.ratio <= 1.0:
-            raise PolicyError("checkpoint ratio must be > 1")
-
-    def resolve_burn_in(self, horizon: int) -> int:
-        return self.burn_in if self.burn_in is not None else default_burn_in(horizon)
-
-    def checkpoints(self, horizon: int) -> tuple[int, ...]:
-        return _checkpoints(self.resolve_burn_in(horizon), self.ratio, horizon)
+CHECKPOINT_RATIO = 1.05
 
 
 @lru_cache(maxsize=64)
-def _checkpoints(burn: int, ratio: float, horizon: int) -> tuple[int, ...]:
-    """The grid of `CheckpointPolicy.checkpoints`, built once per (burn-in,
-    ratio, horizon): a scan asks for the same grid for every pair."""
+def checkpoint_grid(horizon: int, burn_in: int | None = None) -> tuple[int, ...]:
+    """Geometric checkpoint grid of ratio CHECKPOINT_RATIO from the burn-in
+    (max(100, N/1000) when None) up to the horizon. Built once per (horizon,
+    burn-in): a scan asks for the same grid for every pair."""
+    burn = max(100, horizon // 1000) if burn_in is None else int(burn_in)
+    if burn < 1:
+        raise PolicyError("burn-in must be >= 1")
     if horizon < burn:
         raise PolicyError(f"horizon {horizon} below burn-in {burn}: no checkpoints")
     pts = []
-    x = int(burn)
+    x = burn
     while x < horizon:
         pts.append(x)
-        x = max(int(x * ratio), x + 1)
+        x = max(int(x * CHECKPOINT_RATIO), x + 1)
     pts.append(int(horizon))
-    return tuple(sorted(set(pts)))
+    return tuple(pts)
 
 
 @dataclass(frozen=True)
@@ -68,7 +45,6 @@ class DensityEstimate:
     upper: Fraction
     lower: Fraction
     checkpoints: tuple[int, ...]
-    burn_in: int
     count_at_horizon: int = 0
 
     def __post_init__(self):
@@ -124,8 +100,7 @@ def nested_density_estimates(
     j = 0..levels-1, in one pass over the codes.
 
     Codes are integers in [0, levels]; a time with code `levels` lies in no
-    set. Checkpoints are strictly increasing times in [1, len(codes)], and
-    the first one is each estimate's burn-in. Each set's members are counted
+    set. Checkpoints are strictly increasing times in [1, len(codes)]. Each set's members are counted
     per checkpoint segment, by `np.count_nonzero` of its mask for at most
     COUNT_NONZERO_MAX_LEVELS levels and by one `np.bincount` of the codes
     per segment above that; cumsums give the (checkpoints x levels) matrix
@@ -161,18 +136,17 @@ def nested_density_estimates(
         counts = np.cumsum(np.cumsum(hist, axis=0), axis=1)[:, :levels]
     uppers, lowers = _exact_extremes(counts, cps)
     return tuple(
-        DensityEstimate(upper, lower, cps, cps[0], int(count))
+        DensityEstimate(upper, lower, cps, int(count))
         for upper, lower, count in zip(uppers, lowers, counts[-1])
     )
 
 
-def empirical_density(
-    mask: np.ndarray, policy: CheckpointPolicy = CheckpointPolicy()
-) -> DensityEstimate:
-    """max/min of count(S cap [1,n])/n over the policy's checkpoint grid, for
-    the time set S whose boolean mask over times 1..N is `mask`."""
+def empirical_density(mask: np.ndarray, burn_in: int | None = None) -> DensityEstimate:
+    """max/min of count(S cap [1,n])/n over the checkpoint grid from the
+    burn-in, for the time set S whose boolean mask over times 1..N is
+    `mask`."""
     codes = (~np.asarray(mask, dtype=bool)).view(np.uint8)
-    (est,) = nested_density_estimates(codes, 1, policy.checkpoints(codes.size))
+    (est,) = nested_density_estimates(codes, 1, checkpoint_grid(codes.size, burn_in))
     return est
 
 
@@ -200,7 +174,7 @@ def density_along(
 @dataclass(frozen=True)
 class DistanceSeries:
     """Per-time separation values of an orbit pair, d_n = table[index[n]],
-    all in [0, diameter].
+    all in [0, 1].
 
     Without an index the table holds one value per time. A metric with few
     distinct values passes them as a short table plus an integer index, so
@@ -209,20 +183,17 @@ class DistanceSeries:
     """
 
     table: np.ndarray
-    diameter: float = 1.0
     index: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.table, dtype=np.float64)
         object.__setattr__(self, "table", v)
-        if self.diameter <= 0:
-            raise ValidationError("diameter must be > 0")
         if v.size == 0:
             raise ValidationError("distance series must be nonempty")
         if np.isnan(v).any():
             raise ValidationError("distances must not contain NaN")
-        if float(v.min()) < 0 or float(v.max()) > self.diameter:
-            raise ValidationError("distances must lie in [0, diameter]")
+        if float(v.min()) < 0 or float(v.max()) > 1:
+            raise ValidationError("distances must lie in [0, 1]")
         if self.index is not None:
             i = np.asarray(self.index)
             object.__setattr__(self, "index", i)
@@ -246,31 +217,22 @@ def _read_only(values) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def default_threshold_grid(diameter: float = 1.0) -> np.ndarray:
-    """Logarithmic grid of 16 points from diameter*2^-16 up to the diameter;
-    the smallest point stands in for the t -> 0+ limit. Built once per
-    diameter and read-only: a scan asks for the same grid for every pair."""
-    return _read_only(np.geomspace(diameter * 2.0**-16, diameter, 16))
+# 16 log-spaced thresholds from 2^-16 up to 1, the largest distance of
+# every metric; the smallest stands in for the t -> 0+ limit
+THRESHOLD_GRID = _read_only(np.geomspace(2.0**-16, 1.0, 16))
 
 
 @dataclass(frozen=True)
 class PhiProfile:
     """Empirical Phi*(t) (upper density of {n: d_n < t}) and Phi(t) (lower)
-    on a threshold grid."""
+    at each point t of THRESHOLD_GRID."""
 
-    thresholds: np.ndarray
     estimates: tuple[DensityEstimate, ...]
     horizon: int
+    thresholds: ClassVar[np.ndarray] = THRESHOLD_GRID
 
     def __post_init__(self):
-        t = np.asarray(self.thresholds, dtype=np.float64)
-        object.__setattr__(self, "thresholds", t)
-        if t.size == 0 or np.any(np.diff(t) <= 0):
-            raise ValidationError("threshold grid must be strictly increasing")
-        if t[0] <= 0:
-            raise ValidationError("smallest threshold must be > 0")
-        if len(self.estimates) != t.size:
+        if len(self.estimates) != THRESHOLD_GRID.size:
             raise ValidationError("one estimate per threshold required")
         # each estimate has lower <= upper; the sets grow with t
         if any(
@@ -288,19 +250,10 @@ class PhiProfile:
         return _read_only([float(e.lower) for e in self.estimates])
 
 
-def phi_profile(
-    d: DistanceSeries,
-    grid: np.ndarray | None = None,
-    policy: CheckpointPolicy = CheckpointPolicy(),
-) -> PhiProfile:
-    if grid is None:
-        grid = default_threshold_grid(d.diameter)
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0 or grid[0] <= 0:
-        raise PolicyError("threshold grid must start above 0")
-    if np.any(np.diff(grid) <= 0):
-        raise PolicyError("threshold grid must be strictly increasing")
-    cps = policy.checkpoints(d.horizon)
+def phi_profile(d: DistanceSeries, burn_in: int | None = None) -> PhiProfile:
+    """The Phi profile of `d` over the checkpoint grid from the burn-in."""
+    grid = THRESHOLD_GRID
+    cps = checkpoint_grid(d.horizon, burn_in)
     # d_n < t_j exactly when fewer than j+1 grid points are <= d_n
     if d.index is None:
         # that count per time, as a running sum of one compare per grid point
@@ -326,7 +279,7 @@ def phi_profile(
             d.index if identity else np.take(table_ranks, d.index), levels, cps
         )
         estimates = tuple(by_rank[r] for r in rank[:-1])
-    return PhiProfile(thresholds=grid, estimates=estimates, horizon=d.horizon)
+    return PhiProfile(estimates=estimates, horizon=d.horizon)
 
 
 class BesicovitchBounds(NamedTuple):
@@ -336,13 +289,11 @@ class BesicovitchBounds(NamedTuple):
     high: Fraction | float
 
 
-def besicovitch_bounds(
-    d: DistanceSeries, policy: CheckpointPolicy = CheckpointPolicy()
-) -> BesicovitchBounds:
+def besicovitch_bounds(d: DistanceSeries, burn_in: int | None = None) -> BesicovitchBounds:
     """Running-mean extrema of the distance series; exact Fractions for
     integer-valued series, floats otherwise. Integrality is read off the
     table, so an integer-valued coded series is summed as integers."""
-    cps = policy.checkpoints(d.horizon)
+    cps = checkpoint_grid(d.horizon, burn_in)
     at = np.asarray(cps, dtype=np.int64) - 1
     rounded = np.rint(d.table)
     if np.array_equal(d.table, rounded):

@@ -58,14 +58,13 @@ class UndersampledWarning(UserWarning):
     pass
 
 
-def empirical_cylinder_entropy(
-    track: Sequence[int], word_len: int, stride: int = 1, alphabet: int | None = None
-) -> float:
+def empirical_cylinder_entropy(track: Sequence[int], word_len: int, stride: int = 1) -> float:
     """Plug-in entropy rate H_l/l of the empirical distribution of length-l
     words read at the given stride (1 = overlapping windows).
 
-    Symbols must lie in [0, alphabet) and the alphabet^l word codes must fit
-    in int64 (alphabet^l <= 2^63); either failure raises a ValidationError.
+    Symbols must be integers >= 0, the alphabet is max(largest symbol + 1,
+    2), and the alphabet^l word codes must fit in int64 (alphabet^l <= 2^63);
+    each failure raises a ValidationError.
     Horizons below 100 * alphabet^l undersample the word distribution; that
     raises an UndersampledWarning, not an error.
     """
@@ -86,11 +85,9 @@ def empirical_cylinder_entropy(
     ):
         raise ValidationError(f"symbols must be integers, got dtype {sym.dtype}")
     lo, hi = int(sym.min()), int(sym.max())
-    if alphabet is None:
-        alphabet = hi + 1
-    alphabet = max(alphabet, 2)
-    if lo < 0 or hi >= alphabet:
-        raise ValidationError(f"symbols must lie in [0, {alphabet}), got [{lo}, {hi}]")
+    if lo < 0:
+        raise ValidationError(f"symbols must be >= 0, got {lo}")
+    alphabet = max(hi + 1, 2)
     table = alphabet**word_len
     if table > 2**63:
         raise ValidationError(

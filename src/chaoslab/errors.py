@@ -14,7 +14,7 @@ class UsageError(ChaoslabError, ValueError):
 
 
 class PolicyError(ChaoslabError, ValueError):
-    """Checkpoint policy produced no usable checkpoints."""
+    """The burn-in or checkpoints give no usable checkpoint grid."""
 
 
 class MetricUnavailable(ChaoslabError, ValueError):

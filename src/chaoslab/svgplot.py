@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 
 from .density import PhiProfile
-from .errors import ValidationError
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 30, 30, 50
@@ -22,11 +21,9 @@ def _fmt(x: float) -> str:
 
 def render_phi_svg(profile: PhiProfile) -> str:
     ts = profile.thresholds
-    if ts.size < 1:
-        raise ValidationError("profile must be nonempty")
     lo_exp = math.log10(float(ts[0]))
     hi_exp = math.log10(float(ts[-1]))
-    span = hi_exp - lo_exp or 1.0
+    span = hi_exp - lo_exp
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 

@@ -122,7 +122,6 @@ class Trajectory:
 
     spec: SystemSpec
     horizon: int
-    seed: int | None
     symbols: np.ndarray | None = None
     reals: np.ndarray | None = None
     source: object | None = None  # carrier object a partition scheme reads
@@ -236,19 +235,17 @@ def sample_orbit(
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
     if isinstance(spec, FullShift):
-        return Trajectory(spec, horizon, seed, symbols=_full_shift_symbols(spec, horizon, seed))
+        return Trajectory(spec, horizon, symbols=_full_shift_symbols(spec, horizon, seed))
     if isinstance(spec, IntervalMap):
         if x0 is None:
             x0 = float(_rng(seed).uniform())
         if not (0.0 <= x0 <= 1.0):
             raise ValidationError("initial point must lie in [0, 1]")
         reals, sym = _interval_tracks(spec, horizon, x0)
-        return Trajectory(spec, horizon, seed, symbols=sym, reals=reals)
+        return Trajectory(spec, horizon, symbols=sym, reals=reals)
     if isinstance(spec, OdometerSpec):
         offset = int(_rng(seed).integers(0, spec.base[-1]))
-        return Trajectory(
-            spec, horizon, seed, symbols=odometer_track(spec.base, offset, horizon)
-        )
+        return Trajectory(spec, horizon, symbols=odometer_track(spec.base, offset, horizon))
     if isinstance(spec, ZeroEntropy):
         from .blocks import sample_point, trajectory_from_word
 
@@ -275,7 +272,6 @@ def truncate_trajectory(traj: Trajectory, horizon: int) -> Trajectory:
     return Trajectory(
         spec=traj.spec,
         horizon=horizon,
-        seed=traj.seed,
         symbols=None if traj.symbols is None else traj.symbols[:horizon],
         reals=None if traj.reals is None else traj.reals[:horizon],
         source=traj.source,
@@ -362,8 +358,8 @@ def construct_witness_pair(target: str, horizon: int) -> OrbitPair:
         )
     agree = runs_to_mask(runs, horizon)
     spec = FullShift(2, (0.5, 0.5))
-    x = Trajectory(spec, horizon, None, symbols=np.zeros(horizon, dtype=symbol_dtype(spec.arity)))
-    y = Trajectory(spec, horizon, None, symbols=(~agree).view(symbol_dtype(spec.arity)))
+    x = Trajectory(spec, horizon, symbols=np.zeros(horizon, dtype=symbol_dtype(spec.arity)))
+    y = Trajectory(spec, horizon, symbols=(~agree).view(symbol_dtype(spec.arity)))
     return OrbitPair(x, y)
 
 
@@ -390,16 +386,16 @@ def distance_series(pair: OrbitPair, metric: str = "hamming-indicator") -> Dista
         if a.symbols is None or b.symbols is None:
             raise MetricUnavailable("hamming-indicator needs symbol tracks")
         mismatch = (a.symbols != b.symbols).view(np.uint8)
-        return DistanceSeries(HAMMING_TABLE, 1.0, index=mismatch)
+        return DistanceSeries(HAMMING_TABLE, index=mismatch)
     if metric == "cantor":
         if a.symbols is None or b.symbols is None:
             raise MetricUnavailable("cantor needs symbol tracks")
-        return DistanceSeries(CANTOR_TABLE, 1.0, index=_agreement_lengths(a.symbols, b.symbols))
+        return DistanceSeries(CANTOR_TABLE, index=_agreement_lengths(a.symbols, b.symbols))
     if metric == "absolute":
         if a.reals is None or b.reals is None:
             raise MetricUnavailable("absolute needs real tracks")
         diff = a.reals - b.reals
-        return DistanceSeries(np.abs(diff, out=diff), 1.0)
+        return DistanceSeries(np.abs(diff, out=diff))
     raise MetricUnavailable(f"unknown metric {metric!r}")
 
 

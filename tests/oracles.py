@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from chaoslab.classify import all_pairs, classify_metric_pair, scan_scrambled_set
-from chaoslab.density import DensityEstimate, PhiProfile, default_threshold_grid
+from chaoslab.density import THRESHOLD_GRID, DensityEstimate, PhiProfile, checkpoint_grid
 
 
 def boundary_ratios(runs, horizon, want_agree=True):
@@ -170,14 +170,12 @@ def plugin_entropy_direct(track, word_len, stride):
     return h / word_len
 
 
-def plugin_entropy_unique(track, word_len, stride=1, alphabet=None):
+def plugin_entropy_unique(track, word_len, stride=1):
     """Plug-in word entropy by int64 dot-product word codes and a sorting
     `np.unique`: the estimator's arithmetic before codes were counted by
     table, so its results must agree bit for bit."""
     sym = np.asarray(track, dtype=np.int64)
-    if alphabet is None:
-        alphabet = int(sym.max(initial=0)) + 1
-    alphabet = max(alphabet, 2)
+    alphabet = max(int(sym.max(initial=0)) + 1, 2)
     windows = np.lib.stride_tricks.sliding_window_view(sym, word_len)[::stride]
     weights = alphabet ** np.arange(word_len - 1, -1, -1, dtype=np.int64)
     values = windows @ weights
@@ -186,32 +184,33 @@ def plugin_entropy_unique(track, word_len, stride=1, alphabet=None):
     return float(-(p * np.log2(p)).sum() / word_len)
 
 
-def per_set_density(mask, policy):
-    """DensityEstimate of the time set masked by `mask`: its sorted times,
-    a count at every checkpoint by binary search, a Fraction per checkpoint,
-    then max/min."""
+def per_set_density(mask, checkpoints):
+    """DensityEstimate of the time set masked by `mask` at the given
+    checkpoints: its sorted times, a count at every checkpoint by binary
+    search, a Fraction per checkpoint, then max/min."""
     times = np.flatnonzero(mask) + 1
-    cps = policy.checkpoints(mask.size)
+    cps = tuple(int(n) for n in checkpoints)
     counts = np.searchsorted(times, np.asarray(cps, dtype=np.int64), side="right")
-    ratios = [Fraction(int(c), int(n)) for c, n in zip(counts, cps)]
+    ratios = [Fraction(int(c), n) for c, n in zip(counts, cps)]
     return DensityEstimate(
         upper=max(ratios),
         lower=min(ratios),
-        checkpoints=tuple(cps),
-        burn_in=policy.resolve_burn_in(mask.size),
+        checkpoints=cps,
         count_at_horizon=int(counts[-1]),
     )
 
 
-def partition_verdict_direct(masks, policy, th):
+def partition_verdict_direct(masks, th):
     """(pk, pk_plus, pk_minus) by the rules as stated, on `per_set_density`
     of each depth's same-atom mask and of its complement, the different-atom
-    set, with every threshold the decimal it prints as."""
+    set, over the checkpoint grid from th.burn_in, with every threshold the
+    decimal it prints as."""
     tau_one, tau_zero, eta_min, gap = (
         Fraction(repr(x)) for x in (th.tau_one, th.tau_zero, th.eta_min, th.gap)
     )
-    same = [per_set_density(mask, policy) for mask in masks]
-    diff_upper = [per_set_density(~mask, policy).upper for mask in masks]
+    cps = checkpoint_grid(masks[0].size, th.burn_in)
+    same = [per_set_density(mask, cps) for mask in masks]
+    diff_upper = [per_set_density(~mask, cps).upper for mask in masks]
     pk = all(e.upper >= 1 - tau_one for e in same) and any(u >= eta_min for u in diff_upper)
     pk_plus = pk and any(u >= 1 - tau_zero for u in diff_upper)
     pk_minus = any(e.upper - e.lower >= gap for e in same)
@@ -231,10 +230,7 @@ def metric_verdict_direct(profile, th):
     floor = max(10, math.isqrt(n))
     li_yorke = count >= floor and n - count >= floor
     gapped = [e.upper - e.lower >= gap for e in ests]
-    if len(ests) == 1:
-        dc3 = gapped[0]
-    else:
-        dc3 = any(gapped[j] and gapped[j + 1] for j in range(len(ests) - 1))
+    dc3 = any(gapped[j] and gapped[j + 1] for j in range(len(ests) - 1))
     dc2 = ests[0].upper >= 1 - tau_one and 1 - ests[0].lower >= eta_min and dc3 and li_yorke
     dc1half = dc2 and ests[0].lower <= tau_zero
     dc1 = dc1half and any(e.lower <= tau_zero for e in ests)
@@ -243,11 +239,12 @@ def metric_verdict_direct(profile, th):
     return flags, (separating[-1] if separating else None)
 
 
-def per_threshold_phi(values, grid, policy):
+def per_threshold_phi(values, checkpoints):
     """Phi profile estimates with one O(N) pass per threshold: the set
-    {n : d_n < t} for each grid point t, through `per_set_density`."""
+    {n : d_n < t} for each point t of THRESHOLD_GRID, through
+    `per_set_density`."""
     values = np.asarray(values, dtype=np.float64)
-    return tuple(per_set_density(values < t, policy) for t in grid)
+    return tuple(per_set_density(values < t, checkpoints) for t in THRESHOLD_GRID)
 
 
 def cantor_values_direct(a, b):
@@ -275,25 +272,21 @@ def float_distance_values(pair, metric):
     raise ValueError(f"no float oracle for metric {metric!r}")
 
 
-def phi_profile_float_path(pair, metric, policy):
-    """Phi profile on the default grid from the pair's N float distances,
-    one `per_set_density` pass per threshold (`per_threshold_phi`)."""
+def phi_profile_float_path(pair, metric, burn_in=None):
+    """Phi profile from the pair's N float distances over the checkpoint
+    grid from the burn-in, one `per_set_density` pass per threshold
+    (`per_threshold_phi`)."""
     values = float_distance_values(pair, metric)
-    grid = default_threshold_grid()
-    return PhiProfile(
-        thresholds=grid,
-        estimates=per_threshold_phi(values, grid, policy),
-        horizon=values.size,
-    )
+    cps = checkpoint_grid(values.size, burn_in)
+    return PhiProfile(estimates=per_threshold_phi(values, cps), horizon=values.size)
 
 
 def scan_clique_float_path(trajectories, metric, th, target):
     """Scrambled clique of `scan`, with each pair read off its float-path
     Phi profile."""
-    policy = th.policy()
 
     def scrambled(pair):
-        profile = phi_profile_float_path(pair, metric, policy)
+        profile = phi_profile_float_path(pair, metric, th.burn_in)
         return classify_metric_pair(profile, th).flags[target]
 
     return scan_scrambled_set(all_pairs(trajectories), scrambled)

@@ -20,6 +20,7 @@ import pytest
 import chaoslab as c
 from chaoslab import blocks as bl
 from chaoslab.cli import run as cli_run
+from oracles import partition_verdict_direct
 
 REPORT = []
 
@@ -152,7 +153,7 @@ def test_criterion_05_phi_calibration():
         # checkpoint grid averages past early fluctuation
         pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 100000, (1, 2))
         d = c.distance_series(pair, "hamming-indicator")
-        prof = c.phi_profile(d, policy=c.CheckpointPolicy(burn_in=10000))
+        prof = c.phi_profile(d, 10000)
         star_dev = float(np.abs(prof.phi_star - 0.5).max())
         low_dev = float(np.abs(prof.phi_lower - 0.5).max())
         assert star_dev <= 0.02 and low_dev <= 0.02
@@ -180,9 +181,8 @@ def test_criterion_06_oscillating_density():
 
 
 def _classify(values, th, burn_in=None):
-    d = c.DistanceSeries(np.asarray(values, dtype=float), 1.0)
-    policy = c.CheckpointPolicy(burn_in=burn_in)
-    return c.classify_metric_pair(c.phi_profile(d, policy=policy), th)
+    d = c.DistanceSeries(np.asarray(values, dtype=float))
+    return c.classify_metric_pair(c.phi_profile(d, burn_in), th)
 
 
 def _chain_ok(v):
@@ -344,8 +344,8 @@ def test_criterion_10_scrambling_transfer():
 
         # product side: the free-word tracks under the aligned-window scheme
         spec = c.FullShift(2, (0.5, 0.5))
-        img_x = c.Trajectory(spec, blocks_count * pk3, None, symbols=free_x.reshape(-1).astype(np.int64))
-        img_y = c.Trajectory(spec, blocks_count * pk3, None, symbols=free_y.reshape(-1).astype(np.int64))
+        img_x = c.Trajectory(spec, blocks_count * pk3, symbols=free_x.reshape(-1).astype(np.int64))
+        img_y = c.Trajectory(spec, blocks_count * pk3, symbols=free_y.reshape(-1).astype(np.int64))
         img_pair = c.OrbitPair(img_x, img_y)
         img_scheme = bl.aligned_window_scheme([q.p(k) for k in (1, 2, 3)])
         # oracle: the product-side pair classifies the same way directly
@@ -435,6 +435,44 @@ def test_criterion_12_reproducibility(tmp_path):
             assert cli_run(argv + ["--out", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes(), f"{name} artifact not reproducible"
         crit.note(f"{len(jobs)} artifact kinds byte-identical across re-runs")
+
+
+@pytest.mark.parametrize("target, pk_plus", [("DC1half", True), ("DC2", False)])
+def test_zero_entropy_pair_reads_measure_theoretic_plus(target, pk_plus):
+    """PAPER.md's third result is a zero-entropy system with uniform
+    measure-theoretic+ chaos. This reads one constructed pair of the
+    marker-block system at q = 2,2,2, not the paper's "uniform" statement
+    about a set of pairs: the run schedule of `witness_runs(target, 3000)`,
+    counted in top-level blocks, pulled back through `word_from_free_words`
+    from free words all 0 against all 1 on the disagreeing blocks. At
+    tau_one = tau_zero = 0.25 the DC1half schedule is measure-theoretic+
+    chaotic (pk, pk_plus, k0 = 1) and the DC2 schedule only
+    measure-theoretic chaotic (pk without pk_plus). The product side, the
+    free-word tracks under the aligned-window scheme, reads the same."""
+    q = c.QSchedule((2, 2, 2))
+    runs = c.witness_runs(target, 3000)
+    blocks = sum(length for length, _ in runs)
+    agree = c.systems.runs_to_mask(runs, blocks)
+    free_x = np.zeros((blocks, q.p(3)), dtype=np.int8)
+    free_y = np.zeros((blocks, q.p(3)), dtype=np.int8)
+    free_y[~agree] = 1
+    pair = c.OrbitPair(*(bl.trajectory_from_word(bl.word_from_free_words(q, free))
+                         for free in (free_x, free_y)))
+    th = c.Thresholds(tau_one=0.25, tau_zero=0.25)
+    scheme = c.central_block_scheme(q)
+    verdict = c.classify_partition_pair(pair, scheme, th)
+    assert (verdict.pk_scrambled, verdict.pk_plus, verdict.k0) == (True, pk_plus, 1)
+    masks = [c.same_atom_series(pair, scheme, k) for k in (1, 2, 3)]
+    assert (verdict.pk_scrambled, verdict.pk_plus, verdict.pk_minus) == (
+        partition_verdict_direct(masks, th)
+    )
+
+    spec = c.FullShift(2, (0.5, 0.5))
+    image = c.OrbitPair(*(c.Trajectory(spec, free.size, symbols=free.reshape(-1))
+                          for free in (free_x, free_y)))
+    image_scheme = bl.aligned_window_scheme([q.p(k) for k in (1, 2, 3)])
+    image_verdict = c.classify_partition_pair(image, image_scheme, th)
+    assert (image_verdict.pk_scrambled, image_verdict.pk_plus) == (True, pk_plus)
 
 
 def test_zz_report():

@@ -64,8 +64,10 @@ class TestParameters:
             c.QSchedule(())
 
     def test_window_budget_guard(self):
-        with pytest.raises(GuardExceeded):
-            c.derive_params(c.QSchedule((2,) * 16), window_budget=1 << 20)
+        # N_13 = 2^26 is past the 2^24 budget; N_12 = 2^24 is within it
+        with pytest.raises(GuardExceeded, match="exceeds the window budget"):
+            c.derive_params(c.QSchedule((2,) * 13))
+        assert len(c.derive_params(c.QSchedule((2,) * 12))) == 12
 
     def test_monotone_parameters(self):
         q = c.QSchedule((3, 2, 4))
@@ -417,30 +419,32 @@ class TestBitInput:
 
 class TestMarkerRow:
     def test_base_example(self):
-        row = c.marker_row(c.QSchedule((2, 2)), 0, 8)
+        row = c.marker_row(c.QSchedule((2, 2)), 8)
         assert row.tolist() == [2, 0, 0, 0, 1, 0, 0, 0]
 
     def test_periodicity_counts(self):
         q = c.QSchedule((2, 2, 2))
-        row = c.marker_row(q, 0)
+        row = c.marker_row(q)
         for k in (1, 2, 3):
             assert int(np.count_nonzero(row >= k)) == q.n(3) // q.n(k)
 
     def test_q33_pattern(self):
         q = c.QSchedule((3, 3))
-        row = c.marker_row(q, 0)
+        row = c.marker_row(q)
         ones = np.flatnonzero(row >= 1)
         assert np.array_equal(ones, np.arange(0, 36, 6))
         assert int(np.count_nonzero(row == 2)) == 1
 
     def test_offset_shifts_phase(self):
-        q = c.QSchedule((2, 2))
-        row = c.marker_row(q, 3, 8)
+        # a sampled odometer point shifts the marker row of its base
+        row = c.systems.odometer_track([4, 8], 3, 8)
         assert row.tolist() == [0, 0, 0, 2, 0, 0, 0, 1]
+        assert np.array_equal(c.systems.odometer_track([4, 8], 0, 8),
+                              c.marker_row(c.QSchedule((2, 2)), 8))
 
     def test_no_infinite_symbol(self):
         q = c.QSchedule((2, 2, 2))
-        assert c.marker_row(q, 0).max() == q.depth
+        assert c.marker_row(q).max() == q.depth
 
 
 class TestSampling:
@@ -468,8 +472,9 @@ class TestSampling:
         assert stat < 310.457
 
     def test_budget_guard(self):
-        with pytest.raises(GuardExceeded):
-            c.sample_point(c.QSchedule((2,) * 12), seed=0, window_budget=1 << 16)
+        # two blocks of N_12 = 2^24 are past the 2^24 budget
+        with pytest.raises(GuardExceeded, match="exceeds budget"):
+            c.sample_point(c.QSchedule((2,) * 12), seed=0, blocks=2)
 
     def test_word_validate(self):
         q = c.QSchedule((2, 2))
@@ -682,12 +687,12 @@ class TestCentralScheme:
         q = c.QSchedule((2, 2, 2))
         scheme = c.central_block_scheme(q)
         word = bl.word_from_free_words(q, np.zeros((1, 8)), offset=60)
-        plain = c.Trajectory(c.ZeroEntropy(q), 4, None, symbols=np.zeros(4, dtype=np.int64))
+        plain = c.Trajectory(c.ZeroEntropy(q), 4, symbols=np.zeros(4, dtype=np.int64))
         traj = bl.trajectory_from_word(word)
         with pytest.raises(SchemeError, match="TwoRowWord"):
             scheme.same_atom_mask(c.OrbitPair(traj, plain), 1)
         # the word holds times 0..3; a longer trajectory runs past its window
-        long = c.Trajectory(c.ZeroEntropy(q), 5, None, symbols=np.zeros(5, dtype=np.int64),
+        long = c.Trajectory(c.ZeroEntropy(q), 5, symbols=np.zeros(5, dtype=np.int64),
                             source=word)
         with pytest.raises(SchemeError, match="time 4 outside the word's window"):
             scheme.same_atom_mask(c.OrbitPair(long, long), 1)

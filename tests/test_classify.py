@@ -26,9 +26,8 @@ WITNESS_THRESHOLDS = c.Thresholds(tau_one=0.25, tau_zero=0.25)
 
 
 def classify_series(values, th=WITNESS_THRESHOLDS, burn_in=None):
-    d = c.DistanceSeries(np.asarray(values, dtype=float), 1.0)
-    policy = c.CheckpointPolicy(burn_in=burn_in)
-    return c.classify_metric_pair(c.phi_profile(d, policy=policy), th)
+    d = c.DistanceSeries(np.asarray(values, dtype=float))
+    return c.classify_metric_pair(c.phi_profile(d, burn_in), th)
 
 
 class TestMetricClassification:
@@ -113,17 +112,17 @@ class TestMetricClassification:
 
     def test_gap_tie_reads_as_the_decimal(self):
         # the exact gap 3/10 - 1/5 is 1/10; the float 0.3 - 0.2 lies below it
-        est = c.DensityEstimate(Fraction(3, 10), Fraction(1, 5), (10,), 10, 2)
-        v = c.classify_metric_pair(c.PhiProfile([0.5], (est,), 100), c.Thresholds(gap=0.1))
-        assert v.dc3
+        est = c.DensityEstimate(Fraction(3, 10), Fraction(1, 5), (10,), 2)
+        prof = c.PhiProfile((est,) * c.THRESHOLD_GRID.size, 100)
+        assert c.classify_metric_pair(prof, c.Thresholds(gap=0.1)).dc3
 
     def test_separation_tie_reads_as_the_decimal(self):
-        # the separation set's upper density is exactly 1/10 = eta_min; the
-        # float 1.0 - 0.9 lies below it
-        est = c.DensityEstimate(Fraction(9, 10), Fraction(9, 10), (10,), 10, 9)
-        prof = c.PhiProfile([0.5], (est,), 100)
+        # the separation set's upper density is exactly 1/10 = eta_min at
+        # every threshold; the float 1.0 - 0.9 lies below it
+        est = c.DensityEstimate(Fraction(9, 10), Fraction(9, 10), (10,), 9)
+        prof = c.PhiProfile((est,) * c.THRESHOLD_GRID.size, 100)
         v = c.classify_metric_pair(prof, c.Thresholds(eta_min=0.1))
-        assert v.separation_threshold == 0.5
+        assert v.separation_threshold == c.THRESHOLD_GRID[-1]
 
     def test_cantor_metric_profile_grades_with_threshold(self):
         # under the cantor metric the witness profile actually varies along
@@ -192,8 +191,8 @@ class TestMetricClassification:
 
 def shift_pair(xs, ys):
     spec = c.FullShift(2, (0.5, 0.5))
-    a = c.Trajectory(spec, len(xs), None, symbols=np.array(xs, dtype=np.int64))
-    b = c.Trajectory(spec, len(ys), None, symbols=np.array(ys, dtype=np.int64))
+    a = c.Trajectory(spec, len(xs), symbols=np.array(xs, dtype=np.int64))
+    b = c.Trajectory(spec, len(ys), symbols=np.array(ys, dtype=np.int64))
     return c.OrbitPair(a, b)
 
 
@@ -244,24 +243,24 @@ class TestSameAtomSeries:
 
     def test_cylinder_needs_symbols(self):
         spec = c.IntervalMap("tent", 1.99)
-        a = c.Trajectory(spec, 3, None, reals=np.full(3, 0.25))
-        b = c.Trajectory(spec, 3, None, reals=np.full(3, 0.75))
+        a = c.Trajectory(spec, 3, reals=np.full(3, 0.25))
+        b = c.Trajectory(spec, 3, reals=np.full(3, 0.75))
         with pytest.raises(SchemeError, match="symbol track"):
             c.same_atom_series(c.OrbitPair(a, b), c.cylinder_scheme(2), 1)
 
 
 def estimate_key(e):
-    return (e.upper, e.lower, e.checkpoints, e.burn_in, e.count_at_horizon)
+    return (e.upper, e.lower, e.checkpoints, e.count_at_horizon)
 
 
 def assert_partition_estimates_match(pair, scheme, th):
     """One kernel pass over all depths against one per-set density per depth."""
     got = cl._same_atom_estimates(pair, scheme, th)
-    policy = th.policy()
+    cps = c.checkpoint_grid(pair.horizon, th.burn_in)
     for k, est in enumerate(got, start=1):
         s = c.same_atom_series(pair, scheme, k)
-        assert estimate_key(est) == estimate_key(per_set_density(s, policy))
-        assert estimate_key(est) == estimate_key(c.empirical_density(s, policy))
+        assert estimate_key(est) == estimate_key(per_set_density(s, cps))
+        assert estimate_key(est) == estimate_key(c.empirical_density(s, th.burn_in))
     assert len(got) == scheme.depth
 
 
@@ -375,8 +374,8 @@ class TestPartitionClassification:
         ys = (~mask).astype(np.int64)
         spec = c.FullShift(2, (0.5, 0.5))
         pair = c.OrbitPair(
-            c.Trajectory(spec, total, None, symbols=xs),
-            c.Trajectory(spec, total, None, symbols=ys),
+            c.Trajectory(spec, total, symbols=xs),
+            c.Trajectory(spec, total, symbols=ys),
         )
         v = c.classify_partition_pair(pair, c.cylinder_scheme(2), c.Thresholds())
         assert v.pk_scrambled and v.pk_plus
@@ -397,7 +396,7 @@ class TestPartitionClassification:
         scheme = c.PartitionScheme(2, lambda pair, k: mask, "period-10")
         pair = shift_pair(np.zeros(mask.size), np.zeros(mask.size))
         th = c.Thresholds(tau_one=0.7, tau_zero=0.2, burn_in=1000)
-        assert per_set_density(mask, th.policy()).upper == Fraction(3, 10)
+        assert per_set_density(mask, c.checkpoint_grid(mask.size, 1000)).upper == Fraction(3, 10)
         v = c.classify_partition_pair(pair, scheme, th)
         assert v.pk_scrambled and v.k0 == 1 and not v.pk_plus
 
@@ -436,9 +435,10 @@ def nested_mask_cases(draw):
     depth = draw(st.integers(2, 4))
     levels = np.array(draw(st.lists(st.integers(0, depth), min_size=n, max_size=n)))
     masks = [levels >= k for k in range(1, depth + 1)]
-    policy = c.CheckpointPolicy(burn_in=draw(st.integers(1, n)))
-    same = [per_set_density(m, policy) for m in masks]
-    diff_upper = [float(per_set_density(~m, policy).upper) for m in masks]
+    burn_in = draw(st.integers(1, n))
+    cps = c.checkpoint_grid(n, burn_in)
+    same = [per_set_density(m, cps) for m in masks]
+    diff_upper = [float(per_set_density(~m, cps).upper) for m in masks]
 
     def pick(values):
         return draw(st.sampled_from([v for v in values if 0 < v < 1] or [0.5]))
@@ -449,7 +449,7 @@ def nested_mask_cases(draw):
         tau_zero=draw_tau_zero(draw, [1 - v for v in diff_upper] + [0.05], tau_one),
         eta_min=pick(diff_upper + [0.05]),
         gap=pick([float(e.gap) for e in same] + [0.1]),
-        burn_in=policy.burn_in,
+        burn_in=burn_in,
     )
     return masks, th
 
@@ -462,22 +462,24 @@ class TestPartitionReadDifferential:
         scheme = c.PartitionScheme(len(masks), lambda pair, k: masks[k - 1], "drawn")
         n = masks[0].size
         v = c.classify_partition_pair(shift_pair(np.zeros(n), np.zeros(n)), scheme, th)
-        assert (v.pk_scrambled, v.pk_plus, v.pk_minus) == partition_verdict_direct(
-            masks, th.policy(), th
-        )
+        assert (v.pk_scrambled, v.pk_plus, v.pk_minus) == partition_verdict_direct(masks, th)
         assert v.pk_scrambled or not v.pk_plus
+
+
+# distances that tie with a threshold point, or lie below every one (0)
+PROFILE_LEVELS = [0.0, *c.THRESHOLD_GRID.tolist()]
 
 
 @st.composite
 def metric_profile_cases(draw):
-    """Phi profiles of short distance series on a few levels, with
-    thresholds taken from the profile's own densities so that reads land on
-    ties."""
+    """Phi profiles of short distance series drawn from a few levels (some
+    threshold points, 0 and 1) or from floats, with thresholds taken from
+    the profile's own densities so that reads land on ties."""
     n = draw(st.integers(1, 120))
-    values = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))) / 4
-    grid = sorted(draw(st.sets(st.sampled_from([0.125, 0.375, 0.625, 0.875, 1.0]), min_size=1)))
-    policy = c.CheckpointPolicy(burn_in=draw(st.integers(1, n)))
-    prof = c.phi_profile(c.DistanceSeries(values), np.array(grid), policy)
+    levels = draw(st.lists(st.sampled_from(PROFILE_LEVELS), min_size=1, max_size=4))
+    pool = st.sampled_from(levels) | st.floats(0, 1, allow_nan=False)
+    values = np.array(draw(st.lists(pool, min_size=n, max_size=n)))
+    prof = c.phi_profile(c.DistanceSeries(values), draw(st.integers(1, n)))
     uppers = [float(e.upper) for e in prof.estimates]
     lowers = [float(e.lower) for e in prof.estimates]
 
@@ -542,10 +544,8 @@ def pulled_back_dc2_family(n_trajectories=8, factor=20, rho=1 / 3, min_blocks=15
 
 class TestScan:
     def _verdict_fn(self, th=WITNESS_THRESHOLDS, target="dc2"):
-        policy = th.policy()
-
         def is_scrambled(pair):
-            prof = c.phi_profile(c.distance_series(pair), policy=policy)
+            prof = c.phi_profile(c.distance_series(pair), th.burn_in)
             return c.classify_metric_pair(prof, th).flags[target]
 
         return is_scrambled
@@ -588,8 +588,7 @@ class TestScan:
 
 
 def estimate_keys(profile):
-    return [(e.upper, e.lower, e.checkpoints, e.burn_in, e.count_at_horizon)
-            for e in profile.estimates]
+    return [(e.upper, e.lower, e.checkpoints, e.count_at_horizon) for e in profile.estimates]
 
 
 class TestScanCodedAgainstFloatPath:
@@ -609,8 +608,8 @@ class TestScanCodedAgainstFloatPath:
         trajectories = [c.sample_orbit(spec, horizon, seed + i) for i in range(count)]
         th = c.Thresholds(tau_one=0.55, tau_zero=0.4)
         for pair in c.all_pairs(trajectories).values():
-            coded = c.phi_profile(c.distance_series(pair, metric), policy=th.policy())
-            want = phi_profile_float_path(pair, metric, th.policy())
+            coded = c.phi_profile(c.distance_series(pair, metric), th.burn_in)
+            want = phi_profile_float_path(pair, metric, th.burn_in)
             assert estimate_keys(coded) == estimate_keys(want)
         for target in ("li_yorke", "dc2", "dc3"):
             out = tmp_path / f"clique-{target}.csv"
@@ -629,10 +628,9 @@ class TestScanCodedAgainstFloatPath:
         loner = bl.trajectory_from_word(bl.word_from_free_words(q, loner_free))
         vertices = trajectories[:3] + [loner]
         th = WITNESS_THRESHOLDS
-        policy = th.policy()
 
         def is_scrambled(pair):
-            prof = c.phi_profile(c.distance_series(pair, metric), policy=policy)
+            prof = c.phi_profile(c.distance_series(pair, metric), th.burn_in)
             return c.classify_metric_pair(prof, th).flags["dc2"]
 
         clique = c.scan_scrambled_set(c.all_pairs(vertices), is_scrambled)

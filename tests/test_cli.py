@@ -1,8 +1,12 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -305,6 +309,45 @@ class TestConfig:
         assert run(["pair", "--horizon", "300", "--config", str(cfg), "--out", str(outs[0])]) == 0
         assert run(["pair", "--horizon", "300", "--out", str(outs[1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+class TestBurnInRefusedBeforeSampling:
+    """--burn-in is a size: a value below 1 is refused by the parser, so no
+    orbit is sampled first."""
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        calls = []
+        sample_orbit = c.systems.sample_orbit
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return sample_orbit(*args, **kwargs)
+
+        monkeypatch.setattr(c.systems, "sample_orbit", recording)
+        return calls
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["classify", "phi", "scan"])
+    def test_flag(self, command, value, sampled, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = [command, "--horizon", "200000", "--burn-in", value, "--out", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: argument --burn-in: expected a positive integer, got '{value}'\n"
+        )
+        assert sampled == [] and not out.exists()
+
+    def test_config_file(self, sampled, tmp_path, capsys):
+        cfg = tmp_path / "burn.cfg"
+        cfg.write_text("thresholds.burn_in = 0\n")
+        out = tmp_path / "out.csv"
+        assert run(["classify", "--horizon", "200000", "--config", str(cfg),
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: {cfg}: argument --burn-in: expected a positive integer, got '0'\n"
+        )
+        assert sampled == [] and not out.exists()
 
 
 class TestZeroSizesRefused:
@@ -659,8 +702,8 @@ class TestSvg:
         assert text.startswith("<?xml") and "<svg" in text and "polyline" in text
 
     def test_flat_profile_two_lines_at_one(self):
-        d = c.DistanceSeries(np.zeros(1000), 1.0)
-        prof = c.phi_profile(d, policy=c.CheckpointPolicy(burn_in=10))
+        d = c.DistanceSeries(np.zeros(1000))
+        prof = c.phi_profile(d, 10)
         text = render_phi_svg(prof)
         assert text.count("polyline") == 2
 
@@ -741,7 +784,7 @@ def assert_pair_matches_oracle(case, out):
 
 
 def hand_built_pair(spec, x, y, track="symbols"):
-    a, b = (c.Trajectory(spec, len(t), None, **{track: np.asarray(t)}) for t in (x, y))
+    a, b = (c.Trajectory(spec, len(t), **{track: np.asarray(t)}) for t in (x, y))
     return c.OrbitPair(a, b)
 
 
@@ -982,3 +1025,77 @@ class TestParserReuse:
             fresh.append(outcome(argv, artifact))
         assert [rc for rc, *_ in shared] == [0, 0, 1, 0, 0, 0, 0, 0, 0]
         assert shared == fresh
+
+
+# --- run() over the parser's own argv space -----------------------------------
+
+(_SUBPARSERS,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+# values for a flag without choices: small sizes and plain values, drawn as
+# often as the edge values (signs, non-finite and extreme floats, empty and
+# malformed text and lists), so that runs also get past the parser. The two
+# flags whose work grows fastest with their value get one large size each
+# (count-ball's DP is O(n m (n - m + 1))), and --q two schedules past the
+# window and enumeration guards
+PLAIN_VALUES = ["1", "2", "3", "7", "0.5", "2,2"]
+EDGE_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e308", "", "x", "-2,2", "2,,2",
+               "nan,1", "0.5,0.5"]
+LARGE_SIZES = {"horizon": ["2000"], "n": ["64"], "q": ["64", ",".join(["2"] * 13)]}
+CONFIG_KEY = {key.rsplit(".", 1)[1]: key for key in cli.CONFIG_KEYS}
+
+
+@st.composite
+def parser_argv(draw):
+    """(subcommand, [(action, value)]): up to 5 of the subcommand's flags
+    plus its required ones, each with one of its choices or a bogus one, or
+    a plain or edge value; None for a flag that takes no value."""
+    name = draw(st.sampled_from(sorted(_SUBPARSERS.choices)))
+    actions = [a for a in _SUBPARSERS.choices[name]._actions
+               if a.option_strings and a.dest not in ("help", "config", "out")]
+    chosen = draw(st.lists(st.sampled_from(actions), max_size=5, unique=True))
+    flags = []
+    for action in [a for a in actions if a.required and a not in chosen] + chosen:
+        if action.nargs == 0:
+            flags.append((action, None))
+        else:
+            values = (st.sampled_from([*action.choices, "bogus"]) if action.choices
+                      else st.sampled_from(PLAIN_VALUES + LARGE_SIZES.get(action.dest, []))
+                      | st.sampled_from(EDGE_VALUES))
+            flags.append((action, draw(values)))
+    return name, flags
+
+
+class TestRunNeverRaises:
+    @given(parser_argv(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_and_one_error_line(self, case, through_config):
+        # the same values go on the command line or, for flags with a config
+        # key, through a --config file
+        name, flags = case
+        here = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            argv, lines = [name], []
+            for action, value in flags:
+                flag = action.option_strings[-1]
+                if value is None:
+                    argv.append(flag)
+                elif through_config and action.dest in CONFIG_KEY:
+                    lines.append(f"{CONFIG_KEY[action.dest]} = {value}\n")
+                else:
+                    argv.append(f"{flag}={value}")
+            if lines:
+                cfg = Path(work, "run.cfg")
+                cfg.write_text("".join(lines))
+                argv += ["--config", str(cfg)]
+            err = io.StringIO()
+            os.chdir(work)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = run(argv)
+            finally:
+                os.chdir(here)
+        assert code in (0, 1, 2, 3), (argv, code)
+        if code == 1:
+            errors = [l for l in err.getvalue().splitlines()
+                      if l.startswith(("usage error:", "error:"))]
+            assert len(errors) == 1, (argv, err.getvalue())

@@ -23,10 +23,6 @@ def doubling_runs(horizon):
     return runs
 
 
-def full_policy():
-    return c.CheckpointPolicy(burn_in=1)
-
-
 def first_times(count, horizon):
     """Mask over times 1..horizon of the set {1, ..., count}."""
     mask = np.zeros(horizon, dtype=bool)
@@ -36,11 +32,11 @@ def first_times(count, horizon):
 
 class TestEmpiricalDensity:
     def test_full_set(self):
-        est = c.empirical_density(np.ones(50, dtype=bool), full_policy())
+        est = c.empirical_density(np.ones(50, dtype=bool), 1)
         assert est.upper == 1 and est.lower == 1
 
     def test_empty_set(self):
-        est = c.empirical_density(np.zeros(50, dtype=bool), full_policy())
+        est = c.empirical_density(np.zeros(50, dtype=bool), 1)
         assert est.upper == 0 and est.lower == 0
 
     def test_doubling_schedule_matches_boundary_oracle(self):
@@ -48,7 +44,7 @@ class TestEmpiricalDensity:
         runs = doubling_runs(horizon)
         mask = c.systems.runs_to_mask(runs, horizon)
         est = c.empirical_density(mask)
-        upper_oracle, lower_oracle = boundary_extrema(runs, horizon, est.burn_in)
+        upper_oracle, lower_oracle = boundary_extrema(runs, horizon, est.checkpoints[0])
         # the oracle's boundary values converge to 2/3 and 1/3
         assert abs(float(upper_oracle) - 2 / 3) <= 0.02
         assert abs(float(lower_oracle) - 1 / 3) <= 0.02
@@ -57,7 +53,12 @@ class TestEmpiricalDensity:
 
     def test_burn_in_beyond_horizon_is_policy_error(self):
         with pytest.raises(PolicyError):
-            c.empirical_density(first_times(1, 5), c.CheckpointPolicy(burn_in=10))
+            c.empirical_density(first_times(1, 5), 10)
+
+    @pytest.mark.parametrize("burn_in", [0, -3])
+    def test_burn_in_below_one_is_policy_error(self, burn_in):
+        with pytest.raises(PolicyError, match="burn-in must be >= 1"):
+            c.empirical_density(first_times(1, 5), burn_in)
 
 
 class TestDensityAlong:
@@ -96,18 +97,19 @@ class TestDensityAlong:
 
 class TestPhiProfile:
     def test_all_zero_series(self):
-        d = c.DistanceSeries(np.zeros(500), 1.0)
-        prof = c.phi_profile(d, policy=full_policy())
+        d = c.DistanceSeries(np.zeros(500))
+        prof = c.phi_profile(d, 1)
         assert np.all(prof.phi_star == 1.0) and np.all(prof.phi_lower == 1.0)
 
     def test_all_one_series(self):
-        d = c.DistanceSeries(np.ones(500), 1.0)
-        prof = c.phi_profile(d, grid=np.array([0.5]), policy=full_policy())
-        assert prof.phi_star[0] == 0.0 and prof.phi_lower[0] == 0.0
+        # no distance lies below a threshold, not even the top one, 1
+        d = c.DistanceSeries(np.ones(500))
+        prof = c.phi_profile(d, 1)
+        assert np.all(prof.phi_star == 0.0) and np.all(prof.phi_lower == 0.0)
 
     def test_phi_floats_computed_once_and_read_only(self):
-        d = c.DistanceSeries(np.random.default_rng(3).random(2000), 1.0)
-        prof = c.phi_profile(d, policy=full_policy())
+        d = c.DistanceSeries(np.random.default_rng(3).random(2000))
+        prof = c.phi_profile(d, 1)
         for name, want in (
             ("phi_star", [float(e.upper) for e in prof.estimates]),
             ("phi_lower", [float(e.lower) for e in prof.estimates]),
@@ -117,28 +119,22 @@ class TestPhiProfile:
             assert not first.flags.writeable
             assert first.dtype == np.float64 and first.tolist() == want
 
-    @pytest.mark.parametrize("diameter", [1.0, 2.5, 1e-3])
-    def test_default_grid_cached_read_only(self, diameter):
-        grid = c.default_threshold_grid(diameter)
-        assert c.default_threshold_grid(diameter) is grid
+    def test_threshold_grid_read_only(self):
+        grid = c.THRESHOLD_GRID
         assert not grid.flags.writeable
-        want = np.geomspace(diameter * 2**-16, diameter, 16)
-        assert grid.tobytes() == want.tobytes()
-        prof = c.phi_profile(c.DistanceSeries(np.zeros(200), diameter), policy=full_policy())
+        assert grid.tobytes() == np.geomspace(2**-16, 1.0, 16).tobytes()
+        prof = c.phi_profile(c.DistanceSeries(np.zeros(200)), 1)
         assert prof.thresholds is grid
-
-    def test_nonpositive_grid_rejected(self):
-        d = c.DistanceSeries(np.zeros(10), 1.0)
-        with pytest.raises(PolicyError):
-            c.phi_profile(d, grid=np.array([0.0, 0.5]), policy=full_policy())
+        with pytest.raises(ValidationError, match="one estimate per threshold"):
+            c.PhiProfile(prof.estimates[:-1], prof.horizon)
 
     def test_series_validation(self):
         with pytest.raises(ValidationError):
-            c.DistanceSeries(np.array([0.2, np.nan]), 1.0)
+            c.DistanceSeries(np.array([0.2, np.nan]))
         with pytest.raises(ValidationError):
-            c.DistanceSeries(np.array([0.2, 1.2]), 1.0)
+            c.DistanceSeries(np.array([0.2, 1.2]))
         with pytest.raises(ValidationError):
-            c.DistanceSeries(np.array([]), 1.0)
+            c.DistanceSeries(np.array([]))
 
     def test_bernoulli_calibration_small(self):
         # LLN oracle: agreement probability of two fair tracks is exactly 1/2
@@ -147,22 +143,22 @@ class TestPhiProfile:
         d = c.DistanceSeries(
             (rng_a.integers(0, 2, 20000) != rng_b.integers(0, 2, 20000)).astype(float)
         )
-        prof = c.phi_profile(d, policy=c.CheckpointPolicy(burn_in=2000))
+        prof = c.phi_profile(d, 2000)
         assert np.all(np.abs(prof.phi_star - 0.5) <= 0.03)
         assert np.all(np.abs(prof.phi_lower - 0.5) <= 0.03)
 
 
 class TestBesicovitch:
     def test_constant_series(self):
-        zeros = c.DistanceSeries(np.zeros(200), 1.0)
-        ones = c.DistanceSeries(np.ones(200), 1.0)
-        assert tuple(c.besicovitch_bounds(zeros, full_policy())) == (0, 0)
-        assert tuple(c.besicovitch_bounds(ones, full_policy())) == (1, 1)
+        zeros = c.DistanceSeries(np.zeros(200))
+        ones = c.DistanceSeries(np.ones(200))
+        assert tuple(c.besicovitch_bounds(zeros, 1)) == (0, 0)
+        assert tuple(c.besicovitch_bounds(ones, 1)) == (1, 1)
 
     def test_doubling_series_bounds(self):
         horizon = 4**10
         mask = c.systems.runs_to_mask(doubling_runs(horizon), horizon)
-        d = c.DistanceSeries((~mask).astype(float), 1.0)
+        d = c.DistanceSeries((~mask).astype(float))
         low, high = c.besicovitch_bounds(d)
         assert abs(float(low) - 1 / 3) <= 0.02
         assert abs(float(high) - 2 / 3) <= 0.02
@@ -173,10 +169,10 @@ class TestBesicovitch:
         # the mean of an indicator is a count ratio: besicovitch bounds equal
         # (1 - upper, 1 - lower) of the zero set, exactly
         values = np.array(bits, dtype=float)
-        d = c.DistanceSeries(values, 1.0)
-        policy = c.CheckpointPolicy(burn_in=min(burn, len(bits)))
-        low, high = c.besicovitch_bounds(d, policy)
-        est = c.empirical_density(values == 0, policy)
+        d = c.DistanceSeries(values)
+        burn = min(burn, len(bits))
+        low, high = c.besicovitch_bounds(d, burn)
+        est = c.empirical_density(values == 0, burn)
         assert low == 1 - est.upper
         assert high == 1 - est.lower
 
@@ -194,9 +190,9 @@ class TestInvariants:
     @settings(max_examples=80, deadline=None)
     def test_nesting_monotone(self, sets, burn):
         small, big = sets
-        policy = c.CheckpointPolicy(burn_in=min(burn, small.size))
-        est_small = c.empirical_density(small, policy)
-        est_big = c.empirical_density(big, policy)
+        burn = min(burn, small.size)
+        est_small = c.empirical_density(small, burn)
+        est_big = c.empirical_density(big, burn)
         assert est_small.upper <= est_big.upper
         assert est_small.lower <= est_big.lower
 
@@ -204,9 +200,9 @@ class TestInvariants:
     @settings(max_examples=80, deadline=None)
     def test_complement_identity(self, sets, burn):
         s, _ = sets
-        policy = c.CheckpointPolicy(burn_in=min(burn, s.size))
-        est = c.empirical_density(s, policy)
-        est_c = c.empirical_density(~s, policy)
+        burn = min(burn, s.size)
+        est = c.empirical_density(s, burn)
+        est_c = c.empirical_density(~s, burn)
         assert est.upper == 1 - est_c.lower
         assert est.lower == 1 - est_c.upper
 
@@ -216,39 +212,52 @@ class TestInvariants:
     )
     @settings(max_examples=80, deadline=None)
     def test_profile_monotone_and_ordered(self, values, burn):
-        d = c.DistanceSeries(np.array(values, dtype=float), 1.0)
-        policy = c.CheckpointPolicy(burn_in=min(burn, len(values)))
-        prof = c.phi_profile(d, policy=policy)
+        d = c.DistanceSeries(np.array(values, dtype=float))
+        prof = c.phi_profile(d, min(burn, len(values)))
         star, low = prof.phi_star, prof.phi_lower
         assert np.all(np.diff(star) >= 0)
         assert np.all(np.diff(low) >= 0)
         assert np.all(low <= star)
         assert np.all((0 <= low) & (star <= 1))
 
-    def test_profile_reaches_one_beyond_diameter(self):
-        d = c.DistanceSeries(np.full(100, 0.25), 1.0)
-        prof = c.phi_profile(
-            d, grid=np.array([0.1, 1.0, 1.5]), policy=full_policy()
-        )
+    def test_profile_reaches_one_at_the_top_threshold(self):
+        # the largest distance below 1 lies below the top threshold only
+        d = c.DistanceSeries(np.full(100, np.nextafter(1.0, 0.0)))
+        prof = c.phi_profile(d, 1)
         assert prof.phi_star[-1] == 1.0 and prof.phi_lower[-1] == 1.0
+        assert prof.phi_star[-2] == 0.0 and prof.phi_lower[-2] == 0.0
 
 
 # --- the nested-time-set kernel against the per-set oracle -------------------
 
 
 def estimate_key(e):
-    return (e.upper, e.lower, e.checkpoints, e.burn_in, e.count_at_horizon)
+    return (e.upper, e.lower, e.checkpoints, e.count_at_horizon)
 
 
-@st.composite
-def policies_for(draw, horizon):
-    """Default policy, or burn-in 1, burn-in == horizon or any burn-in, with
-    ratios from the finest (1.001) to coarse ones."""
-    if draw(st.booleans()):
-        return c.CheckpointPolicy()
-    burn = draw(st.one_of(st.just(1), st.just(horizon), st.integers(1, horizon)))
-    ratio = draw(st.sampled_from([1.001, 1.05, 1.3, 2.0]))
-    return c.CheckpointPolicy(burn_in=burn, ratio=ratio)
+def burn_ins_for(horizon):
+    """The default burn-in (None, beyond horizons below 100), burn-in 1,
+    burn-in == horizon or any burn-in."""
+    return st.one_of(st.none(), st.just(1), st.just(horizon), st.integers(1, horizon))
+
+
+def checkpoints_for(horizon):
+    """The checkpoint grid from burn-in 1, the horizon or any burn-in
+    between, or any strictly increasing times in [1, horizon], from every
+    time down to one."""
+    grids = st.one_of(st.just(1), st.just(horizon), st.integers(1, horizon)).map(
+        lambda burn: c.checkpoint_grid(horizon, burn))
+    times = st.sets(st.integers(1, horizon), min_size=1).map(lambda s: tuple(sorted(s)))
+    return grids | times | st.just(tuple(range(1, horizon + 1)))
+
+
+def grid_or_none(horizon, burn_in):
+    """The checkpoint grid from the burn-in, or None where the burn-in lies
+    beyond the horizon."""
+    try:
+        return c.checkpoint_grid(horizon, burn_in)
+    except PolicyError:
+        return None
 
 
 @st.composite
@@ -261,41 +270,39 @@ def coded_series(draw):
     lo = draw(st.integers(0, levels))
     hi = draw(st.integers(lo, levels))
     codes = draw(st.lists(st.integers(lo, hi), min_size=horizon, max_size=horizon))
-    policy = draw(policies_for(horizon))
+    cps = draw(checkpoints_for(horizon))
     dtype = draw(st.sampled_from([np.intp, np.uint8]))
-    return np.array(codes, dtype=dtype), levels, policy
+    return np.array(codes, dtype=dtype), levels, cps
 
 
-def nested_sets_oracle(codes, levels, policy):
-    return [per_set_density(codes <= j, policy) for j in range(levels)]
+def nested_sets_oracle(codes, levels, cps):
+    return [per_set_density(codes <= j, cps) for j in range(levels)]
 
 
 class TestNestedDensityKernel:
     @given(coded_series())
     @settings(max_examples=150, deadline=None)
     def test_matches_per_set_oracle(self, case):
-        codes, levels, policy = case
-        if codes.size < policy.resolve_burn_in(codes.size):
-            with pytest.raises(PolicyError):
-                policy.checkpoints(codes.size)
-            return
-        got = de.nested_density_estimates(codes, levels, policy.checkpoints(codes.size))
-        want = nested_sets_oracle(codes, levels, policy)
+        codes, levels, cps = case
+        got = de.nested_density_estimates(codes, levels, cps)
+        want = nested_sets_oracle(codes, levels, cps)
         assert [estimate_key(e) for e in got] == [estimate_key(e) for e in want]
 
     @pytest.mark.parametrize("value", [0, 2, 4])
     @pytest.mark.parametrize("policy", [
-        c.CheckpointPolicy(burn_in=1),
-        c.CheckpointPolicy(burn_in=1, ratio=1.001),
-        c.CheckpointPolicy(burn_in=500),
+        c.checkpoint_grid(500, 1),
+        tuple(range(1, 501)),
+        (500,),
     ])
     def test_empty_and_full_levels_tie_everywhere(self, value, policy):
         # a constant code v leaves levels < v empty and levels >= v full:
-        # every checkpoint ties at 0 or 1; on both ways of counting
+        # every checkpoint ties at 0 or 1; on both ways of counting, for
+        # each checkpoint policy: the grid from burn-in 1, every time, or
+        # the horizon alone
         for levels in (de.COUNT_NONZERO_MAX_LEVELS, de.COUNT_NONZERO_MAX_LEVELS + 1):
             code = min(value, levels)
             codes = np.full(500, code, dtype=np.intp)
-            got = de.nested_density_estimates(codes, levels, policy.checkpoints(500))
+            got = de.nested_density_estimates(codes, levels, policy)
             for j, e in enumerate(got):
                 expect = 1 if j >= code else 0
                 assert e.upper == e.lower == expect
@@ -336,16 +343,20 @@ class TestNestedDensityKernel:
         with pytest.raises(PolicyError, match="checkpoints must be strictly increasing"):
             de.nested_density_estimates(np.array([0, 1, 2]), 2, cps)
 
-    @given(coded_series())
+    @given(coded_series(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_empirical_density_and_density_along_match_oracle(self, case):
-        codes, _, policy = case
+    def test_empirical_density_and_density_along_match_oracle(self, case, data):
+        codes, _, cps = case
         s = codes == codes[0]
-        if s.size >= policy.resolve_burn_in(s.size):
-            assert estimate_key(c.empirical_density(s, policy)) == estimate_key(
-                per_set_density(s, policy)
+        burn_in = data.draw(burn_ins_for(s.size))
+        grid = grid_or_none(s.size, burn_in)
+        if grid is None:
+            with pytest.raises(PolicyError):
+                c.empirical_density(s, burn_in)
+        else:
+            assert estimate_key(c.empirical_density(s, burn_in)) == estimate_key(
+                per_set_density(s, grid)
             )
-        cps = list(range(1, s.size + 1, 3))
         ratios = [Fraction(int(np.count_nonzero(s[:n])), n) for n in cps]
         assert c.density_along(s, cps, "upper") == max(ratios)
         assert c.density_along(s, cps, "lower") == min(ratios)
@@ -406,93 +417,80 @@ class TestExactExtremes:
 
 
 DYADIC = [0.0, 2.0**-16, 2.0**-8, 0.125, 0.25, 0.5, 0.75, 1.0]
+# distances equal to a threshold check the strict d_n < t at equality
+TIES = DYADIC + c.THRESHOLD_GRID.tolist()
 
 
 class TestPhiKernelDifferential:
-    @given(
-        st.lists(st.sampled_from(DYADIC), min_size=1, max_size=300),
-        st.lists(st.sampled_from(DYADIC[1:] + [0.1, 0.3, 1.5]), min_size=1, max_size=8,
-                 unique=True),
-        st.data(),
-    )
+    @given(st.lists(st.sampled_from(TIES), min_size=1, max_size=300), st.data())
     @settings(max_examples=120, deadline=None)
-    def test_phi_profile_matches_per_threshold_oracle(self, values, grid, data):
-        # grid points drawn from the distance values themselves check the
-        # strict d_n < t at equality
-        grid = np.array(sorted(grid))
-        policy = data.draw(policies_for(len(values)))
-        d = c.DistanceSeries(np.array(values), 1.0)
-        if d.horizon < policy.resolve_burn_in(d.horizon):
+    def test_phi_profile_matches_per_threshold_oracle(self, values, data):
+        burn_in = data.draw(burn_ins_for(len(values)))
+        d = c.DistanceSeries(np.array(values))
+        cps = grid_or_none(d.horizon, burn_in)
+        if cps is None:
             return
-        prof = c.phi_profile(d, grid=grid, policy=policy)
-        want = per_threshold_phi(values, grid, policy)
+        prof = c.phi_profile(d, burn_in)
+        want = per_threshold_phi(values, cps)
         assert [estimate_key(e) for e in prof.estimates] == [estimate_key(e) for e in want]
 
     @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=100, max_size=400))
     @settings(max_examples=60, deadline=None)
     def test_default_grid_matches_per_threshold_oracle(self, values):
-        d = c.DistanceSeries(np.array(values), 1.0)
+        d = c.DistanceSeries(np.array(values))
         prof = c.phi_profile(d)
-        want = per_threshold_phi(values, c.default_threshold_grid(), c.CheckpointPolicy())
+        want = per_threshold_phi(values, c.checkpoint_grid(len(values)))
         assert [estimate_key(e) for e in prof.estimates] == [estimate_key(e) for e in want]
 
 
 @st.composite
 def indexed_series(draw):
-    """A coded DistanceSeries and a grid: the default one or a custom one.
-    Table values come from a small pool holding the grid points (ties), 0,
-    1 and values between, so tables repeat values and codes, and often have
-    no code 0 (nothing below the first grid point) or no code grid.size
-    (nothing at or above the last)."""
-    grid = draw(st.one_of(
-        st.none(),
-        st.lists(st.sampled_from(DYADIC[1:] + [0.1, 0.3, 1.5]), min_size=1, max_size=8,
-                 unique=True).map(lambda g: np.array(sorted(g))),
-    ))
-    points = list(c.default_threshold_grid() if grid is None else grid[grid <= 1])
-    pool = st.sampled_from(DYADIC + points) | st.floats(0, 1, allow_nan=False)
+    """A coded DistanceSeries. Table values come from a small pool holding
+    the threshold points (ties), 0, 1 and values between, so tables repeat
+    values and codes, and often have no code 0 (nothing below the first
+    threshold) or no code 16 (nothing at or above the last)."""
+    pool = st.sampled_from(TIES) | st.floats(0, 1, allow_nan=False)
     table = draw(st.lists(pool, min_size=1, max_size=12))
     horizon = draw(st.integers(1, 300))
     index = draw(st.lists(st.integers(0, len(table) - 1), min_size=horizon, max_size=horizon))
     dtype = draw(st.sampled_from([np.uint8, np.uint16, np.int32, np.intp]))
-    return c.DistanceSeries(np.array(table), 1.0, index=np.array(index, dtype=dtype)), grid
+    return c.DistanceSeries(np.array(table), index=np.array(index, dtype=dtype))
 
 
 class TestIndexedPhi:
     @given(indexed_series(), st.data())
-    @example((c.DistanceSeries(np.array([0.5, 0.75]), 1.0, index=np.array([0, 1, 1, 0])),
-              np.array([0.25, 0.5, 1.5])), None)  # no code 0, no code grid.size
-    @example((c.DistanceSeries(sy.HAMMING_TABLE, 1.0, index=np.array([1, 0, 1], np.uint8)),
-              None), None)  # the Hamming table: ranks 0 and 1 are its own index
+    @example(c.DistanceSeries(np.array([0.5, 0.75]), index=np.array([0, 1, 1, 0])),
+             None)  # no code 0, no code 16
+    @example(c.DistanceSeries(sy.HAMMING_TABLE, index=np.array([1, 0, 1], np.uint8)),
+             None)  # the Hamming table: ranks 0 and 1 are its own index
     @settings(max_examples=150, deadline=None)
-    def test_phi_profile_matches_per_threshold_oracle(self, case, data):
-        d, grid = case
-        policy = c.CheckpointPolicy(burn_in=1) if data is None else data.draw(
-            policies_for(d.horizon))
-        if d.horizon < policy.resolve_burn_in(d.horizon):
+    def test_phi_profile_matches_per_threshold_oracle(self, d, data):
+        burn_in = 1 if data is None else data.draw(burn_ins_for(d.horizon))
+        cps = grid_or_none(d.horizon, burn_in)
+        if cps is None:
             return
-        prof = c.phi_profile(d, grid=grid, policy=policy)
-        want = per_threshold_phi(d.values, prof.thresholds, policy)
+        prof = c.phi_profile(d, burn_in)
+        want = per_threshold_phi(d.values, cps)
         assert [estimate_key(e) for e in prof.estimates] == [estimate_key(e) for e in want]
 
 
 @st.composite
 def symbol_pairs(draw):
     n = draw(st.integers(1, 400))
-    alphabet = draw(st.integers(2, 3))
-    a = np.array(draw(st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n)))
+    arity = draw(st.integers(2, 3))
+    a = np.array(draw(st.lists(st.integers(0, arity - 1), min_size=n, max_size=n)))
     # flip only a few positions so that long agreement runs occur
     flips = draw(st.sets(st.integers(0, n - 1), max_size=max(1, n // 20)))
     b = a.copy()
     for i in flips:
-        b[i] = (b[i] + 1) % alphabet
+        b[i] = (b[i] + 1) % arity
     return a, b
 
 
 def symbol_pair(a, b):
     spec = c.FullShift(3, (1 / 3, 1 / 3, 1 / 3))
-    ta = c.Trajectory(spec, len(a), None, symbols=np.asarray(a, dtype=np.int64))
-    tb = c.Trajectory(spec, len(b), None, symbols=np.asarray(b, dtype=np.int64))
+    ta = c.Trajectory(spec, len(a), symbols=np.asarray(a, dtype=np.int64))
+    tb = c.Trajectory(spec, len(b), symbols=np.asarray(b, dtype=np.int64))
     return c.OrbitPair(ta, tb)
 
 
@@ -568,9 +566,8 @@ class TestCodedPhi:
         d = c.distance_series(symbol_pair(a, b), metric)
         coded = np.searchsorted(grid, d.table, side="right")[d.index]
         assert np.array_equal(coded, np.searchsorted(grid, d.values, side="right"))
-        policy = c.CheckpointPolicy(burn_in=1)
-        prof = c.phi_profile(d, grid=grid, policy=policy)
-        want = c.phi_profile(c.DistanceSeries(d.values, 1.0), grid=grid, policy=policy)
+        prof = c.phi_profile(d, 1)
+        want = c.phi_profile(c.DistanceSeries(d.values), 1)
         assert [estimate_key(e) for e in prof.estimates] == [
             estimate_key(e) for e in want.estimates
         ]
@@ -579,25 +576,24 @@ class TestCodedPhi:
         pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 5000, (5, 6))
         for metric in ("hamming-indicator", "cantor"):
             d = c.distance_series(pair, metric)
-            plain = c.DistanceSeries(d.values, 1.0)
+            plain = c.DistanceSeries(d.values)
             assert tuple(c.besicovitch_bounds(d)) == tuple(c.besicovitch_bounds(plain))
 
     def test_checkpoints_built_once_per_grid(self):
-        policy = c.CheckpointPolicy(burn_in=7, ratio=1.1)
-        first = policy.checkpoints(5000)
-        assert c.CheckpointPolicy(burn_in=7, ratio=1.1).checkpoints(5000) is first
+        first = c.checkpoint_grid(5000, 7)
+        assert c.checkpoint_grid(5000, 7) is first
         assert isinstance(first, tuple) and first[0] == 7 and first[-1] == 5000
 
 
 class TestCodedSeriesValidation:
     def test_index_range_and_dtype(self):
         table = np.array([0.0, 0.5, 1.0])
-        assert c.DistanceSeries(table, 1.0, index=np.array([2, 0, 1])).values.tolist() == [
+        assert c.DistanceSeries(table, index=np.array([2, 0, 1])).values.tolist() == [
             1.0, 0.0, 0.5,
         ]
         for bad in (np.array([0, 3]), np.array([-1, 0]), np.array([0.0, 1.0]),
                     np.array([], dtype=np.intp), np.zeros((2, 2), dtype=np.intp)):
             with pytest.raises(ValidationError):
-                c.DistanceSeries(table, 1.0, index=bad)
+                c.DistanceSeries(table, index=bad)
         with pytest.raises(ValidationError):
-            c.DistanceSeries(np.array([0.0, 2.0]), 1.0, index=np.array([0]))
+            c.DistanceSeries(np.array([0.0, 2.0]), index=np.array([0]))

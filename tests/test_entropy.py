@@ -81,7 +81,7 @@ class TestCylinderEntropy:
 
     def test_undersampled_warns_not_fails(self):
         with pytest.warns(UndersampledWarning):
-            c.empirical_cylinder_entropy(np.ones(200, dtype=int), 8, alphabet=2)
+            c.empirical_cylinder_entropy(np.ones(200, dtype=int), 8)
 
     def test_word_codes_beyond_int64_rejected(self):
         # two distinct words, so the true rate is positive; int64 weights
@@ -91,8 +91,11 @@ class TestCylinderEntropy:
         for word_len in (64, 65):
             with pytest.raises(ValidationError, match="int64"):
                 c.empirical_cylinder_entropy(track, word_len)
+        track[1] = 4  # an alphabet of 5: 5^27 fits in int64, 5^28 does not
+        with pytest.warns(UndersampledWarning):
+            c.empirical_cylinder_entropy(track, 27)
         with pytest.raises(ValidationError, match="int64"):
-            c.empirical_cylinder_entropy(track, 32, alphabet=5)
+            c.empirical_cylinder_entropy(track, 28)
 
     def test_largest_word_codes_exact(self):
         # 2^63 codes is the largest table that fits
@@ -104,24 +107,17 @@ class TestCylinderEntropy:
         assert repr(h) == repr(plugin_entropy_unique(track, 63))
         assert math.isclose(h, plugin_entropy_direct(track, 63, 1), rel_tol=1e-12)
 
-    @pytest.mark.parametrize(
-        "track, alphabet",
-        [
-            ([0, 3, 1, 2] * 50, 2),
-            ([0, 1, -1, 1] * 50, 2),
-            ([0, 1, -1, 1] * 50, None),
-            ([0, 256, 1, 0] * 50, 3),
-        ],
-    )
-    def test_symbols_outside_alphabet_rejected(self, track, alphabet):
-        with pytest.raises(ValidationError, match="symbols must lie in"):
-            c.empirical_cylinder_entropy(np.array(track), 2, alphabet=alphabet)
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+    def test_negative_symbols_rejected(self, dtype):
+        track = np.array([0, 1, -1, 1] * 50, dtype=dtype)
+        with pytest.raises(ValidationError, match="symbols must be >= 0, got -1"):
+            c.empirical_cylinder_entropy(track, 2)
 
     @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf])
     def test_non_integer_symbols_rejected(self, bad):
         track = np.array([0.0, 1.0, bad, 1.0] * 50)
         with pytest.raises(ValidationError, match="symbols must be integers"):
-            c.empirical_cylinder_entropy(track, 2, alphabet=2)
+            c.empirical_cylinder_entropy(track, 2)
 
     def test_integral_float_symbols_accepted(self):
         bits = np.random.default_rng(5).integers(0, 2, 3000)
@@ -132,7 +128,8 @@ class TestCylinderEntropy:
 
 @st.composite
 def entropy_cases(draw, table_fits):
-    """(track, word_len, stride, alphabet) with up to 3,000 symbols whose
+    """(track, word_len, stride, alphabet) with up to 3,000 symbols, the
+    largest alphabet - 1 (or 0 or 1 on a binary alphabet), whose
     alphabet^word_len count table is at most the number of windows
     (table_fits) or above it."""
     alphabet = draw(st.integers(2, 4))
@@ -150,6 +147,8 @@ def entropy_cases(draw, table_fits):
     used = draw(st.integers(1, alphabet))  # symbols in [0, used)
     seed = draw(st.integers(0, 2**32 - 1))
     track = np.random.default_rng(seed).integers(0, used, n)
+    if alphabet > 2:  # the largest symbol sets the alphabet
+        track[draw(st.integers(0, n - 1))] = alphabet - 1
     if draw(st.booleans()):
         track = np.sort(track)  # few distinct words
     return track, word_len, stride, alphabet
@@ -168,9 +167,8 @@ class TestCylinderEntropyExact:
         assert (alphabet**word_len <= windows) == table_fits
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UndersampledWarning)
-            for a in (alphabet, None):
-                ours = c.empirical_cylinder_entropy(track, word_len, stride, a)
-                assert repr(ours) == repr(plugin_entropy_unique(track, word_len, stride, a))
+            ours = c.empirical_cylinder_entropy(track, word_len, stride)
+            assert repr(ours) == repr(plugin_entropy_unique(track, word_len, stride))
 
 
 class TestPipka:

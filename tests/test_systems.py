@@ -66,23 +66,23 @@ class TestSampleOrbit:
     def test_symbols_outside_the_alphabet_rejected(self):
         spec = c.FullShift(2, (0.5, 0.5))
         with pytest.raises(ValidationError):
-            c.Trajectory(spec, 6, None, symbols=np.array([-3, 1, 0, -1, -3, 1]))
+            c.Trajectory(spec, 6, symbols=np.array([-3, 1, 0, -1, -3, 1]))
         with pytest.raises(ValidationError):
-            c.Trajectory(spec, 3, None, symbols=np.array([0, 2, 1]))
-        ok = c.Trajectory(spec, 3, None, symbols=np.array([0, 1, 1]))
+            c.Trajectory(spec, 3, symbols=np.array([0, 2, 1]))
+        ok = c.Trajectory(spec, 3, symbols=np.array([0, 1, 1]))
         assert ok.symbols.tolist() == [0, 1, 1]
 
     def test_non_integer_symbols_rejected(self):
         # a cast to the narrow symbol dtype would turn 0.5 into 0
         spec = c.FullShift(2, (0.5, 0.5))
         with pytest.raises(ValidationError, match="symbols must be integers, got dtype float64"):
-            c.Trajectory(spec, 3, None, symbols=np.array([0.5, 1.0, 0.0]))
+            c.Trajectory(spec, 3, symbols=np.array([0.5, 1.0, 0.0]))
         with pytest.raises(ValidationError, match="got dtype float64"):
-            c.Trajectory(spec, 3, None, symbols=np.array([0.0, 1.0, 0.0]))
+            c.Trajectory(spec, 3, symbols=np.array([0.0, 1.0, 0.0]))
 
     def test_list_tracks_get_the_array_rules(self):
         spec = c.FullShift(2, (0.5, 0.5))
-        t = c.Trajectory(spec, 3, None, symbols=[0, 1, 1], reals=[0.1, 0.2, 0.3])
+        t = c.Trajectory(spec, 3, symbols=[0, 1, 1], reals=[0.1, 0.2, 0.3])
         assert t.symbols.dtype == np.uint8 and t.symbols.tolist() == [0, 1, 1]
         assert t.reals.dtype == np.float64 and t.reals.tolist() == [0.1, 0.2, 0.3]
         for bad, match in (
@@ -93,13 +93,13 @@ class TestSampleOrbit:
             ([[0, 1, 1]], "track length must equal the horizon"),
         ):
             with pytest.raises(ValidationError, match=match):
-                c.Trajectory(spec, 3, None, symbols=bad)
+                c.Trajectory(spec, 3, symbols=bad)
         with pytest.raises(ValidationError, match="track length must equal the horizon"):
-            c.Trajectory(spec, 3, None, reals=[0.1, 0.2])
+            c.Trajectory(spec, 3, reals=[0.1, 0.2])
 
     def test_spec_must_be_a_system_spec(self):
         with pytest.raises(ValidationError, match="spec must be a system spec, got object"):
-            c.Trajectory(object(), 3, None, symbols=np.array([0, -1, 7]))
+            c.Trajectory(object(), 3, symbols=np.array([0, -1, 7]))
 
     def test_horizon_zero_rejected(self):
         with pytest.raises(UsageError):
@@ -253,7 +253,7 @@ class TestSymbolDtype:
 
     def test_wide_track_is_narrowed(self):
         wide = np.array([0, 256, 3, 299], dtype=np.int64)
-        t = c.Trajectory(c.FullShift(300, (1 / 300,) * 300), 4, None, symbols=wide)
+        t = c.Trajectory(c.FullShift(300, (1 / 300,) * 300), 4, symbols=wide)
         assert t.symbols.dtype == np.uint16
         assert t.symbols.tolist() == wide.tolist()
 
@@ -332,8 +332,8 @@ class TestWitnessSchedules:
 class TestDistanceSeries:
     def _pair(self, xs, ys):
         spec = c.FullShift(2, (0.5, 0.5))
-        a = c.Trajectory(spec, len(xs), None, symbols=np.array(xs, dtype=np.int64))
-        b = c.Trajectory(spec, len(ys), None, symbols=np.array(ys, dtype=np.int64))
+        a = c.Trajectory(spec, len(xs), symbols=np.array(xs, dtype=np.int64))
+        b = c.Trajectory(spec, len(ys), symbols=np.array(ys, dtype=np.int64))
         return c.OrbitPair(a, b)
 
     def test_hamming_identical(self):
