@@ -11,16 +11,11 @@ from .blocks import (
     TwoRowWord,
     central_block_scheme,
     derive_params,
-    disagreement_fraction,
     encode_block,
-    entry_disagreement,
     enumerate_family,
     fiber_pair,
-    free_positions,
-    inverse_pi,
     marker_row,
     pi,
-    project_position,
     sample_point,
     trajectory_from_word,
     word_from_free_words,
@@ -39,11 +34,9 @@ from .classify import (
 )
 from .density import (
     THRESHOLD_GRID,
-    BesicovitchBounds,
     DensityEstimate,
     DistanceSeries,
     PhiProfile,
-    besicovitch_bounds,
     checkpoint_grid,
     density_along,
     empirical_density,

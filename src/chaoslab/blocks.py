@@ -9,18 +9,19 @@ at its free positions. Every position of a C_k member copies one free bit;
 that source index is built once per (schedule, k). `encode_block` and `pi`
 are the only gathers through it; both act on the last axis of a stack of
 rows, so family enumeration, sampling, decoding and membership checks of
-many blocks are one call. All percentage claims about these blocks are
-exact rationals.
+many blocks are one call. Percentages are exact integer counts of
+differing components (`differing_components`), compared by
+cross-multiplying rather than as fractions.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
+from .classify import PartitionScheme
 from .errors import (
     GuardExceeded,
     MembershipError,
@@ -162,8 +163,8 @@ def _bits(
 
 def encode_block(schedule: QSchedule, k: int, free_bits: Sequence[int]) -> np.ndarray:
     """Write the p_k free bits through the recursion; returns the C_k member
-    of length N_k. A stack of free words (last axis p_k) encodes to the
-    stack of their members."""
+    of length N_k. This is the two-sided inverse of `pi`. A stack of free
+    words (last axis p_k) encodes to the stack of their members."""
     schedule._check_level(k)
     bits = _bits(free_bits, message="free bits must be 0/1")
     if bits.shape[-1] != schedule.p(k):
@@ -172,34 +173,6 @@ def encode_block(schedule: QSchedule, k: int, free_bits: Sequence[int]) -> np.nd
             f"got {bits.shape[-1]}"
         )
     return bits[..., _source_index(schedule, k)[0]]
-
-
-def inverse_pi(schedule: QSchedule, k: int, word: Sequence[int]) -> np.ndarray:
-    """Two-sided inverse of pi on C_k: identical to encode_block."""
-    return encode_block(schedule, k, word)
-
-
-@dataclass(frozen=True)
-class FreeLayout:
-    """Free positions of a level-k block and, per free position, the
-    positions forced to repeat it. Classes {f} + copies partition [0, N_k)."""
-
-    level: int
-    free: tuple[int, ...]
-    copies: dict[int, tuple[int, ...]]
-
-    def classes(self) -> list[tuple[int, ...]]:
-        return [tuple(sorted((f,) + self.copies[f])) for f in self.free]
-
-
-def free_positions(schedule: QSchedule, k: int) -> FreeLayout:
-    schedule._check_level(k)
-    src, _ = _source_index(schedule, k)
-    # each bit has 2^k copies; a stable sort lists them in position order
-    classes = np.argsort(src, kind="stable").reshape(schedule.p(k), 2**k).tolist()
-    free = tuple(cls[0] for cls in classes)
-    copies = {cls[0]: tuple(cls[1:]) for cls in classes}
-    return FreeLayout(level=k, free=free, copies=copies)
 
 
 def pi(schedule: QSchedule, k: int, block: Sequence[int]) -> np.ndarray:
@@ -216,14 +189,6 @@ def pi(schedule: QSchedule, k: int, block: Sequence[int]) -> np.ndarray:
     return words
 
 
-def is_member(schedule: QSchedule, k: int, block: Sequence[int]) -> bool:
-    try:
-        pi(schedule, k, block)
-        return True
-    except MembershipError:
-        return False
-
-
 def enumerate_family(schedule: QSchedule, k: int) -> np.ndarray:
     """All C_k members as a (2^p_k, N_k) array, ordered by their pi-word read
     as a big-endian integer."""
@@ -234,15 +199,6 @@ def enumerate_family(schedule: QSchedule, k: int) -> np.ndarray:
         )
     words = (np.arange(2**pk)[:, None] >> np.arange(pk - 1, -1, -1)) & 1
     return encode_block(schedule, k, words)
-
-
-def project_position(schedule: QSchedule, k: int, j: int) -> int:
-    """Coordinate descent [0, N_k) -> [0, p_k): the free bit position j
-    copies."""
-    schedule._check_level(k)
-    if not 0 <= j < schedule.n(k):
-        raise ValidationError(f"position {j} outside [0, {schedule.n(k)})")
-    return int(_source_index(schedule, k)[0][j])
 
 
 def marker_row(schedule: QSchedule, length: int | None = None) -> np.ndarray:
@@ -273,16 +229,6 @@ class TwoRowWord:
             raise ValidationError(f"offset must lie in [0, {top})")
 
     @property
-    def blocks(self) -> int:
-        return self.binary.size // self.schedule.n(self.schedule.depth)
-
-    @property
-    def offset_chain(self) -> tuple[int, ...]:
-        """Per-level position of time zero inside its enclosing k-block;
-        consecutive entries agree modulo N_k."""
-        return tuple(self.offset % self.schedule.n(k) for k in range(1, self.schedule.depth + 1))
-
-    @property
     def markers(self) -> np.ndarray:
         return marker_row(self.schedule, self.binary.size)
 
@@ -299,13 +245,6 @@ class TwoRowWord:
                 f"(window length minus offset)"
             )
         return self.binary[self.offset : self.offset + horizon].astype(symbol_dtype(2))
-
-    def validate(self) -> None:
-        """Check that every top-level window is a family member (membership
-        at the top level forces it at every lower level); the error names
-        the first window that is not."""
-        top = self.schedule.n(self.schedule.depth)
-        pi(self.schedule, self.schedule.depth, self.binary.reshape(-1, top))
 
 
 def sample_point(
@@ -378,75 +317,22 @@ def differing_components(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarra
     components (along the last axis) where the rows differ."""
     if a.shape != b.shape:
         raise ValidationError("stacks must have equal shape")
+    if length < 1:
+        raise ValidationError(f"component length must be >= 1, got {length}")
     if a.shape[-1] % length != 0:
         raise ValidationError(f"row length must be a multiple of {length}")
     parts = a.shape[:-1] + (-1, length)
     return np.count_nonzero(np.any(a.reshape(parts) != b.reshape(parts), axis=-1), axis=-1)
 
 
-def entry_disagreement(block_a: Sequence[int], block_b: Sequence[int]) -> Fraction:
-    """Exact fraction of entries where the two rows differ."""
-    a = _bits(block_a)
-    b = _bits(block_b)
-    if a.size != b.size:
-        raise ValidationError("blocks must have equal length")
-    return Fraction(int(differing_components(a.ravel(), b.ravel(), 1)), int(a.size))
-
-
-def disagreement_fraction(
-    schedule: QSchedule,
-    block_a: Sequence[int],
-    block_b: Sequence[int],
-    component_level: int,
-) -> Fraction:
-    """Exact fraction of component level-k blocks (canonical decomposition)
-    where two members of the same family differ."""
-    a = _bits(block_a, MembershipError, "block is not a binary row")
-    b = _bits(block_b, MembershipError, "block is not a binary row")
-    outer = _infer_level(schedule, a.size)
-    if a.size != b.size or not is_member(schedule, outer, np.stack([a, b])):
-        raise MembershipError(f"both blocks must be members of C_{outer}")
-    if not 1 <= component_level < outer:
-        raise ValidationError("component level must satisfy k < k'")
-    nk = schedule.n(component_level)
-    return Fraction(int(differing_components(a, b, nk)), a.size // nk)
-
-
-def image_component_disagreement(
-    schedule: QSchedule,
-    word_a: Sequence[int],
-    word_b: Sequence[int],
-    component_level: int,
-) -> Fraction:
-    """Image-side analog: fraction of p_k-bit groups where two pi-words
-    differ."""
-    a = _bits(word_a)
-    b = _bits(word_b)
-    if a.size != b.size:
-        raise ValidationError("words must have equal length")
-    pk = schedule.p(component_level)
-    if a.size % pk != 0:
-        raise ValidationError("word length must be a multiple of p_k")
-    return Fraction(int(differing_components(a, b, pk)), a.size // pk)
-
-
-def _infer_level(schedule: QSchedule, length: int) -> int:
-    for k in range(1, schedule.depth + 1):
-        if schedule.n(k) == length:
-            return k
-    raise MembershipError(f"length {length} matches no level of the schedule")
-
-
 # --- central-block partition scheme -----------------------------------------
 
 
-def central_block_scheme(schedule: QSchedule):
+def central_block_scheme(schedule: QSchedule) -> PartitionScheme:
     """The depth-k atom at time n is (position of n inside its enclosing
     k-block, content of that block). Both trajectories must carry a
     TwoRowWord source over this schedule and stay inside its window.
     Refining: the enclosing (k+1)-block determines the k-block."""
-    from .classify import PartitionScheme
-
     def same_atom_mask(pair: OrbitPair, k: int) -> np.ndarray:
         wa, wb = pair.a.source, pair.b.source
         for word in (wa, wb):
@@ -476,13 +362,11 @@ def central_block_scheme(schedule: QSchedule):
     )
 
 
-def aligned_window_scheme(window_lengths: Sequence[int]):
+def aligned_window_scheme(window_lengths: Sequence[int]) -> PartitionScheme:
     """The depth-k atom at time n is (phase, content) of its enclosing
     aligned window of length L_k, the trailing window cut at the horizon;
     L_k must divide L_{k+1}. Works on plain symbol tracks (offset 0). This is
     the image-side counterpart of the central-block scheme."""
-    from .classify import PartitionScheme
-
     lengths = tuple(int(x) for x in window_lengths)
     if any(b % a != 0 for a, b in zip(lengths, lengths[1:])):
         raise ValidationError("each window length must divide the next")

@@ -9,6 +9,7 @@ enforced structurally on the emitted flags.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,6 +37,9 @@ class Thresholds:
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ValidationError(f"{name} must lie in (0,1)")
+        b = self.burn_in
+        if b is not None and not (isinstance(b, numbers.Integral) and b >= 1):
+            raise ValidationError(f"burn_in must be None or an integer >= 1, got {b!r}")
         one_minus_tau_one, tau_zero, _, _ = self.exact_bounds
         if tau_zero >= one_minus_tau_one:  # on the decimals the reads use
             raise ValidationError("tau_one + tau_zero must be < 1")

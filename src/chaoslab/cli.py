@@ -456,11 +456,10 @@ def _system_spec(args) -> sy.SystemSpec:
         if not args.base:
             raise UsageError("odometer needs --base")
         return sy.OdometerSpec(args.base)
-    if args.system == "zero-entropy":
-        if not args.q:
-            raise UsageError("zero-entropy needs --q")
-        return sy.ZeroEntropy(bl.QSchedule(args.q))
-    raise UsageError(f"unknown system {args.system!r}")
+    # zero-entropy, the last of the --system choices
+    if not args.q:
+        raise UsageError("zero-entropy needs --q")
+    return sy.ZeroEntropy(bl.QSchedule(args.q))
 
 
 def _build_pair(args) -> sy.OrbitPair:
@@ -664,8 +663,8 @@ def _cmd_verify(args) -> int:
         k = schedule.depth
         family = bl.enumerate_family(schedule, k)
         words = bl.pi(schedule, k, family)
-        if not np.array_equal(bl.inverse_pi(schedule, k, words), family):
-            raise InvariantViolation("inverse_pi(pi(C)) != C")
+        if not np.array_equal(bl.encode_block(schedule, k, words), family):
+            raise InvariantViolation("encode_block(pi(C)) != C")
         # each p_k-bit word (p_k <= 16 under the enumeration guard) packs into
         # one int; the 2^p_k words are distinct exactly when every code appears
         codes = words @ (1 << np.arange(words.shape[1])[::-1])

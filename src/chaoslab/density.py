@@ -1,5 +1,4 @@
-"""Empirical upper/lower densities of time sets, Phi profiles and running
-ergodic averages.
+"""Empirical upper/lower densities of time sets and Phi profiles.
 
 Counting is exact: counts and horizons stay integers, and the extremes of
 count/n are picked exactly and reported as ``fractions.Fraction``. The
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import ClassVar, Iterable, NamedTuple, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +25,8 @@ def checkpoint_grid(horizon: int, burn_in: int | None = None) -> tuple[int, ...]
     """Geometric checkpoint grid of ratio CHECKPOINT_RATIO from the burn-in
     (max(100, N/1000) when None) up to the horizon. Built once per (horizon,
     burn-in): a scan asks for the same grid for every pair."""
+    if burn_in is not None and burn_in % 1:  # nan and inf included
+        raise PolicyError(f"burn-in must be an integer, got {burn_in!r}")
     burn = max(100, horizon // 1000) if burn_in is None else int(burn_in)
     if burn < 1:
         raise PolicyError("burn-in must be >= 1")
@@ -280,27 +281,3 @@ def phi_profile(d: DistanceSeries, burn_in: int | None = None) -> PhiProfile:
         )
         estimates = tuple(by_rank[r] for r in rank[:-1])
     return PhiProfile(estimates=estimates, horizon=d.horizon)
-
-
-class BesicovitchBounds(NamedTuple):
-    """min/max of the running mean of the distance over the checkpoint grid."""
-
-    low: Fraction | float
-    high: Fraction | float
-
-
-def besicovitch_bounds(d: DistanceSeries, burn_in: int | None = None) -> BesicovitchBounds:
-    """Running-mean extrema of the distance series; exact Fractions for
-    integer-valued series, floats otherwise. Integrality is read off the
-    table, so an integer-valued coded series is summed as integers."""
-    cps = checkpoint_grid(d.horizon, burn_in)
-    at = np.asarray(cps, dtype=np.int64) - 1
-    rounded = np.rint(d.table)
-    if np.array_equal(d.table, rounded):
-        ints = rounded.astype(np.int64)
-        sums = np.cumsum(ints if d.index is None else ints[d.index])[at]
-        (high,), (low,) = _exact_extremes(sums, cps)
-    else:
-        means = np.cumsum(d.values)[at] / np.asarray(cps, dtype=np.float64)
-        low, high = float(means.min()), float(means.max())
-    return BesicovitchBounds(low, high)

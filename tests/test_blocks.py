@@ -40,6 +40,17 @@ def encode_by_strings(q, k, bits):
     return half + half
 
 
+def free_layout(schedule, k):
+    """(free, classes, projection) of level k, read off `encode_block`: the
+    identity matrix encodes to one row per free bit, with a 1 at each
+    position that copies it. The row supports are the copy classes, each
+    led by its free position; the column argmax projects [0, N_k) onto the
+    free bits."""
+    copies = c.encode_block(schedule, k, np.eye(schedule.p(k), dtype=np.int8))
+    classes = [tuple(np.flatnonzero(row).tolist()) for row in copies]
+    return tuple(cls[0] for cls in classes), classes, copies.argmax(axis=0).tolist()
+
+
 class TestParameters:
     def test_q33_lengths(self):
         table = c.derive_params(c.QSchedule((3, 3)))
@@ -116,40 +127,39 @@ class TestEncode:
 
 class TestFreeLayout:
     def test_level_one_copies(self):
-        layout = c.free_positions(c.QSchedule((2, 2)), 1)
-        assert layout.free == (0, 1)
-        assert layout.copies == {0: (2,), 1: (3,)}
+        free, classes, _ = free_layout(c.QSchedule((2, 2)), 1)
+        assert free == (0, 1)
+        assert classes == [(0, 2), (1, 3)]
 
     def test_level_two_classes(self):
-        layout = c.free_positions(c.QSchedule((2, 2)), 2)
-        assert layout.free == (0, 1, 4, 5)
-        assert set(layout.copies[0]) == {2, 8, 10}
-        for cls in layout.classes():
+        free, classes, _ = free_layout(c.QSchedule((2, 2)), 2)
+        assert free == (0, 1, 4, 5)
+        assert classes[0] == (0, 2, 8, 10)
+        for cls in classes:
             assert len(cls) == 4  # 2^k
 
     def test_classes_partition_everything(self):
         q = c.QSchedule((2, 3, 2))
         for k in (1, 2, 3):
-            layout = c.free_positions(q, k)
-            classes = layout.classes()
+            _, classes, _ = free_layout(q, k)
             assert len(classes) == q.p(k)
             assert all(len(cls) == 2**k for cls in classes)
             flat = sorted(pos for cls in classes for pos in cls)
             assert flat == list(range(q.n(k)))
 
     def test_deep_class_matches_hand_recursion(self):
-        layout = c.free_positions(c.QSchedule((2, 2, 2)), 3)
-        assert layout.free == (0, 1, 4, 5, 16, 17, 20, 21)
-        assert sorted((17,) + layout.copies[17]) == [17, 19, 25, 27, 49, 51, 57, 59]
+        free, classes, _ = free_layout(c.QSchedule((2, 2, 2)), 3)
+        assert free == (0, 1, 4, 5, 16, 17, 20, 21)
+        assert classes[5] == (17, 19, 25, 27, 49, 51, 57, 59)
 
     def test_copies_carry_the_free_bit(self):
         q = c.QSchedule((2, 2, 2))
-        layout = c.free_positions(q, 3)
+        _, classes, _ = free_layout(q, 3)
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, q.p(3))
         row = c.encode_block(q, 3, bits)
-        for idx, f in enumerate(layout.free):
-            for pos in layout.copies[f]:
+        for idx, cls in enumerate(classes):
+            for pos in cls:
                 assert row[pos] == bits[idx]
 
 
@@ -178,7 +188,7 @@ class TestPi:
         for row in family:
             w = c.pi(q, 3, row)
             words.add(w.tobytes())
-            assert np.array_equal(c.inverse_pi(q, 3, w), row)
+            assert np.array_equal(c.encode_block(q, 3, w), row)
         assert len(words) == 256  # injective and onto all 8-bit words
 
     def test_recursion_identity(self):
@@ -215,43 +225,40 @@ class TestPi:
         )
         row = c.encode_block(q, k, bits)
         assert c.pi(q, k, row).tolist() == bits
-        layout = c.free_positions(q, k)
-        assert list(layout.free) == sorted(layout.free)
-        # percentage preservation against a second random word
+        free, _, _ = free_layout(q, k)
+        assert list(free) == sorted(free)
+        # percentage preservation against a second random word: differing
+        # entries over N_k equal differing bits over p_k
         other = data.draw(
             st.lists(st.integers(0, 1), min_size=q.p(k), max_size=q.p(k))
         )
         row2 = c.encode_block(q, k, other)
-        assert c.entry_disagreement(row, row2) == c.entry_disagreement(bits, other)
+        assert bl.differing_components(row, row2, 1) * q.p(k) == bl.differing_components(
+            np.array(bits), np.array(other), 1
+        ) * q.n(k)
 
 
 class TestProjectPosition:
     def test_level_one(self):
-        q = c.QSchedule((2, 2))
-        assert [c.project_position(q, 1, j) for j in range(4)] == [0, 1, 0, 1]
+        assert free_layout(c.QSchedule((2, 2)), 1)[2] == [0, 1, 0, 1]
 
     def test_level_two_full_table(self):
-        q = c.QSchedule((2, 2))
-        table = [c.project_position(q, 2, j) for j in range(16)]
+        table = free_layout(c.QSchedule((2, 2)), 2)[2]
         assert table == [0, 1, 0, 1, 2, 3, 2, 3, 0, 1, 0, 1, 2, 3, 2, 3]
 
     def test_free_positions_are_fixed_points(self):
         q = c.QSchedule((2, 3, 2))
         for k in (1, 2, 3):
-            layout = c.free_positions(q, k)
-            for idx, f in enumerate(layout.free):
-                assert c.project_position(q, k, f) == idx
+            free, _, projection = free_layout(q, k)
+            for idx, f in enumerate(free):
+                assert projection[f] == idx
 
     def test_constant_on_repetition_classes(self):
         q = c.QSchedule((3, 2))
-        layout = c.free_positions(q, 2)
-        for idx, f in enumerate(layout.free):
-            for pos in layout.copies[f]:
-                assert c.project_position(q, 2, pos) == idx
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            c.project_position(c.QSchedule((2, 2)), 2, 16)
+        _, classes, projection = free_layout(q, 2)
+        for idx, cls in enumerate(classes):
+            for pos in cls:
+                assert projection[pos] == idx
 
 
 SCHEDULES = [(2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2)]
@@ -275,11 +282,10 @@ class TestSourceIndex:
         schedule = c.QSchedule(q)
         for k in range(1, schedule.depth + 1):
             classes = free_classes_recursive(q, k)
-            layout = c.free_positions(schedule, k)
-            assert layout.free == tuple(cls[0] for cls in classes)
-            assert layout.copies == {cls[0]: tuple(sorted(cls[1:])) for cls in classes}
-            assert bl._source_index(schedule, k)[1].tolist() == list(layout.free)
-            projected = [c.project_position(schedule, k, j) for j in range(schedule.n(k))]
+            free, derived, projected = free_layout(schedule, k)
+            assert free == tuple(cls[0] for cls in classes)
+            assert derived == [(cls[0],) + tuple(sorted(cls[1:])) for cls in classes]
+            assert bl._source_index(schedule, k)[1].tolist() == list(free)
             assert projected == [
                 project_position_recursive(q, k, j) for j in range(schedule.n(k))
             ]
@@ -312,7 +318,8 @@ class TestSourceIndex:
         for j in range(row.size):
             flipped = row.copy()
             flipped[j] ^= 1
-            assert not bl.is_member(schedule, k, flipped)
+            with pytest.raises(MembershipError):
+                c.pi(schedule, k, flipped)
 
     @pytest.mark.parametrize("q", SCHEDULES)
     def test_stacks_match_per_row_calls(self, q):
@@ -342,7 +349,6 @@ class TestSourceIndex:
             c.pi(schedule, k, blocks[3])
         for i in (0, 1, 2):
             c.pi(schedule, k, blocks[i])
-        assert not bl.is_member(schedule, k, blocks)
         blocks[1, 0] = 2
         with pytest.raises(MembershipError, match="^row 1: block is not a binary row$"):
             c.pi(schedule, k, blocks)
@@ -354,7 +360,7 @@ class TestSourceIndex:
         word = bl.word_from_free_words(schedule, words[:2])
         word.binary[schedule.n(k) + 1] ^= 1
         with pytest.raises(MembershipError, match="^row 1: "):
-            word.validate()
+            c.pi(schedule, k, word.binary.reshape(-1, schedule.n(k)))
 
     @pytest.mark.parametrize("seed", [1, 7, 12345])
     @pytest.mark.parametrize("blocks", [1, 3, 10418])
@@ -375,7 +381,7 @@ class TestSourceIndex:
         rows = [encode_block_recursive(q, 3, w) for w in free]
         assert np.array_equal(word.binary, np.concatenate(rows))
         assert word.offset == 4
-        word.validate()
+        assert np.array_equal(c.pi(schedule, 3, word.binary.reshape(-1, schedule.n(3))), free)
         with pytest.raises(ValidationError):
             bl.word_from_free_words(schedule, free * 2)
 
@@ -406,12 +412,6 @@ class TestBitInput:
             c.TwoRowWord(q, 0, np.full(16, 0.5))
         with pytest.raises(ValidationError):
             c.TwoRowWord(q, 0, np.full(16, 257))
-        with pytest.raises(ValidationError):
-            c.blocks.entry_disagreement([0, 1.5], [0, 1])
-        with pytest.raises(ValidationError):
-            c.blocks.image_component_disagreement(q, [0, 1, 1, 1], ["0", "1", "0", "0"], 1)
-        with pytest.raises(ValidationError):
-            c.disagreement_fraction(q, np.full(16, 0.5), np.zeros(16), 1)
         # integral floats and bools are bits
         assert c.encode_block(q, 1, [1.0, 0.0]).tolist() == [1, 0, 1, 0]
         assert c.encode_block(q, 1, np.array([True, False])).tolist() == [1, 0, 1, 0]
@@ -479,10 +479,10 @@ class TestSampling:
     def test_word_validate(self):
         q = c.QSchedule((2, 2))
         w = c.sample_point(q, seed=1)
-        w.validate()
+        c.pi(q, 2, w.binary.reshape(-1, q.n(2)))
         bad = c.TwoRowWord(q, 0, np.array([0, 1, 1, 1] * 4, dtype=np.int8))
         with pytest.raises(MembershipError):
-            bad.validate()
+            c.pi(q, 2, bad.binary.reshape(-1, q.n(2)))
 
     def test_symbol_track_cap(self):
         q = c.QSchedule((2, 2))
@@ -490,15 +490,6 @@ class TestSampling:
         assert w.available_horizon == 6
         with pytest.raises(UsageError):
             w.symbol_track(7)
-
-    def test_offset_chain_congruence(self):
-        q = c.QSchedule((2, 3, 2))
-        for seed in range(20):
-            w = c.sample_point(q, seed=seed)
-            chain = w.offset_chain
-            assert all(0 <= o < q.n(k) for k, o in enumerate(chain, start=1))
-            for k in range(len(chain) - 1):
-                assert chain[k + 1] % q.n(k + 1) == chain[k]
 
 
 class TestFiberPair:
@@ -518,13 +509,13 @@ class TestFiberPair:
         # free bits disagree with probability 1/2 and forced repetitions copy
         # disagreements verbatim, so the whole-row fraction is ~1/2 too
         q = c.QSchedule((2, 2, 2))
+        free = list(free_layout(q, 3)[0])
         fractions = []
         for trial in range(200):
             pair = bl.fiber_pair(q, (1000 + 2 * trial, 1001 + 2 * trial), offset=0)
             wa, wb = pair.a.source, pair.b.source
-            fractions.append(float(bl.entry_disagreement(wa.binary, wb.binary)))
-            layout = c.free_positions(q, 3)
-            free_frac = np.mean(wa.binary[list(layout.free)] != wb.binary[list(layout.free)])
+            fractions.append(bl.differing_components(wa.binary, wb.binary, 1) / wa.binary.size)
+            free_frac = np.mean(wa.binary[free] != wb.binary[free])
             assert abs(free_frac - fractions[-1]) < 1e-12  # repetitions copy exactly
         assert abs(np.mean(fractions) - 0.5) < 0.05
 
@@ -533,35 +524,34 @@ class TestPercentages:
     def test_equal_blocks_zero(self):
         q = c.QSchedule((2, 2))
         row = c.encode_block(q, 2, [0, 1, 1, 1])
-        assert c.disagreement_fraction(q, row, row, 1) == 0
+        assert bl.differing_components(row, row, q.n(1)) == 0
 
     def test_hand_example(self):
+        # 4 components of length N_1 = 4 in each block, p_1 = 2 bits in each group
         q = c.QSchedule((2, 2))
         a = c.encode_block(q, 2, [0, 1, 1, 1])
         b = c.encode_block(q, 2, [0, 1, 0, 0])
-        assert c.disagreement_fraction(q, a, b, 1) == Fraction(1, 2)
-        img = c.blocks.image_component_disagreement
-        assert img(q, [0, 1, 1, 1], [0, 1, 0, 0], 1) == Fraction(1, 2)
+        assert Fraction(int(bl.differing_components(a, b, q.n(1))), 4) == Fraction(1, 2)
+        words = np.array([[0, 1, 1, 1], [0, 1, 0, 0]])
+        assert Fraction(int(bl.differing_components(*words, q.p(1))), 2) == Fraction(1, 2)
 
     def test_membership_required(self):
         q = c.QSchedule((2, 2))
         with pytest.raises(MembershipError):
-            c.disagreement_fraction(q, np.zeros(16, np.int8), np.ones(16, np.int8) * 2, 1)
+            c.pi(q, 2, np.stack([np.zeros(16, np.int8), np.ones(16, np.int8) * 2]))
 
     def test_exhaustive_preservation_two_levels(self):
         # every ordered pair of depth-2 members: entry and component
-        # percentages survive the coding bijection exactly
+        # percentages survive the coding bijection exactly; the counts
+        # cross-multiply by the number of parts on the other side
         q = c.QSchedule((2, 2))
         family = c.enumerate_family(q, 2)
-        words = np.array([c.pi(q, 2, row) for row in family])
-        for i in range(len(family)):
-            for j in range(len(family)):
-                assert c.entry_disagreement(family[i], family[j]) == c.entry_disagreement(
-                    words[i], words[j]
-                )
-                assert c.disagreement_fraction(
-                    q, family[i], family[j], 1
-                ) == c.blocks.image_component_disagreement(q, words[i], words[j], 1)
+        words = c.pi(q, 2, family)
+        i, j = (x.ravel() for x in np.indices((len(family), len(family))))
+        for n_l, p_l in ((1, 1), (q.n(1), q.p(1))):
+            lhs = bl.differing_components(family[i], family[j], n_l) * (q.p(2) // p_l)
+            rhs = bl.differing_components(words[i], words[j], p_l) * (q.n(2) // n_l)
+            assert np.array_equal(lhs, rhs)
 
     @pytest.mark.parametrize("length", [1, 2, 3, 6])
     def test_differing_components_per_row(self, length):
@@ -581,6 +571,9 @@ class TestPercentages:
             bl.differing_components(np.zeros((2, 4)), np.zeros((1, 4)), 2)
         with pytest.raises(ValidationError, match="multiple of 3"):
             bl.differing_components(np.zeros(4), np.zeros(4), 3)
+        for length in (0, -2):
+            with pytest.raises(ValidationError, match="component length must be >= 1"):
+                bl.differing_components(np.zeros(4), np.zeros(4), length)
 
 
 class TestEntropySignature:

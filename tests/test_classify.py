@@ -139,6 +139,15 @@ class TestMetricClassification:
         with pytest.raises(ValidationError):
             c.Thresholds(eta_min=1.0)
 
+    @pytest.mark.parametrize("burn_in", [0, -1, 2.5, 3.0])
+    def test_burn_in_must_be_an_integer_of_at_least_one(self, burn_in):
+        # refused when the thresholds are built, not after a classification
+        # has built its same-atom masks
+        with pytest.raises(ValidationError, match="burn_in must be None or an integer >= 1"):
+            c.Thresholds(burn_in=burn_in)
+        for ok in (None, 1, np.int64(7)):
+            assert c.Thresholds(burn_in=ok).burn_in == ok
+
     def test_tau_sum_is_read_on_the_decimals(self):
         # the floats sum to 1.0, the decimals to 0.99999999999999997
         th = c.Thresholds(tau_one=0.763774618976614, tau_zero=0.23622538102338597)
@@ -579,7 +588,7 @@ class TestScan:
         # edges only inside {0,1,2}: vertex 3 disagrees everywhere, so it
         # pairs with nobody
         q, trajectories = pulled_back_dc2_family(4)
-        blocks_count = trajectories[0].source.blocks
+        blocks_count = trajectories[0].source.binary.size // q.n(q.depth)
         loner_free = np.ones((blocks_count, q.p(3)), dtype=np.int8)
         loner = bl.trajectory_from_word(bl.word_from_free_words(q, loner_free))
         vertices = trajectories[:3] + [loner]
@@ -623,7 +632,7 @@ class TestScanCodedAgainstFloatPath:
     @pytest.mark.parametrize("metric", ["hamming-indicator", "cantor"])
     def test_pullback_family_clique_matches_float_path(self, metric):
         q, trajectories = pulled_back_dc2_family(4)
-        blocks_count = trajectories[0].source.blocks
+        blocks_count = trajectories[0].source.binary.size // q.n(q.depth)
         loner_free = np.ones((blocks_count, q.p(3)), dtype=np.int8)
         loner = bl.trajectory_from_word(bl.word_from_free_words(q, loner_free))
         vertices = trajectories[:3] + [loner]

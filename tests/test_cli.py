@@ -563,16 +563,19 @@ class TestVerifySuites:
         assert "OK" in capsys.readouterr().out
 
     def test_pi_bijection_catches_a_broken_inverse(self, monkeypatch, capsys):
-        inverse = c.blocks.inverse_pi
+        encode = c.blocks.encode_block
 
         def broken(schedule, k, words):
-            out = inverse(schedule, k, words)
+            out = encode(schedule, k, words)
             out[-1] = out[0]
             return out
 
-        monkeypatch.setattr(c.blocks, "inverse_pi", broken)
+        # the family is built before the break, so only the read-back differs
+        family = c.enumerate_family(c.QSchedule((2, 2, 2)), 3)
+        monkeypatch.setattr(c.blocks, "enumerate_family", lambda schedule, k: family)
+        monkeypatch.setattr(c.blocks, "encode_block", broken)
         assert run(["verify", "--suite", "pi-bijection", "--q", "2,2,2"]) == 2
-        assert "inverse_pi(pi(C)) != C" in capsys.readouterr().err
+        assert "encode_block(pi(C)) != C" in capsys.readouterr().err
 
     def test_pi_bijection_catches_repeated_words(self, monkeypatch, capsys):
         decode = c.blocks.pi
@@ -582,10 +585,10 @@ class TestVerifySuites:
             words[-1] = words[0]
             return words
 
-        # with inverse_pi reading the family back, only distinctness can fail
+        # with encode_block reading the family back, only distinctness can fail
         family = c.enumerate_family(c.QSchedule((2, 2, 2)), 3)
         monkeypatch.setattr(c.blocks, "pi", repeating)
-        monkeypatch.setattr(c.blocks, "inverse_pi", lambda schedule, k, words: family)
+        monkeypatch.setattr(c.blocks, "encode_block", lambda schedule, k, words: family)
         assert run(["verify", "--suite", "pi-bijection", "--q", "2,2,2"]) == 2
         assert "not injective" in capsys.readouterr().err
 

@@ -60,6 +60,14 @@ class TestEmpiricalDensity:
         with pytest.raises(PolicyError, match="burn-in must be >= 1"):
             c.empirical_density(first_times(1, 5), burn_in)
 
+    @pytest.mark.parametrize("burn_in", [2.5, float("nan"), float("inf")])
+    def test_non_integral_burn_in_is_policy_error(self, burn_in):
+        with pytest.raises(PolicyError, match="burn-in must be an integer"):
+            c.checkpoint_grid(4, burn_in)
+        with pytest.raises(PolicyError, match="burn-in must be an integer"):
+            c.phi_profile(c.DistanceSeries(np.zeros(4)), burn_in)
+        assert c.checkpoint_grid(4, np.int64(2)) == c.checkpoint_grid(4, 2.0) == (2, 3, 4)
+
 
 class TestDensityAlong:
     def test_full_set_any_checkpoints(self):
@@ -146,35 +154,6 @@ class TestPhiProfile:
         prof = c.phi_profile(d, 2000)
         assert np.all(np.abs(prof.phi_star - 0.5) <= 0.03)
         assert np.all(np.abs(prof.phi_lower - 0.5) <= 0.03)
-
-
-class TestBesicovitch:
-    def test_constant_series(self):
-        zeros = c.DistanceSeries(np.zeros(200))
-        ones = c.DistanceSeries(np.ones(200))
-        assert tuple(c.besicovitch_bounds(zeros, 1)) == (0, 0)
-        assert tuple(c.besicovitch_bounds(ones, 1)) == (1, 1)
-
-    def test_doubling_series_bounds(self):
-        horizon = 4**10
-        mask = c.systems.runs_to_mask(doubling_runs(horizon), horizon)
-        d = c.DistanceSeries((~mask).astype(float))
-        low, high = c.besicovitch_bounds(d)
-        assert abs(float(low) - 1 / 3) <= 0.02
-        assert abs(float(high) - 2 / 3) <= 0.02
-
-    @given(st.lists(st.integers(0, 1), min_size=30, max_size=200), st.integers(1, 10))
-    @settings(max_examples=60, deadline=None)
-    def test_indicator_identity_with_zero_set(self, bits, burn):
-        # the mean of an indicator is a count ratio: besicovitch bounds equal
-        # (1 - upper, 1 - lower) of the zero set, exactly
-        values = np.array(bits, dtype=float)
-        d = c.DistanceSeries(values)
-        burn = min(burn, len(bits))
-        low, high = c.besicovitch_bounds(d, burn)
-        est = c.empirical_density(values == 0, burn)
-        assert low == 1 - est.upper
-        assert high == 1 - est.lower
 
 
 @st.composite
@@ -571,13 +550,6 @@ class TestCodedPhi:
         assert [estimate_key(e) for e in prof.estimates] == [
             estimate_key(e) for e in want.estimates
         ]
-
-    def test_besicovitch_of_coded_series_matches_float_path(self):
-        pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 5000, (5, 6))
-        for metric in ("hamming-indicator", "cantor"):
-            d = c.distance_series(pair, metric)
-            plain = c.DistanceSeries(d.values)
-            assert tuple(c.besicovitch_bounds(d)) == tuple(c.besicovitch_bounds(plain))
 
     def test_checkpoints_built_once_per_grid(self):
         first = c.checkpoint_grid(5000, 7)
