@@ -1,12 +1,12 @@
 """Benchmark the full-shift sampler, the interval-map orbit loops (tent
 and logistic) and the coding track built from a real track, the exact
 eta-ball count, the per-pair distance series plus Phi profile of the
-symbolic metrics, the nested-time-set density kernel on its own (at 1, 3,
-4 and 16 levels, on both sides of its counting-method constant) and its
-exact pick on the Fraction path, the plug-in word entropy on both of its counting branches,
-the `pair` dump writer on its own and its real cells against `repr`, one
-small CLI call (first and later calls) and the `verify --suite
-pi-bijection` CLI call at q = 2,3,2.
+Hamming, Cantor and absolute metrics and the depth-3 cylinder estimates,
+the time-set kernel on its own (1, 3 and 16 packed planes) and its exact
+pick on the Fraction path, the plug-in word entropy on both of its
+counting branches and at a stride, the `pair` dump writer on its own and
+its real cells against `repr`, one small CLI call (first and later calls)
+and the `verify --suite pi-bijection` CLI call at q = 2,3,2.
 
 Run as a script from a checkout (no install needed):
     python benchmarks/bench_kernels.py
@@ -23,7 +23,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from chaoslab import density  # noqa: E402
+from chaoslab.classify import Thresholds, _same_atom_estimates, cylinder_scheme  # noqa: E402
 from chaoslab.density import (  # noqa: E402
     _exact_extremes,
     checkpoint_grid,
@@ -39,6 +39,7 @@ from chaoslab.entropy import (  # noqa: E402
 from chaoslab.systems import (  # noqa: E402
     FullShift,
     IntervalMap,
+    OrbitPair,
     coding_symbols,
     distance_series,
     make_pair,
@@ -82,37 +83,33 @@ def main():
         t, _ = timeit(coding_symbols, IntervalMap("tent", 1.99, depth), reals)
         print(f"  depth={depth}: {t*1e3:8.2f} ms")
 
-    print("\ndistance_series + phi_profile per pair (full 2-shift, default grid)")
-    spec = FullShift(2, (0.5, 0.5))
-    for horizon in (100_000, 1_000_000):
-        pair = make_pair(spec, horizon, (1, 2))
-        for metric in ("hamming-indicator", "cantor"):
-            t_d, series = timeit(distance_series, pair, metric)
+    print("\nper pair, default grid: distance_series + phi_profile of each metric,"
+          " and the depth-3 cylinder estimates (full 2-shift; tent a=1.99 for absolute)")
+    for horizon in (100_000, 2**20):
+        shift = make_pair(FullShift(2, (0.5, 0.5)), horizon, (1, 2))
+        tent = make_pair(IntervalMap("tent", 1.99), horizon, (1, 2))
+        for metric, pair in (("hamming-indicator", shift), ("cantor", shift), ("absolute", tent)):
+            # a fresh pair each call, so the cached agreement plane is rebuilt
+            t_d, series = timeit(lambda: distance_series(OrbitPair(pair.a, pair.b), metric))
             t_p, _ = timeit(phi_profile, series)
             print(f"  N={horizon:8d} {metric:17s}: distance_series {t_d*1e3:7.2f} ms"
                   f"   phi_profile {t_p*1e3:7.2f} ms")
+        scheme, th = cylinder_scheme(3), Thresholds()
+        t, _ = timeit(lambda: _same_atom_estimates(OrbitPair(shift.a, shift.b), scheme, th))
+        print(f"  N={horizon:8d} cylinder depth 3 : same-atom estimates {t*1e3:7.2f} ms")
 
-    chosen = density.COUNT_NONZERO_MAX_LEVELS
-    print("\nnested_density_estimates alone (default checkpoint grid, random uint8 codes),"
-          " each level count forced through count_nonzero and through bincount; the"
-          f" kernel uses count_nonzero up to COUNT_NONZERO_MAX_LEVELS = {chosen}")
+    print("\nnested_density_estimates alone (default checkpoint grid, random packed planes)")
     rng = np.random.default_rng(0)
     for horizon in (100_000, 2**20):
         cps = checkpoint_grid(horizon)
-        # a Hamming profile has 1 level, a depth-3 partition 3, a Cantor
-        # profile on the default grid 16; 3 and 4 straddle the constant
-        for levels in (1, 3, 4, 16):
-            codes = rng.integers(0, levels + 1, horizon).astype(np.uint8)
-            times = {}
-            try:
-                for method, limit in (("count_nonzero", levels), ("bincount", 0)):
-                    density.COUNT_NONZERO_MAX_LEVELS = limit
-                    times[method], _ = timeit(nested_density_estimates, codes, levels, cps,
-                                              repeat=7)
-            finally:
-                density.COUNT_NONZERO_MAX_LEVELS = chosen
-            print(f"  N={horizon:8d} ({len(cps)} checkpoints) levels={levels:2d}: "
-                  + "   ".join(f"{m} {t*1e3:6.2f} ms" for m, t in times.items()))
+        # a Hamming profile counts 1 plane, a depth-3 partition 3, a Cantor
+        # or absolute profile on the default grid 16
+        for count in (1, 3, 16):
+            planes = rng.integers(0, 2**64, (count, -(-horizon // 64)), dtype=np.uint64)
+            if horizon % 64:
+                planes[:, -1] &= np.uint64((1 << (horizon % 64)) - 1)
+            t, _ = timeit(nested_density_estimates, planes, horizon, cps, repeat=7)
+            print(f"  N={horizon:8d} ({len(cps)} checkpoints) planes={count:2d}: {t*1e3:6.2f} ms")
     # above nmax**2 * max ratio = 2**51 every ratio is a Fraction: synthetic
     # counts of 17 levels on the N = 1e8 grid, so no 1e8 sample is built
     cps = checkpoint_grid(100_000_000)
@@ -123,13 +120,13 @@ def main():
           f" Fraction path): {t*1e3:7.2f} ms")
 
     print("\nempirical_cylinder_entropy, N=1e6 fair bits (2^12 words: count table;"
-          " 2^24: sort)")
+          " 2^24 and 2^62: sort)")
     bits = rng.integers(0, 2, 1_000_000)
-    for word_len in (12, 24):
+    for word_len, stride in ((12, 1), (24, 1), (62, 4)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UndersampledWarning)  # 2^24 words
-            t, _ = timeit(empirical_cylinder_entropy, bits, word_len)
-        print(f"  word_len={word_len:2d}: {t*1e3:8.2f} ms")
+            t, _ = timeit(empirical_cylinder_entropy, bits, word_len, stride)
+        print(f"  word_len={word_len:2d} stride={stride}: {t*1e3:8.2f} ms")
 
     print("\npair dump writer alone (pair sampled beforehand, written to a temp directory)")
     with tempfile.TemporaryDirectory() as scratch:

@@ -38,9 +38,9 @@ from .density import (
     DistanceSeries,
     PhiProfile,
     checkpoint_grid,
-    density_along,
-    empirical_density,
+    pack_times,
     phi_profile,
+    unpack_times,
 )
 from .entropy import (
     BallBound,

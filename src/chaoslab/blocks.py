@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .classify import PartitionScheme
+from .density import pack_times
 from .errors import (
     GuardExceeded,
     MembershipError,
@@ -344,7 +345,7 @@ def central_block_scheme(schedule: QSchedule) -> PartitionScheme:
                 raise SchemeError(f"time {word.available_horizon} outside the word's window")
         nk = schedule.n(k)
         if wa.offset % nk != wb.offset % nk:
-            return np.zeros(pair.horizon, dtype=bool)  # positions never align
+            return pack_times(np.zeros(pair.horizon, dtype=bool))  # positions never align
         # time n lies in k-block (offset + n) // N_k of each word; with equal
         # residues the two block indices differ by a constant shift
         first = wa.offset // nk
@@ -353,7 +354,7 @@ def central_block_scheme(schedule: QSchedule) -> PartitionScheme:
         blocks_a = wa.binary.reshape(-1, nk)[first : last + 1]
         blocks_b = wb.binary.reshape(-1, nk)[first + shift : last + 1 + shift]
         same = np.all(blocks_a == blocks_b, axis=1)
-        return same[(wa.offset + np.arange(pair.horizon)) // nk - first]
+        return pack_times(same[(wa.offset + np.arange(pair.horizon)) // nk - first])
 
     return PartitionScheme(
         depth=schedule.depth,
@@ -381,6 +382,6 @@ def aligned_window_scheme(window_lengths: Sequence[int]) -> PartitionScheme:
         out = np.empty(pair.horizon, dtype=bool)
         out[:full] = np.repeat(eq, lk)
         out[full:] = np.array_equal(pair.a.symbols[full:], pair.b.symbols[full:])
-        return out
+        return pack_times(out)
 
     return PartitionScheme(depth=len(lengths), same_atom_mask=same_atom_mask, name="aligned-window")

@@ -17,7 +17,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .density import DensityEstimate, PhiProfile, checkpoint_grid, nested_density_estimates
+from .density import (
+    DensityEstimate,
+    PhiProfile,
+    agreement_runs,
+    check_planes,
+    checkpoint_grid,
+    nested_density_estimates,
+)
 from .errors import SchemeError, ValidationError
 from .systems import OrbitPair, Trajectory
 
@@ -161,8 +168,9 @@ def classify_metric_pair(profile: PhiProfile, th: Thresholds = Thresholds()) -> 
 @dataclass(frozen=True)
 class PartitionScheme:
     """Refining sequence of finite partitions, presented by its same-atom
-    mask: `same_atom_mask(pair, k)[n]` holds when both trajectories of the
-    pair lie in the same depth-k atom at time n."""
+    plane: `same_atom_mask(pair, k)` is the packed plane (see
+    `density.pack_times`) of the times at which both trajectories of the
+    pair lie in the same depth-k atom."""
 
     depth: int
     same_atom_mask: Callable[[OrbitPair, int], np.ndarray]
@@ -175,27 +183,23 @@ class PartitionScheme:
 
 def cylinder_scheme(max_depth: int):
     """Full-shift scheme: the depth-k atom at time n is the symbol word at
-    [n, n+k), truncated at the horizon."""
+    [n, n+k), truncated at the horizon: a run of k agreements from n, with
+    agreement past the horizon."""
 
     def same_atom_mask(pair: OrbitPair, k: int) -> np.ndarray:
-        a, b = pair.a.symbols, pair.b.symbols
-        if a is None or b is None:
+        if pair.a.symbols is None or pair.b.symbols is None:
             raise SchemeError("cylinder scheme needs a symbol track")
-        eq = a == b
-        out = np.ones(pair.horizon, dtype=bool)
-        for j in range(min(k, pair.horizon)):  # words are truncated at the horizon
-            out[: pair.horizon - j] &= eq[j:]
-        return out
+        return agreement_runs(pair.agreement, pair.horizon, (k,), tail=True)[0]
 
     return PartitionScheme(depth=max_depth, same_atom_mask=same_atom_mask, name="cylinder")
 
 
 def same_atom_series(pair: OrbitPair, scheme: PartitionScheme, k: int) -> np.ndarray:
-    """Boolean mask over times 1..N: where both trajectories lie in the same
+    """Packed plane over times 1..N: where both trajectories lie in the same
     depth-k atom."""
     if not 1 <= k <= scheme.depth:
         raise SchemeError(f"depth {k} outside the scheme's range 1..{scheme.depth}")
-    return np.asarray(scheme.same_atom_mask(pair, k), dtype=bool)
+    return check_planes(np.asarray(scheme.same_atom_mask(pair, k))[None], pair.horizon)[0]
 
 
 @dataclass(frozen=True)
@@ -221,25 +225,19 @@ class PartitionVerdict:
 def _same_atom_estimates(
     pair: OrbitPair, scheme: PartitionScheme, th: Thresholds
 ) -> list[DensityEstimate]:
-    """Same-atom density estimates for depths 1..depth, in one kernel pass.
-
-    A refining scheme nests its same-atom sets, so the code at time n is
-    depth minus the number of depths whose same-atom mask holds there, and
-    the kernel's level j is the same-atom set at depth `depth - j`.
-    """
-    codes = np.full(pair.horizon, scheme.depth, dtype=np.min_scalar_type(scheme.depth))
-    prev = None
-    for k in range(1, scheme.depth + 1):
-        mask = same_atom_series(pair, scheme, k)
-        if prev is not None and np.any(mask > prev):
-            raise SchemeError(
-                f"scheme {scheme.name!r} does not refine: its same-atom set at "
-                f"depth {k} is not inside the one at depth {k - 1}"
-            )
-        codes -= mask
-        prev = mask
+    """Same-atom density estimates for depths 1..depth, in one kernel call
+    over the stacked planes, after checking that each depth's set lies
+    inside the one before."""
+    planes = np.stack([same_atom_series(pair, scheme, k) for k in range(1, scheme.depth + 1)])
+    outside = np.flatnonzero((planes[1:] & ~planes[:-1]).any(axis=1))
+    if outside.size:
+        k = int(outside[0]) + 2
+        raise SchemeError(
+            f"scheme {scheme.name!r} does not refine: its same-atom set at "
+            f"depth {k} is not inside the one at depth {k - 1}"
+        )
     cps = checkpoint_grid(pair.horizon, th.burn_in)
-    return list(nested_density_estimates(codes, scheme.depth, cps)[::-1])
+    return list(nested_density_estimates(planes, pair.horizon, cps))
 
 
 def classify_partition_pair(

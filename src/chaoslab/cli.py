@@ -712,13 +712,14 @@ def _cmd_verify(args) -> int:
         pair = bl.fiber_pair(
             schedule, (args.seed + 2 * trial + 1, args.seed + 2 * trial + 2), offset=offset
         )
-        masks = [scheme.same_atom_mask(pair, k) for k in range(1, schedule.depth + 1)]
-        for coarse, fine in zip(masks, masks[1:]):
+        planes = [scheme.same_atom_mask(pair, k) for k in range(1, schedule.depth + 1)]
+        for coarse, fine in zip(planes, planes[1:]):
             if np.any(fine & ~coarse):
                 raise InvariantViolation("refinement fails: same_atom(k+1) not in same_atom(k)")
         pos = offset + np.arange(pair.horizon)
-        for k, mask in enumerate(masks, start=1):
+        for k, plane in enumerate(planes, start=1):
             # the mask may change value only where the enclosing k-window does
+            mask = de.unpack_times(plane, pair.horizon)
             window_id = pos // schedule.n(k)
             if np.any((mask[1:] != mask[:-1]) & (window_id[1:] == window_id[:-1])):
                 raise InvariantViolation("shift-window property fails")

@@ -4,14 +4,15 @@ Counting is exact: counts and horizons stay integers, and the extremes of
 count/n are picked exactly and reported as ``fractions.Fraction``. The
 limsup/liminf of count(S cap [1,n])/n is replaced by the max/min over a
 geometric checkpoint grid beyond a burn-in; that finite-horizon surrogate is
-the only approximation in this module.
+the only approximation in this module. Time sets are packed planes of
+uint64 words (`pack_times`), counted by one popcount kernel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -84,134 +85,6 @@ def _exact_extremes(
     return [max(col) for col in cols], [min(col) for col in cols]
 
 
-# Up to this many levels the kernel counts each set per checkpoint segment
-# with np.count_nonzero on its membership mask, one SIMD pass per set; above
-# it one bincount histogram per segment counts every set at once. 3 is the
-# crossover on random uint8 codes at N=1e5 and 145 checkpoints, 2 vCPUs,
-# numpy 2.4 (benchmarks/bench_kernels.py): 0.64 against 0.66 ms at 3
-# levels, 0.77 against 0.69 ms at 4. At N=2^20 the count takes 1.3 against
-# 2.7 ms at 3 levels.
-COUNT_NONZERO_MAX_LEVELS = 3
-
-
-def nested_density_estimates(
-    codes: np.ndarray, levels: int, checkpoints: Sequence[int]
-) -> tuple[DensityEstimate, ...]:
-    """Densities of the nested time sets S_j = {n : codes[n-1] <= j} for
-    j = 0..levels-1, in one pass over the codes.
-
-    Codes are integers in [0, levels]; a time with code `levels` lies in no
-    set. Checkpoints are strictly increasing times in [1, len(codes)]. Each set's members are counted
-    per checkpoint segment, by `np.count_nonzero` of its mask for at most
-    COUNT_NONZERO_MAX_LEVELS levels and by one `np.bincount` of the codes
-    per segment above that; cumsums give the (checkpoints x levels) matrix
-    of count(S_j cap [1, n]), and each column's extremes are picked exactly
-    by `_exact_extremes`. A single time set, as a boolean mask, is the
-    one-level case with codes `~mask`.
-    """
-    codes = np.asarray(codes)
-    if codes.ndim != 1 or codes.size == 0:
-        raise ValidationError("codes must be a nonempty 1-d array")
-    if codes.dtype.kind not in "biu":
-        raise ValidationError(f"codes must be integers, got dtype {codes.dtype}")
-    if levels < 1:
-        raise ValidationError("need at least one level")
-    if int(codes.max()) > levels or (codes.dtype.kind == "i" and int(codes.min()) < 0):
-        raise ValidationError(f"codes must lie in [0, {levels}]")
-    cps = tuple(int(n) for n in checkpoints)
-    if not cps or cps[0] < 1 or cps[-1] > codes.size or any(
-        a >= b for a, b in zip(cps, cps[1:])
-    ):
-        raise PolicyError(f"checkpoints must be strictly increasing in [1, {codes.size}]")
-    segments = tuple(zip((0,) + cps, cps))
-    if levels <= COUNT_NONZERO_MAX_LEVELS:
-        counts = np.empty((len(cps), levels), dtype=np.int64)
-        for j in range(levels):
-            member = codes <= j
-            counts[:, j] = [np.count_nonzero(member[s:n]) for s, n in segments]
-        counts = np.cumsum(counts, axis=0)
-    else:
-        hist = np.empty((len(cps), levels + 1), dtype=np.int64)
-        for i, (s, n) in enumerate(segments):
-            hist[i] = np.bincount(codes[s:n], minlength=levels + 1)
-        counts = np.cumsum(np.cumsum(hist, axis=0), axis=1)[:, :levels]
-    uppers, lowers = _exact_extremes(counts, cps)
-    return tuple(
-        DensityEstimate(upper, lower, cps, int(count))
-        for upper, lower, count in zip(uppers, lowers, counts[-1])
-    )
-
-
-def empirical_density(mask: np.ndarray, burn_in: int | None = None) -> DensityEstimate:
-    """max/min of count(S cap [1,n])/n over the checkpoint grid from the
-    burn-in, for the time set S whose boolean mask over times 1..N is
-    `mask`."""
-    codes = (~np.asarray(mask, dtype=bool)).view(np.uint8)
-    (est,) = nested_density_estimates(codes, 1, checkpoint_grid(codes.size, burn_in))
-    return est
-
-
-def density_along(
-    mask: np.ndarray, checkpoints: Iterable[int], which: str = "lower"
-) -> Fraction:
-    """Density of the time set masked by `mask` along an explicit checkpoint
-    subsequence.
-
-    which="lower" takes the min of count/n over the given checkpoints (the
-    density achieved as a liminf along the subsequence), "upper" the max.
-    """
-    codes = (~np.asarray(mask, dtype=bool)).view(np.uint8)
-    cps = sorted(set(int(n) for n in checkpoints))
-    if not cps:
-        raise PolicyError("empty checkpoint subsequence")
-    if cps[0] < 1 or cps[-1] > codes.size:
-        raise PolicyError("checkpoints must lie in [1, horizon]")
-    if which not in ("lower", "upper"):
-        raise ValidationError(f"which must be lower|upper, got {which!r}")
-    (est,) = nested_density_estimates(codes, 1, cps)
-    return est.lower if which == "lower" else est.upper
-
-
-@dataclass(frozen=True)
-class DistanceSeries:
-    """Per-time separation values of an orbit pair, d_n = table[index[n]],
-    all in [0, 1].
-
-    Without an index the table holds one value per time. A metric with few
-    distinct values passes them as a short table plus an integer index, so
-    consumers work on the table and the N values are never materialised
-    unless `values` is read.
-    """
-
-    table: np.ndarray
-    index: np.ndarray | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.table, dtype=np.float64)
-        object.__setattr__(self, "table", v)
-        if v.size == 0:
-            raise ValidationError("distance series must be nonempty")
-        if np.isnan(v).any():
-            raise ValidationError("distances must not contain NaN")
-        if float(v.min()) < 0 or float(v.max()) > 1:
-            raise ValidationError("distances must lie in [0, 1]")
-        if self.index is not None:
-            i = np.asarray(self.index)
-            object.__setattr__(self, "index", i)
-            if i.ndim != 1 or i.size == 0 or i.dtype.kind not in "iu":
-                raise ValidationError("distance index must be a nonempty 1-d integer array")
-            if int(i.min()) < 0 or int(i.max()) >= v.size:
-                raise ValidationError(f"distance index must lie in [0, {v.size})")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.table if self.index is None else self.table[self.index]
-
-    @property
-    def horizon(self) -> int:
-        return int((self.table if self.index is None else self.index).size)
-
-
 def _read_only(values) -> np.ndarray:
     out = np.asarray(values, dtype=np.float64)
     out.setflags(write=False)
@@ -221,6 +94,147 @@ def _read_only(values) -> np.ndarray:
 # 16 log-spaced thresholds from 2^-16 up to 1, the largest distance of
 # every metric; the smallest stands in for the t -> 0+ limit
 THRESHOLD_GRID = _read_only(np.geomspace(2.0**-16, 1.0, 16))
+
+
+def pack_times(mask: np.ndarray) -> np.ndarray:
+    """The packed plane of the time set masked by `mask` over times 1..N:
+    ceil(N/64) uint64 words in little bit order, bit i of the string
+    standing for time i+1, every bit past N zero."""
+    mask = np.asarray(mask, dtype=bool)
+    packed = np.zeros(-(-mask.size // 64) * 8, dtype=np.uint8)
+    packed[: -(-mask.size // 8)] = np.packbits(mask, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)
+
+
+def unpack_times(plane: np.ndarray, horizon: int) -> np.ndarray:
+    """The boolean mask over times 1..horizon of a packed plane."""
+    words = np.asarray(plane).astype("<u8", copy=False)
+    return np.unpackbits(words.view(np.uint8), count=horizon, bitorder="little").view(bool)
+
+
+def check_planes(planes: np.ndarray, horizon: int) -> np.ndarray:
+    """`planes` as a 2-d stack of packed planes over times 1..horizon, or a
+    ValidationError: uint64 words, ceil(horizon/64) of them per plane, and
+    no bit set past the horizon."""
+    planes = np.asarray(planes)
+    words = -(-horizon // 64)
+    if planes.dtype != np.uint64:
+        raise ValidationError(f"planes must be uint64 words, got dtype {planes.dtype}")
+    if horizon < 1 or planes.ndim != 2 or planes.shape[0] < 1 or planes.shape[1] != words:
+        raise ValidationError(
+            f"need a nonempty stack of planes of {words} words, got shape {planes.shape}"
+        )
+    if horizon % 64 and np.any(planes[:, -1] >> (horizon % 64)):
+        raise ValidationError(f"planes must have no bit set past time {horizon}")
+    return planes
+
+
+def agreement_runs(
+    agree: np.ndarray, horizon: int, depths: Sequence[int], tail: bool
+) -> np.ndarray:
+    """Planes of {n : the agreement plane holds at times n, ..., n+k-1}, one
+    per depth k in `depths`. Depth k+1's run is depth k's shifted down one
+    bit and ANDed with the agreement plane. Times past the horizon agree
+    when `tail` is true (a word cut at the horizon) and disagree otherwise
+    (a run capped by it); either way no bit past the horizon is set."""
+    agree = check_planes(np.asarray(agree)[None], horizon)[0]
+    past = ~np.uint64(0) << np.uint64(horizon % 64) if horizon % 64 else np.uint64(0)
+    # the plane plus one word beyond it, with the times past the horizon set
+    # when they agree
+    word = np.append(agree, ~np.uint64(0) if tail else np.uint64(0))
+    if tail:
+        word[-2] |= past
+    run = word.copy()
+    out = np.empty((len(depths), agree.size), dtype=np.uint64)
+    for k in range(1, max(depths) + 1):
+        if k > 1:
+            run[:-1] = (run[:-1] >> 1 | run[1:] << 63) & word[:-1]
+        out[[i for i, depth in enumerate(depths) if depth == k]] = run[:-1]
+    out[:, -1] &= ~past
+    return out
+
+
+def nested_density_estimates(
+    planes: np.ndarray, horizon: int, checkpoints: Sequence[int]
+) -> tuple[DensityEstimate, ...]:
+    """Densities of the time sets of a stack of packed planes over times
+    1..horizon (see `pack_times`), one estimate per plane.
+
+    Checkpoints are strictly increasing times in [1, horizon]. Each plane's
+    word popcounts are summed once into a prefix sum; count(S cap [1, n]) is
+    the prefix at n's word plus the popcount of that word's bits below n.
+    The (checkpoints x planes) count matrix goes to `_exact_extremes`.
+    """
+    planes = check_planes(planes, horizon)
+    cps = tuple(int(n) for n in checkpoints)
+    if not cps or cps[0] < 1 or cps[-1] > horizon or any(
+        a >= b for a, b in zip(cps, cps[1:])
+    ):
+        raise PolicyError(f"checkpoints must be strictly increasing in [1, {horizon}]")
+    prefix = np.bitwise_count(planes).astype(np.int64)
+    np.cumsum(prefix, axis=1, out=prefix)  # in place: a cast inside cumsum copies twice
+    ns = np.asarray(cps, dtype=np.int64)
+    word, bit = ns >> 6, (ns & 63).astype(np.uint64)
+    below = (np.uint64(1) << bit) - np.uint64(1)  # 0 where n ends a word
+    partial = planes[:, np.minimum(word, planes.shape[1] - 1)] & below
+    counts = (np.where(word > 0, prefix[:, word - 1], 0) + np.bitwise_count(partial)).T
+    uppers, lowers = _exact_extremes(counts, cps)
+    return tuple(
+        DensityEstimate(upper, lower, cps, int(count))
+        for upper, lower, count in zip(uppers, lowers, counts[-1])
+    )
+
+
+# Float distances are compared with the grid a chunk of this many times at a
+# time, a multiple of 64 so that each chunk packs into whole words: the
+# chunk's 512 KB of float64 stay in cache over the 16 compares, about 3x
+# faster than whole-array compares at N=1e6 (2 vCPUs, numpy 2.4)
+VALUE_CHUNK = 2**16
+
+
+@dataclass(frozen=True)
+class DistanceSeries:
+    """The time sets {n : d_n < t} of a pair's separations d_1..d_N in
+    [0, 1], one per point t of THRESHOLD_GRID, as packed planes: grid point
+    j reads plane rows[j]. A metric whose sets repeat along the grid (the
+    Hamming indicator's are all one set) stores each set once."""
+
+    planes: np.ndarray
+    horizon: int
+    rows: tuple[int, ...] = tuple(range(THRESHOLD_GRID.size))
+
+    def __post_init__(self):
+        object.__setattr__(self, "planes", check_planes(self.planes, self.horizon))
+        rows = self.rows
+        if len(rows) != THRESHOLD_GRID.size or not all(0 <= r < len(self.planes) for r in rows):
+            raise ValidationError("need one plane row in range per threshold")
+
+    @classmethod
+    def from_values(
+        cls, values: np.ndarray, other: np.ndarray | None = None
+    ) -> "DistanceSeries":
+        """The series of N distances given as floats, or as |values - other|
+        for two real tracks. The distances are built, checked and compared
+        with each grid point one chunk of VALUE_CHUNK times at a time, into
+        one reused boolean buffer, so neither the N distances nor 16 N-byte
+        masks are held at once."""
+        v = np.asarray(values, dtype=np.float64)
+        if v.ndim != 1 or v.size == 0 or (other is not None and np.shape(other) != v.shape):
+            raise ValidationError("distance series must be a nonempty 1-d array")
+        planes = np.empty((THRESHOLD_GRID.size, -(-v.size // 64)), dtype=np.uint64)
+        below = np.empty(min(v.size, VALUE_CHUNK), dtype=bool)
+        for start in range(0, v.size, VALUE_CHUNK):
+            part = v[start : start + VALUE_CHUNK]
+            if other is not None:
+                part = np.abs(part - other[start : start + VALUE_CHUNK])
+            if np.isnan(part).any():
+                raise ValidationError("distances must not contain NaN")
+            if float(part.min()) < 0 or float(part.max()) > 1:
+                raise ValidationError("distances must lie in [0, 1]")
+            mask, words = below[: part.size], slice(start // 64, -(-(start + part.size) // 64))
+            for plane, t in zip(planes, THRESHOLD_GRID):
+                plane[words] = pack_times(np.less(part, t, out=mask))
+        return cls(planes, v.size)
 
 
 @dataclass(frozen=True)
@@ -252,32 +266,8 @@ class PhiProfile:
 
 
 def phi_profile(d: DistanceSeries, burn_in: int | None = None) -> PhiProfile:
-    """The Phi profile of `d` over the checkpoint grid from the burn-in."""
-    grid = THRESHOLD_GRID
+    """The Phi profile of `d` over the checkpoint grid from the burn-in: one
+    kernel call counts each stored plane once."""
     cps = checkpoint_grid(d.horizon, burn_in)
-    # d_n < t_j exactly when fewer than j+1 grid points are <= d_n
-    if d.index is None:
-        # that count per time, as a running sum of one compare per grid point
-        codes = np.zeros(d.horizon, dtype=np.min_scalar_type(grid.size))
-        for t in grid:
-            codes += d.table >= t
-        estimates = nested_density_estimates(codes, grid.size, cps)
-    else:
-        # the count per table entry, ranked among the counts that occur
-        # (with 0 and grid.size, so the lowest and highest set have a rank);
-        # the kernel counts one set per rank, and grid point j reads the set
-        # of the largest occurring count <= j, whose rank is rank[j]
-        table_codes = np.searchsorted(grid, d.table, side="right")
-        occurs = np.zeros(grid.size + 1, dtype=bool)
-        occurs[table_codes] = True
-        occurs[[0, grid.size]] = True
-        rank = np.cumsum(occurs) - 1
-        levels = int(rank[-1])
-        table_ranks = rank[table_codes].astype(np.min_scalar_type(levels))
-        # an identity rank table (the Hamming one) passes the index itself
-        identity = np.array_equal(table_ranks, np.arange(table_ranks.size))
-        by_rank = nested_density_estimates(
-            d.index if identity else np.take(table_ranks, d.index), levels, cps
-        )
-        estimates = tuple(by_rank[r] for r in rank[:-1])
-    return PhiProfile(estimates=estimates, horizon=d.horizon)
+    by_plane = nested_density_estimates(d.planes, d.horizon, cps)
+    return PhiProfile(estimates=tuple(by_plane[r] for r in d.rows), horizon=d.horizon)

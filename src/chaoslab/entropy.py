@@ -58,6 +58,16 @@ class UndersampledWarning(UserWarning):
     pass
 
 
+def _strided_codes(sym: np.ndarray, length: int, stride: int, base: int) -> np.ndarray:
+    """Base-`base` codes of the `length` symbols from every multiple of the
+    stride, by Horner's rule over the columns of the strided windows."""
+    columns = np.lib.stride_tricks.sliding_window_view(sym, length)[::stride].T
+    codes = columns[0]
+    for column in columns[1:]:
+        codes = codes * base + column
+    return codes
+
+
 def empirical_cylinder_entropy(track: Sequence[int], word_len: int, stride: int = 1) -> float:
     """Plug-in entropy rate H_l/l of the empirical distribution of length-l
     words read at the given stride (1 = overlapping windows).
@@ -99,20 +109,28 @@ def empirical_cylinder_entropy(track: Sequence[int], word_len: int, stride: int 
             UndersampledWarning,
             stacklevel=2,
         )
-    # base-alphabet word codes by doubling, in the smallest dtype that holds
-    # table - 1 (no partial code exceeds it). codes[i] encodes the k symbols
-    # from i; read word_len's binary digits after the leading 1: each one
-    # joins two codes k apart into one of length 2k, and a digit 1 then
-    # appends one symbol, so about 2 log2(l) passes build every window
+    # base-alphabet word codes of the windows at the stride only, in the
+    # smallest dtype that holds table - 1 (no partial code exceeds it). With
+    # b = min(stride, l), a word is q = l // b blocks of b symbols, coded as
+    # digits base alphabet^b, then r = l % b symbols. The blocks are joined
+    # by doubling: read q's binary digits after the leading 1; each one
+    # joins two codes k digits apart into one of 2k digits, and a digit 1
+    # then appends one digit, so about 2 log2(q) passes join them
     sym = sym.astype(np.min_scalar_type(table - 1), copy=False)
-    codes, k = sym, 1
-    for digit in bin(word_len)[3:]:
-        codes = codes[:-k] * alphabet**k + codes[k:]
+    block = min(stride, word_len)
+    q, r = divmod(word_len, block)
+    digits = _strided_codes(sym, block, stride, alphabet)
+    base, codes, k = alphabet**block, digits, 1
+    for bit in bin(q)[3:]:
+        codes = codes[:-k] * base**k + codes[k:]
         k *= 2
-        if digit == "1":
-            codes = codes[:-1] * alphabet + sym[k:]
+        if bit == "1":
+            codes = codes[:-1] * base + digits[k:]
             k += 1
-    codes = codes[::stride]
+    codes = codes[: (sym.size - word_len) // stride + 1]
+    if r:
+        tail = _strided_codes(sym[q * stride :], r, stride, alphabet)
+        codes = codes * alphabet**r + tail[: codes.size]
     # both give the counts of the words seen in ascending code order
     if table <= codes.size:  # the count table fits the sample: no sort
         counts = np.bincount(codes, minlength=table)

@@ -7,11 +7,12 @@ so every artifact is reproducible from its recorded integer seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .density import DistanceSeries
+from .density import THRESHOLD_GRID, DistanceSeries, agreement_runs, pack_times
 from .errors import (
     InsufficientHorizon,
     MetricUnavailable,
@@ -162,6 +163,13 @@ class OrbitPair:
     @property
     def horizon(self) -> int:
         return self.a.horizon
+
+    @cached_property
+    def agreement(self) -> np.ndarray:
+        """The packed plane (see `density.pack_times`) of the times at which
+        the two symbol tracks agree, built once per pair: the Hamming and
+        Cantor series and the cylinder scheme all read it."""
+        return pack_times(self.a.symbols == self.b.symbols)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -368,51 +376,29 @@ def construct_witness_pair(target: str, horizon: int) -> OrbitPair:
 METRICS = ("hamming-indicator", "cantor", "absolute")
 
 
-# The symbolic metrics take few values: the Hamming indicator {0, 1}, the
-# Cantor distance {2^-j}. Their series are a table of those values plus a
-# per-time index. 2^-1075 rounds to 0.0 (as does every smaller power), so
-# agreement lengths are clipped at 1075 and the table ends at 0.0. Every
-# series shares these tables, so they are read-only.
-HAMMING_TABLE = np.array([0.0, 1.0])
-CANTOR_CLIP = 1075
-CANTOR_TABLE = np.ldexp(1.0, -np.arange(CANTOR_CLIP + 1))
-HAMMING_TABLE.setflags(write=False)
-CANTOR_TABLE.setflags(write=False)
+# The Cantor distance from time n is 2^-L, L the length of the symbol
+# agreement run from n, capped by the horizon. Grid point t_j reads the set
+# {2^-L < t_j} = {L >= k_j}, k_j the number of Cantor values 2^-L >= t_j.
+CANTOR_DEPTHS = tuple(
+    int(np.count_nonzero(np.ldexp(1.0, -np.arange(64)) >= t)) for t in THRESHOLD_GRID
+)
 
 
 def distance_series(pair: OrbitPair, metric: str = "hamming-indicator") -> DistanceSeries:
+    """The pair's threshold sets under `metric`. The symbolic metrics read
+    the agreement plane: the Hamming indicator is below every grid point
+    exactly where the symbols agree, and the Cantor set at t_j is the run
+    of CANTOR_DEPTHS[j] agreements, with disagreement past the horizon."""
     a, b = pair.a, pair.b
-    if metric == "hamming-indicator":
+    if metric in ("hamming-indicator", "cantor"):
         if a.symbols is None or b.symbols is None:
-            raise MetricUnavailable("hamming-indicator needs symbol tracks")
-        mismatch = (a.symbols != b.symbols).view(np.uint8)
-        return DistanceSeries(HAMMING_TABLE, index=mismatch)
-    if metric == "cantor":
-        if a.symbols is None or b.symbols is None:
-            raise MetricUnavailable("cantor needs symbol tracks")
-        return DistanceSeries(CANTOR_TABLE, index=_agreement_lengths(a.symbols, b.symbols))
+            raise MetricUnavailable(f"{metric} needs symbol tracks")
+        if metric == "hamming-indicator":
+            return DistanceSeries(pair.agreement[None], pair.horizon, (0,) * THRESHOLD_GRID.size)
+        runs = agreement_runs(pair.agreement, pair.horizon, CANTOR_DEPTHS, tail=False)
+        return DistanceSeries(runs, pair.horizon)
     if metric == "absolute":
         if a.reals is None or b.reals is None:
             raise MetricUnavailable("absolute needs real tracks")
-        diff = a.reals - b.reals
-        return DistanceSeries(np.abs(diff, out=diff))
+        return DistanceSeries.from_values(a.reals, b.reals)
     raise MetricUnavailable(f"unknown metric {metric!r}")
-
-
-def _agreement_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Index into CANTOR_TABLE: the length j of the symbol agreement run
-    starting at each time, capped by the remaining horizon and clipped at
-    CANTOR_CLIP, as uint16 (CANTOR_CLIP < 2^16). The running minimum works
-    in int32 while the horizon fits, half the bytes of int64."""
-    n = len(a)
-    dtype = np.int32 if n < 2**31 else np.int64
-    idx = np.arange(n, dtype=dtype)
-    # first disagreement at or after each time (n if none): a reverse running
-    # min over idx at disagreements and n elsewhere. The operand is built by
-    # arithmetic, about 4x faster than a masked select on random symbols.
-    first = dtype(n) - idx
-    first *= (a == b).view(np.uint8)
-    first += idx
-    np.minimum.accumulate(first[::-1], out=first[::-1])
-    first -= idx
-    return np.minimum(first, CANTOR_CLIP, out=np.empty(n, np.uint16), casting="unsafe")

@@ -19,6 +19,7 @@ import pytest
 
 import chaoslab as c
 from chaoslab import blocks as bl
+from chaoslab import density as de
 from chaoslab.cli import run as cli_run
 from oracles import partition_verdict_direct
 
@@ -177,9 +178,11 @@ def test_criterion_06_oscillating_density():
         )
 
 
-def _classify(values, th, burn_in=None):
-    d = c.DistanceSeries(np.asarray(values, dtype=float))
-    return c.classify_metric_pair(c.phi_profile(d, burn_in), th)
+def _classify(series, th, burn_in=None):
+    """Metric verdict of a DistanceSeries, or of N float distances."""
+    if not isinstance(series, c.DistanceSeries):
+        series = c.DistanceSeries.from_values(np.asarray(series, dtype=float))
+    return c.classify_metric_pair(c.phi_profile(series, burn_in), th)
 
 
 def _chain_ok(v):
@@ -204,7 +207,7 @@ def test_criterion_07_constructor_classifier_round_trip():
         for target, (flag, horizon) in cases.items():
             pair = c.construct_witness_pair(target, horizon)
             assert len(c.witness_runs(target, horizon)) >= 6
-            v = _classify(c.distance_series(pair).values, th)
+            v = _classify(c.distance_series(pair), th)
             assert v.flags[flag], f"{target} witness missed its target flag"
             assert _chain_ok(v)
         rng = np.random.default_rng(777)
@@ -355,17 +358,16 @@ def test_criterion_10_scrambling_transfer():
         cps_x = [b * nk3 for b in aligned]
         cps_img = [b * pk3 for b in aligned]
         for k in (1, 2, 3):
-            s_x = c.same_atom_series(pair, scheme, k)
-            s_img = c.same_atom_series(img_pair, img_scheme, k)
-            for which in ("upper", "lower"):
-                dx = float(c.density_along(s_x, cps_x, which))
-                di = float(c.density_along(s_img, cps_img, which))
-                assert abs(dx - di) <= 0.05, (k, which, dx, di)
-            # different-atom side via the complement at the same checkpoints
-            for which in ("upper", "lower"):
-                dx = float(c.density_along(~s_x, cps_x, which))
-                di = float(c.density_along(~s_img, cps_img, which))
-                assert abs(dx - di) <= 0.05
+            s_x = c.unpack_times(c.same_atom_series(pair, scheme, k), pair.horizon)
+            s_img = c.unpack_times(c.same_atom_series(img_pair, img_scheme, k), img_pair.horizon)
+            # the same-atom set, then the different-atom set (its complement),
+            # read along the aligned checkpoints of each side
+            for same_x, same_img in ((s_x, s_img), (~s_x, ~s_img)):
+                (ex,) = de.nested_density_estimates(c.pack_times(same_x)[None], s_x.size, cps_x)
+                (ei,) = de.nested_density_estimates(
+                    c.pack_times(same_img)[None], s_img.size, cps_img)
+                for dx, di in ((ex.upper, ei.upper), (ex.lower, ei.lower)):
+                    assert abs(float(dx) - float(di)) <= 0.05, (k, dx, di)
 
         # different-fiber pairs: never scrambled; at offsets that differ at
         # level 1 the same-atom set at k=1 is empty, exactly
@@ -386,7 +388,7 @@ def test_criterion_10_scrambling_transfer():
             dverdict = c.classify_partition_pair(dpair, scheme, c.Thresholds(burn_in=50))
             assert not dverdict.pk_scrambled
             if o1 % q.n(1) != o2 % q.n(1):
-                assert np.count_nonzero(c.same_atom_series(dpair, scheme, 1)) == 0
+                assert not np.any(c.same_atom_series(dpair, scheme, 1))
                 checked_k1 += 1
         assert checked_k1 >= 5
         crit.note(
@@ -404,9 +406,10 @@ def test_criterion_11_scheme_validity():
         for trial in range(100):
             offset = int(rng.integers(0, q.n(3)))
             pair = bl.fiber_pair(q, (3000 + 2 * trial, 3001 + 2 * trial), offset=offset)
-            masks = {k: scheme.same_atom_mask(pair, k) for k in (1, 2, 3)}
-            assert not np.any(masks[2] & ~masks[1])
-            assert not np.any(masks[3] & ~masks[2])
+            planes = {k: scheme.same_atom_mask(pair, k) for k in (1, 2, 3)}
+            assert not np.any(planes[2] & ~planes[1])
+            assert not np.any(planes[3] & ~planes[2])
+            masks = {k: c.unpack_times(p, pair.horizon) for k, p in planes.items()}
             pos = offset + np.arange(pair.horizon)
             for k in (1, 2, 3):
                 window_ids = pos // q.n(k)
@@ -459,7 +462,8 @@ def test_zero_entropy_pair_reads_measure_theoretic_plus(target, pk_plus):
     scheme = c.central_block_scheme(q)
     verdict = c.classify_partition_pair(pair, scheme, th)
     assert (verdict.pk_scrambled, verdict.pk_plus, verdict.k0) == (True, pk_plus, 1)
-    masks = [c.same_atom_series(pair, scheme, k) for k in (1, 2, 3)]
+    masks = [c.unpack_times(c.same_atom_series(pair, scheme, k), pair.horizon)
+             for k in (1, 2, 3)]
     assert (verdict.pk_scrambled, verdict.pk_plus, verdict.pk_minus) == (
         partition_verdict_direct(masks, th)
     )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import chaoslab as c
 from chaoslab import blocks as bl
 from chaoslab import classify as cl
+from chaoslab import density as de
 from chaoslab.cli import _system_spec, build_parser, run
 from chaoslab.errors import SchemeError, ValidationError
 from oracles import (
@@ -25,9 +26,11 @@ from oracles import (
 WITNESS_THRESHOLDS = c.Thresholds(tau_one=0.25, tau_zero=0.25)
 
 
-def classify_series(values, th=WITNESS_THRESHOLDS, burn_in=None):
-    d = c.DistanceSeries(np.asarray(values, dtype=float))
-    return c.classify_metric_pair(c.phi_profile(d, burn_in), th)
+def classify_series(series, th=WITNESS_THRESHOLDS, burn_in=None):
+    """Metric verdict of a DistanceSeries, or of N float distances."""
+    if not isinstance(series, c.DistanceSeries):
+        series = c.DistanceSeries.from_values(np.asarray(series, dtype=float))
+    return c.classify_metric_pair(c.phi_profile(series, burn_in), th)
 
 
 class TestMetricClassification:
@@ -37,12 +40,12 @@ class TestMetricClassification:
 
     def test_identical_trajectories_no_flags(self):
         pair = c.make_pair(c.FullShift(2, (1.0, 0.0)), 2000, (1, 2))
-        v = classify_series(c.distance_series(pair).values)
+        v = classify_series(c.distance_series(pair))
         assert not any(v.flags.values())
 
     def test_dc1_witness_all_flags(self):
         pair = c.construct_witness_pair("DC1", 7776)
-        v = classify_series(c.distance_series(pair).values)
+        v = classify_series(c.distance_series(pair))
         assert v.flags == {
             "li_yorke": True,
             "dc1": True,
@@ -53,18 +56,18 @@ class TestMetricClassification:
 
     def test_dc2_witness(self):
         pair = c.construct_witness_pair("DC2", 10000)
-        v = classify_series(c.distance_series(pair).values)
+        v = classify_series(c.distance_series(pair))
         assert v.dc2 and v.dc3 and v.li_yorke
         assert not v.dc1half and not v.dc1
 
     def test_dc3_witness(self):
         pair = c.construct_witness_pair("DC3", 4**10)
-        v = classify_series(c.distance_series(pair).values)
+        v = classify_series(c.distance_series(pair))
         assert v.dc3 and not v.dc2
 
     def test_ly_witness_only_li_yorke(self):
         pair = c.construct_witness_pair("LY", 100000)
-        v = classify_series(c.distance_series(pair).values)
+        v = classify_series(c.distance_series(pair))
         assert v.li_yorke
         assert not (v.dc1 or v.dc1half or v.dc2 or v.dc3)
 
@@ -75,20 +78,20 @@ class TestMetricClassification:
 
     def test_independent_bernoulli_no_dc_flags(self):
         pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 100000, (1, 2))
-        v = classify_series(c.distance_series(pair).values, burn_in=10000)
+        v = classify_series(c.distance_series(pair), burn_in=10000)
         assert not (v.dc1 or v.dc1half or v.dc2 or v.dc3)
         assert v.li_yorke  # infinitely many agreements and separations
 
     def test_symmetry_under_swap(self):
         pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 3000, (5, 6))
         swapped = c.OrbitPair(pair.b, pair.a)
-        v1 = classify_series(c.distance_series(pair).values)
-        v2 = classify_series(c.distance_series(swapped).values)
+        v1 = classify_series(c.distance_series(pair))
+        v2 = classify_series(c.distance_series(swapped))
         assert v1.flags == v2.flags
 
     def test_dc1half_witness_separation_upper(self):
         pair = c.construct_witness_pair("DC1", 7776)
-        v = classify_series(c.distance_series(pair).values)
+        v = classify_series(c.distance_series(pair))
         # witness runs grow by a factor of 5: separation upper density ~5/6
         assert abs(v.separation_upper - 0.857) < 0.01
         assert v.separation_threshold == 1.0
@@ -205,9 +208,9 @@ def shift_pair(xs, ys):
     return c.OrbitPair(a, b)
 
 
-def times(mask):
-    """The 1-based times a mask over times 1..N holds at."""
-    return (np.flatnonzero(mask) + 1).tolist()
+def times(plane, horizon):
+    """The 1-based times a packed plane over times 1..horizon holds at."""
+    return (np.flatnonzero(c.unpack_times(plane, horizon)) + 1).tolist()
 
 
 class TestSameAtomSeries:
@@ -215,26 +218,26 @@ class TestSameAtomSeries:
         pair = shift_pair([0, 1, 0, 1], [0, 1, 0, 1])
         scheme = c.cylinder_scheme(3)
         s = c.same_atom_series(pair, scheme, 1)
-        assert s.dtype == bool and s.shape == (pair.horizon,)
-        assert times(s) == [1, 2, 3, 4]
+        assert s.dtype == np.uint64 and s.shape == (1,)
+        assert times(s, pair.horizon) == [1, 2, 3, 4]
 
     def test_cylinder_positionwise_compare(self):
         # tracks 0101 vs 0001 agree at positions 1, 3, 4 (1-indexed)
         pair = shift_pair([0, 1, 0, 1], [0, 0, 0, 1])
         s = c.same_atom_series(pair, c.cylinder_scheme(2), 1)
-        assert times(s) == [1, 3, 4]
+        assert times(s, pair.horizon) == [1, 3, 4]
 
     def test_cylinder_depth_two_windows(self):
         pair = shift_pair([0, 1, 0, 1], [0, 0, 0, 1])
         s = c.same_atom_series(pair, c.cylinder_scheme(2), 2)
         # windows [n, n+2): equal at n=3,4 (1-indexed times 3 and 4)
-        assert times(s) == [3, 4]
+        assert times(s, pair.horizon) == [3, 4]
 
     def test_refinement_monotone(self):
         rng = np.random.default_rng(0)
         pair = shift_pair(rng.integers(0, 2, 300), rng.integers(0, 2, 300))
         scheme = c.cylinder_scheme(4)
-        sets = {k: set(times(c.same_atom_series(pair, scheme, k))) for k in (1, 2, 3, 4)}
+        sets = {k: set(times(c.same_atom_series(pair, scheme, k), 300)) for k in (1, 2, 3, 4)}
         assert sets[4] <= sets[3] <= sets[2] <= sets[1]
 
     def test_depth_out_of_range(self):
@@ -247,8 +250,26 @@ class TestSameAtomSeries:
         pair = shift_pair(rng.integers(0, 2, 150), rng.integers(0, 2, 150))
         scheme = c.cylinder_scheme(3)
         for k in (1, 2, 3):
-            fast = scheme.same_atom_mask(pair, k)
+            fast = c.unpack_times(scheme.same_atom_mask(pair, k), pair.horizon)
             assert np.array_equal(fast, same_label_mask(cylinder_label, pair, k))
+
+    @pytest.mark.parametrize("horizon", [1, 2, 63, 64, 65, 128, 129])
+    def test_cylinder_planes_match_labels_at_the_word_edges(self, horizon):
+        # the last k-1 words are cut at the horizon: a disagreement at each
+        # of the last 5 times, or none, against the label oracle, at depths
+        # up to and across a word
+        rng = np.random.default_rng(horizon)
+        xs = rng.integers(0, 2, horizon)
+        scheme = c.cylinder_scheme(70)
+        for back in range(min(6, horizon + 1)):
+            ys = xs.copy()
+            if back:
+                ys[-back] ^= 1
+            pair = shift_pair(xs, ys)
+            for k in (1, 2, 3, 5, 64, 65, 70):
+                plane = c.same_atom_series(pair, scheme, k)
+                by_label = same_label_mask(cylinder_label, pair, k)
+                assert np.array_equal(c.unpack_times(plane, horizon), by_label), (back, k)
 
     def test_cylinder_needs_symbols(self):
         spec = c.IntervalMap("tent", 1.99)
@@ -267,9 +288,11 @@ def assert_partition_estimates_match(pair, scheme, th):
     got = cl._same_atom_estimates(pair, scheme, th)
     cps = c.checkpoint_grid(pair.horizon, th.burn_in)
     for k, est in enumerate(got, start=1):
-        s = c.same_atom_series(pair, scheme, k)
+        plane = c.same_atom_series(pair, scheme, k)
+        s = c.unpack_times(plane, pair.horizon)
         assert estimate_key(est) == estimate_key(per_set_density(s, cps))
-        assert estimate_key(est) == estimate_key(c.empirical_density(s, th.burn_in))
+        (alone,) = de.nested_density_estimates(plane[None], pair.horizon, cps)
+        assert estimate_key(est) == estimate_key(alone)
     assert len(got) == scheme.depth
 
 
@@ -295,7 +318,7 @@ class TestPartitionKernelDifferential:
         scheme = c.cylinder_scheme(4)
         for k in range(1, 5):
             by_label = same_label_mask(cylinder_label, pair, k)
-            assert times(c.same_atom_series(pair, scheme, k)) == [
+            assert times(c.same_atom_series(pair, scheme, k), pair.horizon) == [
                 n + 1 for n, same in enumerate(by_label) if same
             ]
         assert_partition_estimates_match(pair, scheme, c.Thresholds(burn_in=1))
@@ -308,7 +331,8 @@ class TestPartitionKernelDifferential:
         assert_partition_estimates_match(pair, scheme, th)
         for k in range(1, scheme.depth + 1):
             by_label = same_label_mask(aligned_window_label(lengths), pair, k)
-            assert np.array_equal(scheme.same_atom_mask(pair, k), by_label)
+            fast = c.unpack_times(scheme.same_atom_mask(pair, k), pair.horizon)
+            assert np.array_equal(fast, by_label)
 
     @pytest.mark.parametrize("seeds,offset", [((1, 2), 0), ((3, 4), 5), ((5, 6), None)])
     def test_central_block_scheme(self, seeds, offset):
@@ -328,7 +352,7 @@ class TestPartitionKernelDifferential:
         def same_atom_mask(pair, k):
             mask = np.ones(pair.horizon, dtype=bool)
             mask[k] = False
-            return mask
+            return c.pack_times(mask)
 
         scheme = c.PartitionScheme(depth=2, same_atom_mask=same_atom_mask, name="skew")
         pair = shift_pair([0] * 20, [0] * 20)
@@ -402,7 +426,7 @@ class TestPartitionClassification:
         # the same-atom upper density is exactly 3/10 at every depth, and
         # 1 - tau_one is 3/10 as decimals (the float 1 - 0.7 lies above it)
         mask = np.tile([False] * 7 + [True] * 3, 1000)
-        scheme = c.PartitionScheme(2, lambda pair, k: mask, "period-10")
+        scheme = c.PartitionScheme(2, lambda pair, k: c.pack_times(mask), "period-10")
         pair = shift_pair(np.zeros(mask.size), np.zeros(mask.size))
         th = c.Thresholds(tau_one=0.7, tau_zero=0.2, burn_in=1000)
         assert per_set_density(mask, c.checkpoint_grid(mask.size, 1000)).upper == Fraction(3, 10)
@@ -468,7 +492,8 @@ class TestPartitionReadDifferential:
     @settings(max_examples=200, deadline=None)
     def test_reads_match_the_direct_rules(self, case):
         masks, th = case
-        scheme = c.PartitionScheme(len(masks), lambda pair, k: masks[k - 1], "drawn")
+        planes = [c.pack_times(m) for m in masks]
+        scheme = c.PartitionScheme(len(masks), lambda pair, k: planes[k - 1], "drawn")
         n = masks[0].size
         v = c.classify_partition_pair(shift_pair(np.zeros(n), np.zeros(n)), scheme, th)
         assert (v.pk_scrambled, v.pk_plus, v.pk_minus) == partition_verdict_direct(masks, th)
@@ -488,7 +513,7 @@ def metric_profile_cases(draw):
     levels = draw(st.lists(st.sampled_from(PROFILE_LEVELS), min_size=1, max_size=4))
     pool = st.sampled_from(levels) | st.floats(0, 1, allow_nan=False)
     values = np.array(draw(st.lists(pool, min_size=n, max_size=n)))
-    prof = c.phi_profile(c.DistanceSeries(values), draw(st.integers(1, n)))
+    prof = c.phi_profile(c.DistanceSeries.from_values(values), draw(st.integers(1, n)))
     uppers = [float(e.upper) for e in prof.estimates]
     lowers = [float(e.lower) for e in prof.estimates]
 

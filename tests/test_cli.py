@@ -619,7 +619,7 @@ class TestVerifySuites:
         # the same mask at every depth nests, so only the window check can fail
         def alternating(schedule):
             def same_atom_mask(pair, k):
-                return np.arange(pair.horizon) % 2 == 0
+                return c.pack_times(np.arange(pair.horizon) % 2 == 0)
 
             return c.PartitionScheme(schedule.depth, same_atom_mask, "alternating")
 
@@ -705,7 +705,7 @@ class TestSvg:
         assert text.startswith("<?xml") and "<svg" in text and "polyline" in text
 
     def test_flat_profile_two_lines_at_one(self):
-        d = c.DistanceSeries(np.zeros(1000))
+        d = c.DistanceSeries.from_values(np.zeros(1000))
         prof = c.phi_profile(d, 10)
         text = render_phi_svg(prof)
         assert text.count("polyline") == 2

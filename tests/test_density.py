@@ -11,7 +11,13 @@ import chaoslab as c
 from chaoslab import density as de
 from chaoslab import systems as sy
 from chaoslab.errors import PolicyError, ValidationError
-from oracles import boundary_extrema, cantor_values_direct, per_set_density, per_threshold_phi
+from oracles import (
+    boundary_extrema,
+    cantor_values_direct,
+    float_distance_values,
+    per_set_density,
+    per_threshold_phi,
+)
 
 
 def doubling_runs(horizon):
@@ -23,6 +29,27 @@ def doubling_runs(horizon):
     return runs
 
 
+def density(mask, burn_in=None):
+    """The kernel's estimate of one time set over the checkpoint grid from
+    the burn-in, packed by `pack_times`."""
+    mask = np.asarray(mask, dtype=bool)
+    cps = c.checkpoint_grid(mask.size, burn_in)
+    (est,) = de.nested_density_estimates(c.pack_times(mask)[None], mask.size, cps)
+    return est
+
+
+def density_along(mask, checkpoints, which="lower"):
+    """The kernel's lower (min of count/n) or upper (max) density of one
+    time set along the given increasing checkpoints."""
+    mask = np.asarray(mask, dtype=bool)
+    (est,) = de.nested_density_estimates(c.pack_times(mask)[None], mask.size, checkpoints)
+    return est.lower if which == "lower" else est.upper
+
+
+def values_series(values):
+    return c.DistanceSeries.from_values(np.asarray(values, dtype=float))
+
+
 def first_times(count, horizon):
     """Mask over times 1..horizon of the set {1, ..., count}."""
     mask = np.zeros(horizon, dtype=bool)
@@ -32,18 +59,18 @@ def first_times(count, horizon):
 
 class TestEmpiricalDensity:
     def test_full_set(self):
-        est = c.empirical_density(np.ones(50, dtype=bool), 1)
+        est = density(np.ones(50, dtype=bool), 1)
         assert est.upper == 1 and est.lower == 1
 
     def test_empty_set(self):
-        est = c.empirical_density(np.zeros(50, dtype=bool), 1)
+        est = density(np.zeros(50, dtype=bool), 1)
         assert est.upper == 0 and est.lower == 0
 
     def test_doubling_schedule_matches_boundary_oracle(self):
         horizon = 4**10
         runs = doubling_runs(horizon)
         mask = c.systems.runs_to_mask(runs, horizon)
-        est = c.empirical_density(mask)
+        est = density(mask)
         upper_oracle, lower_oracle = boundary_extrema(runs, horizon, est.checkpoints[0])
         # the oracle's boundary values converge to 2/3 and 1/3
         assert abs(float(upper_oracle) - 2 / 3) <= 0.02
@@ -53,25 +80,25 @@ class TestEmpiricalDensity:
 
     def test_burn_in_beyond_horizon_is_policy_error(self):
         with pytest.raises(PolicyError):
-            c.empirical_density(first_times(1, 5), 10)
+            density(first_times(1, 5), 10)
 
     @pytest.mark.parametrize("burn_in", [0, -3])
     def test_burn_in_below_one_is_policy_error(self, burn_in):
         with pytest.raises(PolicyError, match="burn-in must be >= 1"):
-            c.empirical_density(first_times(1, 5), burn_in)
+            density(first_times(1, 5), burn_in)
 
     @pytest.mark.parametrize("burn_in", [2.5, float("nan"), float("inf")])
     def test_non_integral_burn_in_is_policy_error(self, burn_in):
         with pytest.raises(PolicyError, match="burn-in must be an integer"):
             c.checkpoint_grid(4, burn_in)
         with pytest.raises(PolicyError, match="burn-in must be an integer"):
-            c.phi_profile(c.DistanceSeries(np.zeros(4)), burn_in)
+            c.phi_profile(values_series(np.zeros(4)), burn_in)
         assert c.checkpoint_grid(4, np.int64(2)) == c.checkpoint_grid(4, 2.0) == (2, 3, 4)
 
 
 class TestDensityAlong:
     def test_full_set_any_checkpoints(self):
-        assert c.density_along(np.ones(100, dtype=bool), [3, 50, 100]) == 1
+        assert density_along(np.ones(100, dtype=bool), [3, 50, 100]) == 1
 
     def test_run_boundary_checkpoints(self):
         horizon = 4**10
@@ -82,41 +109,41 @@ class TestDensityAlong:
         disagree_ends = [int(n) for n, (_, a) in zip(bounds, runs) if not a and n >= 1000]
         agree_ends = [n for n in agree_ends if n <= horizon]
         disagree_ends = [n for n in disagree_ends if n <= horizon]
-        assert abs(float(c.density_along(mask, agree_ends, "lower")) - 2 / 3) <= 0.02
-        assert abs(float(c.density_along(mask, disagree_ends, "lower")) - 1 / 3) <= 0.02
+        assert abs(float(density_along(mask, agree_ends, "lower")) - 2 / 3) <= 0.02
+        assert abs(float(density_along(mask, disagree_ends, "lower")) - 1 / 3) <= 0.02
 
     def test_empty_checkpoints_error(self):
         s = first_times(1, 10)
         with pytest.raises(PolicyError):
-            c.density_along(s, [])
+            density_along(s, [])
 
     def test_out_of_range_checkpoints_error(self):
         s = first_times(1, 10)
         with pytest.raises(PolicyError):
-            c.density_along(s, [5, 11])
+            density_along(s, [5, 11])
         with pytest.raises(PolicyError):
-            c.density_along(s, [0, 5])
+            density_along(s, [0, 5])
 
     def test_upper_variant(self):
         s = first_times(3, 10)
-        assert c.density_along(s, [3, 10], "upper") == 1
-        assert c.density_along(s, [3, 10], "lower") == Fraction(3, 10)
+        assert density_along(s, [3, 10], "upper") == 1
+        assert density_along(s, [3, 10], "lower") == Fraction(3, 10)
 
 
 class TestPhiProfile:
     def test_all_zero_series(self):
-        d = c.DistanceSeries(np.zeros(500))
+        d = values_series(np.zeros(500))
         prof = c.phi_profile(d, 1)
         assert np.all(prof.phi_star == 1.0) and np.all(prof.phi_lower == 1.0)
 
     def test_all_one_series(self):
         # no distance lies below a threshold, not even the top one, 1
-        d = c.DistanceSeries(np.ones(500))
+        d = values_series(np.ones(500))
         prof = c.phi_profile(d, 1)
         assert np.all(prof.phi_star == 0.0) and np.all(prof.phi_lower == 0.0)
 
     def test_phi_floats_computed_once_and_read_only(self):
-        d = c.DistanceSeries(np.random.default_rng(3).random(2000))
+        d = values_series(np.random.default_rng(3).random(2000))
         prof = c.phi_profile(d, 1)
         for name, want in (
             ("phi_star", [float(e.upper) for e in prof.estimates]),
@@ -131,24 +158,24 @@ class TestPhiProfile:
         grid = c.THRESHOLD_GRID
         assert not grid.flags.writeable
         assert grid.tobytes() == np.geomspace(2**-16, 1.0, 16).tobytes()
-        prof = c.phi_profile(c.DistanceSeries(np.zeros(200)), 1)
+        prof = c.phi_profile(values_series(np.zeros(200)), 1)
         assert prof.thresholds is grid
         with pytest.raises(ValidationError, match="one estimate per threshold"):
             c.PhiProfile(prof.estimates[:-1], prof.horizon)
 
     def test_series_validation(self):
         with pytest.raises(ValidationError):
-            c.DistanceSeries(np.array([0.2, np.nan]))
+            values_series(np.array([0.2, np.nan]))
         with pytest.raises(ValidationError):
-            c.DistanceSeries(np.array([0.2, 1.2]))
+            values_series(np.array([0.2, 1.2]))
         with pytest.raises(ValidationError):
-            c.DistanceSeries(np.array([]))
+            values_series(np.array([]))
 
     def test_bernoulli_calibration_small(self):
         # LLN oracle: agreement probability of two fair tracks is exactly 1/2
         rng_a = np.random.default_rng(1)
         rng_b = np.random.default_rng(2)
-        d = c.DistanceSeries(
+        d = values_series(
             (rng_a.integers(0, 2, 20000) != rng_b.integers(0, 2, 20000)).astype(float)
         )
         prof = c.phi_profile(d, 2000)
@@ -170,8 +197,8 @@ class TestInvariants:
     def test_nesting_monotone(self, sets, burn):
         small, big = sets
         burn = min(burn, small.size)
-        est_small = c.empirical_density(small, burn)
-        est_big = c.empirical_density(big, burn)
+        est_small = density(small, burn)
+        est_big = density(big, burn)
         assert est_small.upper <= est_big.upper
         assert est_small.lower <= est_big.lower
 
@@ -180,8 +207,8 @@ class TestInvariants:
     def test_complement_identity(self, sets, burn):
         s, _ = sets
         burn = min(burn, s.size)
-        est = c.empirical_density(s, burn)
-        est_c = c.empirical_density(~s, burn)
+        est = density(s, burn)
+        est_c = density(~s, burn)
         assert est.upper == 1 - est_c.lower
         assert est.lower == 1 - est_c.upper
 
@@ -191,7 +218,7 @@ class TestInvariants:
     )
     @settings(max_examples=80, deadline=None)
     def test_profile_monotone_and_ordered(self, values, burn):
-        d = c.DistanceSeries(np.array(values, dtype=float))
+        d = values_series(np.array(values, dtype=float))
         prof = c.phi_profile(d, min(burn, len(values)))
         star, low = prof.phi_star, prof.phi_lower
         assert np.all(np.diff(star) >= 0)
@@ -201,7 +228,7 @@ class TestInvariants:
 
     def test_profile_reaches_one_at_the_top_threshold(self):
         # the largest distance below 1 lies below the top threshold only
-        d = c.DistanceSeries(np.full(100, np.nextafter(1.0, 0.0)))
+        d = values_series(np.full(100, np.nextafter(1.0, 0.0)))
         prof = c.phi_profile(d, 1)
         assert prof.phi_star[-1] == 1.0 and prof.phi_lower[-1] == 1.0
         assert prof.phi_star[-2] == 0.0 and prof.phi_lower[-2] == 0.0
@@ -241,17 +268,21 @@ def grid_or_none(horizon, burn_in):
 
 @st.composite
 def coded_series(draw):
-    # levels on both sides of COUNT_NONZERO_MAX_LEVELS, so both ways of
-    # counting the sets run
-    levels = draw(st.integers(1, 2 * de.COUNT_NONZERO_MAX_LEVELS))
+    """Nested time sets S_j = {n : codes[n-1] <= j}, j < levels, over up to
+    400 times (so up to 7 words, the last one partial), with checkpoints."""
+    levels = draw(st.integers(1, 8))
     horizon = draw(st.integers(1, 400))
     # a narrow code range leaves low levels empty and high levels full
     lo = draw(st.integers(0, levels))
     hi = draw(st.integers(lo, levels))
     codes = draw(st.lists(st.integers(lo, hi), min_size=horizon, max_size=horizon))
     cps = draw(checkpoints_for(horizon))
-    dtype = draw(st.sampled_from([np.intp, np.uint8]))
-    return np.array(codes, dtype=dtype), levels, cps
+    return np.array(codes), levels, cps
+
+
+def planes_of(codes, levels):
+    """The packed planes of the sets {codes <= j}, j < levels."""
+    return np.stack([c.pack_times(codes <= j) for j in range(levels)])
 
 
 def nested_sets_oracle(codes, levels, cps):
@@ -263,7 +294,7 @@ class TestNestedDensityKernel:
     @settings(max_examples=150, deadline=None)
     def test_matches_per_set_oracle(self, case):
         codes, levels, cps = case
-        got = de.nested_density_estimates(codes, levels, cps)
+        got = de.nested_density_estimates(planes_of(codes, levels), codes.size, cps)
         want = nested_sets_oracle(codes, levels, cps)
         assert [estimate_key(e) for e in got] == [estimate_key(e) for e in want]
 
@@ -275,13 +306,12 @@ class TestNestedDensityKernel:
     ])
     def test_empty_and_full_levels_tie_everywhere(self, value, policy):
         # a constant code v leaves levels < v empty and levels >= v full:
-        # every checkpoint ties at 0 or 1; on both ways of counting, for
-        # each checkpoint policy: the grid from burn-in 1, every time, or
-        # the horizon alone
-        for levels in (de.COUNT_NONZERO_MAX_LEVELS, de.COUNT_NONZERO_MAX_LEVELS + 1):
+        # every checkpoint ties at 0 or 1, for each checkpoint policy: the
+        # grid from burn-in 1, every time, or the horizon alone
+        for levels in (3, 4):
             code = min(value, levels)
-            codes = np.full(500, code, dtype=np.intp)
-            got = de.nested_density_estimates(codes, levels, policy)
+            codes = np.full(500, code)
+            got = de.nested_density_estimates(planes_of(codes, levels), 500, policy)
             for j, e in enumerate(got):
                 expect = 1 if j >= code else 0
                 assert e.upper == e.lower == expect
@@ -290,37 +320,41 @@ class TestNestedDensityKernel:
                 estimate_key(e) for e in nested_sets_oracle(codes, levels, policy)
             ]
 
-    @pytest.mark.parametrize(
-        "levels", [1, de.COUNT_NONZERO_MAX_LEVELS, de.COUNT_NONZERO_MAX_LEVELS + 1, 16]
-    )
+    @pytest.mark.parametrize("levels", [1, 3, 4, 16])
     def test_codes_out_of_range_rejected(self, levels):
-        cps = (1, 2, 3)
-        message = rf"codes must lie in \[0, {levels}\]"
-        for dtype in (np.intp, np.uint8):
-            with pytest.raises(ValidationError, match=message):
-                de.nested_density_estimates(np.array([0, levels + 1, 1], dtype), levels, cps)
-            # past the last checkpoint too
-            with pytest.raises(ValidationError, match=message):
-                de.nested_density_estimates(np.array([0, 1, levels + 1], dtype), levels, (1, 2))
+        # a bit past the horizon in any plane of the stack, in the last word
+        # or in a word of its own, even past the last checkpoint
+        message = "no bit set past time"
+        for horizon, bit in ((3, 3), (3, 63), (64, 64), (65, 65), (65, 127)):
+            planes = np.zeros((levels, -(-max(horizon, bit + 1) // 64)), dtype=np.uint64)
+            planes[-1, bit // 64] = np.uint64(1) << np.uint64(bit % 64)
+            if planes.shape[1] == -(-horizon // 64):
+                with pytest.raises(ValidationError, match=message):
+                    de.nested_density_estimates(planes, horizon, (1, horizon))
+                with pytest.raises(ValidationError, match=message):
+                    de.nested_density_estimates(planes, horizon, (1,))
+            else:
+                with pytest.raises(ValidationError, match="planes of"):
+                    de.nested_density_estimates(planes, horizon, (1,))
         with pytest.raises(ValidationError):
-            de.nested_density_estimates(np.array([0, -1, 1]), levels, cps)
-        with pytest.raises(ValidationError):
-            de.nested_density_estimates(np.array([], dtype=np.intp), levels, cps)
+            de.nested_density_estimates(np.zeros((0, 1), np.uint64), 3, (1, 2, 3))
 
     def test_negative_codes_are_validation_errors(self):
-        for dtype in (np.intp, np.int8, np.int32):
-            with pytest.raises(ValidationError, match=r"codes must lie in \[0, 2\]"):
-                de.nested_density_estimates(np.array([0, -1, 2], dtype=dtype), 2, (1, 2, 3))
+        # signed words, even with the same bits, are not planes
+        for dtype in (np.int64, np.int8, np.int32):
+            with pytest.raises(ValidationError, match="planes must be uint64 words"):
+                de.nested_density_estimates(np.array([[-1, 0]], dtype=dtype), 100, (1, 2, 3))
 
     def test_non_integer_codes_are_validation_errors(self):
-        for codes in (np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.0]), np.array(["0", "1"])):
-            with pytest.raises(ValidationError, match="codes must be integers"):
-                de.nested_density_estimates(codes, 2, (1, 2))
+        for planes in (np.array([[0.0]]), np.array([[True]]), np.array([["0"]]),
+                       c.pack_times([True, False]).view(np.int64)[None]):
+            with pytest.raises(ValidationError, match="planes must be uint64 words"):
+                de.nested_density_estimates(planes, 2, (1, 2))
 
     @pytest.mark.parametrize("cps", [(), (0, 2), (1, 4), (2, 2), (3, 1)], ids=repr)
     def test_bad_checkpoints_are_policy_errors(self, cps):
         with pytest.raises(PolicyError, match="checkpoints must be strictly increasing"):
-            de.nested_density_estimates(np.array([0, 1, 2]), 2, cps)
+            de.nested_density_estimates(planes_of(np.array([0, 1, 2]), 2), 3, cps)
 
     @given(coded_series(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -331,14 +365,62 @@ class TestNestedDensityKernel:
         grid = grid_or_none(s.size, burn_in)
         if grid is None:
             with pytest.raises(PolicyError):
-                c.empirical_density(s, burn_in)
+                density(s, burn_in)
         else:
-            assert estimate_key(c.empirical_density(s, burn_in)) == estimate_key(
+            assert estimate_key(density(s, burn_in)) == estimate_key(
                 per_set_density(s, grid)
             )
         ratios = [Fraction(int(np.count_nonzero(s[:n])), n) for n in cps]
-        assert c.density_along(s, cps, "upper") == max(ratios)
-        assert c.density_along(s, cps, "lower") == min(ratios)
+        assert density_along(s, cps, "upper") == max(ratios)
+        assert density_along(s, cps, "lower") == min(ratios)
+
+
+# horizons at and around the word edges, and one of many words
+EDGE_HORIZONS = [1, 63, 64, 65, 127, 128, 129, 2**16 + 1]
+
+
+class TestPlaneWordEdges:
+    @pytest.mark.parametrize("horizon", EDGE_HORIZONS)
+    def test_kernel_matches_per_set_oracle(self, horizon):
+        # random, empty and full sets, and a set holding only the last time,
+        # counted at every multiple of 64 below the horizon and at it
+        rng = np.random.default_rng(horizon)
+        last = np.zeros(horizon, dtype=bool)
+        last[-1] = True
+        masks = [rng.random(horizon) < p for p in (0.1, 0.5, 0.9)]
+        masks += [np.zeros(horizon, bool), np.ones(horizon, bool), last]
+        cps = tuple(range(64, horizon, 64)) + (horizon,)
+        for pick in (cps, cps[-1:], (1,) + cps if cps[0] > 1 else cps):
+            got = de.nested_density_estimates(
+                np.stack([c.pack_times(m) for m in masks]), horizon, pick)
+            want = [per_set_density(m, pick) for m in masks]
+            assert [estimate_key(e) for e in got] == [estimate_key(e) for e in want]
+
+    @pytest.mark.parametrize("horizon", EDGE_HORIZONS)
+    def test_pack_round_trip_and_clear_tail(self, horizon):
+        mask = np.random.default_rng(horizon + 1).random(horizon) < 0.5
+        plane = c.pack_times(mask)
+        assert plane.dtype == np.uint64 and plane.shape == (-(-horizon // 64),)
+        assert np.array_equal(c.unpack_times(plane, horizon), mask)
+        assert int(np.bitwise_count(plane).sum()) == np.count_nonzero(mask)
+        full = c.pack_times(np.ones(horizon, bool))
+        assert int(full[-1]) == (1 << (horizon % 64 or 64)) - 1
+
+    def test_malformed_planes_are_validation_errors(self):
+        good = c.pack_times(np.ones(65, bool))[None]
+        de.nested_density_estimates(good, 65, (65,))
+        for planes, horizon, message in (
+            (good.astype(np.int64), 65, "uint64"),
+            (good.astype(np.float64), 65, "uint64"),
+            (good[:, :1], 65, "planes of 2 words"),
+            (np.concatenate([good, good], axis=1), 65, "planes of 2 words"),
+            (good[0], 65, "planes of 2 words"),
+            (good, 64, "planes of 1 words"),
+            (good | np.uint64(2), 65, "no bit set past time 65"),
+            (c.pack_times(np.ones(128, bool))[None], 127, "no bit set past time 127"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                de.nested_density_estimates(planes, horizon, (1,))
 
 
 class TestExactExtremes:
@@ -405,7 +487,7 @@ class TestPhiKernelDifferential:
     @settings(max_examples=120, deadline=None)
     def test_phi_profile_matches_per_threshold_oracle(self, values, data):
         burn_in = data.draw(burn_ins_for(len(values)))
-        d = c.DistanceSeries(np.array(values))
+        d = values_series(np.array(values))
         cps = grid_or_none(d.horizon, burn_in)
         if cps is None:
             return
@@ -416,40 +498,76 @@ class TestPhiKernelDifferential:
     @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=100, max_size=400))
     @settings(max_examples=60, deadline=None)
     def test_default_grid_matches_per_threshold_oracle(self, values):
-        d = c.DistanceSeries(np.array(values))
+        d = values_series(np.array(values))
         prof = c.phi_profile(d)
         want = per_threshold_phi(values, c.checkpoint_grid(len(values)))
         assert [estimate_key(e) for e in prof.estimates] == [estimate_key(e) for e in want]
 
 
+class TestValueChunks:
+    @pytest.mark.parametrize("extra", [-1, 0, 5, 64])
+    def test_planes_across_chunks_match_whole_compares(self, extra):
+        # values drawn from the grid points (ties) and floats, over two
+        # chunks plus a partial one, packed chunk by chunk
+        rng = np.random.default_rng(extra + 2)
+        size = 2 * de.VALUE_CHUNK + extra
+        values = np.where(rng.random(size) < 0.5, rng.choice(TIES, size), rng.random(size))
+        d = c.DistanceSeries.from_values(values)
+        assert grid_planes(d).tobytes() == compared_planes(values).tobytes()
+
+    def test_absolute_distances_built_per_chunk(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.random((2, de.VALUE_CHUNK + 100))
+        d = c.DistanceSeries.from_values(a, b)
+        assert grid_planes(d).tobytes() == compared_planes(np.abs(a - b)).tobytes()
+        # refusals are seen in any chunk, the last included
+        for bad, message in ((np.nan, "NaN"), (2.0, r"\[0, 1\]")):
+            late = a.copy()
+            late[-1] = bad
+            with pytest.raises(ValidationError, match=message):
+                c.DistanceSeries.from_values(late, b)
+        with pytest.raises(ValidationError, match="nonempty 1-d"):
+            c.DistanceSeries.from_values(a, b[:-1])
+
+
 @st.composite
-def indexed_series(draw):
-    """A coded DistanceSeries. Table values come from a small pool holding
-    the threshold points (ties), 0, 1 and values between, so tables repeat
-    values and codes, and often have no code 0 (nothing below the first
-    threshold) or no code 16 (nothing at or above the last)."""
+def shared_plane_series(draw):
+    """A DistanceSeries that stores each distinct threshold set once, with
+    the grid points reading it through `rows`, as the Hamming series does,
+    and its N float distances. Values come from a small pool holding the
+    threshold points (ties), 0, 1 and values between, so sets repeat along
+    the grid, and often nothing lies below the first threshold or
+    everything below the last."""
     pool = st.sampled_from(TIES) | st.floats(0, 1, allow_nan=False)
     table = draw(st.lists(pool, min_size=1, max_size=12))
     horizon = draw(st.integers(1, 300))
     index = draw(st.lists(st.integers(0, len(table) - 1), min_size=horizon, max_size=horizon))
-    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.int32, np.intp]))
-    return c.DistanceSeries(np.array(table), index=np.array(index, dtype=dtype))
+    values = np.array(table)[index]
+    return shared_planes(values), values
+
+
+def shared_planes(values):
+    sets = [c.pack_times(values < t).tobytes() for t in c.THRESHOLD_GRID]
+    distinct = sorted(set(sets))
+    planes = np.stack([np.frombuffer(b, dtype=np.uint64) for b in distinct])
+    return c.DistanceSeries(planes, values.size, tuple(distinct.index(b) for b in sets))
 
 
 class TestIndexedPhi:
-    @given(indexed_series(), st.data())
-    @example(c.DistanceSeries(np.array([0.5, 0.75]), index=np.array([0, 1, 1, 0])),
-             None)  # no code 0, no code 16
-    @example(c.DistanceSeries(sy.HAMMING_TABLE, index=np.array([1, 0, 1], np.uint8)),
-             None)  # the Hamming table: ranks 0 and 1 are its own index
+    @given(shared_plane_series(), st.data())
+    @example((shared_planes(np.array([0.5, 0.75, 0.75, 0.5])), np.array([0.5, 0.75, 0.75, 0.5])),
+             None)  # nothing below the low thresholds, everything below the top one
+    @example((shared_planes(np.array([1.0, 0.0, 1.0])), np.array([1.0, 0.0, 1.0])),
+             None)  # the Hamming indicator: one set at every grid point
     @settings(max_examples=150, deadline=None)
-    def test_phi_profile_matches_per_threshold_oracle(self, d, data):
+    def test_phi_profile_matches_per_threshold_oracle(self, case, data):
+        d, values = case
         burn_in = 1 if data is None else data.draw(burn_ins_for(d.horizon))
         cps = grid_or_none(d.horizon, burn_in)
         if cps is None:
             return
         prof = c.phi_profile(d, burn_in)
-        want = per_threshold_phi(d.values, cps)
+        want = per_threshold_phi(values, cps)
         assert [estimate_key(e) for e in prof.estimates] == [estimate_key(e) for e in want]
 
 
@@ -473,45 +591,71 @@ def symbol_pair(a, b):
     return c.OrbitPair(ta, tb)
 
 
-def cantor_coded(a, b):
-    """The Cantor series' float values, gathered from its (table, index)."""
-    return c.distance_series(symbol_pair(a, b), "cantor").values
+def grid_planes(d):
+    """The series' packed threshold set at every grid point."""
+    return np.stack([d.planes[r] for r in d.rows])
+
+
+def compared_planes(values):
+    """The packed sets {n : d_n < t} of N float distances, one compare per
+    grid point."""
+    return np.stack([c.pack_times(values < t) for t in c.THRESHOLD_GRID])
+
+
+def cantor_planes_match_oracle(a, b):
+    d = c.distance_series(symbol_pair(a, b), "cantor")
+    return grid_planes(d).tobytes() == compared_planes(cantor_values_direct(a, b)).tobytes()
 
 
 class TestCantorValues:
+    """The Cantor planes against `oracles.cantor_values_direct(a, b) < t`."""
+
     @given(symbol_pairs())
     @settings(max_examples=150, deadline=None)
     def test_matches_oracle_bytes(self, pair):
-        a, b = pair
-        assert cantor_coded(a, b).tobytes() == cantor_values_direct(a, b).tobytes()
+        assert cantor_planes_match_oracle(*pair)
 
     def test_all_agreeing_pair_underflows_like_oracle(self):
-        # agreement runs past 1074 steps go through the subnormals to 0
+        # runs past 1074 steps give 2^-L = 0 in the oracle; here the run is
+        # capped by the horizon only, so the last 17 times (runs of 17 down
+        # to 1) hold exactly the sets of the depths they reach
         a = np.zeros(3000, dtype=np.int64)
-        got = cantor_coded(a, a)
-        assert got.tobytes() == cantor_values_direct(a, a).tobytes()
-        assert got[0] == 0.0 and got[-1] == 0.5
+        assert cantor_planes_match_oracle(a, a)
+        d = c.distance_series(symbol_pair(a, a), "cantor")
+        sets = [c.unpack_times(p, 3000) for p in grid_planes(d)]
+        for run in range(1, 18):
+            assert [s[3000 - run] for s in sets] == [run >= k for k in sy.CANTOR_DEPTHS]
+        assert all(s[:-17].all() for s in sets)
 
     def test_sampled_tracks_match_oracle_bytes(self):
         for spec in (c.FullShift(2, (0.5, 0.5)), c.FullShift(3, (0.6, 0.3, 0.1))):
             pair = c.make_pair(spec, 20000, (3, 4))
-            a, b = pair.a.symbols, pair.b.symbols
-            got = c.distance_series(pair, "cantor").values
-            assert got.tobytes() == cantor_values_direct(a, b).tobytes()
+            assert cantor_planes_match_oracle(pair.a.symbols, pair.b.symbols)
 
     @pytest.mark.parametrize("run", [1073, 1074, 1075, 1076, 2500])
     def test_runs_around_the_clip_match_oracle_bytes(self, run):
-        # agreement runs of every length near the 1075 clip, each ended by
-        # one disagreement, then an agreeing tail
+        # agreement runs of every length near 1075, where the oracle's 2^-L
+        # reaches 0.0, each ended by one disagreement, then an agreeing tail
+        # whose last 17 times are capped by the horizon
         a = np.zeros(3 * run + 50, dtype=np.int64)
         b = a.copy()
         b[[run, 2 * run + 1]] = 1
-        d = c.distance_series(symbol_pair(a, b), "cantor")
-        assert d.index.dtype == np.uint16 and int(d.index.max()) <= sy.CANTOR_CLIP
-        assert d.values.tobytes() == cantor_values_direct(a, b).tobytes()
-        grid = np.ldexp(1.0, -np.array([1074, 1073, 1000, 3, 0]))
-        codes = np.searchsorted(grid, d.table, side="right")[d.index]
-        assert np.array_equal(codes, np.searchsorted(grid, d.values, side="right"))
+        assert cantor_planes_match_oracle(a, b)
+        # and a disagreement in each of the last 17 times
+        for back in range(1, 18):
+            b = a.copy()
+            b[-back] = 1
+            assert cantor_planes_match_oracle(a, b)
+
+
+class TestCantorDepths:
+    def test_depths_pinned_against_the_cantor_values(self):
+        # grid point t_j reads {2^-L < t_j} = {L >= k_j}: k_j is the number
+        # of values 2^-L with L >= 0 that are >= t_j
+        assert sy.CANTOR_DEPTHS == (17, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1)
+        for t, k in zip(c.THRESHOLD_GRID.tolist(), sy.CANTOR_DEPTHS):
+            assert 2.0**-k < t <= 2.0 ** -(k - 1)
+            assert sum(2.0**-L >= t for L in range(1100)) == k
 
 
 class TestHammingValues:
@@ -520,33 +664,22 @@ class TestHammingValues:
     def test_matches_float_indicator_bytes(self, pair):
         a, b = pair
         d = c.distance_series(symbol_pair(a, b), "hamming-indicator")
-        assert d.index.dtype == np.uint8
-        assert d.values.tobytes() == (a != b).astype(np.float64).tobytes()
-
-
-# grids whose points equal some 2^-j (so d_n = t ties are exercised), down
-# to the smallest subnormal 2^-1074, plus a few points off the table
-dyadic_grids = st.lists(
-    st.one_of(
-        st.integers(0, 1074).map(lambda j: float(np.ldexp(1.0, -j))),
-        st.sampled_from([float(np.ldexp(1.0, -1074)), 0.3, 0.7, 1.5, 1e-300]),
-    ),
-    min_size=1,
-    max_size=12,
-    unique=True,
-).map(lambda g: np.array(sorted(g)))
+        assert d.planes.shape == (1, -(-a.size // 64)) and set(d.rows) == {0}
+        indicator = (a != b).astype(np.float64)
+        assert grid_planes(d).tobytes() == compared_planes(indicator).tobytes()
 
 
 class TestCodedPhi:
-    @given(symbol_pairs(), dyadic_grids, st.sampled_from(["cantor", "hamming-indicator"]))
+    @given(symbol_pairs(), st.sampled_from(["cantor", "hamming-indicator"]))
     @settings(max_examples=150, deadline=None)
-    def test_table_codes_match_searchsorted_over_values(self, pair, grid, metric):
+    def test_agreement_planes_match_compares_over_values(self, pair, metric):
         a, b = pair
-        d = c.distance_series(symbol_pair(a, b), metric)
-        coded = np.searchsorted(grid, d.table, side="right")[d.index]
-        assert np.array_equal(coded, np.searchsorted(grid, d.values, side="right"))
+        p = symbol_pair(a, b)
+        d = c.distance_series(p, metric)
+        values = float_distance_values(p, metric)
+        assert grid_planes(d).tobytes() == compared_planes(values).tobytes()
         prof = c.phi_profile(d, 1)
-        want = c.phi_profile(c.DistanceSeries(d.values), 1)
+        want = c.phi_profile(c.DistanceSeries.from_values(values), 1)
         assert [estimate_key(e) for e in prof.estimates] == [
             estimate_key(e) for e in want.estimates
         ]
@@ -558,14 +691,14 @@ class TestCodedPhi:
 
 
 class TestCodedSeriesValidation:
-    def test_index_range_and_dtype(self):
-        table = np.array([0.0, 0.5, 1.0])
-        assert c.DistanceSeries(table, index=np.array([2, 0, 1])).values.tolist() == [
-            1.0, 0.0, 0.5,
-        ]
-        for bad in (np.array([0, 3]), np.array([-1, 0]), np.array([0.0, 1.0]),
-                    np.array([], dtype=np.intp), np.zeros((2, 2), dtype=np.intp)):
+    def test_plane_words_and_rows(self):
+        planes = c.pack_times(np.ones(70, bool))[None]
+        d = c.DistanceSeries(planes, 70, (0,) * 16)
+        assert c.phi_profile(d, 1).phi_lower.tolist() == [1.0] * 16
+        for bad_planes, horizon in ((planes.astype(np.int64), 70), (planes[:, :1], 70),
+                                    (planes, 64), (planes, 0)):
             with pytest.raises(ValidationError):
-                c.DistanceSeries(table, index=bad)
-        with pytest.raises(ValidationError):
-            c.DistanceSeries(np.array([0.0, 2.0]), index=np.array([0]))
+                c.DistanceSeries(bad_planes, horizon, (0,) * 16)
+        for rows in ((0,) * 15, (0,) * 15 + (1,), (0,) * 15 + (-1,), ()):
+            with pytest.raises(ValidationError, match="one plane row in range"):
+                c.DistanceSeries(planes, 70, rows)

@@ -79,6 +79,23 @@ class TestCylinderEntropy:
                 ours = c.empirical_cylinder_entropy(bits, 4, stride=stride)
             assert math.isclose(ours, plugin_entropy_direct(bits, 4, stride), rel_tol=1e-12)
 
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4, 5])
+    def test_strided_windows_match_direct_counter(self, stride):
+        # words shorter than, equal to, and 1 to 3 blocks longer than the
+        # stride (with and without a remainder), on tracks whose last
+        # window ends at the last symbol or short of it
+        rng = np.random.default_rng(stride)
+        for alphabet, size in ((2, 3001), (3, 2000), (2, 64)):
+            track = rng.integers(0, alphabet, size)
+            for word_len in sorted({1, 2, 3, stride, stride + 1, 2 * stride + 1, 3 * stride, 19}):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UndersampledWarning)
+                    ours = c.empirical_cylinder_entropy(track, word_len, stride)
+                want = plugin_entropy_direct(track, word_len, stride)
+                assert math.isclose(ours, want, rel_tol=1e-12, abs_tol=1e-15), (
+                    alphabet, size, word_len)
+                assert repr(ours) == repr(plugin_entropy_unique(track, word_len, stride))
+
     def test_undersampled_warns_not_fails(self):
         with pytest.warns(UndersampledWarning):
             c.empirical_cylinder_entropy(np.ones(200, dtype=int), 8)

@@ -25,12 +25,6 @@ UNREACHED = {
         "the image-side partition scheme the transfer criteria compare against",
     "blocks.aligned_window_scheme.same_atom_mask":
         "the mask of aligned_window_scheme",
-    "density.density_along":
-        "reads a density along a checkpoint subsequence in the transfer criteria",
-    "density.empirical_density":
-        "the single-mask density read of the transfer criteria",
-    "density.DistanceSeries.values":
-        "materialises a coded series; commands work on the table and index",
     "cli.load_config": "config files are pinned by GOLDEN_CONFIG, not GOLDEN",
     "cli._parse_with_config": "config files are pinned by GOLDEN_CONFIG, not GOLDEN",
     "cli._Parser.error": "usage errors; no golden command makes one",

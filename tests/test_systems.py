@@ -336,21 +336,31 @@ class TestDistanceSeries:
         b = c.Trajectory(spec, len(ys), symbols=np.array(ys, dtype=np.int64))
         return c.OrbitPair(a, b)
 
+    @staticmethod
+    def _sets(d):
+        """The mask of the series' set {d_n < t} at every grid point."""
+        return [c.unpack_times(d.planes[r], d.horizon).tolist() for r in d.rows]
+
     def test_hamming_identical(self):
         d = c.distance_series(self._pair([0, 1, 0, 1], [0, 1, 0, 1]), "hamming-indicator")
-        assert np.array_equal(d.values, np.zeros(4))
+        assert self._sets(d) == [[True] * 4] * 16
 
     def test_hamming_positionwise(self):
         d = c.distance_series(self._pair([0, 1, 0, 1], [0, 1, 1, 1]), "hamming-indicator")
-        assert d.values.tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert self._sets(d) == [[True, True, False, True]] * 16
 
     def test_cantor_first_disagreement(self):
         d = c.distance_series(self._pair([0, 0, 0, 0], [0, 0, 1, 0]), "cantor")
-        assert d.values[0] == 0.25  # agreement run of length 2 from n=0
+        # agreement run of length 2 from n=0: d = 0.25 lies below t exactly
+        # at the grid points above 0.25, the last two
+        assert [s[0] for s in self._sets(d)] == [False] * 14 + [True] * 2
+        assert [t > 0.25 for t in c.THRESHOLD_GRID] == [False] * 14 + [True] * 2
 
     def test_cantor_cap_at_remaining_horizon(self):
+        # runs 3, 2, 1 (capped by the horizon): d = 2^-3, 2^-2, 2^-1
         d = c.distance_series(self._pair([0, 0, 0], [0, 0, 0]), "cantor")
-        assert d.values.tolist() == [2.0**-3, 2.0**-2, 2.0**-1]
+        assert self._sets(d) == [[bool(2.0**-L < t) for L in (3, 2, 1)]
+                                 for t in c.THRESHOLD_GRID]
 
     def test_metric_unavailable(self):
         with pytest.raises(MetricUnavailable):
@@ -362,5 +372,7 @@ class TestDistanceSeries:
         ys = data.draw(st.lists(st.integers(0, 1), min_size=len(xs), max_size=len(xs)))
         d_ab = c.distance_series(self._pair(xs, ys), "hamming-indicator")
         d_ba = c.distance_series(self._pair(ys, xs), "hamming-indicator")
-        assert set(np.unique(d_ab.values)) <= {0.0, 1.0}
-        assert np.array_equal(d_ab.values, d_ba.values)
+        # one set at every grid point: the indicator takes only 0 and 1
+        assert set(d_ab.rows) == {0} and len(d_ab.planes) == 1
+        assert self._sets(d_ab) == self._sets(d_ba)
+        assert self._sets(d_ab)[0] == [x == y for x, y in zip(xs, ys)]
