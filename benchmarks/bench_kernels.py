@@ -2,11 +2,12 @@
 and logistic) and the coding track built from a real track, the exact
 eta-ball count, the per-pair distance series plus Phi profile of the
 Hamming, Cantor and absolute metrics and the depth-3 cylinder estimates,
-the time-set kernel on its own (1, 3 and 16 packed planes) and its exact
-pick on the Fraction path, the plug-in word entropy on both of its
-counting branches and at a stride, the `pair` dump writer on its own and
-its real cells against `repr`, one small CLI call (first and later calls)
-and the `verify --suite pi-bijection` CLI call at q = 2,3,2.
+the time-set kernel on its own (1, 3 and 16 packed planes, and the 1,920
+planes of a 16-trajectory Cantor scan) and its exact pick on the Fraction
+path, the plug-in word entropy on both of its counting branches and at a
+stride, the `pair` dump writer on its own and its real cells against `repr`, one small CLI call (first and later calls),
+the `verify --suite pi-bijection` CLI call at q = 2,3,2 and the traced
+memory peak of a 16 x 1e5 tent/Cantor `scan`.
 
 Run as a script from a checkout (no install needed):
     python benchmarks/bench_kernels.py
@@ -16,6 +17,7 @@ import os
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -110,6 +112,12 @@ def main():
                 planes[:, -1] &= np.uint64((1 << (horizon % 64)) - 1)
             t, _ = timeit(nested_density_estimates, planes, horizon, cps, repeat=7)
             print(f"  N={horizon:8d} ({len(cps)} checkpoints) planes={count:2d}: {t*1e3:6.2f} ms")
+    # the 120 pairs x 16 Cantor planes of a 16-trajectory scan, in one call
+    cps = checkpoint_grid(100_000)
+    planes = rng.integers(0, 2**64, (1920, -(-100_000 // 64)), dtype=np.uint64)
+    planes[:, -1] &= np.uint64((1 << (100_000 % 64)) - 1)
+    t, _ = timeit(nested_density_estimates, planes, 100_000, cps)
+    print(f"  N=  100000 ({len(cps)} checkpoints) planes=1920: {t*1e3:6.2f} ms")
     # above nmax**2 * max ratio = 2**51 every ratio is a Fraction: synthetic
     # counts of 17 levels on the N = 1e8 grid, so no 1e8 sample is built
     cps = checkpoint_grid(100_000_000)
@@ -185,6 +193,25 @@ def main():
                 raise SystemExit("pi-bijection failed")
         times.append(time.perf_counter() - t0)
     print(f"  median of 21 calls {sorted(times)[10]*1e3:7.2f} ms")
+
+    print("\ncli.run scan --count 16 --horizon 100000 --system tent --param 1.99"
+          " --metric cantor, traced by tracemalloc")
+    argv = ["scan", "--count", "16", "--horizon", "100000", "--system", "tent",
+            "--param", "1.99", "--metric", "cantor", "--out", "clique.csv"]
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            if cli.run(argv) != 0:
+                raise SystemExit("scan failed")
+            t = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            os.chdir(here)
+    print(f"  peak {peak / 1e6:6.2f} MB (16 real tracks would be {16 * 100_000 * 8 / 1e6:.1f} MB)"
+          f"   {t*1e3:7.1f} ms under tracing")
 
 
 if __name__ == "__main__":

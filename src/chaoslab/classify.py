@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import UserDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -296,10 +298,17 @@ def scan_scrambled_set(
     return sorted(clique)
 
 
-def all_pairs(trajectories: Sequence[Trajectory]):
-    """Dictionary of all unordered index pairs, for scan_scrambled_set."""
-    out: dict[tuple[int, int], OrbitPair] = {}
-    for i in range(len(trajectories)):
-        for j in range(i + 1, len(trajectories)):
-            out[(i, j)] = OrbitPair(trajectories[i], trajectories[j])
-    return out
+class _PairsOnRead(UserDict):
+    """(i, j) -> the trajectories i < j, read as a new OrbitPair each time,
+    so that no pair, nor the agreement plane it caches, outlives its
+    reader. UserDict keeps the keys, their order and len."""
+
+    def __getitem__(self, key: tuple[int, int]) -> OrbitPair:
+        return OrbitPair(*self.data[key])
+
+
+def all_pairs(trajectories: Sequence[Trajectory]) -> Mapping[tuple[int, int], OrbitPair]:
+    """Mapping of all unordered index pairs, for scan_scrambled_set; each
+    OrbitPair is built when it is read."""
+    indexed = enumerate(trajectories)
+    return _PairsOnRead({(i, j): (a, b) for (i, a), (j, b) in combinations(indexed, 2)})

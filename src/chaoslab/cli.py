@@ -537,7 +537,14 @@ def _cmd_scan(args) -> int:
     spec = _system_spec(args)
     horizon = args.horizon if args.horizon is not None else 10000
     seed = args.seed if args.seed is not None else 1
-    trajectories = [sy.sample_orbit(spec, horizon, seed + i) for i in range(args.count)]
+
+    def draw(i: int) -> sy.Trajectory:
+        # no symbolic read touches a real track, so under a symbolic metric
+        # each is dropped as it is drawn: one is alive at a time
+        t = sy.sample_orbit(spec, horizon, seed + i)
+        return t if args.metric == "absolute" else dataclasses.replace(t, reals=None)
+
+    trajectories = [draw(i) for i in range(args.count)]
     common = min(t.horizon for t in trajectories)
     trajectories = [sy.truncate_trajectory(t, common) for t in trajectories]
     th = _thresholds(args)

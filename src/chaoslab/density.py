@@ -160,10 +160,13 @@ def nested_density_estimates(
     """Densities of the time sets of a stack of packed planes over times
     1..horizon (see `pack_times`), one estimate per plane.
 
-    Checkpoints are strictly increasing times in [1, horizon]. Each plane's
-    word popcounts are summed once into a prefix sum; count(S cap [1, n]) is
-    the prefix at n's word plus the popcount of that word's bits below n.
-    The (checkpoints x planes) count matrix goes to `_exact_extremes`.
+    Checkpoints are strictly increasing times in [1, horizon]. The word
+    popcounts of each plane are summed per segment between consecutive
+    checkpoint words by one np.add.reduceat, and a cumsum over the
+    checkpoints turns the segment sums into the counts of the whole words
+    below each checkpoint's word; count(S cap [1, n]) adds the popcount of
+    that word's bits below n. The (checkpoints x planes) count matrix goes
+    to `_exact_extremes`.
     """
     planes = check_planes(planes, horizon)
     cps = tuple(int(n) for n in checkpoints)
@@ -171,13 +174,20 @@ def nested_density_estimates(
         a >= b for a, b in zip(cps, cps[1:])
     ):
         raise PolicyError(f"checkpoints must be strictly increasing in [1, {horizon}]")
-    prefix = np.bitwise_count(planes).astype(np.int64)
-    np.cumsum(prefix, axis=1, out=prefix)  # in place: a cast inside cumsum copies twice
     ns = np.asarray(cps, dtype=np.int64)
     word, bit = ns >> 6, (ns & 63).astype(np.uint64)
+    # one zero column past the last word, so that the word of n = N on a
+    # multiple of 64 is a valid reduceat index
+    pop = np.zeros((planes.shape[0], planes.shape[1] + 1), dtype=np.uint8)
+    np.bitwise_count(planes, out=pop[:, :-1])
+    edges = np.concatenate(([0], word))
+    # segment i sums the words edges[i] <= w < edges[i + 1]; reduceat gives
+    # the single word edges[i] where the two are equal, a segment of none
+    segments = np.add.reduceat(pop, edges, axis=1, dtype=np.int64)[:, :-1]
+    segments[:, edges[:-1] == edges[1:]] = 0
     below = (np.uint64(1) << bit) - np.uint64(1)  # 0 where n ends a word
     partial = planes[:, np.minimum(word, planes.shape[1] - 1)] & below
-    counts = (np.where(word > 0, prefix[:, word - 1], 0) + np.bitwise_count(partial)).T
+    counts = (np.cumsum(segments, axis=1) + np.bitwise_count(partial)).T
     uppers, lowers = _exact_extremes(counts, cps)
     return tuple(
         DensityEstimate(upper, lower, cps, int(count))

@@ -167,8 +167,9 @@ class OrbitPair:
     @cached_property
     def agreement(self) -> np.ndarray:
         """The packed plane (see `density.pack_times`) of the times at which
-        the two symbol tracks agree, built once per pair: the Hamming and
-        Cantor series and the cylinder scheme all read it."""
+        the two symbol tracks agree, built once per pair (a witness pair is
+        given it by `construct_witness_pair`): the Hamming and Cantor series
+        and the cylinder scheme all read it."""
         return pack_times(self.a.symbols == self.b.symbols)
 
 
@@ -345,30 +346,27 @@ def witness_runs(target: str, horizon: int) -> list[tuple[int, bool]]:
     return runs
 
 
-def runs_to_mask(runs: Sequence[tuple[int, bool]], horizon: int) -> np.ndarray:
-    mask = np.zeros(sum(l for l, _ in runs), dtype=bool)
-    pos = 0
-    for length, agree in runs:
-        if agree:
-            mask[pos : pos + length] = True
-        pos += length
-    return mask[:horizon]
-
-
 def construct_witness_pair(target: str, horizon: int) -> OrbitPair:
     """Full-shift pair (x = all zeros, y = 1 exactly on disagree-runs) whose
-    agreement-time densities realize the target scrambling class."""
+    agreement-time densities realize the target scrambling class. The
+    schedule is expanded by one np.repeat of the run flags over the run
+    lengths cut at the horizon, and the pair's agreement plane is packed
+    from that mask, so it is not rebuilt from the symbols."""
     runs = witness_runs(target, horizon)
     if len(runs) < 6:
         raise InsufficientHorizon(
             f"horizon {horizon} covers only {len(runs)} runs of the {target} "
             "schedule; at least 6 required"
         )
-    agree = runs_to_mask(runs, horizon)
+    lengths, flags = np.array(runs, dtype=np.int64).T
+    ends = np.minimum(np.cumsum(lengths), horizon)
+    agree = np.repeat(flags.astype(bool), np.diff(ends, prepend=0))
     spec = FullShift(2, (0.5, 0.5))
     x = Trajectory(spec, horizon, symbols=np.zeros(horizon, dtype=symbol_dtype(spec.arity)))
     y = Trajectory(spec, horizon, symbols=(~agree).view(symbol_dtype(spec.arity)))
-    return OrbitPair(x, y)
+    pair = OrbitPair(x, y)
+    vars(pair)["agreement"] = pack_times(agree)  # where the cached property keeps it
+    return pair
 
 
 # --- metrics -----------------------------------------------------------------

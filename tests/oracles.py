@@ -8,16 +8,19 @@ all 2^n difference masks, marker blocks come from running the block
 recursion on every row, same-atom masks come from comparing per-time
 atom labels, plug-in word entropy comes from a Counter over word tuples
 or from int64 word codes sorted by `np.unique`, interval-map orbits
-come from a list-appending loop with Python-int symbol packing, and
-full-shift symbols come from `Generator.choice`.
+come from a list-appending loop with Python-int symbol packing,
+full-shift symbols come from `Generator.choice`, and witness-schedule
+masks come from one slice assignment per run.
 """
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from chaoslab.classify import all_pairs, classify_metric_pair, scan_scrambled_set
+from chaoslab.classify import classify_metric_pair, scan_scrambled_set
 from chaoslab.density import THRESHOLD_GRID, DensityEstimate, PhiProfile, checkpoint_grid
+from chaoslab.systems import OrbitPair
 
 
 def boundary_ratios(runs, horizon, want_agree=True):
@@ -36,6 +39,18 @@ def boundary_ratios(runs, horizon, want_agree=True):
         count = agree_total if want_agree else total - agree_total
         ratios.append((total, Fraction(count, total)))
     return ratios
+
+
+def runs_to_mask(runs, horizon):
+    """The agreement mask of a run schedule over times 1..horizon, one slice
+    assignment per run."""
+    mask = np.zeros(sum(length for length, _ in runs), dtype=bool)
+    pos = 0
+    for length, agree in runs:
+        if agree:
+            mask[pos : pos + length] = True
+        pos += length
+    return mask[:horizon]
 
 
 def boundary_extrema(runs, horizon, burn_in, want_agree=True):
@@ -283,13 +298,15 @@ def phi_profile_float_path(pair, metric, burn_in=None):
 
 def scan_clique_float_path(trajectories, metric, th, target):
     """Scrambled clique of `scan`, with each pair read off its float-path
-    Phi profile."""
+    Phi profile, over a dict of every pair built up front."""
 
     def scrambled(pair):
         profile = phi_profile_float_path(pair, metric, th.burn_in)
         return classify_metric_pair(profile, th).flags[target]
 
-    return scan_scrambled_set(all_pairs(trajectories), scrambled)
+    indexed = enumerate(trajectories)
+    pairs = {(i, j): OrbitPair(a, b) for (i, a), (j, b) in combinations(indexed, 2)}
+    return scan_scrambled_set(pairs, scrambled)
 
 
 def pair_dump_direct(pair):

@@ -21,7 +21,7 @@ import chaoslab as c
 from chaoslab import blocks as bl
 from chaoslab import density as de
 from chaoslab.cli import run as cli_run
-from oracles import partition_verdict_direct
+from oracles import partition_verdict_direct, runs_to_mask
 
 REPORT = []
 
@@ -452,7 +452,7 @@ def test_zero_entropy_pair_reads_measure_theoretic_plus(target, pk_plus):
     q = c.QSchedule((2, 2, 2))
     runs = c.witness_runs(target, 3000)
     blocks = sum(length for length, _ in runs)
-    agree = c.systems.runs_to_mask(runs, blocks)
+    agree = runs_to_mask(runs, blocks)
     free_x = np.zeros((blocks, q.p(3)), dtype=np.int8)
     free_y = np.zeros((blocks, q.p(3)), dtype=np.int8)
     free_y[~agree] = 1

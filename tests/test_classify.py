@@ -19,6 +19,7 @@ from oracles import (
     partition_verdict_direct,
     per_set_density,
     phi_profile_float_path,
+    runs_to_mask,
     same_label_mask,
     scan_clique_float_path,
 )
@@ -402,7 +403,7 @@ class TestPartitionClassification:
             runs.append((length, agree))
             total += length
             length, agree = 40 * total, not agree
-        mask = c.systems.runs_to_mask(runs, total)
+        mask = runs_to_mask(runs, total)
         xs = np.zeros(total, dtype=np.int64)
         ys = (~mask).astype(np.int64)
         spec = c.FullShift(2, (0.5, 0.5))
@@ -619,6 +620,32 @@ class TestScan:
         vertices = trajectories[:3] + [loner]
         clique = c.scan_scrambled_set(c.all_pairs(vertices), self._verdict_fn())
         assert clique == [0, 1, 2]
+
+    # tent orbits whose graphs have some edges but not all: a clique of 3
+    # of 9 Hamming dc2 edges and of 4 of 12 Cantor dc3 edges
+    @pytest.mark.parametrize("metric,target", [("hamming-indicator", "dc2"), ("cantor", "dc3")])
+    def test_all_pairs_builds_each_pair_on_read(self, metric, target):
+        count = 6
+        spec = c.IntervalMap("tent", 1.99)
+        trajectories = [c.sample_orbit(spec, 3000, seed) for seed in range(1, count + 1)]
+        pairs = c.all_pairs(trajectories)
+        keys = [(i, j) for i in range(count) for j in range(i + 1, count)]
+        assert list(pairs) == list(pairs.keys()) == keys and len(pairs) == len(keys)
+        for (i, j), pair in pairs.items():
+            eager = c.OrbitPair(trajectories[i], trajectories[j])
+            for got, want in ((pair.a, eager.a), (pair.b, eager.b)):
+                assert np.array_equal(got.symbols, want.symbols)
+            assert "agreement" not in vars(pair)
+        assert pairs[0, 1] is not pairs[0, 1]
+        th = c.Thresholds(tau_one=0.5, tau_zero=0.45, gap=0.05)
+
+        def is_scrambled(pair):
+            prof = c.phi_profile(c.distance_series(pair, metric), th.burn_in)
+            return c.classify_metric_pair(prof, th).flags[target]
+
+        clique = c.scan_scrambled_set(pairs, is_scrambled)
+        assert len(clique) > 1
+        assert clique == scan_clique_float_path(trajectories, metric, th, target)
 
 
 def estimate_keys(profile):

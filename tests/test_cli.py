@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -552,6 +554,57 @@ class TestArtifacts:
         rows = [l.split(",") for l in read(out).splitlines() if not l.startswith("#")]
         values = {r[0]: float(r[4]) for r in rows[1:]}
         assert values["marker-block"] < values["iid-fair-bits"]
+
+
+class TestScanHoldsWhatItReads:
+    """Under a symbolic metric `scan` keeps symbol tracks only, and each pair,
+    with the agreement plane it caches, lives only while it is read."""
+
+    TENT = ["scan", "--system", "tent", "--param", "1.99", "--seed", "3"]
+
+    def test_symbolic_scan_peaks_below_the_real_tracks(self, tmp_path):
+        # 16 real tracks of 20000 float64s, which no Cantor read touches
+        argv = self.TENT + ["--count", "16", "--horizon", "20000", "--metric", "cantor"]
+        tracemalloc.start()
+        try:
+            assert run(argv + ["--out", str(tmp_path / "clique.csv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 20000 * 8
+
+    @pytest.mark.parametrize("metric", ["cantor", "hamming-indicator", "absolute"])
+    def test_pairs_hold_the_tracks_their_metric_reads(self, metric, tmp_path, monkeypatch):
+        scan, count = c.classify.scan_scrambled_set, 5
+        read = []  # weak references to each pair read and to its agreement plane
+        handed = []
+
+        def spy(pairs, is_scrambled):
+            def checked(pair):
+                # every pair read before this one is gone, with its plane
+                assert all(ref() is None for refs in read for ref in refs)
+                verdict = is_scrambled(pair)
+                for t in (pair.a, pair.b):
+                    assert (t.reals is None) == (metric != "absolute")
+                    assert t.symbols is not None
+                plane = vars(pair).get("agreement")
+                assert (plane is None) == (metric == "absolute")
+                read.append([weakref.ref(pair)])
+                if plane is not None:
+                    read[-1].append(weakref.ref(plane))
+                return verdict
+
+            handed.append(pairs)
+            assert len(pairs) == count * (count - 1) // 2
+            return scan(pairs, checked)
+
+        monkeypatch.setattr(c.classify, "scan_scrambled_set", spy)
+        argv = self.TENT + ["--count", str(count), "--horizon", "2000", "--metric", metric]
+        assert run(argv + ["--out", str(tmp_path / "clique.csv")]) == 0
+        assert len(read) == len(handed[0]) and all(ref() is None for refs in read for ref in refs)
+        # the trajectories the pairs are built from cache nothing
+        fields = {"spec", "horizon", "symbols", "reals", "source"}
+        assert all(set(vars(t)) == fields for pair in handed[0].values() for t in (pair.a, pair.b))
 
 
 class TestVerifySuites:

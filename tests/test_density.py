@@ -17,6 +17,7 @@ from oracles import (
     float_distance_values,
     per_set_density,
     per_threshold_phi,
+    runs_to_mask,
 )
 
 
@@ -69,7 +70,7 @@ class TestEmpiricalDensity:
     def test_doubling_schedule_matches_boundary_oracle(self):
         horizon = 4**10
         runs = doubling_runs(horizon)
-        mask = c.systems.runs_to_mask(runs, horizon)
+        mask = runs_to_mask(runs, horizon)
         est = density(mask)
         upper_oracle, lower_oracle = boundary_extrema(runs, horizon, est.checkpoints[0])
         # the oracle's boundary values converge to 2/3 and 1/3
@@ -103,7 +104,7 @@ class TestDensityAlong:
     def test_run_boundary_checkpoints(self):
         horizon = 4**10
         runs = doubling_runs(horizon)
-        mask = c.systems.runs_to_mask(runs, horizon)
+        mask = runs_to_mask(runs, horizon)
         bounds = np.cumsum([l for l, _ in runs])
         agree_ends = [int(n) for n, (_, a) in zip(bounds, runs) if a and n >= 1000]
         disagree_ends = [int(n) for n, (_, a) in zip(bounds, runs) if not a and n >= 1000]
@@ -395,6 +396,25 @@ class TestPlaneWordEdges:
                 np.stack([c.pack_times(m) for m in masks]), horizon, pick)
             want = [per_set_density(m, pick) for m in masks]
             assert [estimate_key(e) for e in got] == [estimate_key(e) for e in want]
+
+    @pytest.mark.parametrize("horizon,cps", [
+        # several checkpoints in one word, in the first word and later ones
+        (200, (1, 2, 3, 17, 63, 64, 65, 66, 100, 127, 128, 129, 191, 192, 200)),
+        # a checkpoint at every time
+        (130, tuple(range(1, 131))),
+        # n = N on a multiple of 64, the word past the last one
+        (64, (64,)),
+        (128, (1, 64, 127, 128)),
+        (2**16, (1, 64, 65, 2**16 - 64, 2**16 - 1, 2**16)),
+    ], ids=lambda v: v if isinstance(v, int) else f"{len(v)}cps")
+    def test_checkpoint_segments_match_per_set_oracle(self, horizon, cps):
+        rng = np.random.default_rng(horizon)
+        masks = [rng.random(horizon) < p for p in (0.1, 0.5, 0.9)]
+        masks += [np.zeros(horizon, bool), np.ones(horizon, bool)]
+        got = de.nested_density_estimates(
+            np.stack([c.pack_times(m) for m in masks]), horizon, cps)
+        want = [per_set_density(m, cps) for m in masks]
+        assert [estimate_key(e) for e in got] == [estimate_key(e) for e in want]
 
     @pytest.mark.parametrize("horizon", EDGE_HORIZONS)
     def test_pack_round_trip_and_clear_tail(self, horizon):

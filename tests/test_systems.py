@@ -13,7 +13,7 @@ from chaoslab.errors import (
     ValidationError,
 )
 from chaoslab.blocks import QSchedule
-from oracles import boundary_ratios, full_shift_direct, interval_orbit_direct
+from oracles import boundary_ratios, full_shift_direct, interval_orbit_direct, runs_to_mask
 
 
 class TestSpecs:
@@ -324,9 +324,25 @@ class TestWitnessSchedules:
     def test_witness_pair_tracks(self):
         pair = c.construct_witness_pair("DC3", 2000)
         runs = c.witness_runs("DC3", 2000)
-        mask = c.systems.runs_to_mask(runs, 2000)
+        mask = runs_to_mask(runs, 2000)
         assert np.array_equal(pair.a.symbols, np.zeros(2000, dtype=np.int64))
         assert np.array_equal(pair.b.symbols == 0, mask)
+
+    @pytest.mark.parametrize("target", c.systems.WITNESS_TARGETS)
+    def test_witness_pair_matches_run_oracle(self, target):
+        # horizons that end exactly on a run and horizons that cut one, from
+        # the shortest schedule accepted (6 runs) to one of many runs
+        ends = np.cumsum([length for length, _ in c.witness_runs(target, 2**16)])
+        ends = ends[ends <= 2**16]
+        for k in sorted({5, 6, max(5, ends.size // 2), ends.size - 1}):
+            for horizon in (int(ends[k]), int(ends[k]) - 1, int(ends[k]) + 1):
+                pair = c.construct_witness_pair(target, horizon)
+                mask = runs_to_mask(c.witness_runs(target, horizon), horizon)
+                assert pair.horizon == horizon
+                assert np.array_equal(pair.a.symbols, np.zeros(horizon, np.uint8))
+                assert np.array_equal(pair.b.symbols, (~mask).astype(np.uint8))
+                assert np.array_equal(
+                    pair.agreement, c.pack_times(pair.a.symbols == pair.b.symbols))
 
 
 class TestDistanceSeries:
