@@ -185,13 +185,13 @@ class PartitionScheme:
 
 def cylinder_scheme(max_depth: int):
     """Full-shift scheme: the depth-k atom at time n is the symbol word at
-    [n, n+k), truncated at the horizon: a run of k agreements from n, with
-    agreement past the horizon."""
+    [n, n+k), truncated at the horizon: the run of k agreements from n,
+    the Cantor series' set at the grid point whose CANTOR_DEPTHS is k."""
 
     def same_atom_mask(pair: OrbitPair, k: int) -> np.ndarray:
         if pair.a.symbols is None or pair.b.symbols is None:
             raise SchemeError("cylinder scheme needs a symbol track")
-        return agreement_runs(pair.agreement, pair.horizon, (k,), tail=True)[0]
+        return agreement_runs(pair.agreement, pair.horizon, (k,))[0]
 
     return PartitionScheme(depth=max_depth, same_atom_mask=same_atom_mask, name="cylinder")
 

@@ -539,9 +539,10 @@ def _cmd_scan(args) -> int:
     seed = args.seed if args.seed is not None else 1
 
     def draw(i: int) -> sy.Trajectory:
-        # no symbolic read touches a real track, so under a symbolic metric
-        # each is dropped as it is drawn: one is alive at a time
+        # the first draw refuses a metric its tracks cannot give; no symbolic
+        # read touches a real track, so each is dropped: one alive at a time
         t = sy.sample_orbit(spec, horizon, seed + i)
+        sy.check_metric(args.metric or "hamming-indicator", t)
         return t if args.metric == "absolute" else dataclasses.replace(t, reals=None)
 
     trajectories = [draw(i) for i in range(args.count)]

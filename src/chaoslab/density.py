@@ -129,21 +129,16 @@ def check_planes(planes: np.ndarray, horizon: int) -> np.ndarray:
     return planes
 
 
-def agreement_runs(
-    agree: np.ndarray, horizon: int, depths: Sequence[int], tail: bool
-) -> np.ndarray:
+def agreement_runs(agree: np.ndarray, horizon: int, depths: Sequence[int]) -> np.ndarray:
     """Planes of {n : the agreement plane holds at times n, ..., n+k-1}, one
-    per depth k in `depths`. Depth k+1's run is depth k's shifted down one
-    bit and ANDed with the agreement plane. Times past the horizon agree
-    when `tail` is true (a word cut at the horizon) and disagree otherwise
-    (a run capped by it); either way no bit past the horizon is set."""
+    per depth k in `depths`: depth k's run shifted down one bit and ANDed
+    with the plane gives depth k+1's. Times past the horizon agree, so a run
+    reaching it holds at every depth; no bit past the horizon is set."""
     agree = check_planes(np.asarray(agree)[None], horizon)[0]
     past = ~np.uint64(0) << np.uint64(horizon % 64) if horizon % 64 else np.uint64(0)
-    # the plane plus one word beyond it, with the times past the horizon set
-    # when they agree
-    word = np.append(agree, ~np.uint64(0) if tail else np.uint64(0))
-    if tail:
-        word[-2] |= past
+    # the plane plus one word beyond it, with every time past the horizon set
+    word = np.append(agree, ~np.uint64(0))
+    word[-2] |= past
     run = word.copy()
     out = np.empty((len(depths), agree.size), dtype=np.uint64)
     for k in range(1, max(depths) + 1):

@@ -374,29 +374,33 @@ def construct_witness_pair(target: str, horizon: int) -> OrbitPair:
 METRICS = ("hamming-indicator", "cantor", "absolute")
 
 
-# The Cantor distance from time n is 2^-L, L the length of the symbol
-# agreement run from n, capped by the horizon. Grid point t_j reads the set
-# {2^-L < t_j} = {L >= k_j}, k_j the number of Cantor values 2^-L >= t_j.
+# The Cantor distance from n is 2^-L, L the agreement run from n, unbounded
+# (d = 0) if it reaches the horizon. Grid point t_j reads {2^-L < t_j} =
+# {L >= k_j}, k_j the number of Cantor values 2^-L >= t_j: cylinder depth k_j.
 CANTOR_DEPTHS = tuple(
     int(np.count_nonzero(np.ldexp(1.0, -np.arange(64)) >= t)) for t in THRESHOLD_GRID
 )
+
+
+def check_metric(metric: str, *trajectories: Trajectory) -> None:
+    """MetricUnavailable unless `metric` is known and every trajectory has
+    the track it reads: reals for `absolute`, symbols for the others."""
+    if metric not in METRICS:
+        raise MetricUnavailable(f"unknown metric {metric!r}")
+    track = "real" if metric == "absolute" else "symbol"
+    if any(getattr(t, f"{track}s") is None for t in trajectories):
+        raise MetricUnavailable(f"{metric} needs {track} tracks")
 
 
 def distance_series(pair: OrbitPair, metric: str = "hamming-indicator") -> DistanceSeries:
     """The pair's threshold sets under `metric`. The symbolic metrics read
     the agreement plane: the Hamming indicator is below every grid point
     exactly where the symbols agree, and the Cantor set at t_j is the run
-    of CANTOR_DEPTHS[j] agreements, with disagreement past the horizon."""
-    a, b = pair.a, pair.b
-    if metric in ("hamming-indicator", "cantor"):
-        if a.symbols is None or b.symbols is None:
-            raise MetricUnavailable(f"{metric} needs symbol tracks")
-        if metric == "hamming-indicator":
-            return DistanceSeries(pair.agreement[None], pair.horizon, (0,) * THRESHOLD_GRID.size)
-        runs = agreement_runs(pair.agreement, pair.horizon, CANTOR_DEPTHS, tail=False)
+    of CANTOR_DEPTHS[j] agreements (`density.agreement_runs`)."""
+    check_metric(metric, pair.a, pair.b)
+    if metric == "hamming-indicator":
+        return DistanceSeries(pair.agreement[None], pair.horizon, (0,) * THRESHOLD_GRID.size)
+    if metric == "cantor":
+        runs = agreement_runs(pair.agreement, pair.horizon, CANTOR_DEPTHS)
         return DistanceSeries(runs, pair.horizon)
-    if metric == "absolute":
-        if a.reals is None or b.reals is None:
-            raise MetricUnavailable("absolute needs real tracks")
-        return DistanceSeries.from_values(a.reals, b.reals)
-    raise MetricUnavailable(f"unknown metric {metric!r}")
+    return DistanceSeries.from_values(pair.a.reals, pair.b.reals)

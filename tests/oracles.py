@@ -263,17 +263,15 @@ def per_threshold_phi(values, checkpoints):
 
 
 def cantor_values_direct(a, b):
-    """d_n = 2^-j, j the agreement length from n (capped by the horizon),
-    by a binary search over the disagreement positions for every time."""
+    """d_n = 2^-j, j the agreement length from n, by a binary search over
+    the disagreement positions for every time. Where no disagreement
+    follows n, j = inf and d_n = 0.0, as `cylinder_label` cut at the
+    horizon puts both tracks in one atom at every depth."""
     n = len(a)
     positions = np.flatnonzero(a != b)
-    if positions.size == 0:
-        j = n - np.arange(n)
-    else:
-        idx = np.searchsorted(positions, np.arange(n))
-        nxt = np.where(idx < positions.size, positions[np.minimum(idx, positions.size - 1)], n)
-        j = nxt - np.arange(n)
-    return np.power(2.0, -j.astype(np.float64))
+    idx = np.searchsorted(positions, np.arange(n))
+    nxt = np.append(positions, np.inf)[idx]
+    return np.power(2.0, -(nxt - np.arange(n)))
 
 
 def float_distance_values(pair, metric):
@@ -339,7 +337,8 @@ def csv_text_direct(lines, header, rows):
 
 def cylinder_label(k, traj, n):
     """Depth-k cylinder atom at time n: the symbol word at [n, n+k), cut at
-    the horizon."""
+    the horizon, so two tracks that agree from n to the horizon share an
+    atom at every depth, as `cantor_values_direct` gives them d_n = 0.0."""
     return traj.symbols[n : min(n + k, traj.horizon)].tobytes()
 
 

@@ -361,6 +361,39 @@ class TestPartitionKernelDifferential:
             c.classify_partition_pair(pair, scheme, c.Thresholds(burn_in=1))
 
 
+@st.composite
+def cantor_cylinder_cases(draw):
+    """A full-shift pair (p = 0.5 or 0.9) or a tent a=1.99 pair at N near
+    3000, or a witness pair at 2^14; a scheme depth and a burn-in."""
+    source = draw(st.sampled_from(["shift-0.5", "shift-0.9", "tent", "witness"]))
+    if source == "witness":
+        pair = c.construct_witness_pair(draw(st.sampled_from(c.systems.WITNESS_TARGETS)), 2**14)
+    else:
+        spec = (c.IntervalMap("tent", 1.99) if source == "tent"
+                else c.FullShift(2, (float(source[6:]), 1 - float(source[6:]))))
+        horizon = draw(st.integers(2900, 3100))
+        seed = draw(st.integers(1, 10**6))
+        pair = c.make_pair(spec, horizon, (seed, seed + 1))
+    burn = draw(st.none() | st.integers(1, pair.horizon))
+    return pair, draw(st.integers(1, 20)), c.Thresholds(burn_in=burn)
+
+
+class TestCantorCylinderDifferential:
+    """The Cantor read and the cylinder read see one set per depth: depth k
+    is grid point 16 - k for k <= 15, and depth 17 is t_0 = 2^-16."""
+
+    @given(cantor_cylinder_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_same_estimates_per_depth(self, case):
+        pair, depth, th = case
+        by_depth = cl._same_atom_estimates(pair, c.cylinder_scheme(depth), th)
+        by_grid = c.phi_profile(c.distance_series(pair, "cantor"), th.burn_in).estimates
+        reads = [(k, 16 - k) for k in range(1, min(depth, 15) + 1)]
+        reads += [(17, 0)] if depth >= 17 else []
+        for k, j in reads:
+            assert estimate_key(by_depth[k - 1]) == estimate_key(by_grid[j]), (k, j)
+
+
 class TestPartitionClassification:
     def test_identical_not_scrambled(self):
         xs = np.tile([0, 1], 2000)

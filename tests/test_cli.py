@@ -606,6 +606,28 @@ class TestScanHoldsWhatItReads:
         fields = {"spec", "horizon", "symbols", "reals", "source"}
         assert all(set(vars(t)) == fields for pair in handed[0].values() for t in (pair.a, pair.b))
 
+    @pytest.mark.parametrize("count", ["1", "16"])
+    @pytest.mark.parametrize("system", [
+        ["--system", "full-shift"],
+        ["--system", "odometer", "--base", "2,4"],
+        ["--system", "zero-entropy", "--q", "2,2,2"],
+    ])
+    def test_absolute_without_real_tracks_refused_on_the_first_draw(
+        self, system, count, tmp_path, monkeypatch, capsys
+    ):
+        sample, calls = c.systems.sample_orbit, []
+
+        def counted(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(c.systems, "sample_orbit", counted)
+        out = tmp_path / "clique.csv"
+        argv = ["scan", *system, "--metric", "absolute", "--count", count, "--horizon", "5000"]
+        assert run(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: absolute needs real tracks\n"
+        assert len(calls) == 1 and not out.exists()
+
 
 class TestVerifySuites:
     @pytest.mark.parametrize(
@@ -679,6 +701,19 @@ class TestVerifySuites:
         monkeypatch.setattr(c.blocks, "central_block_scheme", alternating)
         assert run(["verify", "--suite", "scheme", "--q", "2,2,2"]) == 2
         assert "shift-window property fails" in capsys.readouterr().err
+
+    def test_scheme_catches_a_depth_outside_the_one_before(self, monkeypatch, capsys):
+        # depth 1 holds nowhere, deeper depths everywhere: each mask is
+        # constant, so only the refinement check can fail
+        def unnested(schedule):
+            def same_atom_mask(pair, k):
+                return c.pack_times(np.full(pair.horizon, k > 1))
+
+            return c.PartitionScheme(schedule.depth, same_atom_mask, "unnested")
+
+        monkeypatch.setattr(c.blocks, "central_block_scheme", unnested)
+        assert run(["verify", "--suite", "scheme", "--q", "2,2,2"]) == 2
+        assert "refinement fails" in capsys.readouterr().err
 
 
 # each config key -> a run that takes its flag, and a value that changes

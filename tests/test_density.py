@@ -635,17 +635,24 @@ class TestCantorValues:
     def test_matches_oracle_bytes(self, pair):
         assert cantor_planes_match_oracle(*pair)
 
-    def test_all_agreeing_pair_underflows_like_oracle(self):
-        # runs past 1074 steps give 2^-L = 0 in the oracle; here the run is
-        # capped by the horizon only, so the last 17 times (runs of 17 down
-        # to 1) hold exactly the sets of the depths they reach
+    @pytest.mark.parametrize("last", [1, 17, 64, 1100, 2999, 3000])
+    def test_agreeing_tail_is_in_every_grid_set_and_depth(self, last):
+        # the pair agrees on its last `last` times (all of them at 3000): a
+        # run that agrees up to the horizon is unbounded, so d = 0 there,
+        # and every Cantor grid set and every cylinder depth holds those
+        # times, while the one disagreement before them is in none
         a = np.zeros(3000, dtype=np.int64)
-        assert cantor_planes_match_oracle(a, a)
-        d = c.distance_series(symbol_pair(a, a), "cantor")
-        sets = [c.unpack_times(p, 3000) for p in grid_planes(d)]
-        for run in range(1, 18):
-            assert [s[3000 - run] for s in sets] == [run >= k for k in sy.CANTOR_DEPTHS]
-        assert all(s[:-17].all() for s in sets)
+        b = a.copy()
+        if last < 3000:
+            b[2999 - last] = 1
+        assert cantor_planes_match_oracle(a, b)
+        pair = symbol_pair(a, b)
+        scheme = c.cylinder_scheme(20)
+        sets = [c.unpack_times(p, 3000) for p in grid_planes(c.distance_series(pair, "cantor"))]
+        sets += [c.unpack_times(c.same_atom_series(pair, scheme, k), 3000) for k in range(1, 21)]
+        for s in sets:
+            assert s[3000 - last :].all()
+            assert last == 3000 or not s[2999 - last]
 
     def test_sampled_tracks_match_oracle_bytes(self):
         for spec in (c.FullShift(2, (0.5, 0.5)), c.FullShift(3, (0.6, 0.3, 0.1))):

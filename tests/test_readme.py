@@ -1,6 +1,8 @@
-"""The README's library sketch runs against the current API, and its CLI
-section names only flags the parser takes."""
+"""The README's library sketch runs against the current API, its CLI
+section names only flags the parser takes, and each `module.name` it
+gives resolves."""
 import argparse
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -47,3 +49,19 @@ def test_flag_table_matches_parser():
         for name, sub in subparsers.choices.items()
     }
     assert documented == parsed
+
+
+def test_module_names_resolve():
+    # a backticked `module.name` in the README is an attribute of that
+    # module, so a deletion or rename in src/ that leaves the README stale
+    # fails here
+    names = re.findall(
+        r"`(systems|density|classify|blocks|entropy|cli)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)",
+        README.read_text(encoding="utf-8"),
+    )
+    assert names
+    for module, dotted in names:
+        value = importlib.import_module(f"chaoslab.{module}")
+        for part in dotted.split("."):
+            assert hasattr(value, part), f"{module}.{dotted}"
+            value = getattr(value, part)

@@ -372,11 +372,20 @@ class TestDistanceSeries:
         assert [s[0] for s in self._sets(d)] == [False] * 14 + [True] * 2
         assert [t > 0.25 for t in c.THRESHOLD_GRID] == [False] * 14 + [True] * 2
 
-    def test_cantor_cap_at_remaining_horizon(self):
-        # runs 3, 2, 1 (capped by the horizon): d = 2^-3, 2^-2, 2^-1
-        d = c.distance_series(self._pair([0, 0, 0], [0, 0, 0]), "cantor")
-        assert self._sets(d) == [[bool(2.0**-L < t) for L in (3, 2, 1)]
-                                 for t in c.THRESHOLD_GRID]
+    @pytest.mark.parametrize("xs, ys", [([0, 0, 0], [0, 0, 0]), ([0, 1, 0, 0], [0, 0, 0, 0])],
+                             ids=["identical", "agreeing-tail"])
+    def test_cantor_agreement_up_to_the_horizon_is_distance_zero(self, xs, ys):
+        # a run that agrees up to the horizon is unbounded: d = 0 on the
+        # agreeing tail, in every grid set and every cylinder depth; the
+        # second pair's run of 1 from n = 0 gives d = 1/2, then d = 1
+        pair = self._pair(xs, ys)
+        d = [0.5, 1.0, 0.0, 0.0] if xs != ys else [0.0] * 3
+        assert self._sets(c.distance_series(pair, "cantor")) == [
+            [v < t for v in d] for t in c.THRESHOLD_GRID]
+        for k in range(1, 18):
+            plane = c.same_atom_series(pair, c.cylinder_scheme(17), k)
+            assert c.unpack_times(plane, len(xs)).tolist() == [
+                v < 2.0**-(k - 1) for v in d]
 
     def test_metric_unavailable(self):
         with pytest.raises(MetricUnavailable):
