@@ -1,7 +1,7 @@
 """Benchmark the full-shift sampler, the interval-map orbit loops (tent
 and logistic) and the coding track built from a real track, the exact
 eta-ball count, the per-pair distance series plus Phi profile of the
-Hamming, Cantor and absolute metrics and the depth-3 cylinder estimates,
+Hamming, Cantor and absolute metrics and the depth-3 cylinder verdict,
 the time-set kernel on its own (1, 3 and 16 packed planes, and the 1,920
 planes of a 16-trajectory Cantor scan) and its exact pick on the Fraction
 path, the plug-in word entropy on both of its counting branches and at a
@@ -25,7 +25,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from chaoslab.classify import Thresholds, _same_atom_estimates, cylinder_scheme  # noqa: E402
+from chaoslab.classify import Thresholds, classify_partition_pair, cylinder_scheme  # noqa: E402
 from chaoslab.density import (  # noqa: E402
     _exact_extremes,
     checkpoint_grid,
@@ -86,7 +86,7 @@ def main():
         print(f"  depth={depth}: {t*1e3:8.2f} ms")
 
     print("\nper pair, default grid: distance_series + phi_profile of each metric,"
-          " and the depth-3 cylinder estimates (full 2-shift; tent a=1.99 for absolute)")
+          " and the depth-3 cylinder verdict (full 2-shift; tent a=1.99 for absolute)")
     for horizon in (100_000, 2**20):
         shift = make_pair(FullShift(2, (0.5, 0.5)), horizon, (1, 2))
         tent = make_pair(IntervalMap("tent", 1.99), horizon, (1, 2))
@@ -97,8 +97,8 @@ def main():
             print(f"  N={horizon:8d} {metric:17s}: distance_series {t_d*1e3:7.2f} ms"
                   f"   phi_profile {t_p*1e3:7.2f} ms")
         scheme, th = cylinder_scheme(3), Thresholds()
-        t, _ = timeit(lambda: _same_atom_estimates(OrbitPair(shift.a, shift.b), scheme, th))
-        print(f"  N={horizon:8d} cylinder depth 3 : same-atom estimates {t*1e3:7.2f} ms")
+        t, _ = timeit(lambda: classify_partition_pair(OrbitPair(shift.a, shift.b), scheme, th))
+        print(f"  N={horizon:8d} cylinder depth 3 : classify_partition_pair {t*1e3:7.2f} ms")
 
     print("\nnested_density_estimates alone (default checkpoint grid, random packed planes)")
     rng = np.random.default_rng(0)

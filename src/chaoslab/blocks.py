@@ -334,7 +334,7 @@ def central_block_scheme(schedule: QSchedule) -> PartitionScheme:
     k-block, content of that block). Both trajectories must carry a
     TwoRowWord source over this schedule and stay inside its window.
     Refining: the enclosing (k+1)-block determines the k-block."""
-    def same_atom_mask(pair: OrbitPair, k: int) -> np.ndarray:
+    def same_atom_planes(pair: OrbitPair) -> np.ndarray:
         wa, wb = pair.a.source, pair.b.source
         for word in (wa, wb):
             if not isinstance(word, TwoRowWord):
@@ -343,45 +343,24 @@ def central_block_scheme(schedule: QSchedule) -> PartitionScheme:
                 raise SchemeError("trajectory was built over a different schedule")
             if pair.horizon > word.available_horizon:
                 raise SchemeError(f"time {word.available_horizon} outside the word's window")
-        nk = schedule.n(k)
-        if wa.offset % nk != wb.offset % nk:
-            return pack_times(np.zeros(pair.horizon, dtype=bool))  # positions never align
-        # time n lies in k-block (offset + n) // N_k of each word; with equal
-        # residues the two block indices differ by a constant shift
-        first = wa.offset // nk
-        last = (wa.offset + pair.horizon - 1) // nk
-        shift = wb.offset // nk - first
-        blocks_a = wa.binary.reshape(-1, nk)[first : last + 1]
-        blocks_b = wb.binary.reshape(-1, nk)[first + shift : last + 1 + shift]
-        same = np.all(blocks_a == blocks_b, axis=1)
-        return pack_times(same[(wa.offset + np.arange(pair.horizon)) // nk - first])
+        planes = np.zeros((schedule.depth, -(-pair.horizon // 64)), dtype=np.uint64)
+        for k in range(1, schedule.depth + 1):
+            nk = schedule.n(k)
+            if wa.offset % nk != wb.offset % nk:
+                break  # positions never align, at this depth or (N_k | N_k+1) deeper
+            # time n lies in k-block (offset + n) // N_k of each word; with equal
+            # residues the two block indices differ by a constant shift
+            first = wa.offset // nk
+            last = (wa.offset + pair.horizon - 1) // nk
+            shift = wb.offset // nk - first
+            blocks_a = wa.binary.reshape(-1, nk)[first : last + 1]
+            blocks_b = wb.binary.reshape(-1, nk)[first + shift : last + 1 + shift]
+            same = np.all(blocks_a == blocks_b, axis=1)
+            planes[k - 1] = pack_times(same[(wa.offset + np.arange(pair.horizon)) // nk - first])
+        return planes
 
     return PartitionScheme(
         depth=schedule.depth,
-        same_atom_mask=same_atom_mask,
+        same_atom_planes=same_atom_planes,
         name=f"central-block(q={','.join(map(str, schedule.q))})",
     )
-
-
-def aligned_window_scheme(window_lengths: Sequence[int]) -> PartitionScheme:
-    """The depth-k atom at time n is (phase, content) of its enclosing
-    aligned window of length L_k, the trailing window cut at the horizon;
-    L_k must divide L_{k+1}. Works on plain symbol tracks (offset 0). This is
-    the image-side counterpart of the central-block scheme."""
-    lengths = tuple(int(x) for x in window_lengths)
-    if any(b % a != 0 for a, b in zip(lengths, lengths[1:])):
-        raise ValidationError("each window length must divide the next")
-
-    def same_atom_mask(pair: OrbitPair, k: int) -> np.ndarray:
-        lk = lengths[k - 1]
-        full = (pair.horizon // lk) * lk
-        eq = np.all(
-            pair.a.symbols[:full].reshape(-1, lk) == pair.b.symbols[:full].reshape(-1, lk),
-            axis=1,
-        )
-        out = np.empty(pair.horizon, dtype=bool)
-        out[:full] = np.repeat(eq, lk)
-        out[full:] = np.array_equal(pair.a.symbols[full:], pair.b.symbols[full:])
-        return pack_times(out)
-
-    return PartitionScheme(depth=len(lengths), same_atom_mask=same_atom_mask, name="aligned-window")

@@ -170,12 +170,12 @@ def classify_metric_pair(profile: PhiProfile, th: Thresholds = Thresholds()) -> 
 @dataclass(frozen=True)
 class PartitionScheme:
     """Refining sequence of finite partitions, presented by its same-atom
-    plane: `same_atom_mask(pair, k)` is the packed plane (see
-    `density.pack_times`) of the times at which both trajectories of the
-    pair lie in the same depth-k atom."""
+    planes: `same_atom_planes(pair)` is the (depth, words) stack of packed
+    planes (see `density.pack_times`) whose row k-1 holds the times at which
+    both trajectories of the pair lie in the same depth-k atom."""
 
     depth: int
-    same_atom_mask: Callable[[OrbitPair, int], np.ndarray]
+    same_atom_planes: Callable[[OrbitPair], np.ndarray]
     name: str = "scheme"
 
     def __post_init__(self):
@@ -188,20 +188,30 @@ def cylinder_scheme(max_depth: int):
     [n, n+k), truncated at the horizon: the run of k agreements from n,
     the Cantor series' set at the grid point whose CANTOR_DEPTHS is k."""
 
-    def same_atom_mask(pair: OrbitPair, k: int) -> np.ndarray:
+    def same_atom_planes(pair: OrbitPair) -> np.ndarray:
         if pair.a.symbols is None or pair.b.symbols is None:
             raise SchemeError("cylinder scheme needs a symbol track")
-        return agreement_runs(pair.agreement, pair.horizon, (k,))[0]
+        return agreement_runs(pair.agreement, pair.horizon, range(1, max_depth + 1))
 
-    return PartitionScheme(depth=max_depth, same_atom_mask=same_atom_mask, name="cylinder")
+    return PartitionScheme(depth=max_depth, same_atom_planes=same_atom_planes, name="cylinder")
 
 
-def same_atom_series(pair: OrbitPair, scheme: PartitionScheme, k: int) -> np.ndarray:
-    """Packed plane over times 1..N: where both trajectories lie in the same
-    depth-k atom."""
-    if not 1 <= k <= scheme.depth:
-        raise SchemeError(f"depth {k} outside the scheme's range 1..{scheme.depth}")
-    return check_planes(np.asarray(scheme.same_atom_mask(pair, k))[None], pair.horizon)[0]
+def same_atom_series(pair: OrbitPair, scheme: PartitionScheme) -> np.ndarray:
+    """The scheme's same-atom planes of `pair`, row k-1 for depth k, checked:
+    `check_planes`, one row per depth, each row inside the one before."""
+    planes = check_planes(scheme.same_atom_planes(pair), pair.horizon)
+    if len(planes) != scheme.depth:
+        raise SchemeError(
+            f"scheme {scheme.name!r} of depth {scheme.depth} gave {len(planes)} planes"
+        )
+    outside = np.flatnonzero((planes[1:] & ~planes[:-1]).any(axis=1))
+    if outside.size:
+        k = int(outside[0]) + 2
+        raise SchemeError(
+            f"scheme {scheme.name!r} does not refine: its same-atom set at "
+            f"depth {k} is not inside the one at depth {k - 1}"
+        )
+    return planes
 
 
 @dataclass(frozen=True)
@@ -224,24 +234,6 @@ class PartitionVerdict:
             raise ValidationError("pk_plus requires pk_scrambled")
 
 
-def _same_atom_estimates(
-    pair: OrbitPair, scheme: PartitionScheme, th: Thresholds
-) -> list[DensityEstimate]:
-    """Same-atom density estimates for depths 1..depth, in one kernel call
-    over the stacked planes, after checking that each depth's set lies
-    inside the one before."""
-    planes = np.stack([same_atom_series(pair, scheme, k) for k in range(1, scheme.depth + 1)])
-    outside = np.flatnonzero((planes[1:] & ~planes[:-1]).any(axis=1))
-    if outside.size:
-        k = int(outside[0]) + 2
-        raise SchemeError(
-            f"scheme {scheme.name!r} does not refine: its same-atom set at "
-            f"depth {k} is not inside the one at depth {k - 1}"
-        )
-    cps = checkpoint_grid(pair.horizon, th.burn_in)
-    return list(nested_density_estimates(planes, pair.horizon, cps))
-
-
 def classify_partition_pair(
     pair: OrbitPair, scheme: PartitionScheme, th: Thresholds = Thresholds()
 ) -> PartitionVerdict:
@@ -255,7 +247,8 @@ def classify_partition_pair(
     - pk_minus: some depth whose same-atom set has upper - lower >= gap."""
     if scheme.depth < 2:
         raise SchemeError("partition classification needs scheme depth >= 2")
-    ests = _same_atom_estimates(pair, scheme, th)
+    cps = checkpoint_grid(pair.horizon, th.burn_in)  # a bad burn-in fails before any plane
+    ests = nested_density_estimates(same_atom_series(pair, scheme), pair.horizon, cps)
     full, null, separated, gapped = threshold_reads(ests, th)
     k0 = next((k for k, sep in enumerate(separated, start=1) if sep), None)
     pk = k0 is not None and all(full)

@@ -32,6 +32,7 @@ from .errors import (
     ChaoslabError,
     GuardExceeded,
     InvariantViolation,
+    SchemeError,
     UsageError,
     ValidationError,
 )
@@ -464,18 +465,22 @@ def _system_spec(args) -> sy.SystemSpec:
 
 def _build_pair(args) -> sy.OrbitPair:
     horizon = args.horizon if args.horizon is not None else 10000
+    spec = sy.WITNESS_SPEC if args.witness else _system_spec(args)
+    sy.check_metric(_metric(args), spec)
     if args.witness:
         return sy.construct_witness_pair(args.witness, horizon)
-    spec = _system_spec(args)
     seed = args.seed if args.seed is not None else 1
     seed2 = args.seed2 if args.seed2 is not None else seed + 1
     return sy.make_pair(spec, horizon, (seed, seed2))
 
 
+def _metric(args) -> str:  # `pair` takes no --metric
+    return getattr(args, "metric", None) or "hamming-indicator"
+
+
 def _profile(pair: sy.OrbitPair, args) -> de.PhiProfile:
-    """The Phi profile of `pair` under --metric (Hamming indicator by default)
-    from --burn-in."""
-    series = sy.distance_series(pair, args.metric or "hamming-indicator")
+    """The Phi profile of `pair` under `_metric` from --burn-in."""
+    series = sy.distance_series(pair, _metric(args))
     return de.phi_profile(series, args.burn_in)
 
 
@@ -535,14 +540,13 @@ def _cmd_classify(args) -> int:
 
 def _cmd_scan(args) -> int:
     spec = _system_spec(args)
+    sy.check_metric(_metric(args), spec)
     horizon = args.horizon if args.horizon is not None else 10000
     seed = args.seed if args.seed is not None else 1
 
     def draw(i: int) -> sy.Trajectory:
-        # the first draw refuses a metric its tracks cannot give; no symbolic
-        # read touches a real track, so each is dropped: one alive at a time
+        # no symbolic read touches a real track: each is dropped, one alive at a time
         t = sy.sample_orbit(spec, horizon, seed + i)
-        sy.check_metric(args.metric or "hamming-indicator", t)
         return t if args.metric == "absolute" else dataclasses.replace(t, reals=None)
 
     trajectories = [draw(i) for i in range(args.count)]
@@ -720,10 +724,10 @@ def _cmd_verify(args) -> int:
         pair = bl.fiber_pair(
             schedule, (args.seed + 2 * trial + 1, args.seed + 2 * trial + 2), offset=offset
         )
-        planes = [scheme.same_atom_mask(pair, k) for k in range(1, schedule.depth + 1)]
-        for coarse, fine in zip(planes, planes[1:]):
-            if np.any(fine & ~coarse):
-                raise InvariantViolation("refinement fails: same_atom(k+1) not in same_atom(k)")
+        try:
+            planes = cl.same_atom_series(pair, scheme)
+        except SchemeError as exc:
+            raise InvariantViolation(f"refinement fails: {exc}") from None
         pos = offset + np.arange(pair.horizon)
         for k, plane in enumerate(planes, start=1):
             # the mask may change value only where the enclosing k-window does

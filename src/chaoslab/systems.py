@@ -302,16 +302,18 @@ def make_pair(spec: SystemSpec, horizon: int, seeds: tuple[int, int]) -> OrbitPa
 # --- witness pairs -----------------------------------------------------------
 
 WITNESS_TARGETS = ("LY", "DC1", "DC1half", "DC2", "DC3")
+WITNESS_SPEC = FullShift(2, (0.5, 0.5))  # the system of every witness pair
 
 
 def witness_runs(target: str, horizon: int) -> list[tuple[int, bool]]:
     """Agree/disagree run schedule (length, is_agree), first run agreeing.
 
-    DC1/DC1half: L_{i+1} = 5 * (sum of all previous runs) so each run's end
-    pushes its own set's ratio above 5/6. DC2: agree runs grow the same way,
-    each followed by a disagree run of a fixed quarter of the period. DC3:
-    doubling runs (ratio oscillates between 2/3 and 1/3). LY: linearly
-    growing runs (both ratios tend to 1/2).
+    DC1/DC1half: L_{i+1} = 5 * (sum of all previous runs). DC2: agree runs
+    grow the same way, each followed by a disagree run of a fixed quarter
+    of the period. DC3: doubling runs. LY: linearly growing runs. The
+    agreement ratio's exact limsup and liminf are 6/7 and 1/7 (DC1,
+    DC1half), 19/20 and 3/4 (DC2), 2/3 and 1/3 (DC3), 1/2 and 1/2 (LY): each
+    witness realizes its class only at thresholds relaxed below them.
     """
     runs: list[tuple[int, bool]] = []
     total = 0
@@ -361,7 +363,7 @@ def construct_witness_pair(target: str, horizon: int) -> OrbitPair:
     lengths, flags = np.array(runs, dtype=np.int64).T
     ends = np.minimum(np.cumsum(lengths), horizon)
     agree = np.repeat(flags.astype(bool), np.diff(ends, prepend=0))
-    spec = FullShift(2, (0.5, 0.5))
+    spec = WITNESS_SPEC
     x = Trajectory(spec, horizon, symbols=np.zeros(horizon, dtype=symbol_dtype(spec.arity)))
     y = Trajectory(spec, horizon, symbols=(~agree).view(symbol_dtype(spec.arity)))
     pair = OrbitPair(x, y)
@@ -382,13 +384,14 @@ CANTOR_DEPTHS = tuple(
 )
 
 
-def check_metric(metric: str, *trajectories: Trajectory) -> None:
-    """MetricUnavailable unless `metric` is known and every trajectory has
-    the track it reads: reals for `absolute`, symbols for the others."""
+def check_metric(metric: str, spec: SystemSpec, *trajectories: Trajectory) -> None:
+    """MetricUnavailable unless `metric` is known, `spec` can serve it (only an
+    IntervalMap has real tracks, for `absolute`) and each trajectory has its track."""
     if metric not in METRICS:
         raise MetricUnavailable(f"unknown metric {metric!r}")
     track = "real" if metric == "absolute" else "symbol"
-    if any(getattr(t, f"{track}s") is None for t in trajectories):
+    served = track == "symbol" or isinstance(spec, IntervalMap)
+    if not served or any(getattr(t, f"{track}s") is None for t in trajectories):
         raise MetricUnavailable(f"{metric} needs {track} tracks")
 
 
@@ -397,7 +400,7 @@ def distance_series(pair: OrbitPair, metric: str = "hamming-indicator") -> Dista
     the agreement plane: the Hamming indicator is below every grid point
     exactly where the symbols agree, and the Cantor set at t_j is the run
     of CANTOR_DEPTHS[j] agreements (`density.agreement_runs`)."""
-    check_metric(metric, pair.a, pair.b)
+    check_metric(metric, pair.a.spec, pair.a, pair.b)
     if metric == "hamming-indicator":
         return DistanceSeries(pair.agreement[None], pair.horizon, (0,) * THRESHOLD_GRID.size)
     if metric == "cantor":

@@ -10,7 +10,9 @@ atom labels, plug-in word entropy comes from a Counter over word tuples
 or from int64 word codes sorted by `np.unique`, interval-map orbits
 come from a list-appending loop with Python-int symbol packing,
 full-shift symbols come from `Generator.choice`, and witness-schedule
-masks come from one slice assignment per run.
+masks come from one slice assignment per run. `aligned_window_scheme` is
+the image-side partition scheme the transfer tests read the free-word
+tracks under.
 """
 import math
 from fractions import Fraction
@@ -18,8 +20,14 @@ from itertools import combinations
 
 import numpy as np
 
-from chaoslab.classify import classify_metric_pair, scan_scrambled_set
-from chaoslab.density import THRESHOLD_GRID, DensityEstimate, PhiProfile, checkpoint_grid
+from chaoslab.classify import PartitionScheme, classify_metric_pair, scan_scrambled_set
+from chaoslab.density import (
+    THRESHOLD_GRID,
+    DensityEstimate,
+    PhiProfile,
+    checkpoint_grid,
+    pack_times,
+)
 from chaoslab.systems import OrbitPair
 
 
@@ -367,6 +375,30 @@ def aligned_window_label(window_lengths):
         return (n % lk, traj.symbols[start : min(start + lk, traj.horizon)].tobytes())
 
     return label
+
+
+def aligned_window_scheme(window_lengths):
+    """The depth-k atom at time n is (phase, content) of its enclosing
+    aligned window of length L_k, the trailing window cut at the horizon;
+    L_k must divide L_{k+1}. Works on plain symbol tracks (offset 0). This is
+    the image-side counterpart of the central-block scheme; its planes are
+    checked against `aligned_window_label`."""
+    lengths = tuple(int(x) for x in window_lengths)
+    assert all(b % a == 0 for a, b in zip(lengths, lengths[1:])), lengths
+
+    def same_atom_planes(pair):
+        a, b = pair.a.symbols, pair.b.symbols
+        planes = np.empty((len(lengths), -(-pair.horizon // 64)), dtype=np.uint64)
+        for plane, lk in zip(planes, lengths):
+            full = (pair.horizon // lk) * lk
+            eq = np.all(a[:full].reshape(-1, lk) == b[:full].reshape(-1, lk), axis=1)
+            out = np.empty(pair.horizon, dtype=bool)
+            out[:full] = np.repeat(eq, lk)
+            out[full:] = np.array_equal(a[full:], b[full:])
+            plane[:] = pack_times(out)
+        return planes
+
+    return PartitionScheme(len(lengths), same_atom_planes, "aligned-window")
 
 
 def same_label_mask(label, pair, k):

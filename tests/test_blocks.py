@@ -594,10 +594,8 @@ class TestCentralScheme:
         pair = c.OrbitPair(
             bl.trajectory_from_word(w1), bl.trajectory_from_word(w2)
         )
-        scheme = c.central_block_scheme(q)
-        for k in (1, 2, 3):
-            plane = c.same_atom_series(pair, scheme, k)
-            assert int(np.bitwise_count(plane).sum()) == pair.horizon
+        planes = c.same_atom_series(pair, c.central_block_scheme(q))
+        assert (np.bitwise_count(planes).sum(axis=1) == pair.horizon).all()
 
     def test_different_offsets_disjoint_at_level_one(self):
         q = c.QSchedule((2, 2, 2))
@@ -609,8 +607,7 @@ class TestCentralScheme:
             bl.trajectory_from_word(w1, horizon),
             bl.trajectory_from_word(w2, horizon),
         )
-        scheme = c.central_block_scheme(q)
-        assert not np.any(c.same_atom_series(pair, scheme, 1))
+        assert not np.any(c.same_atom_series(pair, c.central_block_scheme(q)))
 
     def test_label_count_within_achievable_bound(self):
         q = c.QSchedule((2, 2))
@@ -628,8 +625,9 @@ class TestCentralScheme:
         scheme = c.central_block_scheme(q)
         for seeds in ((31, 32), (33, 34)):
             pair = bl.fiber_pair(q, seeds)
+            planes = scheme.same_atom_planes(pair)
             for k in (1, 2, 3):
-                fast = c.unpack_times(scheme.same_atom_mask(pair, k), pair.horizon)
+                fast = c.unpack_times(planes[k - 1], pair.horizon)
                 slow = same_label_mask(central_block_label(q), pair, k)
                 assert np.array_equal(fast, slow)
 
@@ -645,11 +643,30 @@ class TestCentralScheme:
             bl.trajectory_from_word(wa, horizon),
             bl.trajectory_from_word(wb, horizon),
         )
-        scheme = c.central_block_scheme(q)
+        planes = c.central_block_scheme(q).same_atom_planes(pair)
         for k in (1, 2, 3):
-            fast = c.unpack_times(scheme.same_atom_mask(pair, k), pair.horizon)
+            fast = c.unpack_times(planes[k - 1], pair.horizon)
             slow = same_label_mask(central_block_label(q), pair, k)
             assert np.array_equal(fast, slow)
+
+    def test_rows_past_the_first_misaligned_depth_are_empty(self):
+        # the same free words at offsets 8 and 12: equal mod N_1 = 4, not mod
+        # N_2 = 16, so depth 1 compares blocks and every deeper row is empty
+        q = c.QSchedule((2, 2, 2))
+        free = np.random.default_rng(5).integers(0, 2, (3, 8))
+        wa = bl.word_from_free_words(q, free, offset=8)
+        wb = bl.word_from_free_words(q, free, offset=12)
+        horizon = min(wa.available_horizon, wb.available_horizon)
+        pair = c.OrbitPair(
+            bl.trajectory_from_word(wa, horizon),
+            bl.trajectory_from_word(wb, horizon),
+        )
+        planes = c.same_atom_series(pair, c.central_block_scheme(q))
+        assert planes.shape == (3, -(-horizon // 64))
+        assert planes[0].any() and not planes[1:].any()
+        for k in (1, 2, 3):
+            slow = same_label_mask(central_block_label(q), pair, k)
+            assert np.array_equal(c.unpack_times(planes[k - 1], horizon), slow)
 
     def test_fast_mask_randomized_parity_sweep(self):
         rng = np.random.default_rng(123)
@@ -672,8 +689,9 @@ class TestCentralScheme:
                     bl.trajectory_from_word(wa, horizon),
                     bl.trajectory_from_word(wb, horizon),
                 )
+                planes = scheme.same_atom_planes(pair)
                 for k in range(1, q.depth + 1):
-                    fast = c.unpack_times(scheme.same_atom_mask(pair, k), pair.horizon)
+                    fast = c.unpack_times(planes[k - 1], pair.horizon)
                     slow = same_label_mask(central_block_label(q), pair, k)
                     assert np.array_equal(fast, slow), (schedule_q, k, oa, ob)
 
@@ -684,12 +702,12 @@ class TestCentralScheme:
         plain = c.Trajectory(c.ZeroEntropy(q), 4, symbols=np.zeros(4, dtype=np.int64))
         traj = bl.trajectory_from_word(word)
         with pytest.raises(SchemeError, match="TwoRowWord"):
-            scheme.same_atom_mask(c.OrbitPair(traj, plain), 1)
+            scheme.same_atom_planes(c.OrbitPair(traj, plain))
         # the word holds times 0..3; a longer trajectory runs past its window
         long = c.Trajectory(c.ZeroEntropy(q), 5, symbols=np.zeros(5, dtype=np.int64),
                             source=word)
         with pytest.raises(SchemeError, match="time 4 outside the word's window"):
-            scheme.same_atom_mask(c.OrbitPair(long, long), 1)
+            scheme.same_atom_planes(c.OrbitPair(long, long))
 
     def test_refinement_and_shift_window(self):
         q = c.QSchedule((2, 2, 2))
@@ -698,7 +716,7 @@ class TestCentralScheme:
         for trial in range(20):
             offset = int(rng.integers(0, 64))
             pair = bl.fiber_pair(q, (500 + 2 * trial, 501 + 2 * trial), offset=offset)
-            planes = {k: scheme.same_atom_mask(pair, k) for k in (1, 2, 3)}
+            planes = dict(enumerate(scheme.same_atom_planes(pair), start=1))
             assert not np.any(planes[2] & ~planes[1])
             assert not np.any(planes[3] & ~planes[2])
             masks = {k: c.unpack_times(p, pair.horizon) for k, p in planes.items()}

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 import chaoslab as c
 from chaoslab import blocks as bl
-from chaoslab import classify as cl
 from chaoslab import density as de
 from chaoslab.cli import _system_spec, build_parser, run
-from chaoslab.errors import SchemeError, ValidationError
+from chaoslab.errors import PolicyError, SchemeError, ValidationError
 from oracles import (
     aligned_window_label,
+    aligned_window_scheme,
     cylinder_label,
     metric_verdict_direct,
     partition_verdict_direct,
@@ -166,7 +166,7 @@ class TestMetricClassification:
         pair = bl.fiber_pair(c.QSchedule((2, 2, 2)), (1, 2), blocks=3)
         scheme = c.central_block_scheme(c.QSchedule((2, 3, 2)))
         with pytest.raises(SchemeError, match="different schedule"):
-            scheme.same_atom_mask(pair, 1)
+            scheme.same_atom_planes(pair)
         with pytest.raises(SchemeError, match="different schedule"):
             c.classify_partition_pair(pair, scheme)
 
@@ -217,41 +217,64 @@ def times(plane, horizon):
 class TestSameAtomSeries:
     def test_identical_trajectories_full(self):
         pair = shift_pair([0, 1, 0, 1], [0, 1, 0, 1])
-        scheme = c.cylinder_scheme(3)
-        s = c.same_atom_series(pair, scheme, 1)
-        assert s.dtype == np.uint64 and s.shape == (1,)
-        assert times(s, pair.horizon) == [1, 2, 3, 4]
+        planes = c.same_atom_series(pair, c.cylinder_scheme(3))
+        assert planes.dtype == np.uint64 and planes.shape == (3, 1)
+        assert times(planes[0], pair.horizon) == [1, 2, 3, 4]
 
     def test_cylinder_positionwise_compare(self):
         # tracks 0101 vs 0001 agree at positions 1, 3, 4 (1-indexed)
         pair = shift_pair([0, 1, 0, 1], [0, 0, 0, 1])
-        s = c.same_atom_series(pair, c.cylinder_scheme(2), 1)
-        assert times(s, pair.horizon) == [1, 3, 4]
+        planes = c.same_atom_series(pair, c.cylinder_scheme(2))
+        assert times(planes[0], pair.horizon) == [1, 3, 4]
 
     def test_cylinder_depth_two_windows(self):
         pair = shift_pair([0, 1, 0, 1], [0, 0, 0, 1])
-        s = c.same_atom_series(pair, c.cylinder_scheme(2), 2)
+        planes = c.same_atom_series(pair, c.cylinder_scheme(2))
         # windows [n, n+2): equal at n=3,4 (1-indexed times 3 and 4)
-        assert times(s, pair.horizon) == [3, 4]
+        assert times(planes[1], pair.horizon) == [3, 4]
 
     def test_refinement_monotone(self):
         rng = np.random.default_rng(0)
         pair = shift_pair(rng.integers(0, 2, 300), rng.integers(0, 2, 300))
-        scheme = c.cylinder_scheme(4)
-        sets = {k: set(times(c.same_atom_series(pair, scheme, k), 300)) for k in (1, 2, 3, 4)}
-        assert sets[4] <= sets[3] <= sets[2] <= sets[1]
+        planes = c.same_atom_series(pair, c.cylinder_scheme(4))
+        sets = [set(times(plane, 300)) for plane in planes]
+        assert sets[3] <= sets[2] <= sets[1] <= sets[0]
 
-    def test_depth_out_of_range(self):
-        pair = shift_pair([0, 1], [0, 1])
-        with pytest.raises(SchemeError):
-            c.same_atom_series(pair, c.cylinder_scheme(2), 3)
+    @pytest.mark.parametrize("given, depth", [(2, 3), (3, 2)])
+    def test_stack_with_the_wrong_row_count_is_refused(self, given, depth):
+        # a stack of `given` cylinder depths under a scheme that claims `depth`
+        pair = shift_pair([0, 1, 0, 1], [0, 0, 0, 1])
+        scheme = c.PartitionScheme(depth, c.cylinder_scheme(given).same_atom_planes, "short")
+        message = f"scheme 'short' of depth {depth} gave {given} planes"
+        with pytest.raises(SchemeError, match=message):
+            c.same_atom_series(pair, scheme)
+        with pytest.raises(SchemeError, match=message):
+            c.classify_partition_pair(pair, scheme, c.Thresholds(burn_in=1))
+
+    @pytest.mark.parametrize("horizon", [1, 63, 70, 130])
+    def test_stack_with_a_bit_past_the_horizon_is_refused(self, horizon):
+        # nested all-ones planes, the deepest with the first bit past N set
+        pair = shift_pair([0] * horizon, [0] * horizon)
+        planes = np.stack([c.pack_times(np.ones(horizon, dtype=bool))] * 2)
+        planes[1, -1] |= np.uint64(1) << np.uint64(horizon % 64)
+        scheme = c.PartitionScheme(2, lambda pair: planes, "overrun")
+        with pytest.raises(ValidationError, match=f"no bit set past time {horizon}"):
+            c.same_atom_series(pair, scheme)
+        planes[1, -1] &= ~(np.uint64(1) << np.uint64(horizon % 64))
+        assert c.same_atom_series(pair, scheme).shape == (2, -(-horizon // 64))
+
+    def test_stack_of_another_dtype_is_refused(self):
+        pair = shift_pair([0] * 10, [0] * 10)
+        scheme = c.PartitionScheme(2, lambda pair: np.ones((2, 1), dtype=np.int64), "ints")
+        with pytest.raises(ValidationError, match="uint64 words"):
+            c.same_atom_series(pair, scheme)
 
     def test_cylinder_fast_mask_matches_labels(self):
         rng = np.random.default_rng(4)
         pair = shift_pair(rng.integers(0, 2, 150), rng.integers(0, 2, 150))
-        scheme = c.cylinder_scheme(3)
+        planes = c.cylinder_scheme(3).same_atom_planes(pair)
         for k in (1, 2, 3):
-            fast = c.unpack_times(scheme.same_atom_mask(pair, k), pair.horizon)
+            fast = c.unpack_times(planes[k - 1], pair.horizon)
             assert np.array_equal(fast, same_label_mask(cylinder_label, pair, k))
 
     @pytest.mark.parametrize("horizon", [1, 2, 63, 64, 65, 128, 129])
@@ -267,17 +290,17 @@ class TestSameAtomSeries:
             if back:
                 ys[-back] ^= 1
             pair = shift_pair(xs, ys)
+            planes = c.same_atom_series(pair, scheme)
             for k in (1, 2, 3, 5, 64, 65, 70):
-                plane = c.same_atom_series(pair, scheme, k)
                 by_label = same_label_mask(cylinder_label, pair, k)
-                assert np.array_equal(c.unpack_times(plane, horizon), by_label), (back, k)
+                assert np.array_equal(c.unpack_times(planes[k - 1], horizon), by_label), (back, k)
 
     def test_cylinder_needs_symbols(self):
         spec = c.IntervalMap("tent", 1.99)
         a = c.Trajectory(spec, 3, reals=np.full(3, 0.25))
         b = c.Trajectory(spec, 3, reals=np.full(3, 0.75))
         with pytest.raises(SchemeError, match="symbol track"):
-            c.same_atom_series(c.OrbitPair(a, b), c.cylinder_scheme(2), 1)
+            c.same_atom_series(c.OrbitPair(a, b), c.cylinder_scheme(2))
 
 
 def estimate_key(e):
@@ -285,16 +308,20 @@ def estimate_key(e):
 
 
 def assert_partition_estimates_match(pair, scheme, th):
-    """One kernel pass over all depths against one per-set density per depth."""
-    got = cl._same_atom_estimates(pair, scheme, th)
+    """One kernel pass over all depths against one per-set density per
+    depth, and against the partition verdict's gaps."""
+    planes = c.same_atom_series(pair, scheme)
     cps = c.checkpoint_grid(pair.horizon, th.burn_in)
-    for k, est in enumerate(got, start=1):
-        plane = c.same_atom_series(pair, scheme, k)
+    got = de.nested_density_estimates(planes, pair.horizon, cps)
+    for est, plane in zip(got, planes):
         s = c.unpack_times(plane, pair.horizon)
         assert estimate_key(est) == estimate_key(per_set_density(s, cps))
         (alone,) = de.nested_density_estimates(plane[None], pair.horizon, cps)
         assert estimate_key(est) == estimate_key(alone)
     assert len(got) == scheme.depth
+    if scheme.depth >= 2:
+        v = c.classify_partition_pair(pair, scheme, th)
+        assert v.gap_by_k == {k: float(e.gap) for k, e in enumerate(got, start=1)}
 
 
 @st.composite
@@ -317,9 +344,10 @@ class TestPartitionKernelDifferential:
         # depth 4 on a 2-step pair: every word is cut at the horizon
         pair = shift_pair([0, 1], [0, 0])
         scheme = c.cylinder_scheme(4)
+        planes = c.same_atom_series(pair, scheme)
         for k in range(1, 5):
             by_label = same_label_mask(cylinder_label, pair, k)
-            assert times(c.same_atom_series(pair, scheme, k), pair.horizon) == [
+            assert times(planes[k - 1], pair.horizon) == [
                 n + 1 for n, same in enumerate(by_label) if same
             ]
         assert_partition_estimates_match(pair, scheme, c.Thresholds(burn_in=1))
@@ -328,11 +356,12 @@ class TestPartitionKernelDifferential:
     @settings(max_examples=60, deadline=None)
     def test_aligned_window_scheme(self, pair, lengths):
         th = c.Thresholds(burn_in=1)
-        scheme = bl.aligned_window_scheme(lengths)
+        scheme = aligned_window_scheme(lengths)
         assert_partition_estimates_match(pair, scheme, th)
+        planes = scheme.same_atom_planes(pair)
         for k in range(1, scheme.depth + 1):
             by_label = same_label_mask(aligned_window_label(lengths), pair, k)
-            fast = c.unpack_times(scheme.same_atom_mask(pair, k), pair.horizon)
+            fast = c.unpack_times(planes[k - 1], pair.horizon)
             assert np.array_equal(fast, by_label)
 
     @pytest.mark.parametrize("seeds,offset", [((1, 2), 0), ((3, 4), 5), ((5, 6), None)])
@@ -350,14 +379,15 @@ class TestPartitionKernelDifferential:
 
     def test_non_nested_scheme_rejected(self):
         # depth 2 holds at a time where depth 1 does not: not a refinement
-        def same_atom_mask(pair, k):
-            mask = np.ones(pair.horizon, dtype=bool)
-            mask[k] = False
-            return c.pack_times(mask)
+        def same_atom_planes(pair):
+            return np.stack([c.pack_times(np.arange(pair.horizon) != k) for k in (1, 2)])
 
-        scheme = c.PartitionScheme(depth=2, same_atom_mask=same_atom_mask, name="skew")
+        scheme = c.PartitionScheme(depth=2, same_atom_planes=same_atom_planes, name="skew")
         pair = shift_pair([0] * 20, [0] * 20)
-        with pytest.raises(SchemeError, match="does not refine"):
+        message = "'skew' does not refine: its same-atom set at depth 2 is not inside"
+        with pytest.raises(SchemeError, match=message):
+            c.same_atom_series(pair, scheme)
+        with pytest.raises(SchemeError, match=message):
             c.classify_partition_pair(pair, scheme, c.Thresholds(burn_in=1))
 
 
@@ -386,7 +416,9 @@ class TestCantorCylinderDifferential:
     @settings(max_examples=60, deadline=None)
     def test_same_estimates_per_depth(self, case):
         pair, depth, th = case
-        by_depth = cl._same_atom_estimates(pair, c.cylinder_scheme(depth), th)
+        planes = c.same_atom_series(pair, c.cylinder_scheme(depth))
+        cps = c.checkpoint_grid(pair.horizon, th.burn_in)
+        by_depth = de.nested_density_estimates(planes, pair.horizon, cps)
         by_grid = c.phi_profile(c.distance_series(pair, "cantor"), th.burn_in).estimates
         reads = [(k, 16 - k) for k in range(1, min(depth, 15) + 1)]
         reads += [(17, 0)] if depth >= 17 else []
@@ -427,6 +459,19 @@ class TestPartitionClassification:
                 separation_upper=0.0, gap_by_k={}, depth=2,
             )
 
+    def test_burn_in_past_the_horizon_is_refused_before_any_plane(self):
+        calls = []
+
+        def counted(pair):
+            calls.append(pair)
+            return c.cylinder_scheme(2).same_atom_planes(pair)
+
+        pair = shift_pair([0] * 50, [0] * 50)
+        scheme = c.PartitionScheme(2, counted, "counted")
+        with pytest.raises(PolicyError, match="horizon 50 below burn-in 100"):
+            c.classify_partition_pair(pair, scheme, c.Thresholds())
+        assert calls == []
+
     def test_pk_plus_on_heavy_oscillation(self):
         # runs growing by factor 40 push both the same-atom and the
         # different-atom upper densities to 40/41 at their own run ends:
@@ -460,7 +505,7 @@ class TestPartitionClassification:
         # the same-atom upper density is exactly 3/10 at every depth, and
         # 1 - tau_one is 3/10 as decimals (the float 1 - 0.7 lies above it)
         mask = np.tile([False] * 7 + [True] * 3, 1000)
-        scheme = c.PartitionScheme(2, lambda pair, k: c.pack_times(mask), "period-10")
+        scheme = c.PartitionScheme(2, lambda pair: np.stack([c.pack_times(mask)] * 2), "period-10")
         pair = shift_pair(np.zeros(mask.size), np.zeros(mask.size))
         th = c.Thresholds(tau_one=0.7, tau_zero=0.2, burn_in=1000)
         assert per_set_density(mask, c.checkpoint_grid(mask.size, 1000)).upper == Fraction(3, 10)
@@ -526,8 +571,8 @@ class TestPartitionReadDifferential:
     @settings(max_examples=200, deadline=None)
     def test_reads_match_the_direct_rules(self, case):
         masks, th = case
-        planes = [c.pack_times(m) for m in masks]
-        scheme = c.PartitionScheme(len(masks), lambda pair, k: planes[k - 1], "drawn")
+        planes = np.stack([c.pack_times(m) for m in masks])
+        scheme = c.PartitionScheme(len(masks), lambda pair: planes, "drawn")
         n = masks[0].size
         v = c.classify_partition_pair(shift_pair(np.zeros(n), np.zeros(n)), scheme, th)
         assert (v.pk_scrambled, v.pk_plus, v.pk_minus) == partition_verdict_direct(masks, th)

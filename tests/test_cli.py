@@ -492,6 +492,20 @@ class TestArtifacts:
         assert header == "pair_id,ly,dc1,dc1half,dc2,dc3,s,eta,k0"
         assert row[1] == "True" and row[2] == "True"
 
+    @pytest.mark.parametrize("horizon, dc2", [
+        (4096, True), (16384, True), (65536, True), (262144, False), (1048576, False),
+    ])
+    def test_dc2_witness_at_the_default_thresholds(self, horizon, dc2, tmp_path):
+        # the DC2 schedule's agreement limsup is 19/20, exactly the default
+        # 1 - tau_one: dc2 holds only while a checkpoint lies near the run
+        # end at n = 155 (ratio 148/155), which the burn-in N/1000 passes
+        # from 2^18 on
+        out = tmp_path / "v.csv"
+        argv = ["classify", "--witness", "DC2", "--horizon", str(horizon), "--out", str(out)]
+        assert run(argv) == 0
+        row = dict(zip(*(line.split(",") for line in read(out).splitlines()[-2:])))
+        assert row["dc2"] == str(dc2) and row["dc3"] == "True"
+
     def test_no_input_mutation(self, tmp_path):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("run.horizon = 400\n")
@@ -606,27 +620,40 @@ class TestScanHoldsWhatItReads:
         fields = {"spec", "horizon", "symbols", "reals", "source"}
         assert all(set(vars(t)) == fields for pair in handed[0].values() for t in (pair.a, pair.b))
 
-    @pytest.mark.parametrize("count", ["1", "16"])
-    @pytest.mark.parametrize("system", [
-        ["--system", "full-shift"],
-        ["--system", "odometer", "--base", "2,4"],
-        ["--system", "zero-entropy", "--q", "2,2,2"],
+
+NO_REAL_TRACKS = [
+    ["--system", "full-shift"],
+    ["--system", "odometer", "--base", "2,4"],
+    ["--system", "zero-entropy", "--q", "2,2,2"],
+]
+
+
+class TestMetricRefusedBeforeSampling:
+    @pytest.mark.parametrize("command, system", [
+        *((command, system) for command in ("classify", "phi", "scan") for system in NO_REAL_TRACKS),
+        ("classify", ["--witness", "DC2"]),
+        ("phi", ["--witness", "DC2"]),
     ])
-    def test_absolute_without_real_tracks_refused_on_the_first_draw(
-        self, system, count, tmp_path, monkeypatch, capsys
-    ):
-        sample, calls = c.systems.sample_orbit, []
+    def test_absolute_without_real_tracks(self, command, system, tmp_path, monkeypatch, capsys):
+        # refused from the spec alone: no orbit is drawn and no witness built,
+        # with one trajectory or many
+        calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return sample(*args)
+        def counting(fn):
+            def counted(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
 
-        monkeypatch.setattr(c.systems, "sample_orbit", counted)
-        out = tmp_path / "clique.csv"
-        argv = ["scan", *system, "--metric", "absolute", "--count", count, "--horizon", "5000"]
-        assert run(argv + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: absolute needs real tracks\n"
-        assert len(calls) == 1 and not out.exists()
+            return counted
+
+        for name in ("sample_orbit", "construct_witness_pair"):
+            monkeypatch.setattr(c.systems, name, counting(getattr(c.systems, name)))
+        out = tmp_path / "out.csv"
+        argv = [command, *system, "--metric", "absolute", "--horizon", "5000", "--out", str(out)]
+        for extra in ([], ["--count", "1"], ["--count", "16"]) if command == "scan" else ([],):
+            assert run(argv + extra) == 1
+            assert capsys.readouterr().err == "error: absolute needs real tracks\n"
+        assert calls == [] and not out.exists()
 
 
 class TestVerifySuites:
@@ -693,10 +720,11 @@ class TestVerifySuites:
     def test_scheme_catches_a_mask_changing_inside_a_window(self, monkeypatch, capsys):
         # the same mask at every depth nests, so only the window check can fail
         def alternating(schedule):
-            def same_atom_mask(pair, k):
-                return c.pack_times(np.arange(pair.horizon) % 2 == 0)
+            def same_atom_planes(pair):
+                plane = c.pack_times(np.arange(pair.horizon) % 2 == 0)
+                return np.stack([plane] * schedule.depth)
 
-            return c.PartitionScheme(schedule.depth, same_atom_mask, "alternating")
+            return c.PartitionScheme(schedule.depth, same_atom_planes, "alternating")
 
         monkeypatch.setattr(c.blocks, "central_block_scheme", alternating)
         assert run(["verify", "--suite", "scheme", "--q", "2,2,2"]) == 2
@@ -706,14 +734,20 @@ class TestVerifySuites:
         # depth 1 holds nowhere, deeper depths everywhere: each mask is
         # constant, so only the refinement check can fail
         def unnested(schedule):
-            def same_atom_mask(pair, k):
-                return c.pack_times(np.full(pair.horizon, k > 1))
+            def same_atom_planes(pair):
+                return np.stack([
+                    c.pack_times(np.full(pair.horizon, k > 1))
+                    for k in range(1, schedule.depth + 1)
+                ])
 
-            return c.PartitionScheme(schedule.depth, same_atom_mask, "unnested")
+            return c.PartitionScheme(schedule.depth, same_atom_planes, "unnested")
 
         monkeypatch.setattr(c.blocks, "central_block_scheme", unnested)
         assert run(["verify", "--suite", "scheme", "--q", "2,2,2"]) == 2
-        assert "refinement fails" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "invariant violation: refinement fails: scheme 'unnested' does not refine: "
+            "its same-atom set at depth 2 is not inside the one at depth 1\n"
+        )
 
 
 # each config key -> a run that takes its flag, and a value that changes

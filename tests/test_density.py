@@ -649,7 +649,7 @@ class TestCantorValues:
         pair = symbol_pair(a, b)
         scheme = c.cylinder_scheme(20)
         sets = [c.unpack_times(p, 3000) for p in grid_planes(c.distance_series(pair, "cantor"))]
-        sets += [c.unpack_times(c.same_atom_series(pair, scheme, k), 3000) for k in range(1, 21)]
+        sets += [c.unpack_times(plane, 3000) for plane in c.same_atom_series(pair, scheme)]
         for s in sets:
             assert s[3000 - last :].all()
             assert last == 3000 or not s[2999 - last]

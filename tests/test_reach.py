@@ -21,10 +21,6 @@ SRC = Path(chaoslab.__file__).resolve().parent
 UNREACHED = {
     "blocks.word_from_free_words":
         "pulls an image-side track back through pi for the product-to-zero-entropy transfer",
-    "blocks.aligned_window_scheme":
-        "the image-side partition scheme the transfer criteria compare against",
-    "blocks.aligned_window_scheme.same_atom_mask":
-        "the mask of aligned_window_scheme",
     "cli.load_config": "config files are pinned by GOLDEN_CONFIG, not GOLDEN",
     "cli._parse_with_config": "config files are pinned by GOLDEN_CONFIG, not GOLDEN",
     "cli._Parser.error": "usage errors; no golden command makes one",

@@ -382,8 +382,8 @@ class TestDistanceSeries:
         d = [0.5, 1.0, 0.0, 0.0] if xs != ys else [0.0] * 3
         assert self._sets(c.distance_series(pair, "cantor")) == [
             [v < t for v in d] for t in c.THRESHOLD_GRID]
-        for k in range(1, 18):
-            plane = c.same_atom_series(pair, c.cylinder_scheme(17), k)
+        planes = c.same_atom_series(pair, c.cylinder_scheme(17))
+        for k, plane in enumerate(planes, start=1):
             assert c.unpack_times(plane, len(xs)).tolist() == [
                 v < 2.0**-(k - 1) for v in d]
 
