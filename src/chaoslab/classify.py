@@ -191,7 +191,7 @@ def cylinder_scheme(max_depth: int):
     def same_atom_planes(pair: OrbitPair) -> np.ndarray:
         if pair.a.symbols is None or pair.b.symbols is None:
             raise SchemeError("cylinder scheme needs a symbol track")
-        return agreement_runs(pair.agreement, pair.horizon, range(1, max_depth + 1))
+        return agreement_runs(pair.agreement, pair.horizon, max_depth)
 
     return PartitionScheme(depth=max_depth, same_atom_planes=same_atom_planes, name="cylinder")
 

@@ -129,24 +129,23 @@ def check_planes(planes: np.ndarray, horizon: int) -> np.ndarray:
     return planes
 
 
-def agreement_runs(agree: np.ndarray, horizon: int, depths: Sequence[int]) -> np.ndarray:
-    """Planes of {n : the agreement plane holds at times n, ..., n+k-1}, one
-    per depth k in `depths`: depth k's run shifted down one bit and ANDed
-    with the plane gives depth k+1's. Times past the horizon agree, so a run
-    reaching it holds at every depth; no bit past the horizon is set."""
+def agreement_runs(agree: np.ndarray, horizon: int, depth: int) -> np.ndarray:
+    """The (depth, words) stack whose row k-1 is the plane of {n : the
+    agreement plane holds at times n, ..., n+k-1}: row k-1 shifted down one
+    bit and ANDed with the plane gives row k. Times past the horizon agree,
+    so every row from depth N on is the agreeing tail; none has a bit past N."""
+    if depth < 1:
+        raise ValidationError(f"agreement run depth must be >= 1, got {depth}")
     agree = check_planes(np.asarray(agree)[None], horizon)[0]
     past = ~np.uint64(0) << np.uint64(horizon % 64) if horizon % 64 else np.uint64(0)
-    # the plane plus one word beyond it, with every time past the horizon set
-    word = np.append(agree, ~np.uint64(0))
-    word[-2] |= past
-    run = word.copy()
-    out = np.empty((len(depths), agree.size), dtype=np.uint64)
-    for k in range(1, max(depths) + 1):
-        if k > 1:
-            run[:-1] = (run[:-1] >> 1 | run[1:] << 63) & word[:-1]
-        out[[i for i, depth in enumerate(depths) if depth == k]] = run[:-1]
-    out[:, -1] &= ~past
-    return out
+    # each row plus one word beyond it, with every time past the horizon set
+    runs = np.full((depth, agree.size + 1), ~np.uint64(0))
+    runs[0, :-1] = agree
+    runs[0, -2] |= past
+    for k in range(1, depth):
+        runs[k, :-1] = (runs[k - 1, :-1] >> 1 | runs[k - 1, 1:] << 63) & runs[0, :-1]
+    runs[:, -2] &= ~past
+    return runs[:, :-1]
 
 
 def nested_density_estimates(
@@ -201,8 +200,9 @@ VALUE_CHUNK = 2**16
 class DistanceSeries:
     """The time sets {n : d_n < t} of a pair's separations d_1..d_N in
     [0, 1], one per point t of THRESHOLD_GRID, as packed planes: grid point
-    j reads plane rows[j]. A metric whose sets repeat along the grid (the
-    Hamming indicator's are all one set) stores each set once."""
+    j reads plane rows[j], so a set that repeats along the grid is stored
+    once. The Cantor distance's 17 planes, a stack of agreement runs, hold
+    row 15 (depth 16), which no grid point reads but which is counted."""
 
     planes: np.ndarray
     horizon: int

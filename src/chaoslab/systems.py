@@ -396,14 +396,13 @@ def check_metric(metric: str, spec: SystemSpec, *trajectories: Trajectory) -> No
 
 
 def distance_series(pair: OrbitPair, metric: str = "hamming-indicator") -> DistanceSeries:
-    """The pair's threshold sets under `metric`. The symbolic metrics read
-    the agreement plane: the Hamming indicator is below every grid point
-    exactly where the symbols agree, and the Cantor set at t_j is the run
-    of CANTOR_DEPTHS[j] agreements (`density.agreement_runs`)."""
+    """The pair's threshold sets under `metric`. A symbolic metric is one
+    stack of agreement runs (`density.agreement_runs`), each grid point
+    reading the run of its depth: 1 for the Hamming indicator, which is 0
+    exactly where the symbols agree, and CANTOR_DEPTHS[j] for Cantor's t_j."""
     check_metric(metric, pair.a.spec, pair.a, pair.b)
-    if metric == "hamming-indicator":
-        return DistanceSeries(pair.agreement[None], pair.horizon, (0,) * THRESHOLD_GRID.size)
-    if metric == "cantor":
-        runs = agreement_runs(pair.agreement, pair.horizon, CANTOR_DEPTHS)
-        return DistanceSeries(runs, pair.horizon)
-    return DistanceSeries.from_values(pair.a.reals, pair.b.reals)
+    if metric == "absolute":
+        return DistanceSeries.from_values(pair.a.reals, pair.b.reals)
+    depths = CANTOR_DEPTHS if metric == "cantor" else (1,) * THRESHOLD_GRID.size
+    runs = agreement_runs(pair.agreement, pair.horizon, max(depths))
+    return DistanceSeries(runs, pair.horizon, tuple(k - 1 for k in depths))

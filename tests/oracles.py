@@ -9,10 +9,11 @@ recursion on every row, same-atom masks come from comparing per-time
 atom labels, plug-in word entropy comes from a Counter over word tuples
 or from int64 word codes sorted by `np.unique`, interval-map orbits
 come from a list-appending loop with Python-int symbol packing,
-full-shift symbols come from `Generator.choice`, and witness-schedule
-masks come from one slice assignment per run. `aligned_window_scheme` is
-the image-side partition scheme the transfer tests read the free-word
-tracks under.
+full-shift symbols come from `Generator.choice`, witness-schedule masks
+come from one slice assignment per run, and their limit densities come
+from the fixed point of each schedule's run-end recursion.
+`aligned_window_scheme` is the image-side partition scheme the transfer
+tests read the free-word tracks under.
 """
 import math
 from fractions import Fraction
@@ -65,6 +66,38 @@ def boundary_extrema(runs, horizon, burn_in, want_agree=True):
     """(max, min) of count/n over run boundaries at or beyond the burn-in."""
     ratios = [r for n, r in boundary_ratios(runs, horizon, want_agree) if n >= burn_in]
     return max(ratios), min(ratios)
+
+
+# Each witness schedule in the limit of long schedules: an agreeing run of
+# g times the total before it, then a disagreeing run of rho * g times the
+# total before that one. DC1/DC1half: every run is 5 times the total before
+# it. DC2: 4T agreeing after T, then floor(4T/3) disagreeing after 5T, so
+# rho * g = 4/15 once the floor is negligible. DC3: a run of 2^(i+1) after
+# 2^(i+1) - 2. LY: runs grow by 1 over a quadratic total, so g -> 0 with
+# consecutive runs of ratio 1.
+WITNESS_GROWTH = {
+    "DC1": (Fraction(5), Fraction(1)),
+    "DC1half": (Fraction(5), Fraction(1)),
+    "DC2": (Fraction(4), Fraction(1, 15)),
+    "DC3": (Fraction(1), Fraction(1)),
+    "LY": (Fraction(0), Fraction(1)),
+}
+
+
+def witness_limits(target):
+    """Exact (limsup, liminf) of the agreement ratio count/n of a witness
+    schedule, solved from the fixed point of its run-end recursion.
+
+    The ratio is monotone inside a run, so its extremes lie at run ends. An
+    agreeing run of g T after T times maps the ratio r at its start to
+    u = (r + g) / (1 + g); the disagreeing run after it, of rho g (1 + g) T,
+    maps u to u / (1 + rho g). The fixed point l = (l + g) / ((1 + g)(1 +
+    rho g)) is l = 1 / (1 + rho + rho g), divided through by g, which also
+    gives the limit g -> 0 (LY); then u = l (1 + rho g).
+    """
+    g, rho = WITNESS_GROWTH[target]
+    liminf = 1 / (1 + rho + rho * g)
+    return liminf * (1 + rho * g), liminf
 
 
 def count_eta_ball_direct(a0: str, m: int, eta: float) -> int:

@@ -14,10 +14,12 @@ from chaoslab.errors import PolicyError, ValidationError
 from oracles import (
     boundary_extrema,
     cantor_values_direct,
+    cylinder_label,
     float_distance_values,
     per_set_density,
     per_threshold_phi,
     runs_to_mask,
+    same_label_mask,
 )
 
 
@@ -683,6 +685,52 @@ class TestCantorDepths:
         for t, k in zip(c.THRESHOLD_GRID.tolist(), sy.CANTOR_DEPTHS):
             assert 2.0**-k < t <= 2.0 ** -(k - 1)
             assert sum(2.0**-L >= t for L in range(1100)) == k
+
+
+def sparse_flip_pair(horizon):
+    """A seeded symbol pair that disagrees at about one time in 40, so that
+    agreement runs longer than a word occur, and agrees at its last time."""
+    rng = np.random.default_rng(horizon)
+    a = rng.integers(0, 2, horizon)
+    b = a ^ (rng.random(horizon) < 1 / 40)
+    b[-1] = a[-1]
+    return symbol_pair(a, b)
+
+
+class TestAgreementRuns:
+    """`agreement_runs(agree, N, depth)`: the (depth, words) stack whose row
+    k-1 holds the runs of k agreements."""
+
+    @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 130, 1000])
+    def test_rows_match_the_cylinder_labels(self, horizon):
+        pair = sparse_flip_pair(horizon)
+        stack = de.agreement_runs(pair.agreement, horizon, 70)
+        assert stack.shape == (70, -(-horizon // 64)) and stack.dtype == np.uint64
+        for k in range(1, 71):
+            want = same_label_mask(cylinder_label, pair, k)
+            assert np.array_equal(c.unpack_times(stack[k - 1], horizon), want), k
+
+    @pytest.mark.parametrize("horizon", [1, 64, 65, 1000])
+    @pytest.mark.parametrize("depth", [1, 2, 16, 17, 63, 64, 65])
+    def test_stack_is_a_prefix_of_a_deeper_one(self, horizon, depth):
+        agree = sparse_flip_pair(horizon).agreement
+        deeper = de.agreement_runs(agree, horizon, depth + 5)
+        assert np.array_equal(de.agreement_runs(agree, horizon, depth), deeper[:depth])
+
+    @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 130])
+    def test_rows_past_the_horizon_are_the_agreeing_tail(self, horizon):
+        pair = sparse_flip_pair(horizon)
+        stack = de.agreement_runs(pair.agreement, horizon, horizon + 5)
+        agree = pair.a.symbols == pair.b.symbols
+        tail = np.logical_and.accumulate(agree[::-1])[::-1]  # agrees up to the horizon
+        assert tail.any()
+        for row in stack[horizon - 1 :]:
+            assert np.array_equal(c.unpack_times(row, horizon), tail)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_refused(self, depth):
+        with pytest.raises(ValidationError, match="depth must be >= 1"):
+            de.agreement_runs(sparse_flip_pair(65).agreement, 65, depth)
 
 
 class TestHammingValues:

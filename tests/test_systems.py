@@ -1,6 +1,9 @@
+import re
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +16,16 @@ from chaoslab.errors import (
     ValidationError,
 )
 from chaoslab.blocks import QSchedule
-from oracles import boundary_ratios, full_shift_direct, interval_orbit_direct, runs_to_mask
+from chaoslab.density import CHECKPOINT_RATIO
+from oracles import (
+    boundary_ratios,
+    full_shift_direct,
+    interval_orbit_direct,
+    runs_to_mask,
+    witness_limits,
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestSpecs:
@@ -316,6 +328,70 @@ class TestWitnessSchedules:
         agree = [r for n, r in boundary_ratios(runs, horizon) if n >= horizon // 10]
         assert abs(float(max(agree)) - 0.5) < 0.05
         assert abs(float(min(agree)) - 0.5) < 0.05
+
+    def test_limits_are_the_readme_table(self):
+        want = {
+            "DC1": (Fraction(6, 7), Fraction(1, 7)),
+            "DC1half": (Fraction(6, 7), Fraction(1, 7)),
+            "DC2": (Fraction(19, 20), Fraction(3, 4)),
+            "DC3": (Fraction(2, 3), Fraction(1, 3)),
+            "LY": (Fraction(1, 2), Fraction(1, 2)),
+        }
+        rows = re.findall(r"^\| (`.*?`) +\| (\d+/\d+) +\| (\d+/\d+) +\|$",
+                          README.read_text(encoding="utf-8"), re.MULTILINE)
+        readme = {name.strip(" `"): (Fraction(up), Fraction(low))
+                  for names, up, low in rows for name in names.split(",")}
+        assert readme == want
+        assert {t: witness_limits(t) for t in c.systems.WITNESS_TARGETS} == want
+
+    @pytest.mark.parametrize("target", c.systems.WITNESS_TARGETS)
+    def test_run_end_ratios_approach_the_limits(self, target):
+        horizon = 10**8 if target == "LY" else 10**15
+        ends = boundary_ratios(c.witness_runs(target, horizon), horizon)[:-1]  # last run cut
+        # the first run agrees, so runs alternate limsup (even) and liminf (odd)
+        assert len(ends) >= 10
+        for i, (_, ratio) in enumerate(ends[-4:], start=len(ends) - 4):
+            assert abs(ratio - witness_limits(target)[i % 2]) < Fraction(1, 10**4)
+
+    @pytest.mark.parametrize("log2_horizon", range(12, 21))
+    @pytest.mark.parametrize("target", c.systems.WITNESS_TARGETS)
+    def test_kernel_estimates_lie_in_the_band_around_the_limits(self, target, log2_horizon):
+        """The kernel's Hamming estimates lie in a band around the limits
+        (u, l) = `witness_limits(target)`, derived from the grid:
+
+        - r(n) = count/n is monotone inside a run, so at a checkpoint it
+          lies between the ratios at the run ends around it. Let delta be
+          the largest distance of a run-end ratio from the limit of its kind
+          (u after an agreeing run, l after a disagreeing one), over the run
+          ends from the last one at or before the burn-in b to the first one
+          at or past N. Then upper <= u + delta and lower >= l - delta.
+        - The first checkpoint is b and consecutive ones are at most a factor
+          rho = CHECKPOINT_RATIO apart, so a run end e in [b, N] has a
+          checkpoint n in [e / rho, e]. At most e - n disagreements lie
+          between them, so r(n) >= rho r(e) - (rho - 1) at an agreeing run
+          end, and r(n) <= rho r(e) at a disagreeing one. Given a run end of
+          each kind in [b, N]: upper >= u - (rho - 1)(1 - u) - rho delta and
+          lower <= rho (l + delta).
+
+        delta comes from the schedule's exact run-end ratios
+        (`boundary_ratios`), not from the kernel. Every case here has a
+        run end of each kind in [b, N], so the derivation covers them all.
+        """
+        horizon = 2**log2_horizon
+        pair = c.construct_witness_pair(target, horizon)
+        est = c.phi_profile(c.distance_series(pair)).estimates[0]
+        rho, (b, cps) = Fraction(CHECKPOINT_RATIO), (est.checkpoints[0], est.checkpoints)
+        assert all(y <= rho * x for x, y in zip(cps, cps[1:]))
+        # the next run ends within a factor 6 of the total, so 8 N holds the one past N
+        ends = boundary_ratios(c.witness_runs(target, 8 * horizon), 8 * horizon)
+        first = max(i for i, (n, _) in enumerate(ends) if n <= b)
+        last = min(i for i, (n, _) in enumerate(ends) if n >= horizon)
+        assert {i % 2 for i, (n, _) in enumerate(ends) if b <= n <= horizon} == {0, 1}
+        u, l = witness_limits(target)
+        delta = max(abs(r - (u, l)[i % 2])
+                    for i, (_, r) in enumerate(ends[first : last + 1], start=first))
+        assert u - (rho - 1) * (1 - u) - rho * delta <= est.upper <= u + delta
+        assert l - delta <= est.lower <= rho * (l + delta)
 
     def test_short_horizon_refused(self):
         with pytest.raises(InsufficientHorizon):
