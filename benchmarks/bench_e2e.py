@@ -107,6 +107,7 @@ def main(argv=None) -> int:
                         "to export into (default: a fresh temporary one, removed after)")
     args = parser.parse_args(argv)
 
+    head, dirty = _git("rev-parse", "HEAD"), bool(_git("status", "--porcelain"))
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench-e2e-"))
     try:
         trees = export(args.parent_ref, workdir)
@@ -128,8 +129,6 @@ def main(argv=None) -> int:
             workloads[workload] = {"seed": args.seed, "seconds": args.seconds,
                                    "pairs": args.pairs, "runs": runs,
                                    "metrics": summarize(runs)}
-        head = _git("rev-parse", "HEAD")
-        dirty = bool(_git("status", "--porcelain"))
         record = {
             "parent": {"ref": args.parent_ref,
                        "sha": _git("rev-parse", f"{args.parent_ref}^{{commit}}"),
