@@ -136,7 +136,9 @@ def agreement_runs(agree: np.ndarray, horizon: int, depth: int) -> np.ndarray:
     so every row from depth N on is the agreeing tail; none has a bit past N."""
     if depth < 1:
         raise ValidationError(f"agreement run depth must be >= 1, got {depth}")
-    agree = check_planes(np.asarray(agree)[None], horizon)[0]
+    agree = check_planes(np.asarray(agree)[None], horizon)
+    if depth == 1:  # the plane itself, uncopied: the Hamming series reads only this row
+        return agree
     past = ~np.uint64(0) << np.uint64(horizon % 64) if horizon % 64 else np.uint64(0)
     # each row plus one word beyond it, with every time past the horizon set
     runs = np.full((depth, agree.size + 1), ~np.uint64(0))
@@ -200,9 +202,8 @@ VALUE_CHUNK = 2**16
 class DistanceSeries:
     """The time sets {n : d_n < t} of a pair's separations d_1..d_N in
     [0, 1], one per point t of THRESHOLD_GRID, as packed planes: grid point
-    j reads plane rows[j], so a set that repeats along the grid is stored
-    once. The Cantor distance's 17 planes, a stack of agreement runs, hold
-    row 15 (depth 16), which no grid point reads but which is counted."""
+    j reads plane rows[j], so a set repeated along the grid is stored once.
+    The 17-row Cantor stack builds and counts row 15 (depth 16), read by no grid point."""
 
     planes: np.ndarray
     horizon: int

@@ -380,7 +380,8 @@ class TestWitnessSchedules:
         horizon = 2**log2_horizon
         pair = c.construct_witness_pair(target, horizon)
         est = c.phi_profile(c.distance_series(pair)).estimates[0]
-        rho, (b, cps) = Fraction(CHECKPOINT_RATIO), (est.checkpoints[0], est.checkpoints)
+        rho, cps = Fraction(CHECKPOINT_RATIO), est.checkpoints
+        b = cps[0]
         assert all(y <= rho * x for x, y in zip(cps, cps[1:]))
         # the next run ends within a factor 6 of the total, so 8 N holds the one past N
         ends = boundary_ratios(c.witness_runs(target, 8 * horizon), 8 * horizon)
