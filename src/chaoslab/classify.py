@@ -20,6 +20,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .density import (
+    PLANE_BLOCK,
     DensityEstimate,
     PhiProfile,
     agreement_runs,
@@ -198,19 +199,24 @@ def cylinder_scheme(max_depth: int):
 
 def same_atom_series(pair: OrbitPair, scheme: PartitionScheme) -> np.ndarray:
     """The scheme's same-atom planes of `pair`, row k-1 for depth k, checked:
-    `check_planes`, one row per depth, each row inside the one before."""
+    `check_planes`, one row per depth, each row inside the one before. The
+    rows are compared PLANE_BLOCK at a time, each block with the rows just
+    above it (one block up to depth 64)."""
     planes = check_planes(scheme.same_atom_planes(pair), pair.horizon)
     if len(planes) != scheme.depth:
         raise SchemeError(
             f"scheme {scheme.name!r} of depth {scheme.depth} gave {len(planes)} planes"
         )
-    outside = np.flatnonzero((planes[1:] & ~planes[:-1]).any(axis=1))
-    if outside.size:
-        k = int(outside[0]) + 2
-        raise SchemeError(
-            f"scheme {scheme.name!r} does not refine: its same-atom set at "
-            f"depth {k} is not inside the one at depth {k - 1}"
-        )
+    for start in range(0, len(planes), PLANE_BLOCK):
+        first = max(start, 1)  # row 0 has no row above it
+        stop = min(start + PLANE_BLOCK, len(planes))
+        outside = np.flatnonzero((planes[first:stop] & ~planes[first - 1 : stop - 1]).any(axis=1))
+        if outside.size:
+            k = first + int(outside[0]) + 1
+            raise SchemeError(
+                f"scheme {scheme.name!r} does not refine: its same-atom set at "
+                f"depth {k} is not inside the one at depth {k - 1}"
+            )
     return planes
 
 

@@ -150,6 +150,12 @@ def agreement_runs(agree: np.ndarray, horizon: int, depth: int) -> np.ndarray:
     return runs[:, :-1]
 
 
+# Deep stacks are popcounted and checked this many planes at a time, so no
+# temporary the size of the whole stack is made: 64 planes of N = 1e5 times,
+# cast to int64 for the sums, hold 800 KB
+PLANE_BLOCK = 64
+
+
 def nested_density_estimates(
     planes: np.ndarray, horizon: int, checkpoints: Sequence[int]
 ) -> tuple[DensityEstimate, ...]:
@@ -158,7 +164,8 @@ def nested_density_estimates(
 
     Checkpoints are strictly increasing times in [1, horizon]. The word
     popcounts of each plane are summed per segment between consecutive
-    checkpoint words by one np.add.reduceat, and a cumsum over the
+    checkpoint words by np.add.reduceat, PLANE_BLOCK planes at a time (one
+    call up to 64 planes), and a cumsum over the
     checkpoints turns the segment sums into the counts of the whole words
     below each checkpoint's word; count(S cap [1, n]) adds the popcount of
     that word's bits below n. The (checkpoints x planes) count matrix goes
@@ -174,12 +181,17 @@ def nested_density_estimates(
     word, bit = ns >> 6, (ns & 63).astype(np.uint64)
     # one zero column past the last word, so that the word of n = N on a
     # multiple of 64 is a valid reduceat index
-    pop = np.zeros((planes.shape[0], planes.shape[1] + 1), dtype=np.uint8)
-    np.bitwise_count(planes, out=pop[:, :-1])
+    pop = np.zeros((min(len(planes), PLANE_BLOCK), planes.shape[1] + 1), dtype=np.uint8)
     edges = np.concatenate(([0], word))
     # segment i sums the words edges[i] <= w < edges[i + 1]; reduceat gives
     # the single word edges[i] where the two are equal, a segment of none
-    segments = np.add.reduceat(pop, edges, axis=1, dtype=np.int64)[:, :-1]
+    segments = np.empty((len(planes), len(cps)), np.int64)
+    for start in range(0, len(planes), PLANE_BLOCK):
+        block = planes[start : start + PLANE_BLOCK]
+        np.bitwise_count(block, out=pop[: len(block), :-1])
+        segments[start : start + len(block)] = np.add.reduceat(
+            pop[: len(block)], edges, axis=1, dtype=np.int64
+        )[:, :-1]
     segments[:, edges[:-1] == edges[1:]] = 0
     below = (np.uint64(1) << bit) - np.uint64(1)  # 0 where n ends a word
     partial = planes[:, np.minimum(word, planes.shape[1] - 1)] & below

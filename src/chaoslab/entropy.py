@@ -68,6 +68,40 @@ def _strided_codes(sym: np.ndarray, length: int, stride: int, base: int) -> np.n
     return codes
 
 
+# Windows are coded and counted this many at a time, so that no N-length
+# array of codes, or copy of the track, is held (read at call time)
+WINDOW_CHUNK = 1 << 16
+
+
+def _window_codes(sym: np.ndarray, word_len: int, stride: int, alphabet: int) -> np.ndarray:
+    """Base-`alphabet` codes of the length-`word_len` words of `sym` (already
+    in the code dtype) read at every multiple of the stride, one per window
+    that fits.
+
+    With b = min(stride, l), a word is q = l // b blocks of b symbols, coded
+    as digits base alphabet^b, then r = l % b symbols. The blocks are joined
+    by doubling: read q's binary digits after the leading 1; each one joins
+    two codes k digits apart into one of 2k digits, and a digit 1 then
+    appends one digit, so about 2 log2(q) passes join them. No partial code
+    exceeds the full one, so none overflows the dtype.
+    """
+    block = min(stride, word_len)
+    q, r = divmod(word_len, block)
+    digits = _strided_codes(sym, block, stride, alphabet)
+    base, codes, k = alphabet**block, digits, 1
+    for bit in bin(q)[3:]:
+        codes = codes[:-k] * base**k + codes[k:]
+        k *= 2
+        if bit == "1":
+            codes = codes[:-1] * base + digits[k:]
+            k += 1
+    codes = codes[: (sym.size - word_len) // stride + 1]
+    if r:
+        tail = _strided_codes(sym[q * stride :], r, stride, alphabet)
+        codes = codes * alphabet**r + tail[: codes.size]
+    return codes
+
+
 def empirical_cylinder_entropy(track: Sequence[int], word_len: int, stride: int = 1) -> float:
     """Plug-in entropy rate H_l/l of the empirical distribution of length-l
     words read at the given stride (1 = overlapping windows).
@@ -77,6 +111,13 @@ def empirical_cylinder_entropy(track: Sequence[int], word_len: int, stride: int 
     each failure raises a ValidationError.
     Horizons below 100 * alphabet^l undersample the word distribution; that
     raises an UndersampledWarning, not an error.
+
+    The windows are coded WINDOW_CHUNK at a time by `_window_codes`, from
+    their slice of the track cast to the smallest dtype that holds
+    alphabet^l - 1. When that count table fits the sample, each chunk's
+    codes are added into one int64 table by np.bincount, so memory beyond
+    the track and the table stays bounded by the chunk. Otherwise the
+    counts come from one sorting np.unique, which holds every window's code.
     """
     sym = np.asarray(track)
     if word_len < 1:
@@ -109,35 +150,26 @@ def empirical_cylinder_entropy(track: Sequence[int], word_len: int, stride: int 
             UndersampledWarning,
             stacklevel=2,
         )
-    # base-alphabet word codes of the windows at the stride only, in the
-    # smallest dtype that holds table - 1 (no partial code exceeds it). With
-    # b = min(stride, l), a word is q = l // b blocks of b symbols, coded as
-    # digits base alphabet^b, then r = l % b symbols. The blocks are joined
-    # by doubling: read q's binary digits after the leading 1; each one
-    # joins two codes k digits apart into one of 2k digits, and a digit 1
-    # then appends one digit, so about 2 log2(q) passes join them
-    sym = sym.astype(np.min_scalar_type(table - 1), copy=False)
-    block = min(stride, word_len)
-    q, r = divmod(word_len, block)
-    digits = _strided_codes(sym, block, stride, alphabet)
-    base, codes, k = alphabet**block, digits, 1
-    for bit in bin(q)[3:]:
-        codes = codes[:-k] * base**k + codes[k:]
-        k *= 2
-        if bit == "1":
-            codes = codes[:-1] * base + digits[k:]
-            k += 1
-    codes = codes[: (sym.size - word_len) // stride + 1]
-    if r:
-        tail = _strided_codes(sym[q * stride :], r, stride, alphabet)
-        codes = codes * alphabet**r + tail[: codes.size]
+    windows = (sym.size - word_len) // stride + 1
+    dtype, chunk = np.min_scalar_type(table - 1), WINDOW_CHUNK
+    chunks = (
+        _window_codes(
+            sym[j * stride : (min(j + chunk, windows) - 1) * stride + word_len].astype(
+                dtype, copy=False
+            ),
+            word_len, stride, alphabet,
+        )
+        for j in range(0, windows, chunk)
+    )
     # both give the counts of the words seen in ascending code order
-    if table <= codes.size:  # the count table fits the sample: no sort
-        counts = np.bincount(codes, minlength=table)
+    if table <= windows:  # the count table fits the sample: no sort
+        counts = np.zeros(table, np.int64)
+        for codes in chunks:
+            counts += np.bincount(codes, minlength=table)
         counts = counts[counts > 0]
     else:
-        _, counts = np.unique(codes, return_counts=True)
-    p = counts / codes.size
+        _, counts = np.unique(np.concatenate(list(chunks)), return_counts=True)
+    p = counts / windows
     return float(-(p * np.log2(p)).sum() / word_len)
 
 

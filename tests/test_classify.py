@@ -263,6 +263,24 @@ class TestSameAtomSeries:
         planes[1, -1] &= ~(np.uint64(1) << np.uint64(horizon % 64))
         assert c.same_atom_series(pair, scheme).shape == (2, -(-horizon // 64))
 
+    @pytest.mark.parametrize("depth", [3, 64, 65, 129, 131])
+    def test_refinement_checked_across_plane_blocks(self, depth):
+        # rows are checked PLANE_BLOCK at a time: the first depth outside the
+        # one before it is named at a block's last row (64), at its first row
+        # (65, 129: read against the last row of the block before) and in the
+        # ragged last block (131); a second breach past it is not named
+        assert de.PLANE_BLOCK == 64
+        horizon, rows = 200, 140
+        masks = [np.arange(horizon) >= k for k in range(rows)]  # nested
+        for k in (depth, depth + 70):
+            if k <= rows:
+                masks[k - 1][0] = True  # time 1: not in depth k - 1's set
+        planes = np.stack([c.pack_times(m) for m in masks])
+        scheme = c.PartitionScheme(rows, lambda pair: planes, "breach")
+        message = f"its same-atom set at depth {depth} is not inside the one at depth {depth - 1}"
+        with pytest.raises(SchemeError, match=message):
+            c.same_atom_series(shift_pair([0] * horizon, [0] * horizon), scheme)
+
     def test_stack_of_another_dtype_is_refused(self):
         pair = shift_pair([0] * 10, [0] * 10)
         scheme = c.PartitionScheme(2, lambda pair: np.ones((2, 1), dtype=np.int64), "ints")

@@ -570,6 +570,36 @@ class TestArtifacts:
         assert values["marker-block"] < values["iid-fair-bits"]
 
 
+def traced_peak(argv) -> int:
+    """The tracemalloc peak, in bytes, of one `run(argv)` that exits 0."""
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestEmpiricalEntropyMemory:
+    """`entropy --empirical` holds its two uint8 tracks and one chunk of
+    word codes at a time."""
+
+    @pytest.mark.parametrize("horizon", [65535, 65536, 65537])
+    def test_chunked_fair_bits_are_one_draw(self, horizon):
+        one = np.random.default_rng(np.random.SeedSequence(7)).integers(0, 2, horizon)
+        bits = cli._fair_bits(7, horizon)
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, one)
+
+    def test_entropy_job_peaks_below_one_int64_track(self, tmp_path):
+        # an int64 fair track alone would hold 8 MB, and the whole job held 20
+        argv = ["entropy", "--empirical", "--horizon", "1000000", "--word-len", "12",
+                "--out", str(tmp_path / "entropy.csv")]
+        run(argv)  # imports and first-call set-up are not the job's
+        assert traced_peak(argv) < 5 * 2**20
+
+
 class TestScanHoldsWhatItReads:
     """Under a symbolic metric `scan` keeps symbol tracks only, and each pair,
     with the agreement plane it caches, lives only while it is read."""
@@ -955,6 +985,14 @@ class TestPairDump:
         atomic_write(tmp_path / "pair.csv", _pair_chunks(lines, pair))
         expected = csv_text_direct(lines, *pair_dump_direct(pair))
         assert (tmp_path / "pair.csv").read_bytes() == expected.encode()
+
+    def test_tent_dump_peaks_within_a_few_blocks(self, tmp_path):
+        # 250k rows with reals: the two tracks (8 MB) plus one block's cells
+        # and temporaries, not the 32 MB that blocks of 65,536 rows held
+        argv = ["pair", "--system", "tent", "--param", "1.99", "--horizon", "250000",
+                "--out", str(tmp_path / "pair.csv")]
+        run(argv)
+        assert traced_peak(argv) < 16 * 2**20
 
 
 def shortest_cells(values):

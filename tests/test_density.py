@@ -418,6 +418,19 @@ class TestPlaneWordEdges:
         want = [per_set_density(m, cps) for m in masks]
         assert [estimate_key(e) for e in got] == [estimate_key(e) for e in want]
 
+    @pytest.mark.parametrize("height", [63, 64, 65, 130])
+    def test_stacks_across_plane_blocks_match_per_set_oracle(self, height):
+        # the kernel counts PLANE_BLOCK planes at a time: a stack one plane
+        # short of a block, one block, one plane past it, and a ragged third
+        assert de.PLANE_BLOCK == 64
+        rng = np.random.default_rng(height)
+        horizon, cps = 1000, c.checkpoint_grid(1000, 1)
+        masks = [rng.random(horizon) < p for p in rng.random(height)]
+        got = de.nested_density_estimates(
+            np.stack([c.pack_times(m) for m in masks]), horizon, cps)
+        want = [per_set_density(m, cps) for m in masks]
+        assert [estimate_key(e) for e in got] == [estimate_key(e) for e in want]
+
     @pytest.mark.parametrize("horizon", EDGE_HORIZONS)
     def test_pack_round_trip_and_clear_tail(self, horizon):
         mask = np.random.default_rng(horizon + 1).random(horizon) < 0.5

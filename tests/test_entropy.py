@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaoslab as c
+from chaoslab import entropy as en
 from chaoslab.entropy import UndersampledWarning
 from chaoslab.errors import ValidationError
 from oracles import (
@@ -141,6 +143,46 @@ class TestCylinderEntropy:
         assert c.empirical_cylinder_entropy(bits.astype(float), 3) == (
             c.empirical_cylinder_entropy(bits, 3)
         )
+
+
+class TestCylinderEntropyChunks:
+    """Windows are coded and counted WINDOW_CHUNK at a time: the count must
+    not depend on where the chunks fall, on either count path."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunked_counts_match_unique_oracle(self, chunk, monkeypatch):
+        # window counts one short of a chunk, one chunk, one past it and
+        # three chunks and two; strides below, at and above the word length;
+        # up to stride - 1 trailing symbols that no window reads
+        monkeypatch.setattr(en, "WINDOW_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        paths = set()
+        for windows in sorted({max(chunk - 1, 1), chunk, chunk + 1, 3 * chunk + 2}):
+            for word_len in (1, 2, 3, 5):
+                for stride in sorted({max(word_len - 1, 1), word_len, word_len + 1}):
+                    for alphabet in (2, 3):
+                        size = (windows - 1) * stride + word_len + int(rng.integers(0, stride))
+                        track = rng.integers(0, alphabet, size)
+                        track[0] = alphabet - 1
+                        paths.add(alphabet**word_len <= windows)  # the table path
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore", UndersampledWarning)
+                            ours = c.empirical_cylinder_entropy(track, word_len, stride)
+                        want = plugin_entropy_unique(track, word_len, stride)
+                        assert repr(ours) == repr(want), (windows, word_len, stride, alphabet)
+        assert paths == {True, False}
+
+    def test_table_count_memory_is_bounded_by_the_chunk(self):
+        # 2^20 windows of 12 bits: one chunk's codes at a time, not 2^20 of
+        # them with their intp cast (12.6 MB)
+        track = np.random.default_rng(1).integers(0, 2, 2**20).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            c.empirical_cylinder_entropy(track, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 @st.composite
