@@ -249,18 +249,26 @@ class TwoRowWord:
 
 
 def sample_point(
-    schedule: QSchedule, seed: int, blocks: int = 1, offset: int | None = None
+    schedule: QSchedule, seed: int, horizon: int | None = None, offset: int | None = None
 ) -> TwoRowWord:
     """Uniform offset and uniform free bits: every (offset, free-word) atom
-    has probability 1/(N_K 2^{p_K}). Extra blocks draw fresh free words."""
+    has probability 1/(N_K 2^{p_K}). The word is the fewest top-level blocks
+    that cover `horizon` times from the offset (one block when None), each a
+    fresh free word: its track is exactly the horizon long and extends the
+    shorter tracks of its seed. Past WINDOW_BUDGET raises GuardExceeded."""
+    if horizon is not None and horizon < 1:
+        raise UsageError("horizon must be >= 1")
     top_n = schedule.n(schedule.depth)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if offset is None:
+        offset = int(rng.integers(0, top_n))
+    if not 0 <= offset < top_n:  # before it sets the block count
+        raise ValidationError(f"offset must lie in [0, {top_n})")
+    blocks = 1 if horizon is None else -(-(offset + horizon) // top_n)
     if top_n * blocks > WINDOW_BUDGET:
         raise GuardExceeded(
             f"window of {blocks} block(s) of length {top_n} exceeds budget {WINDOW_BUDGET}"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if offset is None:
-        offset = int(rng.integers(0, top_n))
     # one draw of shape (blocks, p_K) is the same stream as one per block
     bits = rng.integers(0, 2, (blocks, schedule.p(schedule.depth)))
     binary = encode_block(schedule, schedule.depth, bits).reshape(-1)
@@ -294,10 +302,15 @@ def trajectory_from_word(word: TwoRowWord, horizon: int | None = None) -> Trajec
 
 
 def fiber_pair(
-    schedule: QSchedule, seeds: tuple[int, int], offset: int | None = None, blocks: int = 1
+    schedule: QSchedule,
+    seeds: tuple[int, int],
+    offset: int | None = None,
+    horizon: int | None = None,
 ) -> OrbitPair:
     """Two words over identical marker rows (shared offset) with independent
-    uniform free bits."""
+    uniform free bits (`sample_point`): both tracks are exactly `horizon`
+    long, or run to the end of one block when None. Past WINDOW_BUDGET
+    raises GuardExceeded."""
     sa, sb = seeds
     if sa == sb:
         raise UsageError("fiber pair requires distinct seeds")
@@ -305,9 +318,9 @@ def fiber_pair(
         # derive the shared offset from both seeds, away from either bit stream
         offset_rng = np.random.default_rng(np.random.SeedSequence([sa, sb]))
         offset = int(offset_rng.integers(0, schedule.n(schedule.depth)))
-    wa = sample_point(schedule, sa, blocks=blocks, offset=offset)
-    wb = sample_point(schedule, sb, blocks=blocks, offset=offset)
-    return OrbitPair(trajectory_from_word(wa), trajectory_from_word(wb))
+    wa = sample_point(schedule, sa, horizon, offset)
+    wb = sample_point(schedule, sb, horizon, offset)
+    return OrbitPair(trajectory_from_word(wa, horizon), trajectory_from_word(wb, horizon))
 
 
 # --- percentages -------------------------------------------------------------

@@ -553,8 +553,6 @@ def _cmd_scan(args) -> int:
         return t if args.metric == "absolute" else dataclasses.replace(t, reals=None)
 
     trajectories = [draw(i) for i in range(args.count)]
-    common = min(t.horizon for t in trajectories)
-    trajectories = [sy.truncate_trajectory(t, common) for t in trajectories]
     th = _thresholds(args)
 
     def scrambled(pair: sy.OrbitPair) -> bool:
@@ -617,8 +615,7 @@ def _cmd_entropy(args) -> int:
         return 0
     horizon = args.horizon if args.horizon is not None else 100000
     seed = args.seed if args.seed is not None else 1
-    blocks = -(-horizon // schedule.n(schedule.depth))
-    track = bl.sample_point(schedule, seed, offset=0, blocks=blocks).symbol_track(horizon)
+    track = bl.sample_point(schedule, seed, horizon, offset=0).symbol_track(horizon)
     fair = _fair_bits(seed, horizon)
     rows = [
         [source, args.word_len, args.stride, horizon,

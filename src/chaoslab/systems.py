@@ -240,7 +240,9 @@ def sample_orbit(
     spec: SystemSpec, horizon: int, seed: int, x0: float | None = None
 ) -> Trajectory:
     """Deterministic in (spec, horizon, seed); x0 optionally overrides the
-    seeded initial point of an interval map."""
+    seeded initial point of an interval map. Every track is exactly `horizon`
+    long; a marker-block orbit draws the top-level blocks its offset plus the
+    horizon needs, and past the window budget raises GuardExceeded."""
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
     if isinstance(spec, FullShift):
@@ -258,9 +260,7 @@ def sample_orbit(
     if isinstance(spec, ZeroEntropy):
         from .blocks import sample_point, trajectory_from_word
 
-        word = sample_point(spec.schedule, seed)
-        # the window caps the horizon; the cap is visible on the trajectory
-        return trajectory_from_word(word, min(horizon, word.available_horizon))
+        return trajectory_from_word(sample_point(spec.schedule, seed, horizon), horizon)
     raise ValidationError(f"unknown system spec {spec!r}")
 
 
@@ -273,30 +273,12 @@ def odometer_track(base: Sequence[int], offset: int, horizon: int) -> np.ndarray
     return track
 
 
-def truncate_trajectory(traj: Trajectory, horizon: int) -> Trajectory:
-    if horizon > traj.horizon:
-        raise UsageError("cannot extend a trajectory")
-    if horizon == traj.horizon:
-        return traj
-    return Trajectory(
-        spec=traj.spec,
-        horizon=horizon,
-        symbols=None if traj.symbols is None else traj.symbols[:horizon],
-        reals=None if traj.reals is None else traj.reals[:horizon],
-        source=traj.source,
-    )
-
-
 def make_pair(spec: SystemSpec, horizon: int, seeds: tuple[int, int]) -> OrbitPair:
     """Two orbits of `spec` sampled independently from distinct seeds."""
     sa, sb = seeds
     if sa == sb:
         raise UsageError("an independent pair requires distinct seeds")
-    a = sample_orbit(spec, horizon, sa)
-    b = sample_orbit(spec, horizon, sb)
-    # window-capped systems may cap the two horizons differently
-    common = min(a.horizon, b.horizon)
-    return OrbitPair(truncate_trajectory(a, common), truncate_trajectory(b, common))
+    return OrbitPair(sample_orbit(spec, horizon, sa), sample_orbit(spec, horizon, sb))
 
 
 # --- witness pairs -----------------------------------------------------------

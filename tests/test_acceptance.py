@@ -380,9 +380,9 @@ def test_criterion_10_scrambling_transfer():
             o2 = int(rng.integers(0, nk3))
             if o1 == o2:
                 o2 = (o2 + 1) % nk3
-            wa = bl.sample_point(q, seed=9000 + 2 * trial, offset=o1, blocks=4)
-            wb = bl.sample_point(q, seed=9001 + 2 * trial, offset=o2, blocks=4)
-            horizon = min(wa.available_horizon, wb.available_horizon)
+            horizon = 4 * nk3 - max(o1, o2)
+            wa = bl.sample_point(q, seed=9000 + 2 * trial, horizon=horizon, offset=o1)
+            wb = bl.sample_point(q, seed=9001 + 2 * trial, horizon=horizon, offset=o2)
             dpair = c.OrbitPair(
                 bl.trajectory_from_word(wa, horizon),
                 bl.trajectory_from_word(wb, horizon),

@@ -366,9 +366,10 @@ class TestSourceIndex:
     @pytest.mark.parametrize("blocks", [1, 3, 10418])
     def test_sample_point_draws_the_per_block_stream(self, seed, blocks):
         schedule = c.QSchedule((2, 3, 2))
-        word = c.sample_point(schedule, seed, blocks=blocks)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        assert word.offset == int(rng.integers(0, schedule.n(3)))
+        offset = int(rng.integers(0, schedule.n(3)))
+        word = c.sample_point(schedule, seed, blocks * schedule.n(3) - offset)
+        assert word.offset == offset
         rows = [encode_block_recursive(schedule.q, 3, rng.integers(0, 2, 12)) for _ in range(blocks)]
         assert np.array_equal(word.binary, np.concatenate(rows))
         assert word.binary.dtype == np.int8
@@ -474,7 +475,7 @@ class TestSampling:
     def test_budget_guard(self):
         # two blocks of N_12 = 2^24 are past the 2^24 budget
         with pytest.raises(GuardExceeded, match="exceeds budget"):
-            c.sample_point(c.QSchedule((2,) * 12), seed=0, blocks=2)
+            c.sample_point(c.QSchedule((2,) * 12), seed=0, horizon=2**24 + 1)
 
     def test_word_validate(self):
         q = c.QSchedule((2, 2))
@@ -504,6 +505,27 @@ class TestFiberPair:
     def test_equal_seeds_refused(self):
         with pytest.raises(UsageError):
             bl.fiber_pair(c.QSchedule((2, 2)), (5, 5))
+
+    @pytest.mark.parametrize("offset", [0, 7, None])
+    def test_tracks_are_the_horizon(self, offset):
+        q = c.QSchedule((2, 2, 2))
+        one_block = bl.fiber_pair(q, (3, 4), offset=offset)
+        pair = bl.fiber_pair(q, (3, 4), offset=offset, horizon=1000)
+        assert pair.horizon == pair.a.symbols.size == 1000
+        assert pair.a.source.offset == one_block.a.source.offset
+        for long, short in ((pair.a, one_block.a), (pair.b, one_block.b)):
+            assert np.array_equal(long.symbols[: short.horizon], short.symbols)
+
+    @pytest.mark.parametrize("offset", [-5, 64, 10**9])
+    def test_offset_outside_the_block_refused(self, offset):
+        # refused as such, before the offset sets a block count past the budget
+        with pytest.raises(ValidationError, match=r"offset must lie in \[0, 64\)"):
+            bl.fiber_pair(c.QSchedule((2, 2, 2)), (5, 6), offset=offset, horizon=3)
+
+    @pytest.mark.parametrize("horizon", [0, -1, -1000])
+    def test_horizon_below_one_refused(self, horizon):
+        with pytest.raises(UsageError, match="horizon must be >= 1"):
+            bl.fiber_pair(c.QSchedule((2, 2)), (5, 6), offset=0, horizon=horizon)
 
     def test_disagreement_fraction_near_half(self):
         # free bits disagree with probability 1/2 and forced repetitions copy

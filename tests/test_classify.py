@@ -162,8 +162,9 @@ class TestMetricClassification:
                 c.Thresholds(tau_one=tau_one, tau_zero=tau_zero)
 
     def test_scheme_mismatch_rejected(self):
-        # both schedules share N_1 = 4, so only the schedule check can refuse
-        pair = bl.fiber_pair(c.QSchedule((2, 2, 2)), (1, 2), blocks=3)
+        # both schedules share N_1 = 4, so only the schedule check can refuse;
+        # the drawn offset gets 2 N_3 steps, a shorter pair than 3 blocks gave
+        pair = bl.fiber_pair(c.QSchedule((2, 2, 2)), (1, 2), horizon=2 * 64)
         scheme = c.central_block_scheme(c.QSchedule((2, 3, 2)))
         with pytest.raises(SchemeError, match="different schedule"):
             scheme.same_atom_planes(pair)
@@ -385,7 +386,10 @@ class TestPartitionKernelDifferential:
     @pytest.mark.parametrize("seeds,offset", [((1, 2), 0), ((3, 4), 5), ((5, 6), None)])
     def test_central_block_scheme(self, seeds, offset):
         q = c.QSchedule((2, 3, 2))
-        pair = bl.fiber_pair(q, seeds, offset=offset, blocks=40)
+        # 40 blocks from a given offset; a drawn offset gets 39 N_3 steps, a
+        # shorter pair than 40 blocks gave
+        horizon = 39 * q.n(3) if offset is None else 40 * q.n(3) - offset
+        pair = bl.fiber_pair(q, seeds, offset=offset, horizon=horizon)
         for burn in (1, 7, None):
             th = c.Thresholds(burn_in=burn)
             assert_partition_estimates_match(pair, bl.central_block_scheme(q), th)

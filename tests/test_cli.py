@@ -61,6 +61,26 @@ class TestExitCodes:
         ) == 3
         assert not (tmp_path / "x.txt").exists()
 
+    def test_zero_entropy_horizon_past_the_window_budget_is_three(self, tmp_path, capsys):
+        # the horizon alone fits the budget; the drawn offset pushes it past
+        schedule = c.QSchedule((2, 2, 2, 2))
+        offset = c.sample_point(schedule, 1).offset
+        assert offset > 0
+        horizon = c.blocks.WINDOW_BUDGET - offset + 1
+        out = tmp_path / "pair.csv"
+        argv = ["pair", "--system", "zero-entropy", "--q", "2,2,2,2", "--horizon", str(horizon)]
+        assert run(argv + ["--seed", "1", "--out", str(out)]) == 3
+        assert "exceeds budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["classify", "scan"])
+    def test_zero_entropy_is_read_at_the_horizon(self, command, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = [command, "--system", "zero-entropy", "--q", "2,2,2,2", "--horizon", "100000"]
+        assert run(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "# horizon = 100000" in read(out)
+
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_count_ball_has_no_size_guard(self, n, tmp_path):
         out = tmp_path / "ball.csv"
@@ -497,14 +517,18 @@ class TestArtifacts:
     ])
     def test_dc2_witness_at_the_default_thresholds(self, horizon, dc2, tmp_path):
         # the DC2 schedule's agreement limsup is 19/20, exactly the default
-        # 1 - tau_one: dc2 holds only while a checkpoint lies near the run
-        # end at n = 155 (ratio 148/155), which the burn-in N/1000 passes
-        # from 2^18 on
+        # 1 - tau_one: dc2 holds only while the burn-in-100 grid reads the
+        # agreement run that ends at n = 155, at the checkpoints 144 and 151
+        # (ratios 137/144 and 144/151); the burn-in N/1000 passes them from
+        # 2^18 on
         out = tmp_path / "v.csv"
         argv = ["classify", "--witness", "DC2", "--horizon", str(horizon), "--out", str(out)]
         assert run(argv) == 0
         row = dict(zip(*(line.split(",") for line in read(out).splitlines()[-2:])))
         assert row["dc2"] == str(dc2) and row["dc3"] == "True"
+        if horizon == 65536:
+            series = c.distance_series(c.construct_witness_pair("DC2", horizon))
+            assert c.phi_profile(series).estimates[0].upper == Fraction(144, 151)
 
     def test_no_input_mutation(self, tmp_path):
         cfg = tmp_path / "t.cfg"

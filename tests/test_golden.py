@@ -22,8 +22,9 @@ GOLDEN = {
         "58c70710eeceb369f0032eabcbc8af306f103a5a1c81de9374f3fd56921b19ab",
     "pair --system odometer --base 2,4,12 --horizon 2000":
         "e77d88e5fbded99bea7d578fab0b8edd2945cc768887dafd3fb676ff0c94cfd7",
+    # 2000 rows, drawn over as many top-level blocks as each offset needs
     "pair --system zero-entropy --q 2,2,2 --horizon 2000 --seed 5":
-        "54b305d46731b41ab3894442b23d4187de9f82a3b3ed4c7fc2eaf39095d2488e",
+        "776017de66960e94e5161d50b1ecc90f89c5230e4fc139fbb2d566ca70891df6",
     "pair --witness DC2 --horizon 5000":
         "1e0f9a10e8e97468ba695567004ad18a77fe6065d05ecdafc644d15bbaa7cecb",
     # about 40 reals below 1e-4, written in exponent notation
@@ -69,6 +70,8 @@ GOLDEN = {
         "107a2987b3a7858258379922b5a962a8657678de66e033e48655f6f1c04e0c42",
     "classify --horizon 4000 --seed 5 --depth 5":
         "a03517a723aff69d540e4bec74a38b58c1b483980c5851b31d6392de7db449bd",
+    "classify --system zero-entropy --q 2,2,2,2 --horizon 100000 --seed 1":
+        "4414f6779739d599d24185c6b52d0581bcd644c891c0188b1d9d7f450a1a88ce",
 
     "scan --count 4 --horizon 2000 --seed 1 --target li_yorke":
         "d2794580b379c82ecf2612b241cb091fe7a40068b2a2605cf3b8cc40dd35b9af",
@@ -77,6 +80,8 @@ GOLDEN = {
     "scan --count 4 --horizon 2000 --system tent --param 1.99 --metric cantor --seed 2 "
     "--tau-one 0.55 --tau-zero 0.4":
         "b5a5958fed89652944bd9f07c66bf2874201246e493ffbecfca9e62bd072984b",
+    "scan --system zero-entropy --q 2,2,2,2 --horizon 100000 --count 4 --seed 1":
+        "05529c1cb181c9ebf5c61cd91a0fd17ebcbb32ebc39dc1374c51f81539d62d71",
 
     "forge --q 2,2,2 --dump params":
         "ffe77e36c0fc065c9ea5a0645c4cbce279a8ddf0fa30d4ab0142fc70d4c1b988",

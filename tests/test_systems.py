@@ -255,8 +255,6 @@ class TestSymbolDtype:
         t = c.sample_orbit(spec, 100, seed=3)
         assert c.symbol_dtype(spec.arity) == dtype
         assert t.symbols.dtype == dtype
-        cut = c.systems.truncate_trajectory(t, t.horizon - 1)
-        assert cut.symbols.dtype == dtype
 
     @pytest.mark.parametrize("target", c.systems.WITNESS_TARGETS)
     def test_witness_pairs(self, target):
@@ -283,12 +281,34 @@ class TestMakePair:
         with pytest.raises(UsageError, match="distinct seeds"):
             c.make_pair(c.FullShift(2, (0.5, 0.5)), 4, (3, 3))
 
-    def test_zero_entropy_orbit_caps_horizon(self):
+    def test_zero_entropy_orbit_honors_horizon(self):
         from chaoslab.blocks import QSchedule
 
         spec = c.ZeroEntropy(QSchedule((2, 2)))
         t = c.sample_orbit(spec, 1000, seed=4)
-        assert t.horizon == t.source.available_horizon <= 16
+        assert t.horizon == 1000
+
+
+class TestZeroEntropyHorizon:
+    """A marker-block orbit is exactly `horizon` long: it draws the fewest
+    top-level blocks covering offset + horizon, and extends the one-block
+    track of its seed."""
+
+    @pytest.mark.parametrize("q", [(2, 2, 2), (2, 2, 2, 2), (2, 3, 2)])
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_track_is_the_horizon_at_each_block_edge(self, q, seed):
+        schedule = QSchedule(q)
+        top = schedule.n(schedule.depth)
+        one_block = c.sample_point(schedule, seed)
+        offset = one_block.offset
+        rest = top - offset
+        for blocks, horizon in [(1, 1), (1, rest), (2, rest + 1), (3, 3 * top - offset),
+                                (4, 3 * top - offset + 1), (9, 8 * top + 1)]:
+            t = c.sample_orbit(c.ZeroEntropy(schedule), horizon, seed)
+            assert t.horizon == t.symbols.size == horizon
+            assert t.source.offset == offset
+            assert t.source.binary.size == blocks * top
+            assert np.array_equal(t.symbols[:rest], one_block.symbol_track()[:horizon])
 
 
 class TestWitnessSchedules:
