@@ -6,8 +6,10 @@ the time-set kernel on its own (1, 3 and 16 packed planes, and the 1,920
 planes of a 16-trajectory Cantor scan) and its exact pick on the Fraction
 path, the plug-in word entropy on both of its counting branches and at a
 stride, the `pair` dump writer on its own and its real cells against `repr`, one small CLI call (first and later calls),
-the `verify --suite pi-bijection` CLI call at q = 2,3,2 and the traced
-memory peak of a 16 x 1e5 tent/Cantor `scan`.
+the `verify --suite pi-bijection` CLI call at q = 2,3,2, the traced
+memory peak of a 16 x 1e5 tent/Cantor `scan`, and the time and traced
+peak of `classify` at N = 1e6 for the tent/absolute and logistic/Cantor
+reads.
 
 Run as a script from a checkout (no install needed):
     python benchmarks/bench_kernels.py
@@ -212,6 +214,27 @@ def main():
             os.chdir(here)
     print(f"  peak {peak / 1e6:6.2f} MB (16 real tracks would be {16 * 100_000 * 8 / 1e6:.1f} MB)"
           f"   {t*1e3:7.1f} ms under tracing")
+
+    print("\ncli.run classify --horizon 1000000 on the two interval-map reads,"
+          " traced by tracemalloc")
+    for system, metric in (("tent --param 1.99", "absolute"), ("logistic --param 4", "cantor")):
+        argv = (f"classify --system {system} --metric {metric} --horizon 1000000"
+                " --out verdict.csv").split()
+        with tempfile.TemporaryDirectory() as scratch:
+            os.chdir(scratch)
+            try:
+                t, _ = timeit(cli.run, argv)
+                tracemalloc.start()
+                try:
+                    if cli.run(argv) != 0:
+                        raise SystemExit("classify failed")
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            finally:
+                os.chdir(here)
+        print(f"  {system:18s} {metric:9s}: {t*1e3:7.1f} ms   peak {peak / 1e6:6.2f} MB"
+              f" (two real tracks would be {2 * 1_000_000 * 8 / 1e6:.1f} MB)")
 
 
 if __name__ == "__main__":

@@ -474,7 +474,9 @@ def _build_pair(args) -> sy.OrbitPair:
         return sy.construct_witness_pair(args.witness, horizon)
     seed = args.seed if args.seed is not None else 1
     seed2 = args.seed2 if args.seed2 is not None else seed + 1
-    return sy.make_pair(spec, horizon, (seed, seed2))
+    # a pair read under a metric keeps what the read needs; the dump keeps every track
+    metric = None if args.command == "pair" else _metric(args)
+    return sy.make_pair(spec, horizon, (seed, seed2), metric)
 
 
 def _metric(args) -> str:  # `pair` takes no --metric
@@ -546,13 +548,8 @@ def _cmd_scan(args) -> int:
     sy.check_metric(_metric(args), spec)
     horizon = args.horizon if args.horizon is not None else 10000
     seed = args.seed if args.seed is not None else 1
-
-    def draw(i: int) -> sy.Trajectory:
-        # no symbolic read touches a real track: each is dropped, one alive at a time
-        t = sy.sample_orbit(spec, horizon, seed + i)
-        return t if args.metric == "absolute" else dataclasses.replace(t, reals=None)
-
-    trajectories = [draw(i) for i in range(args.count)]
+    draw = sy.sample_orbit if args.metric == "absolute" else sy.sample_symbols
+    trajectories = [draw(spec, horizon, seed + i) for i in range(args.count)]
     th = _thresholds(args)
 
     def scrambled(pair: sy.OrbitPair) -> bool:

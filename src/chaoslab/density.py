@@ -206,7 +206,8 @@ def nested_density_estimates(
 # Float distances are compared with the grid a chunk of this many times at a
 # time, a multiple of 64 so that each chunk packs into whole words: the
 # chunk's 512 KB of float64 stay in cache over the 16 compares, about 3x
-# faster than whole-array compares at N=1e6 (2 vCPUs, numpy 2.4)
+# faster than whole-array compares at N=1e6 (2 vCPUs, numpy 2.4). An
+# interval-map pair read in blocks advances its orbits this many steps at a time
 VALUE_CHUNK = 2**16
 
 
@@ -232,27 +233,35 @@ class DistanceSeries:
         cls, values: np.ndarray, other: np.ndarray | None = None
     ) -> "DistanceSeries":
         """The series of N distances given as floats, or as |values - other|
-        for two real tracks. The distances are built, checked and compared
-        with each grid point one chunk of VALUE_CHUNK times at a time, into
-        one reused boolean buffer, so neither the N distances nor 16 N-byte
-        masks are held at once."""
+        for two real tracks, built, checked and packed one chunk of
+        VALUE_CHUNK times at a time by `pack_distances`, so neither the N
+        distances nor 16 N-byte masks are held at once."""
         v = np.asarray(values, dtype=np.float64)
         if v.ndim != 1 or v.size == 0 or (other is not None and np.shape(other) != v.shape):
             raise ValidationError("distance series must be a nonempty 1-d array")
         planes = np.empty((THRESHOLD_GRID.size, -(-v.size // 64)), dtype=np.uint64)
-        below = np.empty(min(v.size, VALUE_CHUNK), dtype=bool)
         for start in range(0, v.size, VALUE_CHUNK):
             part = v[start : start + VALUE_CHUNK]
             if other is not None:
                 part = np.abs(part - other[start : start + VALUE_CHUNK])
-            if np.isnan(part).any():
-                raise ValidationError("distances must not contain NaN")
-            if float(part.min()) < 0 or float(part.max()) > 1:
-                raise ValidationError("distances must lie in [0, 1]")
-            mask, words = below[: part.size], slice(start // 64, -(-(start + part.size) // 64))
-            for plane, t in zip(planes, THRESHOLD_GRID):
-                plane[words] = pack_times(np.less(part, t, out=mask))
+            pack_distances(planes, start, part)
         return cls(planes, v.size)
+
+
+def pack_distances(planes: np.ndarray, start: int, part: np.ndarray) -> None:
+    """Check the distances `part` of times start+1, start+2, ... (start a
+    multiple of 64, `part` at most VALUE_CHUNK long) and write the words
+    they cover in each row of `planes`, a (16, words) stack: row j packs
+    {n : d_n < THRESHOLD_GRID[j]}. One boolean buffer takes the 16
+    compares in turn."""
+    if np.isnan(part).any():
+        raise ValidationError("distances must not contain NaN")
+    if float(part.min()) < 0 or float(part.max()) > 1:
+        raise ValidationError("distances must lie in [0, 1]")
+    mask = np.empty(part.size, dtype=bool)
+    words = slice(start // 64, -(-(start + part.size) // 64))
+    for plane, t in zip(planes, THRESHOLD_GRID):
+        plane[words] = pack_times(np.less(part, t, out=mask))
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,8 @@ def empirical_cylinder_entropy(track: Sequence[int], word_len: int, stride: int 
     alphabet^l - 1. When that count table fits the sample, each chunk's
     codes are added into one int64 table by np.bincount, so memory beyond
     the track and the table stays bounded by the chunk. Otherwise the
-    counts come from one sorting np.unique, which holds every window's code.
+    chunks fill one array of every window's code, which is sorted in place
+    and counted by its runs of equal codes.
     """
     sym = np.asarray(track)
     if word_len < 1:
@@ -168,7 +169,15 @@ def empirical_cylinder_entropy(track: Sequence[int], word_len: int, stride: int 
             counts += np.bincount(codes, minlength=table)
         counts = counts[counts > 0]
     else:
-        _, counts = np.unique(np.concatenate(list(chunks)), return_counts=True)
+        codes, filled = np.empty(windows, dtype), 0
+        for part in chunks:
+            codes[filled : filled + part.size] = part
+            filled += part.size
+        codes.sort()
+        last = np.ones(windows, bool)  # the last window of each run of equal codes
+        np.not_equal(codes[1:], codes[:-1], out=last[:-1])
+        del codes
+        counts = np.diff(np.flatnonzero(last), prepend=-1)
     p = counts / windows
     return float(-(p * np.log2(p)).sum() / word_len)
 

@@ -8,11 +8,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .density import THRESHOLD_GRID, DistanceSeries, agreement_runs, pack_times
+from .density import (
+    THRESHOLD_GRID,
+    VALUE_CHUNK,
+    DistanceSeries,
+    agreement_runs,
+    pack_distances,
+    pack_times,
+)
 from .errors import (
     InsufficientHorizon,
     MetricUnavailable,
@@ -172,38 +179,82 @@ class OrbitPair:
         and the cylinder scheme all read it."""
         return pack_times(self.a.symbols == self.b.symbols)
 
+    @cached_property
+    def absolute(self) -> DistanceSeries:
+        """The series of |x_n - y_n|, built once per pair from its real
+        tracks (a pair read in blocks is given it by `make_pair`)."""
+        check_metric("absolute", self.a.spec, self.a, self.b)
+        return DistanceSeries.from_values(self.a.reals, self.b.reals)
+
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
+def _orbit(spec: IntervalMap, x0: float) -> Iterator[float]:
+    """The map's orbit from x0, unbounded. Each map has its own generator (a
+    call per step would slow the iteration down) that yields x and then
+    steps it; np.fromiter drains it in place of a numpy scalar store per
+    step, and a drain of `count` items leaves it at the next step."""
+    a, x = spec.parameter, float(x0)
+    if spec.kind == "tent":
+        while True:
+            yield x
+            # `x < 0.5` decides as `x < 1.0 - x` would on [0, 1], where
+            # a <= 2 keeps the orbit: for x < 0.5, fl(1 - x) >= 0.5 > x;
+            # for x >= 0.5, 1 - x is exact (Sterbenz) and <= 0.5 <= x.
+            x = a * (x if x < 0.5 else 1.0 - x)
+    else:
+        while True:
+            yield x
+            x = a * x * (1.0 - x)
+
+
 def _interval_tracks(spec: IntervalMap, horizon: int, x0: float) -> tuple[np.ndarray, np.ndarray]:
     """The real orbit over the horizon plus its coding track, which reads
-    coding_depth - 1 steps past the horizon. Each map has its own generator
-    (a call per step would slow the iteration down) that yields x and then
-    steps it; np.fromiter drains it in place of a numpy scalar store per
-    step."""
-    a = spec.parameter
-    if spec.kind == "tent":
-        def orbit(x):
-            while True:
-                yield x
-                # `x < 0.5` decides as `x < 1.0 - x` would on [0, 1], where
-                # a <= 2 keeps the orbit: for x < 0.5, fl(1 - x) >= 0.5 > x;
-                # for x >= 0.5, 1 - x is exact (Sterbenz) and <= 0.5 <= x.
-                x = a * (x if x < 0.5 else 1.0 - x)
-    else:
-        def orbit(x):
-            while True:
-                yield x
-                x = a * x * (1.0 - x)
-    xs = np.fromiter(orbit(float(x0)), np.float64, horizon + spec.coding_depth - 1)
+    coding_depth - 1 steps past the horizon, from one whole-orbit drain."""
+    xs = np.fromiter(_orbit(spec, x0), np.float64, horizon + spec.coding_depth - 1)
     return xs[:horizon], coding_symbols(spec, xs)
+
+
+def _interval_symbols(
+    spec: IntervalMap, horizon: int, x0s: Sequence[float], absolute: bool = False
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The coding tracks of the orbits from x0s, with (if `absolute`, for two
+    orbits) the packed threshold planes of |x - y| over the horizon, read
+    with no real track held: the orbits advance together VALUE_CHUNK steps
+    at a time, and each block keeps only its coding bits, the last
+    coding_depth - 1 of them carried into the next block's symbols, and
+    its distances' planes (`density.pack_distances`)."""
+    if horizon < 1:
+        raise UsageError("horizon must be >= 1")
+    orbits = [_orbit(spec, x0) for x0 in x0s]
+    tracks = [np.empty(horizon, symbol_dtype(spec.arity)) for _ in orbits]
+    carries = [np.zeros(0, bool) for _ in orbits]
+    planes = np.empty((THRESHOLD_GRID.size, -(-horizon // 64)), np.uint64) if absolute else None
+    steps = horizon + spec.coding_depth - 1
+    for start in range(0, steps, VALUE_CHUNK):
+        xs = [np.fromiter(orbit, np.float64, min(VALUE_CHUNK, steps - start)) for orbit in orbits]
+        for i, x in enumerate(xs):
+            bits = np.concatenate((carries[i], x >= 0.5))
+            first = start - carries[i].size  # the time of bits[0]
+            sym = _pack_coding(spec, bits)
+            tracks[i][first : first + sym.size] = sym
+            carries[i] = bits[bits.size - spec.coding_depth + 1 :]
+        if planes is not None and start < horizon:
+            x, y = (block[: horizon - start] for block in xs)
+            pack_distances(planes, start, np.abs(x - y))
+    return tracks, planes
 
 
 def coding_symbols(spec: IntervalMap, reals: np.ndarray) -> np.ndarray:
     """Regenerate the coding track from a real track (where the window fits)."""
-    bits = np.asarray(reals) >= 0.5
+    return _pack_coding(spec, np.asarray(reals) >= 0.5)
+
+
+def _pack_coding(spec: IntervalMap, bits: np.ndarray) -> np.ndarray:
+    """The symbol at each n where coding_depth bits fit: bits n, n+1, ...
+    packed first bit highest."""
     horizon = len(bits) - spec.coding_depth + 1
     if horizon < 0:
         raise ValidationError("real track is shorter than coding_depth - 1")
@@ -249,7 +300,7 @@ def sample_orbit(
         return Trajectory(spec, horizon, symbols=_full_shift_symbols(spec, horizon, seed))
     if isinstance(spec, IntervalMap):
         if x0 is None:
-            x0 = float(_rng(seed).uniform())
+            x0 = _initial_point(seed)
         if not (0.0 <= x0 <= 1.0):
             raise ValidationError("initial point must lie in [0, 1]")
         reals, sym = _interval_tracks(spec, horizon, x0)
@@ -273,12 +324,40 @@ def odometer_track(base: Sequence[int], offset: int, horizon: int) -> np.ndarray
     return track
 
 
-def make_pair(spec: SystemSpec, horizon: int, seeds: tuple[int, int]) -> OrbitPair:
-    """Two orbits of `spec` sampled independently from distinct seeds."""
+def _initial_point(seed: int) -> float:
+    return float(_rng(seed).uniform())
+
+
+def sample_symbols(spec: SystemSpec, horizon: int, seed: int) -> Trajectory:
+    """`sample_orbit`'s trajectory with its symbol track only: an interval
+    map's orbit is read in blocks (`_interval_symbols`), so no real track
+    is held whole."""
+    if not isinstance(spec, IntervalMap):
+        return sample_orbit(spec, horizon, seed)
+    (sym,), _ = _interval_symbols(spec, horizon, [_initial_point(seed)])
+    return Trajectory(spec, horizon, symbols=sym)
+
+
+def make_pair(
+    spec: SystemSpec, horizon: int, seeds: tuple[int, int], metric: str | None = None
+) -> OrbitPair:
+    """Two orbits of `spec` sampled independently from distinct seeds. With
+    no `metric` each keeps every track. A pair to be read under `metric`
+    keeps what that read needs: an interval map's two orbits advance in
+    lockstep blocks (`_interval_symbols`) into symbol tracks, and under
+    `absolute` also into the pair's `absolute` series, so neither real
+    track is held whole."""
     sa, sb = seeds
     if sa == sb:
         raise UsageError("an independent pair requires distinct seeds")
-    return OrbitPair(sample_orbit(spec, horizon, sa), sample_orbit(spec, horizon, sb))
+    if metric is None or not isinstance(spec, IntervalMap):
+        return OrbitPair(sample_orbit(spec, horizon, sa), sample_orbit(spec, horizon, sb))
+    x0s = [_initial_point(sa), _initial_point(sb)]
+    (x, y), planes = _interval_symbols(spec, horizon, x0s, metric == "absolute")
+    pair = OrbitPair(Trajectory(spec, horizon, symbols=x), Trajectory(spec, horizon, symbols=y))
+    if planes is not None:
+        vars(pair)["absolute"] = DistanceSeries(planes, horizon)  # where the cached property keeps it
+    return pair
 
 
 # --- witness pairs -----------------------------------------------------------
@@ -382,9 +461,9 @@ def distance_series(pair: OrbitPair, metric: str = "hamming-indicator") -> Dista
     stack of agreement runs (`density.agreement_runs`), each grid point
     reading the run of its depth: 1 for the Hamming indicator, which is 0
     exactly where the symbols agree, and CANTOR_DEPTHS[j] for Cantor's t_j."""
-    check_metric(metric, pair.a.spec, pair.a, pair.b)
     if metric == "absolute":
-        return DistanceSeries.from_values(pair.a.reals, pair.b.reals)
+        return pair.absolute
+    check_metric(metric, pair.a.spec, pair.a, pair.b)
     depths = CANTOR_DEPTHS if metric == "cantor" else (1,) * THRESHOLD_GRID.size
     runs = agreement_runs(pair.agreement, pair.horizon, max(depths))
     return DistanceSeries(runs, pair.horizon, tuple(k - 1 for k in depths))

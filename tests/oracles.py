@@ -7,8 +7,10 @@ counting comes from direct per-block string comparison or from enumerating
 all 2^n difference masks, marker blocks come from running the block
 recursion on every row, same-atom masks come from comparing per-time
 atom labels, plug-in word entropy comes from a Counter over word tuples
-or from int64 word codes sorted by `np.unique`, interval-map orbits
-come from a list-appending loop with Python-int symbol packing,
+or from int64 word codes sorted by `np.unique` (or the estimator's chunk
+codes, concatenated and sorted by it), interval-map orbits come from a
+list-appending loop with Python-int symbol packing, and interval-map pairs
+from two whole-orbit `sample_orbit` draws,
 full-shift symbols come from `Generator.choice`, witness-schedule masks
 come from one slice assignment per run, and their limit densities come
 from the fixed point of each schedule's run-end recursion.
@@ -29,7 +31,8 @@ from chaoslab.density import (
     checkpoint_grid,
     pack_times,
 )
-from chaoslab.systems import OrbitPair
+from chaoslab.entropy import WINDOW_CHUNK, _window_codes
+from chaoslab.systems import OrbitPair, sample_orbit
 
 
 def boundary_ratios(runs, horizon, want_agree=True):
@@ -238,6 +241,32 @@ def plugin_entropy_unique(track, word_len, stride=1):
     _, counts = np.unique(values, return_counts=True)
     p = counts / values.size
     return float(-(p * np.log2(p)).sum() / word_len)
+
+
+def cylinder_entropy_concatenated(track, word_len, stride=1):
+    """The plug-in word entropy as `empirical_cylinder_entropy` counted it
+    when its table did not fit the sample: every chunk's window codes kept
+    in a list, concatenated and counted by a sorting `np.unique`."""
+    sym = np.asarray(track)
+    alphabet = max(int(sym.max()) + 1, 2)
+    windows = (sym.size - word_len) // stride + 1
+    dtype, chunk = np.min_scalar_type(alphabet**word_len - 1), WINDOW_CHUNK
+    chunks = [
+        _window_codes(
+            sym[j * stride : (min(j + chunk, windows) - 1) * stride + word_len].astype(dtype),
+            word_len, stride, alphabet,
+        )
+        for j in range(0, windows, chunk)
+    ]
+    _, counts = np.unique(np.concatenate(chunks), return_counts=True)
+    p = counts / windows
+    return float(-(p * np.log2(p)).sum() / word_len)
+
+
+def interval_pair_whole(spec, horizon, seeds):
+    """An interval-map pair as two whole `sample_orbit` draws, each holding
+    its real track: the tracks a pair read in blocks must reproduce."""
+    return OrbitPair(*(sample_orbit(spec, horizon, seed) for seed in seeds))
 
 
 def per_set_density(mask, checkpoints):

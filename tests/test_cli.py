@@ -675,6 +675,41 @@ class TestScanHoldsWhatItReads:
         assert all(set(vars(t)) == fields for pair in handed[0].values() for t in (pair.a, pair.b))
 
 
+class TestClassifyHoldsWhatItReads:
+    """`classify` on an interval-map pair reads both orbits in blocks: it holds
+    two symbol tracks and packed planes, never a real track."""
+
+    @pytest.mark.parametrize("system, metric", [
+        (["tent", "--param", "1.99"], "absolute"),
+        (["logistic", "--param", "4"], "cantor"),
+    ])
+    def test_classify_peaks_below_one_real_track(self, system, metric, tmp_path):
+        # two real tracks of 2^20 float64s would hold 16 MiB; the whole job
+        # peaked at 21.3 (tent) and 21.6 MiB (logistic) while it kept them
+        argv = ["classify", "--system", *system, "--metric", metric, "--horizon", "1048576",
+                "--seed", "3", "--out", str(tmp_path / "verdict.csv")]
+        assert traced_peak(argv) < 8 * 2**20
+
+    @pytest.mark.parametrize("command", ["classify", "phi"])
+    @pytest.mark.parametrize("metric", ["cantor", "hamming-indicator", "absolute"])
+    def test_pair_holds_symbols_and_its_metric_planes(self, command, metric, tmp_path,
+                                                       monkeypatch):
+        made, make_pair = [], c.systems.make_pair
+
+        def spy(*args):
+            made.append(make_pair(*args))
+            return made[-1]
+
+        monkeypatch.setattr(cli.sy, "make_pair", spy)
+        argv = [command, "--system", "tent", "--param", "1.99", "--horizon", "2000",
+                "--metric", metric, "--out", str(tmp_path / "out.csv")]
+        assert run(argv) == 0
+        (pair,) = made
+        assert pair.a.reals is None and pair.b.reals is None
+        assert ("absolute" in vars(pair)) == (metric == "absolute")
+        assert ("agreement" in vars(pair)) == (metric != "absolute" or command == "classify")
+
+
 NO_REAL_TRACKS = [
     ["--system", "full-shift"],
     ["--system", "odometer", "--base", "2,4"],

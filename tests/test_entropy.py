@@ -17,6 +17,7 @@ from chaoslab.errors import ValidationError
 from oracles import (
     count_eta_ball_direct,
     count_eta_ball_enumerated,
+    cylinder_entropy_concatenated,
     plugin_entropy_direct,
     plugin_entropy_unique,
     window_mismatch_counts_direct,
@@ -183,6 +184,39 @@ class TestCylinderEntropyChunks:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+
+class TestCylinderEntropySortCount:
+    """Where the count table does not fit the sample, the chunks' codes fill
+    one array, sorted in place and counted by runs: the rate of the
+    concatenating np.unique count, bit for bit, in about half its memory
+    on a biased track."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("ones", [0.5, 0.05, 0.0])
+    def test_matches_concatenated_unique(self, chunk, ones, monkeypatch):
+        monkeypatch.setattr(en, "WINDOW_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        for size, word_len, stride in ((2000, 12, 1), (3001, 20, 3), (500, 62, 1)):
+            track = (rng.random(size) < ones).astype(np.uint8)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UndersampledWarning)
+                ours = c.empirical_cylinder_entropy(track, word_len, stride)
+            assert repr(ours) == repr(cylinder_entropy_concatenated(track, word_len, stride))
+
+    def test_sort_count_holds_one_code_array(self):
+        # 2^20 windows of 20 bits with 5% ones: 4 MiB of uint32 codes and a
+        # 1 MiB run mask; the concatenating count peaked at 10.0 MiB
+        track = (np.random.default_rng(2).random(2**20) < 0.05).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UndersampledWarning)
+                c.empirical_cylinder_entropy(track, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
 
 
 @st.composite

@@ -80,6 +80,10 @@ GOLDEN = {
     "scan --count 4 --horizon 2000 --system tent --param 1.99 --metric cantor --seed 2 "
     "--tau-one 0.55 --tau-zero 0.4":
         "b5a5958fed89652944bd9f07c66bf2874201246e493ffbecfca9e62bd072984b",
+    # trajectories that keep their real tracks, each pair building its |x - y| series
+    "scan --count 4 --horizon 2000 --system tent --param 1.99 --metric absolute --seed 2 "
+    "--target dc3":
+        "3f8954d2677ff77782ceb28ac5cd43370375a61bde51fd14c76e6d78eaa567b0",
     "scan --system zero-entropy --q 2,2,2,2 --horizon 100000 --count 4 --seed 1":
         "05529c1cb181c9ebf5c61cd91a0fd17ebcbb32ebc39dc1374c51f81539d62d71",
 

@@ -16,11 +16,13 @@ from chaoslab.errors import (
     ValidationError,
 )
 from chaoslab.blocks import QSchedule
-from chaoslab.density import CHECKPOINT_RATIO
+from chaoslab.cli import run
+from chaoslab.density import CHECKPOINT_RATIO, VALUE_CHUNK, pack_times
 from oracles import (
     boundary_ratios,
     full_shift_direct,
     interval_orbit_direct,
+    interval_pair_whole,
     runs_to_mask,
     witness_limits,
 )
@@ -287,6 +289,60 @@ class TestMakePair:
         spec = c.ZeroEntropy(QSchedule((2, 2)))
         t = c.sample_orbit(spec, 1000, seed=4)
         assert t.horizon == 1000
+
+
+BLOCK_MAPS = [("tent", 1.97), ("tent", 1.99), ("tent", 2.0), ("logistic", 3.91),
+              ("logistic", 4.0)]
+# horizon + depth - 1 steps end just before, at and just past a block edge
+BLOCK_HORIZONS = [1, 63, 64, 65, VALUE_CHUNK - 1, VALUE_CHUNK, VALUE_CHUNK + 1,
+                  3 * VALUE_CHUNK + 17]
+
+
+@pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("kind,a", BLOCK_MAPS)
+class TestBlockReadPair:
+    """A pair read under a metric advances both orbits VALUE_CHUNK steps at
+    a time and keeps no real track; its symbol tracks, its absolute planes
+    and the verdict read from them equal those of two whole-orbit draws."""
+
+    SEEDS = (5, 9)
+
+    def test_tracks_and_planes_match_whole_orbits(self, kind, a, depth, horizon):
+        spec = c.IntervalMap(kind, a, depth)
+        whole = interval_pair_whole(spec, horizon, self.SEEDS)
+        pairs = {m: c.make_pair(spec, horizon, self.SEEDS, m) for m in c.systems.METRICS}
+        for metric, pair in pairs.items():
+            for ours, want in ((pair.a, whole.a), (pair.b, whole.b)):
+                assert ours.reals is None
+                assert ours.symbols.dtype == want.symbols.dtype
+                assert ours.symbols.tobytes() == want.symbols.tobytes()
+            if metric != "absolute":  # a symbolic read reads no plane of |x - y|
+                assert "absolute" not in vars(pair)
+                with pytest.raises(MetricUnavailable, match="real tracks"):
+                    pair.absolute
+        d = np.abs(whole.a.reals - whole.b.reals)
+        planes = np.stack([pack_times(d < t) for t in c.density.THRESHOLD_GRID])
+        assert vars(pairs["absolute"])["absolute"].planes.tobytes() == planes.tobytes()
+        one = c.systems.sample_symbols(spec, horizon, self.SEEDS[0])
+        assert one.reals is None and one.symbols.tobytes() == whole.a.symbols.tobytes()
+
+    def test_verdict_rows_match_whole_orbits(self, kind, a, depth, horizon, tmp_path,
+                                             monkeypatch):
+        argv = ["classify", "--system", kind, "--param", str(a), "--coding-depth", str(depth),
+                "--horizon", str(horizon), "--seed", str(self.SEEDS[0]),
+                "--seed2", str(self.SEEDS[1]), "--burn-in", "1", "--depth", "3"]
+        rows = {}
+        for side in ("blocks", "whole"):
+            if side == "whole":
+                monkeypatch.setattr(c.systems, "make_pair",
+                                    lambda spec, n, seeds, metric: interval_pair_whole(spec, n, seeds))
+            for metric in ("absolute", "cantor"):
+                out = tmp_path / f"{side}-{metric}.csv"
+                assert run(argv + ["--metric", metric, "--out", str(out)]) == 0
+                rows[side, metric] = out.read_bytes()
+        for metric in ("absolute", "cantor"):
+            assert rows["blocks", metric] == rows["whole", metric]
 
 
 class TestZeroEntropyHorizon:
