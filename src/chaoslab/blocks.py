@@ -369,7 +369,7 @@ def central_block_scheme(schedule: QSchedule) -> PartitionScheme:
             blocks_a = wa.binary.reshape(-1, nk)[first : last + 1]
             blocks_b = wb.binary.reshape(-1, nk)[first + shift : last + 1 + shift]
             same = np.all(blocks_a == blocks_b, axis=1)
-            planes[k - 1] = pack_times(same[(wa.offset + np.arange(pair.horizon)) // nk - first])
+            planes[k - 1] = pack_times(np.repeat(same, nk)[wa.offset % nk :][: pair.horizon])
         return planes
 
     return PartitionScheme(

@@ -9,7 +9,6 @@ enforced structurally on the emitted flags.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import UserDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,16 +39,12 @@ class Thresholds:
     tau_zero: float = 0.05  # "lower density 0" reads as <= tau_zero
     eta_min: float = 0.05  # positive-density floor for separation
     gap: float = 0.1  # no-density gap for DC3-style reads
-    burn_in: int | None = None
 
     def __post_init__(self):
         for name in ("tau_one", "tau_zero", "eta_min", "gap"):
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ValidationError(f"{name} must lie in (0,1)")
-        b = self.burn_in
-        if b is not None and not (isinstance(b, numbers.Integral) and b >= 1):
-            raise ValidationError(f"burn_in must be None or an integer >= 1, got {b!r}")
         one_minus_tau_one, tau_zero, _, _ = self.exact_bounds
         if tau_zero >= one_minus_tau_one:  # on the decimals the reads use
             raise ValidationError("tau_one + tau_zero must be < 1")
@@ -74,7 +69,6 @@ class PairVerdict:
     dc2: bool
     dc3: bool
     separation_threshold: float | None
-    agreement_upper: float
     separation_upper: float
 
     def __post_init__(self):
@@ -132,7 +126,7 @@ def classify_metric_pair(profile: PhiProfile, th: Thresholds = Thresholds()) -> 
     separation of DC2; a gap >= `gap` at two consecutive grid points for
     DC3. Li-Yorke reads unbounded agreement and separation counts. The
     finite read cannot yet tell DC1 from DC1half, so `dc1` repeats
-    `dc1half`.
+    `dc1half`. The grid, burn-in included, is the profile's (`phi_profile`).
     """
     first = profile.estimates[0]
     full, null, separated, gapped = threshold_reads(profile.estimates, th)
@@ -159,7 +153,6 @@ def classify_metric_pair(profile: PhiProfile, th: Thresholds = Thresholds()) -> 
         dc2=dc2,
         dc3=dc3,
         separation_threshold=reaching[-1] if reaching else None,
-        agreement_upper=float(first.upper),
         # complement identity at shared checkpoints
         separation_upper=float(1 - first.lower),
     )
@@ -232,8 +225,6 @@ class PartitionVerdict:
     pk_minus: bool
     k0: int | None
     separation_upper: float
-    gap_by_k: dict[int, float]
-    depth: int
 
     def __post_init__(self):
         if self.pk_plus and not self.pk_scrambled:
@@ -241,9 +232,11 @@ class PartitionVerdict:
 
 
 def classify_partition_pair(
-    pair: OrbitPair, scheme: PartitionScheme, th: Thresholds = Thresholds()
+    pair: OrbitPair, scheme: PartitionScheme, th: Thresholds = Thresholds(),
+    burn_in: int | None = None,
 ) -> PartitionVerdict:
-    """Three reads of the same-atom densities at depths 1..depth, through
+    """Three reads of the same-atom densities at depths 1..depth over the
+    checkpoint grid from `burn_in`, as `phi_profile` reads its series, through
     `threshold_reads`; the different-atom set is the complement, so its
     upper density is 1 - the same-atom lower density:
     - pk: same-atom upper density >= 1 - tau_one at every depth, and some
@@ -253,7 +246,7 @@ def classify_partition_pair(
     - pk_minus: some depth whose same-atom set has upper - lower >= gap."""
     if scheme.depth < 2:
         raise SchemeError("partition classification needs scheme depth >= 2")
-    cps = checkpoint_grid(pair.horizon, th.burn_in)  # a bad burn-in fails before any plane
+    cps = checkpoint_grid(pair.horizon, burn_in)  # a bad burn-in fails before any plane
     ests = nested_density_estimates(same_atom_series(pair, scheme), pair.horizon, cps)
     full, null, separated, gapped = threshold_reads(ests, th)
     k0 = next((k for k, sep in enumerate(separated, start=1) if sep), None)
@@ -264,8 +257,6 @@ def classify_partition_pair(
         pk_minus=any(gapped),
         k0=k0,
         separation_upper=float(1 - ests[k0 - 1].lower) if k0 else 0.0,
-        gap_by_k={k: float(e.gap) for k, e in enumerate(ests, start=1)},
-        depth=scheme.depth,
     )
 
 

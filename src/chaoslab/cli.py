@@ -443,7 +443,7 @@ def _parse_with_config(parser: _Parser, args: argparse.Namespace, argv: list[str
 def _thresholds(args) -> cl.Thresholds:
     return cl.Thresholds(**{
         k: getattr(args, k)
-        for k in ("tau_one", "tau_zero", "eta_min", "gap", "burn_in")
+        for k in ("tau_one", "tau_zero", "eta_min", "gap")
         if getattr(args, k) is not None
     })
 
@@ -528,7 +528,7 @@ def _cmd_classify(args) -> int:
     th = _thresholds(args)
     profile = _profile(pair, args)
     verdict = cl.classify_metric_pair(profile, th)
-    partition = cl.classify_partition_pair(pair, cl.cylinder_scheme(args.depth), th)
+    partition = cl.classify_partition_pair(pair, cl.cylinder_scheme(args.depth), th, args.burn_in)
     eta = verdict.separation_upper if partition.k0 is None else partition.separation_upper
     row = [0, *verdict.flags.values(), verdict.separation_threshold, eta, partition.k0]
     lines = _header(
@@ -565,11 +565,21 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _check_count_digits(schedule: bl.QSchedule) -> None:
+    """Refuse the largest block count 2^p_K before it is built when it has more
+    decimal digits than str() allows (sys.get_int_max_str_digits(), read now;
+    0 is no limit): 2^p has more than L digits exactly when p >= bitlen(10^L)."""
+    limit, p = sys.get_int_max_str_digits(), schedule.p(schedule.depth)
+    if limit and p >= (10**limit).bit_length():
+        raise GuardExceeded(f"block count 2^{p} has more than {limit} decimal digits")
+
+
 def _cmd_forge(args) -> int:
     schedule = bl.QSchedule(args.q)
     lines = _header(args, ("dump", "level", "q", "seed"))
     out = args.out or f"forge-{args.dump}.csv"
     if args.dump == "params":
+        _check_count_digits(schedule)
         rows = [dataclasses.astuple(p) for p in bl.derive_params(schedule)]
         write_csv(out, lines, ["k", "q_k", "p_k", "N_k", "lenB", "count"], rows)
         return 0
@@ -601,6 +611,7 @@ def _cmd_entropy(args) -> int:
     lines = _header(args, ("empirical", "horizon", "q", "seed", "word_len", "stride"))
     out = args.out or "entropy.csv"
     if not args.empirical:
+        _check_count_digits(schedule)
         report = en.block_count_entropy(
             (schedule.family_size(k), schedule.n(k)) for k in range(1, schedule.depth + 1)
         )
@@ -717,9 +728,7 @@ def _cmd_verify(args) -> int:
     if suite == "entropy-zero":
         from fractions import Fraction
 
-        report = en.block_count_entropy(
-            (schedule.family_size(k), schedule.n(k)) for k in range(1, schedule.depth + 1)
-        )
+        report = en.block_count_entropy((p.family_size, p.n_k) for p in bl.derive_params(schedule))
         for k, rate in enumerate(report.rates, start=1):
             if rate != Fraction(1, 2**k):
                 raise InvariantViolation(f"entropy signature fails at level {k}")

@@ -53,10 +53,6 @@ class DensityEstimate:
         if not (0 <= self.lower <= self.upper <= 1):
             raise ValidationError("need 0 <= lower <= upper <= 1")
 
-    @property
-    def gap(self) -> Fraction:
-        return self.upper - self.lower
-
 
 def _exact_extremes(
     counts: np.ndarray, ns: Sequence[int]

@@ -316,11 +316,11 @@ def sample_orbit(
 
 
 def odometer_track(base: Sequence[int], offset: int, horizon: int) -> np.ndarray:
-    """Marker symbol at time j = max{k : j = offset mod N_k}, else 0."""
-    js = np.arange(horizon, dtype=np.int64)
+    """Marker symbol at time j = max{k : j = offset mod N_k}, else 0: each
+    level writes one stride slice over the level below."""
     track = np.zeros(horizon, dtype=symbol_dtype(len(base) + 1))
     for k, nk in enumerate(base, start=1):
-        track[(js - offset) % nk == 0] = k
+        track[offset % nk :: nk] = k
     return track
 
 

@@ -185,6 +185,16 @@ def project_position_recursive(q, k, j):
     return i * int(np.prod(q[: k - 1])) + project_position_recursive(q, k - 1, rest)
 
 
+def odometer_track_direct(base, offset, horizon):
+    """Marker symbol at time j = max{k : j = offset mod N_k}, else 0, by one
+    modulo pass over every time per level."""
+    js = np.arange(horizon, dtype=np.int64)
+    track = np.zeros(horizon, dtype=np.int64)
+    for k, nk in enumerate(base, start=1):
+        track[(js - offset) % nk == 0] = k
+    return track
+
+
 def full_shift_direct(spec, horizon, seed):
     """Full-shift symbols drawn by Generator.choice, which finds each one by
     searchsorted on the weights' cdf."""
@@ -285,15 +295,15 @@ def per_set_density(mask, checkpoints):
     )
 
 
-def partition_verdict_direct(masks, th):
+def partition_verdict_direct(masks, th, burn_in=None):
     """(pk, pk_plus, pk_minus) by the rules as stated, on `per_set_density`
     of each depth's same-atom mask and of its complement, the different-atom
-    set, over the checkpoint grid from th.burn_in, with every threshold the
+    set, over the checkpoint grid from `burn_in`, with every threshold the
     decimal it prints as."""
     tau_one, tau_zero, eta_min, gap = (
         Fraction(repr(x)) for x in (th.tau_one, th.tau_zero, th.eta_min, th.gap)
     )
-    cps = checkpoint_grid(masks[0].size, th.burn_in)
+    cps = checkpoint_grid(masks[0].size, burn_in)
     same = [per_set_density(mask, cps) for mask in masks]
     diff_upper = [per_set_density(~mask, cps).upper for mask in masks]
     pk = all(e.upper >= 1 - tau_one for e in same) and any(u >= eta_min for u in diff_upper)
@@ -369,7 +379,7 @@ def scan_clique_float_path(trajectories, metric, th, target):
     Phi profile, over a dict of every pair built up front."""
 
     def scrambled(pair):
-        profile = phi_profile_float_path(pair, metric, th.burn_in)
+        profile = phi_profile_float_path(pair, metric)
         return classify_metric_pair(profile, th).flags[target]
 
     indexed = enumerate(trajectories)

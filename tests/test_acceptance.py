@@ -169,8 +169,12 @@ def test_criterion_06_oscillating_density():
         prof = c.phi_profile(d)
         assert abs(prof.phi_star[0] - 2 / 3) <= 0.05
         assert abs(prof.phi_lower[0] - 1 / 3) <= 0.05
-        verdict = c.classify_partition_pair(pair, c.cylinder_scheme(2), c.Thresholds())
-        gap = max(verdict.gap_by_k.values())
+        scheme = c.cylinder_scheme(2)
+        verdict = c.classify_partition_pair(pair, scheme, c.Thresholds())
+        ests = c.density.nested_density_estimates(
+            c.same_atom_series(pair, scheme), horizon, c.checkpoint_grid(horizon)
+        )
+        gap = float(max(e.upper - e.lower for e in ests))
         assert verdict.pk_minus and gap >= 0.1
         crit.note(
             f"phi*={prof.phi_star[0]:.4f}~2/3, phi={prof.phi_lower[0]:.4f}~1/3, "
@@ -387,7 +391,7 @@ def test_criterion_10_scrambling_transfer():
                 bl.trajectory_from_word(wa, horizon),
                 bl.trajectory_from_word(wb, horizon),
             )
-            dverdict = c.classify_partition_pair(dpair, scheme, c.Thresholds(burn_in=50))
+            dverdict = c.classify_partition_pair(dpair, scheme, burn_in=50)
             assert not dverdict.pk_scrambled
             if o1 % q.n(1) != o2 % q.n(1):
                 assert not np.any(c.same_atom_series(dpair, scheme)[0])

@@ -19,6 +19,7 @@ from oracles import (
     encode_block_recursive,
     enumerate_family_recursive,
     free_classes_recursive,
+    odometer_track_direct,
     project_position_recursive,
     same_label_mask,
 )
@@ -442,6 +443,19 @@ class TestMarkerRow:
         assert row.tolist() == [0, 0, 0, 2, 0, 0, 0, 1]
         assert np.array_equal(c.systems.odometer_track([4, 8], 0, 8),
                               c.marker_row(c.QSchedule((2, 2)), 8))
+
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        st.integers(2, 5),
+        st.integers(0, 10**6),
+        st.integers(1, 3000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_odometer_track_matches_the_modulo_pass(self, factors, first, offset, horizon):
+        # each level's stride slice against one modulo pass over every time
+        base = list(np.cumprod([first, *factors]))
+        got = c.systems.odometer_track(base, offset, horizon)
+        assert np.array_equal(got, odometer_track_direct(base, offset, horizon))
 
     def test_no_infinite_symbol(self):
         q = c.QSchedule((2, 2, 2))

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -143,14 +144,33 @@ class TestMetricClassification:
         with pytest.raises(ValidationError):
             c.Thresholds(eta_min=1.0)
 
-    @pytest.mark.parametrize("burn_in", [0, -1, 2.5, 3.0])
-    def test_burn_in_must_be_an_integer_of_at_least_one(self, burn_in):
-        # refused when the thresholds are built, not after a classification
-        # has built its same-atom masks
-        with pytest.raises(ValidationError, match="burn_in must be None or an integer >= 1"):
-            c.Thresholds(burn_in=burn_in)
-        for ok in (None, 1, np.int64(7)):
-            assert c.Thresholds(burn_in=ok).burn_in == ok
+    def test_thresholds_hold_the_four_values_the_reads_compare(self):
+        # the burn-in is an argument of each read, never a threshold
+        names = [f.name for f in dataclasses.fields(c.Thresholds)]
+        assert names == ["tau_one", "tau_zero", "eta_min", "gap"]
+        with pytest.raises(TypeError):
+            c.Thresholds(burn_in=500)
+
+    @pytest.mark.parametrize("burn_in", [0, -1, 2.5, float("nan"), float("inf")])
+    def test_both_reads_refuse_a_burn_in_below_one_or_not_an_integer(self, burn_in):
+        # the metric read takes its burn-in through phi_profile, the partition
+        # read as an argument; the partition read refuses it before any plane
+        series = c.DistanceSeries.from_values(np.zeros(400))
+        with pytest.raises(PolicyError, match="burn-in must be"):
+            c.classify_metric_pair(c.phi_profile(series, burn_in))
+        calls = []
+
+        def counted(pair):
+            calls.append(pair)
+            return c.cylinder_scheme(2).same_atom_planes(pair)
+
+        pair = shift_pair([0] * 400, [1] * 400)
+        scheme = c.PartitionScheme(2, counted, "counted")
+        with pytest.raises(PolicyError, match="burn-in must be"):
+            c.classify_partition_pair(pair, scheme, burn_in=burn_in)
+        assert calls == []
+        for ok in (None, 1, np.int64(7), 3.0):
+            assert c.classify_partition_pair(pair, scheme, burn_in=ok).k0 == 1
 
     def test_tau_sum_is_read_on_the_decimals(self):
         # the floats sum to 1.0, the decimals to 0.99999999999999997
@@ -180,7 +200,6 @@ class TestMetricClassification:
                 dc2=True,
                 dc3=True,
                 separation_threshold=None,
-                agreement_upper=1.0,
                 separation_upper=1.0,
             )
 
@@ -195,9 +214,7 @@ class TestMetricClassification:
     )
     def test_each_broken_implication_is_rejected(self, ly, dc1, dc1half, dc2, dc3, message):
         # every other implication holds, so the named one alone must trip
-        fields = dict(
-            separation_threshold=None, agreement_upper=1.0, separation_upper=1.0
-        )
+        fields = dict(separation_threshold=None, separation_upper=1.0)
         with pytest.raises(ValidationError, match=message):
             c.PairVerdict(li_yorke=ly, dc1=dc1, dc1half=dc1half, dc2=dc2, dc3=dc3, **fields)
         c.PairVerdict(li_yorke=True, dc1=dc1, dc1half=True, dc2=True, dc3=True, **fields)
@@ -250,7 +267,7 @@ class TestSameAtomSeries:
         with pytest.raises(SchemeError, match=message):
             c.same_atom_series(pair, scheme)
         with pytest.raises(SchemeError, match=message):
-            c.classify_partition_pair(pair, scheme, c.Thresholds(burn_in=1))
+            c.classify_partition_pair(pair, scheme, burn_in=1)
 
     @pytest.mark.parametrize("horizon", [1, 63, 70, 130])
     def test_stack_with_a_bit_past_the_horizon_is_refused(self, horizon):
@@ -322,15 +339,23 @@ class TestSameAtomSeries:
             c.same_atom_series(c.OrbitPair(a, b), c.cylinder_scheme(2))
 
 
+def same_atom_estimates(pair, scheme, burn_in=None):
+    """The kernel's estimates of the scheme's same-atom sets of `pair`, one
+    per depth, over the checkpoint grid from `burn_in`."""
+    cps = c.checkpoint_grid(pair.horizon, burn_in)
+    return de.nested_density_estimates(c.same_atom_series(pair, scheme), pair.horizon, cps)
+
+
 def estimate_key(e):
     return (e.upper, e.lower, e.checkpoints, e.count_at_horizon)
 
 
-def assert_partition_estimates_match(pair, scheme, th):
+def assert_partition_estimates_match(pair, scheme, burn_in):
     """One kernel pass over all depths against one per-set density per
-    depth, and against the partition verdict's gaps."""
+    depth, and against the partition verdict's k0 and separation_upper,
+    read over the same grid."""
     planes = c.same_atom_series(pair, scheme)
-    cps = c.checkpoint_grid(pair.horizon, th.burn_in)
+    cps = c.checkpoint_grid(pair.horizon, burn_in)
     got = de.nested_density_estimates(planes, pair.horizon, cps)
     for est, plane in zip(got, planes):
         s = c.unpack_times(plane, pair.horizon)
@@ -339,8 +364,10 @@ def assert_partition_estimates_match(pair, scheme, th):
         assert estimate_key(est) == estimate_key(alone)
     assert len(got) == scheme.depth
     if scheme.depth >= 2:
-        v = c.classify_partition_pair(pair, scheme, th)
-        assert v.gap_by_k == {k: float(e.gap) for k, e in enumerate(got, start=1)}
+        v = c.classify_partition_pair(pair, scheme, burn_in=burn_in)
+        eta_min = Fraction(repr(c.Thresholds().eta_min))
+        k0 = next((k for k, e in enumerate(got, start=1) if 1 - e.lower >= eta_min), None)
+        assert (v.k0, v.separation_upper) == (k0, float(1 - got[k0 - 1].lower) if k0 else 0.0)
 
 
 @st.composite
@@ -356,8 +383,7 @@ class TestPartitionKernelDifferential:
     @given(close_symbol_pairs(), st.integers(1, 5), st.integers(1, 10))
     @settings(max_examples=80, deadline=None)
     def test_cylinder_scheme(self, pair, depth, burn):
-        th = c.Thresholds(burn_in=min(burn, pair.horizon))
-        assert_partition_estimates_match(pair, c.cylinder_scheme(depth), th)
+        assert_partition_estimates_match(pair, c.cylinder_scheme(depth), min(burn, pair.horizon))
 
     def test_cylinder_scheme_deeper_than_horizon(self):
         # depth 4 on a 2-step pair: every word is cut at the horizon
@@ -369,14 +395,13 @@ class TestPartitionKernelDifferential:
             assert times(planes[k - 1], pair.horizon) == [
                 n + 1 for n, same in enumerate(by_label) if same
             ]
-        assert_partition_estimates_match(pair, scheme, c.Thresholds(burn_in=1))
+        assert_partition_estimates_match(pair, scheme, 1)
 
     @given(close_symbol_pairs(min_size=12), st.sampled_from([(1, 2, 4), (2, 6), (3, 3, 12)]))
     @settings(max_examples=60, deadline=None)
     def test_aligned_window_scheme(self, pair, lengths):
-        th = c.Thresholds(burn_in=1)
         scheme = aligned_window_scheme(lengths)
-        assert_partition_estimates_match(pair, scheme, th)
+        assert_partition_estimates_match(pair, scheme, 1)
         planes = scheme.same_atom_planes(pair)
         for k in range(1, scheme.depth + 1):
             by_label = same_label_mask(aligned_window_label(lengths), pair, k)
@@ -391,13 +416,12 @@ class TestPartitionKernelDifferential:
         horizon = 39 * q.n(3) if offset is None else 40 * q.n(3) - offset
         pair = bl.fiber_pair(q, seeds, offset=offset, horizon=horizon)
         for burn in (1, 7, None):
-            th = c.Thresholds(burn_in=burn)
-            assert_partition_estimates_match(pair, bl.central_block_scheme(q), th)
+            assert_partition_estimates_match(pair, bl.central_block_scheme(q), burn)
 
     def test_pullback_family_central_block(self):
         q, trajectories = pulled_back_dc2_family(2)
         pair = c.OrbitPair(trajectories[0], trajectories[1])
-        assert_partition_estimates_match(pair, c.central_block_scheme(q), c.Thresholds())
+        assert_partition_estimates_match(pair, c.central_block_scheme(q), None)
 
     def test_non_nested_scheme_rejected(self):
         # depth 2 holds at a time where depth 1 does not: not a refinement
@@ -410,7 +434,7 @@ class TestPartitionKernelDifferential:
         with pytest.raises(SchemeError, match=message):
             c.same_atom_series(pair, scheme)
         with pytest.raises(SchemeError, match=message):
-            c.classify_partition_pair(pair, scheme, c.Thresholds(burn_in=1))
+            c.classify_partition_pair(pair, scheme, burn_in=1)
 
 
 @st.composite
@@ -427,7 +451,7 @@ def cantor_cylinder_cases(draw):
         seed = draw(st.integers(1, 10**6))
         pair = c.make_pair(spec, horizon, (seed, seed + 1))
     burn = draw(st.none() | st.integers(1, pair.horizon))
-    return pair, draw(st.integers(1, 20)), c.Thresholds(burn_in=burn)
+    return pair, draw(st.integers(1, 20)), burn
 
 
 class TestCantorCylinderDifferential:
@@ -437,11 +461,11 @@ class TestCantorCylinderDifferential:
     @given(cantor_cylinder_cases())
     @settings(max_examples=60, deadline=None)
     def test_same_estimates_per_depth(self, case):
-        pair, depth, th = case
+        pair, depth, burn = case
         planes = c.same_atom_series(pair, c.cylinder_scheme(depth))
-        cps = c.checkpoint_grid(pair.horizon, th.burn_in)
+        cps = c.checkpoint_grid(pair.horizon, burn)
         by_depth = de.nested_density_estimates(planes, pair.horizon, cps)
-        by_grid = c.phi_profile(c.distance_series(pair, "cantor"), th.burn_in).estimates
+        by_grid = c.phi_profile(c.distance_series(pair, "cantor"), burn).estimates
         reads = [(k, 16 - k) for k in range(1, min(depth, 15) + 1)]
         reads += [(17, 0)] if depth >= 17 else []
         for k, j in reads:
@@ -452,33 +476,34 @@ class TestPartitionClassification:
     def test_identical_not_scrambled(self):
         xs = np.tile([0, 1], 2000)
         pair = shift_pair(xs, xs)
-        v = c.classify_partition_pair(pair, c.cylinder_scheme(3), c.Thresholds(burn_in=100))
+        v = c.classify_partition_pair(pair, c.cylinder_scheme(3), burn_in=100)
         assert not v.pk_scrambled and not v.pk_plus
 
     def test_pk_minus_constant_false(self):
         xs = np.tile([0, 1], 2000)
         pair = shift_pair(xs, xs)
-        v = c.classify_partition_pair(pair, c.cylinder_scheme(3), c.Thresholds(burn_in=100))
+        v = c.classify_partition_pair(pair, c.cylinder_scheme(3), burn_in=100)
         assert not v.pk_minus
-        assert all(g == 0 for g in v.gap_by_k.values())
+        ests = same_atom_estimates(pair, c.cylinder_scheme(3), 100)
+        assert all(e.upper == e.lower for e in ests)
 
     def test_pk_minus_doubling_witness(self):
         horizon = 4**10
         pair = c.construct_witness_pair("DC3", horizon)
-        v = c.classify_partition_pair(pair, c.cylinder_scheme(2), c.Thresholds())
+        v = c.classify_partition_pair(pair, c.cylinder_scheme(2))
         assert v.pk_minus
-        assert abs(v.gap_by_k[1] - 1 / 3) < 0.02
+        first = same_atom_estimates(pair, c.cylinder_scheme(2))[0]
+        assert abs(float(first.upper - first.lower) - 1 / 3) < 0.02
 
     def test_pk_minus_bernoulli_false(self):
         pair = c.make_pair(c.FullShift(2, (0.5, 0.5)), 100000, (1, 2))
-        v = c.classify_partition_pair(pair, c.cylinder_scheme(2), c.Thresholds(burn_in=10000))
+        v = c.classify_partition_pair(pair, c.cylinder_scheme(2), burn_in=10000)
         assert not v.pk_minus
 
     def test_plus_implies_scrambled_structurally(self):
         with pytest.raises(ValidationError):
             c.PartitionVerdict(
-                pk_scrambled=False, pk_plus=True, pk_minus=False, k0=None,
-                separation_upper=0.0, gap_by_k={}, depth=2,
+                pk_scrambled=False, pk_plus=True, pk_minus=False, k0=None, separation_upper=0.0
             )
 
     def test_burn_in_past_the_horizon_is_refused_before_any_plane(self):
@@ -529,9 +554,9 @@ class TestPartitionClassification:
         mask = np.tile([False] * 7 + [True] * 3, 1000)
         scheme = c.PartitionScheme(2, lambda pair: np.stack([c.pack_times(mask)] * 2), "period-10")
         pair = shift_pair(np.zeros(mask.size), np.zeros(mask.size))
-        th = c.Thresholds(tau_one=0.7, tau_zero=0.2, burn_in=1000)
+        th = c.Thresholds(tau_one=0.7, tau_zero=0.2)
         assert per_set_density(mask, c.checkpoint_grid(mask.size, 1000)).upper == Fraction(3, 10)
-        v = c.classify_partition_pair(pair, scheme, th)
+        v = c.classify_partition_pair(pair, scheme, th, burn_in=1000)
         assert v.pk_scrambled and v.k0 == 1 and not v.pk_plus
 
     @pytest.mark.parametrize("witness, pk, pk_plus", [
@@ -582,22 +607,22 @@ def nested_mask_cases(draw):
         tau_one=tau_one,
         tau_zero=draw_tau_zero(draw, [1 - v for v in diff_upper] + [0.05], tau_one),
         eta_min=pick(diff_upper + [0.05]),
-        gap=pick([float(e.gap) for e in same] + [0.1]),
-        burn_in=burn_in,
+        gap=pick([float(e.upper - e.lower) for e in same] + [0.1]),
     )
-    return masks, th
+    return masks, th, burn_in
 
 
 class TestPartitionReadDifferential:
     @given(nested_mask_cases())
     @settings(max_examples=200, deadline=None)
     def test_reads_match_the_direct_rules(self, case):
-        masks, th = case
+        masks, th, burn_in = case
         planes = np.stack([c.pack_times(m) for m in masks])
         scheme = c.PartitionScheme(len(masks), lambda pair: planes, "drawn")
         n = masks[0].size
-        v = c.classify_partition_pair(shift_pair(np.zeros(n), np.zeros(n)), scheme, th)
-        assert (v.pk_scrambled, v.pk_plus, v.pk_minus) == partition_verdict_direct(masks, th)
+        v = c.classify_partition_pair(shift_pair(np.zeros(n), np.zeros(n)), scheme, th, burn_in)
+        want = partition_verdict_direct(masks, th, burn_in)
+        assert (v.pk_scrambled, v.pk_plus, v.pk_minus) == want
         assert v.pk_scrambled or not v.pk_plus
 
 
@@ -626,7 +651,7 @@ def metric_profile_cases(draw):
         tau_one=tau_one,
         tau_zero=draw_tau_zero(draw, lowers + [0.05], tau_one),
         eta_min=pick([1 - v for v in lowers] + [0.05]),
-        gap=pick([float(e.gap) for e in prof.estimates] + [0.1]),
+        gap=pick([float(e.upper - e.lower) for e in prof.estimates] + [0.1]),
     )
     return prof, th
 
@@ -638,7 +663,6 @@ class TestMetricReadDifferential:
         prof, th = case
         v = c.classify_metric_pair(prof, th)
         assert (v.flags, v.separation_threshold) == metric_verdict_direct(prof, th)
-        assert v.agreement_upper == float(prof.estimates[0].upper)
         assert v.separation_upper == float(1 - prof.estimates[0].lower)
 
 
@@ -680,7 +704,7 @@ def pulled_back_dc2_family(n_trajectories=8, factor=20, rho=1 / 3, min_blocks=15
 class TestScan:
     def _verdict_fn(self, th=WITNESS_THRESHOLDS, target="dc2"):
         def is_scrambled(pair):
-            prof = c.phi_profile(c.distance_series(pair), th.burn_in)
+            prof = c.phi_profile(c.distance_series(pair))
             return c.classify_metric_pair(prof, th).flags[target]
 
         return is_scrambled
@@ -740,7 +764,7 @@ class TestScan:
         th = c.Thresholds(tau_one=0.5, tau_zero=0.45, gap=0.05)
 
         def is_scrambled(pair):
-            prof = c.phi_profile(c.distance_series(pair, metric), th.burn_in)
+            prof = c.phi_profile(c.distance_series(pair, metric))
             return c.classify_metric_pair(prof, th).flags[target]
 
         clique = c.scan_scrambled_set(pairs, is_scrambled)
@@ -769,8 +793,8 @@ class TestScanCodedAgainstFloatPath:
         trajectories = [c.sample_orbit(spec, horizon, seed + i) for i in range(count)]
         th = c.Thresholds(tau_one=0.55, tau_zero=0.4)
         for pair in c.all_pairs(trajectories).values():
-            coded = c.phi_profile(c.distance_series(pair, metric), th.burn_in)
-            want = phi_profile_float_path(pair, metric, th.burn_in)
+            coded = c.phi_profile(c.distance_series(pair, metric))
+            want = phi_profile_float_path(pair, metric)
             assert estimate_keys(coded) == estimate_keys(want)
         for target in ("li_yorke", "dc2", "dc3"):
             out = tmp_path / f"clique-{target}.csv"
@@ -791,7 +815,7 @@ class TestScanCodedAgainstFloatPath:
         th = WITNESS_THRESHOLDS
 
         def is_scrambled(pair):
-            prof = c.phi_profile(c.distance_series(pair, metric), th.burn_in)
+            prof = c.phi_profile(c.distance_series(pair, metric))
             return c.classify_metric_pair(prof, th).flags["dc2"]
 
         clique = c.scan_scrambled_set(c.all_pairs(vertices), is_scrambled)

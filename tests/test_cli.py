@@ -423,6 +423,60 @@ class TestZeroSizesRefused:
         assert not out.exists()
 
 
+# argv, exit code, the start of the one stderr line
+DEGENERATE = [
+    # block counts past int-to-str's digit limit, refused before 2^p_K
+    ("entropy --q 64,64,64", 3, "guard exceeded:"),
+    ("entropy --q 16,16,16,4", 3, "guard exceeded:"),
+    ("forge --dump params --q 64,64,64", 3, "guard exceeded:"),
+    ("pair --arity 0", 1, "usage error:"),
+    ("classify --depth 0", 1, "usage error:"),
+    ("classify --horizon 50", 1, "error:"),
+    ("entropy --empirical --stride 0", 1, "usage error:"),
+    ("count-ball --n 3 --m 2 --eta nan", 1, "usage error:"),
+    ("verify --suite params --q 1000,1000,1000", 3, "guard exceeded:"),
+    ("verify --suite entropy-zero --q 1000,1000,1000", 3, "guard exceeded:"),
+    ("forge --dump blocks --q 2,2,2,2,2", 3, "guard exceeded:"),
+    ("pair --witness DC1 --horizon 10", 1, "error:"),
+]
+
+
+class TestDegenerateInputIsTyped:
+    """Degenerate input ends in a typed refusal: exit 1 or 3, one line of
+    stderr naming its kind, no traceback and no artifact."""
+
+    @pytest.mark.parametrize("argv, code, prefix", DEGENERATE, ids=[d[0] for d in DEGENERATE])
+    def test_refusal(self, argv, code, prefix, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv.split()) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(prefix)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["entropy", "forge --dump params"])
+    def test_digit_limit_is_read_at_call_time(self, command, tmp_path, monkeypatch, capsys):
+        # 2^14284 has 4300 digits and 2^14285 has 4301; a limit of 0 is none
+        monkeypatch.chdir(tmp_path)
+        limit = sys.get_int_max_str_digits()
+        try:
+            for digits, q, code in ((4300, 14284, 0), (4300, 14285, 3), (640, 14284, 3),
+                                    (0, 14285, 0)):
+                sys.set_int_max_str_digits(digits)
+                out = tmp_path / "out.csv"
+                assert run([*command.split(), "--q", str(q), "--out", str(out)]) == code
+                err = capsys.readouterr().err
+                if code:
+                    assert err == (f"guard exceeded: block count 2^{q} has more than "
+                                   f"{digits} decimal digits\n")
+                    assert not out.exists()
+                else:
+                    assert err == "" and str(2**q) in read(out)
+                    out.unlink()
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 class TestWarnings:
     def test_same_stderr_on_every_run_without_a_path(self, tmp_path, capsys):
         argv = ["entropy", "--q", "2,2,2", "--empirical", "--horizon", "5000",

@@ -72,6 +72,10 @@ GOLDEN = {
         "a03517a723aff69d540e4bec74a38b58c1b483980c5851b31d6392de7db449bd",
     "classify --system zero-entropy --q 2,2,2,2 --horizon 100000 --seed 1":
         "4414f6779739d599d24185c6b52d0581bcd644c891c0188b1d9d7f450a1a88ce",
+    # no depth separates, so k0 is blank and eta is the metric read's
+    # separation_upper
+    "classify --probs 0.995,0.005 --depth 2 --horizon 4000":
+        "931852b2f25b2802dfb30530f96dce83571fe14f2692322e2c428dd0fbe6e6a5",
 
     "scan --count 4 --horizon 2000 --seed 1 --target li_yorke":
         "d2794580b379c82ecf2612b241cb091fe7a40068b2a2605cf3b8cc40dd35b9af",
